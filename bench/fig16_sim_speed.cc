@@ -142,13 +142,13 @@ runSweepScaling(bool smoke, uint64_t ckpt_every)
 /**
  * BENCH_fig16.json (schema assassyn.bench.fig16.v3): cycles/sec per
  * design per backend, plus the sweep-runner thread-scaling section, at
- * the repo root so successive checkouts can be diffed for throughput
- * regressions (docs/performance.md). v3 over v2: run-only timing (the
- * one-time build phase is reported per backend in its own field), best
- * of `reps` repetitions with bit-identical metrics required across
- * them, the wake-list scheduler's events_skipped / stages_woken
- * counters per run, and an `oversubscribed` marker on sweep rows whose
- * worker count exceeds the machine's hardware threads.
+ * the repo root (full runs only) so successive checkouts can be diffed
+ * for throughput regressions (docs/performance.md). v3 over v2:
+ * run-only timing (the one-time build phase is reported per backend in
+ * its own field), best of `reps` repetitions with bit-identical metrics
+ * required across them, the wake-list scheduler's events_skipped /
+ * stages_woken counters per run, and an `oversubscribed` marker on
+ * sweep rows whose worker count exceeds the machine's hardware threads.
  */
 void
 writeBenchJson(const std::vector<ThroughputRow> &rows,
@@ -218,7 +218,10 @@ writeBenchJson(const std::vector<ThroughputRow> &rows,
     w.endArray();
     w.endObject();
     w.endObject();
-    std::string path = std::string(sourceDir()) + "/BENCH_fig16.json";
+    // Only a full run updates the tracked record; the --smoke slice
+    // (the perf_smoke ctest) reports under the gitignored artifacts/.
+    std::string path = (smoke ? artifactsDir() : std::string(sourceDir())) +
+                       "/BENCH_fig16.json";
     FILE *f = std::fopen(path.c_str(), "w");
     if (!f)
         fatal("cannot write '", path, "'");

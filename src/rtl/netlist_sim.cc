@@ -808,8 +808,7 @@ NetlistSim::snapshot() const
         for (const auto &arr : sys.arrays()) {
             const std::vector<uint64_t> &data = im.arrays[arr->id()];
             w.u32(uint32_t(data.size()));
-            for (uint64_t word : data)
-                w.u64(word);
+            w.u64s(data.data(), data.size());
             w.u64(im.array_writes[arr->id()]);
         }
         snap.add("arrays", w.take());
@@ -902,8 +901,7 @@ NetlistSim::restore(const sim::Snapshot &snap)
                 fatal("checkpoint: array '", arr->name(), "' has ", size,
                       " element(s) in the snapshot, ", data.size(),
                       " in the design");
-            for (uint64_t &word : data)
-                word = r.u64();
+            r.u64s(data.data(), data.size());
             im.array_writes[arr->id()] = r.u64();
             im.array_version[arr->id()] = 0;
         }

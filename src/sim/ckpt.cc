@@ -24,7 +24,9 @@
  */
 #include "sim/ckpt.h"
 
+#include <bit>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -121,11 +123,24 @@ ByteWriter::str(const std::string &s)
 }
 
 void
+ByteWriter::u64s(const uint64_t *words, size_t n)
+{
+    if constexpr (std::endian::native == std::endian::little) {
+        const size_t at = buf_.size();
+        buf_.resize(at + n * 8);
+        if (n)
+            std::memcpy(buf_.data() + at, words, n * 8);
+    } else {
+        for (size_t i = 0; i < n; ++i)
+            u64(words[i]);
+    }
+}
+
+void
 ByteWriter::vec64(const std::vector<uint64_t> &v)
 {
     u32(uint32_t(v.size()));
-    for (uint64_t word : v)
-        u64(word);
+    u64s(v.data(), v.size());
 }
 
 void
@@ -165,6 +180,20 @@ ByteReader::u64()
     return v;
 }
 
+void
+ByteReader::u64s(uint64_t *out, size_t n)
+{
+    need(n * 8);
+    if constexpr (std::endian::native == std::endian::little) {
+        if (n)
+            std::memcpy(out, data_ + off_, n * 8);
+        off_ += n * 8;
+    } else {
+        for (size_t i = 0; i < n; ++i)
+            out[i] = u64();
+    }
+}
+
 bool
 ByteReader::flag()
 {
@@ -200,8 +229,7 @@ ByteReader::vec64(size_t max_elems)
               " at byte ", at, " exceeds the cap of ", max_elems);
     need(size_t(count) * 8);
     std::vector<uint64_t> v(count);
-    for (uint32_t i = 0; i < count; ++i)
-        v[i] = u64();
+    u64s(v.data(), count);
     return v;
 }
 

@@ -66,6 +66,9 @@ class ByteWriter {
             buf_.push_back(uint8_t(v >> (8 * i)));
     }
 
+    /** @p n u64 words, each encoded exactly as u64() would. */
+    void u64s(const uint64_t *words, size_t n);
+
     /** Length-prefixed (u32) byte string. */
     void str(const std::string &s);
 
@@ -95,6 +98,9 @@ class ByteReader {
     uint8_t u8();
     uint32_t u32();
     uint64_t u64();
+
+    /** Decode @p n u64 words into @p out after one bounds check. */
+    void u64s(uint64_t *out, size_t n);
 
     /** One serialized bool; any byte other than 0/1 is a fatal(). */
     bool flag();

@@ -608,8 +608,10 @@ struct ProgCompiler {
                 }
                 uint32_t cond_slot = prog.slotOf(cb->cond());
                 // Shared values compute unconditionally; the rest of
-                // the region is jumped over when the predicate is 0,
-                // so inactive FSM states cost one step per cycle.
+                // the region is jumped over when the predicate is 0.
+                // A run of FSM state arms later collapses into one
+                // kSwitch (buildSwitches), so inactive states cost
+                // nothing per cycle.
                 preEmitShared(*cb->body());
                 size_t skip_at = out->size();
                 DStep skip;
@@ -877,6 +879,7 @@ Program::build()
             array_wake_[aid].push_back(mid);
     }
     fuseTape();
+    buildSwitches();
     // Event wake metadata: which stages each stage's effects can
     // subscribe. Purely descriptive (diagnostics, docs/architecture.md);
     // the scheduler wakes from the committed Subscribe steps.
@@ -990,6 +993,7 @@ Program::fuseTape()
           case DOp::kSkipIfFalse:
           case DOp::kSkipIfNeImm:
           case DOp::kSkipIfEqImm:
+          case DOp::kSwitch:
           case DOp::kPush:
           case DOp::kArrayRmw:
           case DOp::kAssertEff:
@@ -1028,7 +1032,6 @@ Program::fuseTape()
             note(s.u.ca.c, i);
             break;
           case DOp::kSelSel:
-          case DOp::kEqAndSel:
           case DOp::kOr5:
             note(s.a, i);
             note(s.b, i);
@@ -1066,6 +1069,7 @@ Program::fuseTape()
           case DOp::kFifoValid:
           case DOp::kFifoPeek:
           case DOp::kDequeue:
+          case DOp::kJump:
           case DOp::kSubscribe:
           case DOp::kLog:
           case DOp::kFinishEff:
@@ -1097,7 +1101,6 @@ Program::fuseTape()
           case DOp::kArrayReadImm:
           case DOp::kSelect:
           case DOp::kValidAnd:
-          case DOp::kEqAnd:
           case DOp::kOrOr:
           case DOp::kArrayReadImmAdd:
             break;
@@ -1405,17 +1408,6 @@ Program::fuseTape()
             f.u.ca.aux = p.u.ca.c;
             ok = true;
             break;
-          case DOp::kEqAnd:
-            if (cop != DOp::kSelect || c.a != p.dest)
-                break;
-            f.op = uint8_t(DOp::kEqAndSel);
-            f.a = p.a;
-            f.b = p.b;
-            f.x16 = p.x16;
-            f.u.ca.c = c.b;
-            f.u.ca.aux = c.u.ca.c;
-            ok = true;
-            break;
           case DOp::kOrOr:
             // Five-way OR. Exactness needs the consumer mask to be a
             // subset of the producer's (same argument as the two-level
@@ -1511,6 +1503,100 @@ Program::fuseTape()
     // fixpoint. Each pass recounts uses over the compacted tape;
     // termination is guaranteed because every pass shrinks the tape.
     fuseTape();
+}
+
+/**
+ * Post-fusion pass: collapse each run of FSM state guards into one
+ * table dispatch. `when(st == k)` arms fuse to kSkipIfNeImm steps, so
+ * an N-state machine walks N guards every cycle. A chain is a run of
+ * such guards g0 < g1 < ... < g(n-1) over one slot, with distinct
+ * keys, where each guard skips exactly to the next; the last one skips
+ * to the chain end. g0 becomes a kSwitch whose table sends key k(i)
+ * straight to the first step of arm i and any other value to the chain
+ * end. Each interior guard gi becomes a kJump to the chain end: it is
+ * reached only from arm i-1 (its fall-through or a nested skip ending
+ * on it), where the slot holds k(i-1) != k(i), so every later guard
+ * would have failed too. That holds because the slot has a single
+ * writer and is stable for the whole cycle (see fuseTape); the pass
+ * checks the two ways it could fail instead of assuming them:
+ *   - a chain is cut before any gi that is entered from outside arm
+ *     i-1 (a skip located before g(i-1), e.g. an enclosing guard that
+ *     ends on gi, or the start of a span), since there the slot may
+ *     hold any value;
+ *   - a chain whose range writes the slot is left alone.
+ * Sparse key sets keep their guards: a switch needs kSwitchMinArms
+ * arms and a table of at most kSwitchMaxTable entries, at least one
+ * arm per kSwitchEntriesPerArm entries. Runs only once, after the
+ * fusion fixpoint; the tape length does not change.
+ */
+void
+Program::buildSwitches()
+{
+    constexpr size_t kSwitchMinArms = 3;
+    constexpr uint64_t kSwitchMaxTable = 256;
+    constexpr uint64_t kSwitchEntriesPerArm = 4;
+    const uint32_t n = static_cast<uint32_t>(tape_.size());
+    auto op = [&](uint32_t i) { return static_cast<DOp>(tape_[i].op); };
+    auto target = [&](uint32_t i) { return i + 1 + tape_[i].b; };
+    // Earliest step that can jump to each index; -1 marks a span start.
+    std::vector<int64_t> entered(n + 1, INT64_MAX);
+    for (uint32_t i = 0; i < n; ++i)
+        if (op(i) == DOp::kSkipIfFalse || op(i) == DOp::kSkipIfNeImm ||
+            op(i) == DOp::kSkipIfEqImm)
+            entered[target(i)] = std::min<int64_t>(entered[target(i)], i);
+    for (const StageSpan &sp : spans_) {
+        entered[sp.shadow_begin] = -1;
+        entered[sp.active_begin] = -1;
+    }
+    for (uint32_t g0 = 0; g0 < n; ++g0) {
+        if (op(g0) != DOp::kSkipIfNeImm)
+            continue;
+        const uint32_t slot = tape_[g0].a;
+        std::vector<uint32_t> arms{g0};
+        std::set<uint64_t> keys{tape_[g0].u.mask};
+        uint64_t lo = tape_[g0].u.mask, hi = lo;
+        for (uint32_t g = target(g0);
+             g < n && op(g) == DOp::kSkipIfNeImm && tape_[g].a == slot &&
+             entered[g] >= arms.back();
+             g = target(g)) {
+            const uint64_t key = tape_[g].u.mask;
+            if (keys.count(key) || std::max(hi, key) - std::min(lo, key) >=
+                                       kSwitchMaxTable)
+                break;
+            keys.insert(key);
+            lo = std::min(lo, key);
+            hi = std::max(hi, key);
+            arms.push_back(g);
+        }
+        const uint32_t end = target(arms.back());
+        const uint64_t range = hi - lo + 1;
+        if (arms.size() < kSwitchMinArms ||
+            range > kSwitchEntriesPerArm * arms.size())
+            continue;
+        bool writes_slot = false;
+        for (uint32_t i = g0 + 1; i < end; ++i)
+            writes_slot |= op(i) < DOp::kWaitCheck && tape_[i].dest == slot;
+        if (writes_slot)
+            continue;
+        const uint32_t base = static_cast<uint32_t>(switch_table_.size());
+        switch_table_.resize(base + range + 1, end - g0 - 1);
+        for (uint32_t g : arms) {
+            switch_table_[base + (tape_[g].u.mask - lo)] = g - g0;
+            entered[g + 1] = std::min<int64_t>(entered[g + 1], g0);
+            if (g == g0)
+                continue;
+            DStep jump;
+            jump.op = uint8_t(DOp::kJump);
+            jump.b = end - g - 1;
+            tape_[g] = jump;
+        }
+        DStep &sw = tape_[g0];
+        sw.op = uint8_t(DOp::kSwitch);
+        sw.b = base;
+        sw.dest = static_cast<uint32_t>(range);
+        sw.u.mask = lo;
+        entered[end] = std::min<int64_t>(entered[end], g0);
+    }
 }
 
 void

@@ -162,7 +162,6 @@ enum class DOp : uint8_t {
                 ///< fused forwarding-mux chain)
     kValid2,    ///< (fifo a nonempty) & (fifo x16 nonempty)
     kValid2And, ///< (fifo a nonempty) & (fifo x16 nonempty) & b
-    kEqAndSel,  ///< ((a == b) & x16) ? u.ca.c : u.ca.aux (slots)
     kEqAndAnd,  ///< (a == b) & u.ca.c & u.ca.aux (slots)
     kOr5,       ///< (a | b | x16 | u.ca.c | u.ca.aux) & (~0 >> x8)
     kArrayReadImmAdd, ///< (array b word [imm a] + u.mask) & (~0 >> x8)
@@ -171,12 +170,18 @@ enum class DOp : uint8_t {
     kFifoValid,  ///< a = fifo id
     kFifoPeek,   ///< a = fifo id
     kArrayRead,  ///< a = index slot, b = array id
+    // Control and effects: no op from here on writes slot dest.
     kWaitCheck,  ///< a = cond slot; bail out (retain event) when 0
     kWaitCheckAnd, ///< bail out (retain event) when (a & b) is 0
     kWaitCheckValidAnd, ///< bail out when ((fifo a nonempty) & b) is 0
     kSkipIfFalse, ///< a = cond slot; jump over b steps when 0
     kSkipIfNeImm, ///< jump over b steps when a != u.mask
     kSkipIfEqImm, ///< jump over b steps when a == u.mask
+    // FSM state dispatch, built by the post-fusion pass buildSwitches
+    // (never emitted directly).
+    kSwitch, ///< jump over switchTable()[b + min(a - u.mask, dest)]
+             ///< steps (dest = dense key range; its entry is the miss)
+    kJump,   ///< jump over b steps unconditionally
     // Effects (buffered; committed in phase 2). Unconditional by
     // construction: each sits inside the skip region of its predicate.
     kDequeue,    ///< a = fifo id
@@ -273,6 +278,13 @@ class Program {
     /** The fused step tape shared by all stages. */
     const std::vector<DStep> &tape() const { return tape_; }
 
+    /** Jump tables of the kSwitch steps: relative skip counts, one
+     *  dense key range plus a trailing miss entry per switch. */
+    const std::vector<uint32_t> &switchTable() const
+    {
+        return switch_table_;
+    }
+
     /** Per-stage tape spans, indexed by Module::id. */
     const std::vector<StageSpan> &spans() const { return spans_; }
 
@@ -348,6 +360,7 @@ class Program {
     void build();
     void buildAliases();
     void fuseTape();
+    void buildSwitches();
     uint32_t aliasOf(const Value *val);
     void compileModule(const Module &mod, std::vector<uint32_t> &ext_mods,
                        std::vector<uint32_t> &fifo_deps,
@@ -364,6 +377,7 @@ class Program {
     std::vector<uint8_t> slot_is_const_;
     std::vector<FifoSpec> fifos_;
     std::vector<DStep> tape_;      ///< fused SoA tape (all stages)
+    std::vector<uint32_t> switch_table_; ///< kSwitch jump tables
     std::vector<StageSpan> spans_; ///< indexed by Module::id
     std::vector<LogSpec> logs_;
     std::vector<const AssertInst *> asserts_;

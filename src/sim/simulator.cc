@@ -371,6 +371,7 @@ struct Simulator::Impl {
     runTape(uint32_t begin, uint32_t end)
     {
         const DStep *const tape = prog->tape().data();
+        const uint32_t *const sw = prog->switchTable().data();
         uint64_t *const sl = slots.data();
         FifoState *const fst = fifos.data();
         ArrState *const ast = arrays.data();
@@ -403,12 +404,12 @@ struct Simulator::Impl {
             &&op_kOrAnd, &&op_kOrOr, &&op_kEqAnd, &&op_kNeAnd,
             &&op_kNeImmAnd, &&op_kValidAnd, &&op_kAndSel, &&op_kConcat3,
             &&op_kSliceConcat, &&op_kConcatSlice, &&op_kSelSel,
-            &&op_kValid2, &&op_kValid2And, &&op_kEqAndSel,
-            &&op_kEqAndAnd, &&op_kOr5, &&op_kArrayReadImmAdd,
+            &&op_kValid2, &&op_kValid2And, &&op_kEqAndAnd, &&op_kOr5, &&op_kArrayReadImmAdd,
             &&op_kBinGeneric, &&op_kFifoValid, &&op_kFifoPeek,
             &&op_kArrayRead, &&op_kWaitCheck, &&op_kWaitCheckAnd,
             &&op_kWaitCheckValidAnd,
             &&op_kSkipIfFalse, &&op_kSkipIfNeImm, &&op_kSkipIfEqImm,
+            &&op_kSwitch, &&op_kJump,
             &&op_kDequeue, &&op_kPush, &&op_kPushCat, &&op_kArrayWrite,
             &&op_kArrayRmw, &&op_kSubscribe, &&op_kLog, &&op_kAssertEff,
             &&op_kFinishEff,
@@ -694,11 +695,6 @@ struct Simulator::Impl {
             sl[s->dest] = uint64_t(fst[s->a].count > 0) &
                           uint64_t(fst[s->x16].count > 0) & sl[s->b];
             ASSASSYN_NEXT();
-        ASSASSYN_OP(kEqAndSel):
-            sl[s->dest] = (uint64_t(sl[s->a] == sl[s->b]) & sl[s->x16])
-                              ? sl[s->u.ca.c]
-                              : sl[s->u.ca.aux];
-            ASSASSYN_NEXT();
         ASSASSYN_OP(kEqAndAnd):
             sl[s->dest] = uint64_t(sl[s->a] == sl[s->b]) &
                           sl[s->u.ca.c] & sl[s->u.ca.aux];
@@ -755,6 +751,17 @@ struct Simulator::Impl {
         ASSASSYN_OP(kSkipIfEqImm):
             if (sl[s->a] == s->u.mask)
                 s += s->b;
+            ASSASSYN_NEXT();
+        ASSASSYN_OP(kSwitch): {
+            // One dispatch for a whole FSM state chain (buildSwitches):
+            // keys below the table's base wrap to huge values and take
+            // the trailing miss entry like keys above it.
+            const uint64_t key = sl[s->a] - s->u.mask;
+            s += sw[s->b + (key < s->dest ? key : s->dest)];
+            ASSASSYN_NEXT();
+        }
+        ASSASSYN_OP(kJump):
+            s += s->b;
             ASSASSYN_NEXT();
         ASSASSYN_OP(kDequeue):
             fst[s->a].deq_pending = true;
@@ -1473,8 +1480,7 @@ Simulator::snapshot() const
         for (const auto &arr : im.sys.arrays()) {
             const ArrState &a = im.arrays[arr->id()];
             w.u32(a.size);
-            for (uint32_t i = 0; i < a.size; ++i)
-                w.u64(im.arr_arena[a.base + i]);
+            w.u64s(im.arr_arena.data() + a.base, a.size);
             w.u64(a.writes);
         }
         snap.add("arrays", w.take());
@@ -1578,8 +1584,7 @@ Simulator::restore(const Snapshot &snap)
                 fatal("checkpoint: array '", arr->name(), "' has ", size,
                       " element(s) in the snapshot, ", a.size,
                       " in the design");
-            for (uint32_t i = 0; i < a.size; ++i)
-                im.arr_arena[a.base + i] = r.u64();
+            r.u64s(im.arr_arena.data() + a.base, a.size);
             a.writes = r.u64();
             a.write_pending = false;
         }

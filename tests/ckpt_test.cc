@@ -562,6 +562,56 @@ TEST(CkptCorruptionTest, EveryTruncationIsAStructuredFatal)
             << "truncation at " << len << " of " << blob.size();
 }
 
+/**
+ * A section whose CRC is intact but whose payload is short: the
+ * `arrays` section cut halfway through the memory's words (and mid
+ * word). Array payloads are decoded in bulk after one bounds check, so
+ * the cut must surface as that check's diagnostic on both engines.
+ */
+TEST(CkptCorruptionTest, ShortArraysSectionIsAStructuredFatal)
+{
+    auto image = isa::buildMemoryImage(isa::workload("vvadd"));
+    auto cpu = designs::buildCpu(designs::BranchPolicy::kTaken, image);
+    sim::Simulator es(*cpu.sys);
+    ASSERT_EQ(es.run(100).status, sim::RunStatus::kMaxCycles);
+    sim::Snapshot snap = es.snapshot();
+
+    // Section layout: u32 count, then per array (IR order) u32 size,
+    // size u64 words, u64 write count.
+    size_t cut = 4;
+    for (const auto &arr : cpu.sys->arrays()) {
+        cut += 4;
+        if (arr.get() == cpu.mem) {
+            ASSERT_GT(arr->size(), 2u);
+            cut += arr->size() / 2 * 8 + 3;
+            break;
+        }
+        cut += arr->size() * 8 + 8;
+    }
+    for (sim::SnapshotSection &sec : snap.sections)
+        if (sec.name == "arrays") {
+            ASSERT_LT(cut, sec.bytes.size());
+            sec.bytes.resize(cut);
+        }
+
+    rtl::Netlist nl(*cpu.sys);
+    auto expectTruncated = [&](auto &engine, const char *label) {
+        try {
+            engine.restore(snap);
+            ADD_FAILURE() << label << ": short arrays section restored";
+        } catch (const FatalError &err) {
+            std::string msg = err.what();
+            EXPECT_NE(msg.find("section 'arrays' truncated at byte"),
+                      std::string::npos)
+                << label << ": " << msg;
+        }
+    };
+    sim::Simulator event(*cpu.sys);
+    expectTruncated(event, "event");
+    rtl::NetlistSim netlist(nl);
+    expectTruncated(netlist, "netlist");
+}
+
 TEST(CkptCorruptionTest, EverySingleBitFlipIsAStructuredFatal)
 {
     auto sys = buildPipe(100);

@@ -14,6 +14,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/compiler/pass.h"
 #include "core/dsl/builder.h"
 #include "rtl/netlist.h"
@@ -295,6 +297,169 @@ TEST_P(AlignmentFuzzTest, BackendsAgreeUnderFaultInjection)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AlignmentFuzzTest,
                          ::testing::Range(uint64_t(1), uint64_t(81)));
+
+/**
+ * Random FSM-dispatch designs: the shape the event tape collapses into
+ * one kSwitch (sim::Program's switch pass). A driver walks a 12-bit
+ * state register through a chain of `when(st == k)` arms with random
+ * keys, drawn dense, sparse, or past the switch table's size cap. Arms
+ * pick their next state from the keys plus one value no arm matches,
+ * which a recovery guard after the chain sends back to the first key.
+ * Some arms make their state write conditional, so a nested guard ends
+ * exactly at the next arm, and some designs wrap the leading arms in
+ * an enclosing guard that ends on an interior arm: the one chain shape
+ * the pass must cut.
+ */
+class RandomFsmDesign {
+  public:
+    explicit RandomFsmDesign(uint64_t seed) : rng_(seed) {}
+
+    bool enclosed = false; ///< leading arms sit under an enclosing guard
+    bool far_key = false;  ///< some key is past the switch table cap
+
+    std::unique_ptr<System>
+    build()
+    {
+        SysBuilder sb("fsm_fuzz");
+        std::vector<uint64_t> keys;
+        size_t n = 3 + rng_.below(10);
+        // Key styles: dense, sparse, and dense with some far keys.
+        const uint64_t style = rng_.below(3);
+        while (keys.size() < n) {
+            uint64_t k = style == 2 && rng_.below(4) == 0
+                             ? 300 + rng_.below(3700)
+                         : style == 1 ? rng_.below(64)
+                                      : rng_.below(2 * n);
+            if (std::find(keys.begin(), keys.end(), k) == keys.end())
+                keys.push_back(k);
+        }
+        uint64_t miss = 4095;
+        while (std::find(keys.begin(), keys.end(), miss) != keys.end())
+            --miss;
+        for (uint64_t k : keys)
+            far_key |= k >= 300;
+
+        Reg st = sb.reg("st", uintType(12), keys[0]);
+        Reg cyc = sb.reg("cyc", uintType(32));
+        Stage d = sb.driver();
+        {
+            StageScope scope(d);
+            Val v = cyc.read();
+            cyc.write(v + 1);
+            Val cur = st.read();
+            auto pick = [&] {
+                return rng_.below(5) == 0 ? miss
+                                          : keys[rng_.below(keys.size())];
+            };
+            auto arm = [&](size_t i) {
+                const unsigned sel_bit = unsigned(rng_.below(5));
+                const uint64_t on_true = pick(), on_false = pick();
+                const bool nested = rng_.below(2);
+                const unsigned write_bit = unsigned(rng_.below(5));
+                when(cur == keys[i], [&] {
+                    log("arm" + std::to_string(i) + " {}", {v});
+                    Val next = select(v.bit(sel_bit), lit(on_true, 12),
+                                      lit(on_false, 12));
+                    // A nested guard as the arm's last statement ends
+                    // exactly where the next arm begins.
+                    if (nested)
+                        when(v.bit(write_bit), [&] { st.write(next); });
+                    else
+                        st.write(next);
+                });
+            };
+            size_t first = 0;
+            if (rng_.below(2) == 0) {
+                enclosed = true;
+                first = 1 + rng_.below(n - 1);
+                when(v.bit(unsigned(rng_.below(3))), [&] {
+                    for (size_t i = 0; i < first; ++i)
+                        arm(i);
+                });
+            }
+            for (size_t i = first; i < n; ++i)
+                arm(i);
+            Val hit = cur == keys[0];
+            for (size_t i = 1; i < n; ++i)
+                hit = hit | (cur == keys[i]);
+            when(!hit, [&] {
+                log("miss {}", {cur});
+                st.write(lit(keys[0], 12));
+            });
+            when(v == 60, [&] { finish(); });
+        }
+        compile(sb.sys());
+        return sb.take();
+    }
+
+  private:
+    Rng rng_;
+};
+
+size_t
+countOp(const sim::Program &prog, sim::DOp op)
+{
+    size_t n = 0;
+    for (const sim::DStep &s : prog.tape())
+        n += s.op == uint8_t(op);
+    return n;
+}
+
+class FsmDispatchFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(FsmDispatchFuzzTest, BackendsAgreeExactly)
+{
+    RandomFsmDesign gen(GetParam());
+    auto sys = gen.build();
+
+    sim::Simulator esim(*sys);
+    sim::RunResult eres = esim.run(200);
+    rtl::Netlist nl(*sys);
+    rtl::NetlistSim rsim(nl);
+    sim::RunResult rres = rsim.run(200);
+
+    ASSERT_TRUE(esim.finished()) << "seed " << GetParam() << eres.error;
+    EXPECT_EQ(eres.cycles, rres.cycles) << "seed " << GetParam();
+    EXPECT_EQ(esim.logOutput(), rsim.logOutput()) << "seed " << GetParam();
+    EXPECT_EQ(esim.metrics().toJson("fsm"), rsim.metrics().toJson("fsm"))
+        << "seed " << GetParam();
+    for (const auto &array : sys->arrays())
+        for (size_t i = 0; i < array->size(); ++i)
+            EXPECT_EQ(esim.readArray(array.get(), i),
+                      rsim.readArray(array.get(), i))
+                << "seed " << GetParam() << " array " << array->name();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FsmDispatchFuzzTest,
+                         ::testing::Range(uint64_t(1), uint64_t(61)));
+
+/**
+ * The seeds above must reach every shape the switch pass handles:
+ * formed switches, chains cut by a far key, and chains cut by an
+ * enclosing guard (whose first arms keep their guards).
+ */
+TEST(FsmDispatchShapes, SeedsReachEveryChainShape)
+{
+    size_t switched = 0, far = 0, cut_enclosed = 0, missed = 0;
+    for (uint64_t seed = 1; seed < 61; ++seed) {
+        RandomFsmDesign gen(seed);
+        auto sys = gen.build();
+        auto prog = sim::Program::compile(*sys);
+        size_t sw = countOp(*prog, sim::DOp::kSwitch);
+        switched += sw > 0;
+        far += sw > 0 && gen.far_key;
+        cut_enclosed +=
+            sw > 0 && gen.enclosed && countOp(*prog, sim::DOp::kSkipIfNeImm);
+        sim::Simulator s(prog);
+        s.run(200);
+        for (const std::string &line : s.logOutput())
+            missed += sw > 0 && line.find("miss ") != std::string::npos;
+    }
+    EXPECT_GT(switched, 10u);
+    EXPECT_GT(far, 0u);
+    EXPECT_GT(cut_enclosed, 0u);
+    EXPECT_GT(missed, 0u);
+}
 
 /**
  * The batch form of the alignment claim (sim/sweep.h): the same run

@@ -11,11 +11,22 @@
  *    like N fresh compiles — metrics, logs, and architectural state;
  *  - RunResult's legacy uint64_t conversion still reports the cycles
  *    simulated by that run() call, struct-level and end-to-end.
+ *
+ * They also pin the shape of the FSM switch pass (buildSwitches): every
+ * HLS accelerator's state chain becomes one kSwitch plus a kJump per
+ * other state, while the CPU tapes, which have no such chain, keep
+ * their length and form no switch.
  */
 #include <gtest/gtest.h>
 
+#include "baseline/hls.h"
+#include "baseline/hls_workloads.h"
 #include "core/compiler/pass.h"
 #include "core/dsl/builder.h"
+#include "designs/accel_data.h"
+#include "designs/cpu.h"
+#include "designs/ooo.h"
+#include "isa/workloads.h"
 #include "sim/program.h"
 #include "sim/simulator.h"
 
@@ -136,6 +147,67 @@ TEST(ProgramTest, RunResultConvertsToCyclesEndToEnd)
     EXPECT_EQ(res.status, sim::RunStatus::kFinished);
     EXPECT_EQ(res.cycles, s2.cycle());
     EXPECT_EQ(uint64_t(res), res.cycles);
+}
+
+size_t
+countOp(const sim::Program &prog, sim::DOp op)
+{
+    size_t n = 0;
+    for (const sim::DStep &s : prog.tape())
+        n += s.op == uint8_t(op);
+    return n;
+}
+
+TEST(ProgramSwitchTest, HlsStateChainsCompileToOneSwitch)
+{
+    designs::KmpData kmp = designs::makeKmpData(2000, 5);
+    designs::SpmvData spmv = designs::makeSpmvData(64, 10, 6);
+    designs::SortData merge = designs::makeMergeSortData(256, 7);
+    designs::SortData radix = designs::makeRadixSortData(256, 8);
+    designs::StencilData st = designs::makeStencilData(16, 16, 9);
+    std::vector<std::pair<const char *, baseline::HlsDesign>> accels;
+    accels.emplace_back(
+        "kmp", baseline::generateHls(baseline::hlsKmp(kmp), kmp.memory));
+    accels.emplace_back(
+        "spmv", baseline::generateHls(baseline::hlsSpmv(spmv), spmv.memory));
+    accels.emplace_back(
+        "merge",
+        baseline::generateHls(baseline::hlsMergeSort(merge), merge.memory));
+    accels.emplace_back(
+        "radix",
+        baseline::generateHls(baseline::hlsRadixSort(radix), radix.memory));
+    accels.emplace_back(
+        "st-2d", baseline::generateHls(baseline::hlsStencil(st), st.memory));
+    for (const auto &[name, design] : accels) {
+        auto prog = sim::Program::compile(*design.sys);
+        ASSERT_EQ(countOp(*prog, sim::DOp::kSwitch), 1u) << name;
+        EXPECT_EQ(countOp(*prog, sim::DOp::kJump), design.num_states - 1)
+            << name;
+        uint32_t state_slot = 0;
+        for (const sim::DStep &s : prog->tape())
+            if (s.op == uint8_t(sim::DOp::kSwitch))
+                state_slot = s.a;
+        for (const sim::DStep &s : prog->tape())
+            EXPECT_FALSE(s.op == uint8_t(sim::DOp::kSkipIfNeImm) &&
+                         s.a == state_slot)
+                << name << ": a state guard survived the switch pass";
+    }
+}
+
+TEST(ProgramSwitchTest, CpuTapesFormNoSwitch)
+{
+    auto image = isa::buildMemoryImage(isa::workload("vvadd"));
+    auto cpu = designs::buildCpu(designs::BranchPolicy::kTaken, image);
+    auto ooo = designs::buildOoo(image);
+    auto cprog = sim::Program::compile(*cpu.sys);
+    auto oprog = sim::Program::compile(*ooo.sys);
+    EXPECT_EQ(cprog->tape().size(), 252u);
+    EXPECT_EQ(oprog->tape().size(), 1071u);
+    for (const sim::Program *prog : {cprog.get(), oprog.get()}) {
+        EXPECT_EQ(countOp(*prog, sim::DOp::kSwitch), 0u);
+        EXPECT_EQ(countOp(*prog, sim::DOp::kJump), 0u);
+        EXPECT_TRUE(prog->switchTable().empty());
+    }
 }
 
 } // namespace
