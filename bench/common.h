@@ -52,90 +52,130 @@ struct TimedRun {
 };
 
 /**
- * Run the event-driven (Assassyn-generated) simulator to finish().
- * A nonempty @p timeline_path records the run's Perfetto timeline
- * (docs/observability.md, "Timeline tracing") — on the first
- * repetition only, so repeated runs don't clobber the trace.
+ * Fold repetition @p rep of one engine into @p r: the first sets the
+ * cycle count and metrics snapshot, later ones must reproduce that
+ * snapshot bit for bit and can only lower the best times.
  */
+inline void
+foldRep(TimedRun &r, int rep, const char *engine, uint64_t cycles,
+        double build, double run, sim::MetricsRegistry metrics)
+{
+    if (rep == 0) {
+        r.cycles = cycles;
+        r.seconds = run;
+        r.build_seconds = build;
+        r.metrics = std::move(metrics);
+        return;
+    }
+    if (metrics != r.metrics)
+        fatal(engine, " simulator diverged between repetitions:\n",
+              metrics.diff(r.metrics));
+    r.seconds = std::min(r.seconds, run);
+    r.build_seconds = std::min(r.build_seconds, build);
+}
+
+/**
+ * One repetition of the event-driven (Assassyn-generated) simulator,
+ * run to finish() and folded into @p r. A nonempty @p timeline_path
+ * records the run's Perfetto timeline (docs/observability.md,
+ * "Timeline tracing") — on the first repetition only, so repeated runs
+ * don't clobber the trace.
+ */
+inline void
+eventRep(TimedRun &r, int rep, const System &sys, uint64_t max_cycles,
+         const std::string &timeline_path)
+{
+    sim::SimOptions opts;
+    opts.capture_logs = false;
+    if (rep == 0)
+        opts.timeline_path = timeline_path;
+    auto t0 = std::chrono::steady_clock::now();
+    sim::Simulator s(sys, opts);
+    auto t1 = std::chrono::steady_clock::now();
+    sim::RunResult res = s.run(max_cycles);
+    auto t2 = std::chrono::steady_clock::now();
+    if (!s.finished())
+        fatal("benchmark design did not finish (",
+              sim::runStatusName(res.status),
+              res.error.empty() ? "" : ": ", res.error, ")",
+              res.hazard.empty() ? "" : "\n" + res.hazard.toString());
+    foldRep(r, rep, "event", s.cycle(),
+            std::chrono::duration<double>(t1 - t0).count(),
+            std::chrono::duration<double>(t2 - t1).count(), s.metrics());
+    sim::SimStats st = s.stats();
+    r.events_skipped = st.events_skipped;
+    r.stages_woken = st.stages_woken;
+}
+
+/**
+ * One repetition of the netlist-level simulator (the Verilator
+ * stand-in), elaboration included in the build time; same contract as
+ * eventRep.
+ */
+inline void
+netlistRep(TimedRun &r, int rep, const System &sys, uint64_t max_cycles,
+           const std::string &timeline_path)
+{
+    rtl::NetlistSimOptions nopts;
+    nopts.capture_logs = false;
+    if (rep == 0)
+        nopts.timeline_path = timeline_path;
+    auto t0 = std::chrono::steady_clock::now();
+    rtl::Netlist nl(sys);
+    rtl::NetlistSim s(nl, nopts);
+    auto t1 = std::chrono::steady_clock::now();
+    sim::RunResult res = s.run(max_cycles);
+    auto t2 = std::chrono::steady_clock::now();
+    if (!s.finished())
+        fatal("benchmark design did not finish (netlist: ",
+              sim::runStatusName(res.status),
+              res.error.empty() ? "" : ": ", res.error, ")",
+              res.hazard.empty() ? "" : "\n" + res.hazard.toString());
+    foldRep(r, rep, "netlist", s.cycle(),
+            std::chrono::duration<double>(t1 - t0).count(),
+            std::chrono::duration<double>(t2 - t1).count(), s.metrics());
+}
+
+/** Run the event-driven simulator to finish() once. */
 inline TimedRun
-runEventSim(const System &sys, uint64_t max_cycles = 50'000'000,
-            const std::string &timeline_path = "", int reps = 1)
+runEventSim(const System &sys, uint64_t max_cycles = 50'000'000)
 {
     TimedRun r;
-    for (int rep = 0; rep < reps; ++rep) {
-        sim::SimOptions opts;
-        opts.capture_logs = false;
-        if (rep == 0)
-            opts.timeline_path = timeline_path;
-        auto t0 = std::chrono::steady_clock::now();
-        sim::Simulator s(sys, opts);
-        auto t1 = std::chrono::steady_clock::now();
-        sim::RunResult res = s.run(max_cycles);
-        auto t2 = std::chrono::steady_clock::now();
-        if (!s.finished())
-            fatal("benchmark design did not finish (",
-                  sim::runStatusName(res.status),
-                  res.error.empty() ? "" : ": ", res.error, ")",
-                  res.hazard.empty() ? "" : "\n" + res.hazard.toString());
-        double build = std::chrono::duration<double>(t1 - t0).count();
-        double run = std::chrono::duration<double>(t2 - t1).count();
-        if (rep == 0) {
-            r.cycles = s.cycle();
-            r.seconds = run;
-            r.build_seconds = build;
-            r.metrics = s.metrics();
-        } else {
-            if (s.metrics() != r.metrics)
-                fatal("event simulator diverged between repetitions:\n",
-                      s.metrics().diff(r.metrics));
-            r.seconds = std::min(r.seconds, run);
-            r.build_seconds = std::min(r.build_seconds, build);
-        }
-        sim::SimStats st = s.stats();
-        r.events_skipped = st.events_skipped;
-        r.stages_woken = st.stages_woken;
-    }
+    eventRep(r, 0, sys, max_cycles, "");
     return r;
 }
 
-/** Run the netlist-level simulator (the Verilator stand-in). */
+/** Run the netlist-level simulator to finish() once. */
 inline TimedRun
-runNetlistSim(const System &sys, uint64_t max_cycles = 50'000'000,
-              const std::string &timeline_path = "", int reps = 1)
+runNetlistSim(const System &sys, uint64_t max_cycles = 50'000'000)
 {
     TimedRun r;
+    netlistRep(r, 0, sys, max_cycles, "");
+    return r;
+}
+
+/**
+ * Time both engines on @p sys, best of @p reps each, with the
+ * repetitions interleaved (event, netlist, then netlist, event, ...) so
+ * a slow stretch of a shared host lands on both engines instead of
+ * skewing their ratio.
+ */
+inline std::pair<TimedRun, TimedRun>
+runBothSims(const System &sys, const std::string &event_timeline,
+            const std::string &netlist_timeline, int reps,
+            uint64_t max_cycles = 50'000'000)
+{
+    TimedRun ev, nl;
     for (int rep = 0; rep < reps; ++rep) {
-        rtl::NetlistSimOptions nopts;
-        nopts.capture_logs = false;
-        if (rep == 0)
-            nopts.timeline_path = timeline_path;
-        auto t0 = std::chrono::steady_clock::now();
-        rtl::Netlist nl(sys);
-        rtl::NetlistSim s(nl, nopts);
-        auto t1 = std::chrono::steady_clock::now();
-        sim::RunResult res = s.run(max_cycles);
-        auto t2 = std::chrono::steady_clock::now();
-        if (!s.finished())
-            fatal("benchmark design did not finish (netlist: ",
-                  sim::runStatusName(res.status),
-                  res.error.empty() ? "" : ": ", res.error, ")",
-                  res.hazard.empty() ? "" : "\n" + res.hazard.toString());
-        double build = std::chrono::duration<double>(t1 - t0).count();
-        double run = std::chrono::duration<double>(t2 - t1).count();
-        if (rep == 0) {
-            r.cycles = s.cycle();
-            r.seconds = run;
-            r.build_seconds = build;
-            r.metrics = s.metrics();
+        if (rep % 2 == 0) {
+            eventRep(ev, rep, sys, max_cycles, event_timeline);
+            netlistRep(nl, rep, sys, max_cycles, netlist_timeline);
         } else {
-            if (s.metrics() != r.metrics)
-                fatal("netlist simulator diverged between repetitions:\n",
-                      s.metrics().diff(r.metrics));
-            r.seconds = std::min(r.seconds, run);
-            r.build_seconds = std::min(r.build_seconds, build);
+            netlistRep(nl, rep, sys, max_cycles, netlist_timeline);
+            eventRep(ev, rep, sys, max_cycles, event_timeline);
         }
     }
-    return r;
+    return {std::move(ev), std::move(nl)};
 }
 
 /**

@@ -18,7 +18,12 @@
  * it if needed), so the netlist simulator can evaluate each cycle in
  * exactly one pass with no settle loop. A residual combinational cycle
  * is recorded as a structured diagnostic naming the offending cells
- * (levelized() / combCycleDiag()) instead of looping at runtime.
+ * (levelized() / combCycleDiag()) instead of looping at runtime. The
+ * levelized cells are then decoded, once, into a dense tape of 24-byte
+ * CellStep records (tape()) with one opcode per semantic operation and
+ * every mask and shift precomputed; it is the simulator's only
+ * evaluator. The Cell list itself stays the structural view the area
+ * and timing models and the SystemVerilog emitter read.
  *
  * The Netlist feeds three consumers: the netlist simulator (the repo's
  * Verilator stand-in), the synthesis area model, and the SystemVerilog
@@ -26,8 +31,9 @@
  *
  * Thread-safety contract (the RTL half of the compile/run split,
  * docs/architecture.md): a Netlist is immutable after construction —
- * finalize() runs inside the constructor, there are no mutable members
- * and no lazily-initialized caches — so one `const Netlist` may back
+ * finalize() (levelization and tape decode) runs inside the
+ * constructor, there are no mutable members and no lazily-initialized
+ * caches — so one `const Netlist` may back
  * any number of concurrent rtl::NetlistSim instances, each of which
  * owns all of its run-time state (net values, FIFO/array storage,
  * counters; see netlist_sim.cc). The referenced System must outlive the
@@ -80,6 +86,46 @@ struct Cell {
     const Module *origin = nullptr;
     OriginTag tag = OriginTag::kFunc;
 };
+
+/**
+ * Opcode of a pre-decoded cell-tape record: one per semantic operation,
+ * the pure half of sim::DOp. Div/mod keep the shared ops::evalBin
+ * semantics through kBinGeneric, as on the event tape.
+ */
+enum class CellStepOp : uint8_t {
+    kAnd, kOr, kXor, kAdd, kSub, kMul, kShl, kShrU, kShrS,
+    kEq, kNe, kLtU, kLeU, kGtU, kGeU, kLtS, kLeS, kGtS, kGeS,
+    kNot, kNeg, kRedOr, kRedAnd, kSlice, kConcat, kMux,
+    kMask,      ///< zext / trunc / bitcast
+    kSExt,
+    kArrayRead, ///< array u.ca.aux, index net `a`; 0 when out of range
+    kBinGeneric, ///< x8 = BinOpcode, x16 = signed, u.ca = {opnd, out bits}
+};
+
+/**
+ * One pre-decoded cell, index-parallel to Netlist::cells() so cone
+ * ranges address both. Everything the evaluator would otherwise
+ * re-derive per cycle is precomputed here: the output mask, the
+ * sign-extension shift (64 - operand bits, 0 at 0 or >= 64 bits), the
+ * slice low bit and the concat lsb width.
+ */
+struct CellStep {
+    uint8_t op = 0;   ///< CellStepOp
+    uint8_t x8 = 0;   ///< sign-extension shift / slice lo / concat lsb bits
+    uint16_t x16 = 0; ///< kBinGeneric signedness
+    uint32_t a = 0;
+    uint32_t b = 0;
+    uint32_t out = 0;
+    union U {
+        uint64_t mask; ///< precomputed result mask (kRedAnd: all-ones input)
+        struct CA {
+            uint32_t c;   ///< mux false input / generic operand bits
+            uint32_t aux; ///< array id / generic output bits
+        } ca;
+    } u{0};
+};
+
+static_assert(sizeof(CellStep) == 24, "CellStep must stay 24 bytes");
 
 /** Sentinel for "this optional net was not allocated". */
 inline constexpr uint32_t kNoNet = 0xffffffffu;
@@ -175,6 +221,13 @@ class Netlist {
     const std::map<uint32_t, uint64_t> &constNets() const { return consts_; }
 
     const std::vector<Cell> &cells() const { return cells_; }
+
+    /**
+     * The cells lowered once, in finalize(), to the dense pre-decoded
+     * records the netlist simulator executes; index-parallel to
+     * cells().
+     */
+    const std::vector<CellStep> &tape() const { return tape_; }
     const std::vector<FifoBlock> &fifos() const { return fifos_; }
     const std::vector<ArrayBlock> &arrays() const { return arrays_; }
     const std::vector<CounterBlock> &counters() const { return counters_; }
@@ -217,18 +270,25 @@ class Netlist {
     friend class NetlistBuilder;
     friend class NetlistTestPeer; ///< cycle-injection hooks for tests
 
+    /** Levelize the cell list, then decode it into the tape. */
+    void finalize();
+
     /**
      * Levelization: verify the cell list is topologically ordered,
      * reorder it if not, record a structured diagnostic on a residual
      * cycle, and compute the cones' external inputs.
      */
-    void finalize();
+    void levelize();
+
+    /** Lower cells_ into tape_, one record per cell. */
+    void buildTape();
 
     const System *sys_;
     std::vector<unsigned> net_bits_;
     std::vector<std::string> net_names_;
     std::map<uint32_t, uint64_t> consts_;
     std::vector<Cell> cells_;
+    std::vector<CellStep> tape_;
     std::vector<FifoBlock> fifos_;
     std::vector<ArrayBlock> arrays_;
     std::vector<CounterBlock> counters_;

@@ -1,6 +1,7 @@
 #include "rtl/netlist_sim.h"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "support/bits.h"
@@ -159,48 +160,168 @@ struct NetlistSim::Impl {
             recorder->finish(cycle);
     }
 
-    /** One pass over the levelized cells [@p begin, @p end). */
+    /**
+     * One pass over the pre-decoded tape records [@p begin, @p end),
+     * i.e. over the levelized cells of the same index range.
+     */
     void
-    evalRange(uint32_t begin, uint32_t end)
+    runTape(uint32_t begin, uint32_t end)
     {
-        const Cell *cells = nl.cells().data();
-        uint64_t *ns = nets.data();
-        for (uint32_t i = begin; i < end; ++i) {
-            const Cell &cell = cells[i];
-            uint64_t v = 0;
-            switch (cell.op) {
-              case CellOp::kBin:
-                v = ops::evalBin(static_cast<BinOpcode>(cell.sub),
-                                 ns[cell.a], ns[cell.b], cell.opnd_bits,
-                                 cell.sgn, cell.bits);
-                break;
-              case CellOp::kUn:
-                v = ops::evalUn(static_cast<UnOpcode>(cell.sub),
-                                ns[cell.a], cell.opnd_bits, cell.bits);
-                break;
-              case CellOp::kSlice:
-                v = ops::evalSlice(ns[cell.a], cell.b_imm, cell.c_imm);
-                break;
-              case CellOp::kConcat:
-                v = ops::evalConcat(ns[cell.a], ns[cell.b], cell.c_imm,
-                                    cell.bits);
-                break;
-              case CellOp::kMux:
-                v = ns[cell.a] ? ns[cell.b] : ns[cell.c];
-                break;
-              case CellOp::kCast:
-                v = ops::evalCast(static_cast<Cast::Mode>(cell.sub),
-                                  ns[cell.a], cell.opnd_bits, cell.bits);
-                break;
-              case CellOp::kArrayRead: {
-                const auto &data = arrays[cell.aux];
-                uint64_t idx = ns[cell.a];
-                v = idx < data.size() ? data[idx] : 0;
-                break;
-              }
-            }
-            ns[cell.out] = v;
+        const CellStep *s = nl.tape().data() + begin;
+        const CellStep *const e = nl.tape().data() + end;
+        uint64_t *const ns = nets.data();
+        const std::vector<uint64_t> *const arr = arrays.data();
+#if defined(__GNUC__) || defined(__clang__)
+        // Threaded dispatch (computed goto), as in sim::Simulator's
+        // runTape: each handler ends in its own indirect jump. The table
+        // is indexed by CellStepOp and lists every opcode in
+        // declaration order.
+        static const void *const kJump[] = {
+            &&op_kAnd, &&op_kOr, &&op_kXor, &&op_kAdd, &&op_kSub,
+            &&op_kMul, &&op_kShl, &&op_kShrU, &&op_kShrS, &&op_kEq,
+            &&op_kNe, &&op_kLtU, &&op_kLeU, &&op_kGtU, &&op_kGeU,
+            &&op_kLtS, &&op_kLeS, &&op_kGtS, &&op_kGeS, &&op_kNot,
+            &&op_kNeg, &&op_kRedOr, &&op_kRedAnd, &&op_kSlice,
+            &&op_kConcat, &&op_kMux, &&op_kMask, &&op_kSExt,
+            &&op_kArrayRead, &&op_kBinGeneric,
+        };
+        static_assert(std::size(kJump) ==
+                          size_t(CellStepOp::kBinGeneric) + 1,
+                      "jump table must cover every CellStepOp");
+#define ASSASSYN_OP(name) op_##name
+#define ASSASSYN_NEXT()                                                  \
+    do {                                                                 \
+        if (++s == e)                                                    \
+            return;                                                      \
+        goto *kJump[s->op];                                              \
+    } while (0)
+        if (s == e)
+            return;
+        goto *kJump[s->op];
+#else
+        // Portable fallback: the same handler bodies under a switch.
+#define ASSASSYN_OP(name) case CellStepOp::name
+#define ASSASSYN_NEXT() break
+        for (; s != e; ++s) {
+            switch (static_cast<CellStepOp>(s->op)) {
+#endif
+
+        ASSASSYN_OP(kAnd):
+            ns[s->out] = (ns[s->a] & ns[s->b]) & s->u.mask;
+            ASSASSYN_NEXT();
+        ASSASSYN_OP(kOr):
+            ns[s->out] = (ns[s->a] | ns[s->b]) & s->u.mask;
+            ASSASSYN_NEXT();
+        ASSASSYN_OP(kXor):
+            ns[s->out] = (ns[s->a] ^ ns[s->b]) & s->u.mask;
+            ASSASSYN_NEXT();
+        ASSASSYN_OP(kAdd):
+            ns[s->out] = (ns[s->a] + ns[s->b]) & s->u.mask;
+            ASSASSYN_NEXT();
+        ASSASSYN_OP(kSub):
+            ns[s->out] = (ns[s->a] - ns[s->b]) & s->u.mask;
+            ASSASSYN_NEXT();
+        ASSASSYN_OP(kMul):
+            ns[s->out] = (ns[s->a] * ns[s->b]) & s->u.mask;
+            ASSASSYN_NEXT();
+        ASSASSYN_OP(kShl): {
+            uint64_t sh = ns[s->b];
+            ns[s->out] = (sh >= 64 ? 0 : ns[s->a] << sh) & s->u.mask;
+            ASSASSYN_NEXT();
         }
+        ASSASSYN_OP(kShrU): {
+            uint64_t sh = ns[s->b];
+            ns[s->out] = (sh >= 64 ? 0 : ns[s->a] >> sh) & s->u.mask;
+            ASSASSYN_NEXT();
+        }
+        ASSASSYN_OP(kShrS): {
+            int64_t sa = int64_t(ns[s->a] << s->x8) >> s->x8;
+            uint64_t sh = ns[s->b];
+            ns[s->out] =
+                uint64_t(sh >= 64 ? (sa < 0 ? -1 : 0) : sa >> sh) &
+                s->u.mask;
+            ASSASSYN_NEXT();
+        }
+        ASSASSYN_OP(kEq):
+            ns[s->out] = ns[s->a] == ns[s->b];
+            ASSASSYN_NEXT();
+        ASSASSYN_OP(kNe):
+            ns[s->out] = ns[s->a] != ns[s->b];
+            ASSASSYN_NEXT();
+        ASSASSYN_OP(kLtU):
+            ns[s->out] = ns[s->a] < ns[s->b];
+            ASSASSYN_NEXT();
+        ASSASSYN_OP(kLeU):
+            ns[s->out] = ns[s->a] <= ns[s->b];
+            ASSASSYN_NEXT();
+        ASSASSYN_OP(kGtU):
+            ns[s->out] = ns[s->a] > ns[s->b];
+            ASSASSYN_NEXT();
+        ASSASSYN_OP(kGeU):
+            ns[s->out] = ns[s->a] >= ns[s->b];
+            ASSASSYN_NEXT();
+        ASSASSYN_OP(kLtS):
+            ns[s->out] = (int64_t(ns[s->a] << s->x8) >> s->x8) <
+                         (int64_t(ns[s->b] << s->x8) >> s->x8);
+            ASSASSYN_NEXT();
+        ASSASSYN_OP(kLeS):
+            ns[s->out] = (int64_t(ns[s->a] << s->x8) >> s->x8) <=
+                         (int64_t(ns[s->b] << s->x8) >> s->x8);
+            ASSASSYN_NEXT();
+        ASSASSYN_OP(kGtS):
+            ns[s->out] = (int64_t(ns[s->a] << s->x8) >> s->x8) >
+                         (int64_t(ns[s->b] << s->x8) >> s->x8);
+            ASSASSYN_NEXT();
+        ASSASSYN_OP(kGeS):
+            ns[s->out] = (int64_t(ns[s->a] << s->x8) >> s->x8) >=
+                         (int64_t(ns[s->b] << s->x8) >> s->x8);
+            ASSASSYN_NEXT();
+        ASSASSYN_OP(kNot):
+            ns[s->out] = ~ns[s->a] & s->u.mask;
+            ASSASSYN_NEXT();
+        ASSASSYN_OP(kNeg):
+            ns[s->out] = (~ns[s->a] + 1) & s->u.mask;
+            ASSASSYN_NEXT();
+        ASSASSYN_OP(kRedOr):
+            ns[s->out] = ns[s->a] != 0;
+            ASSASSYN_NEXT();
+        ASSASSYN_OP(kRedAnd):
+            ns[s->out] = ns[s->a] == s->u.mask;
+            ASSASSYN_NEXT();
+        ASSASSYN_OP(kSlice):
+            ns[s->out] = (ns[s->a] >> s->x8) & s->u.mask;
+            ASSASSYN_NEXT();
+        ASSASSYN_OP(kConcat):
+            ns[s->out] = ((ns[s->a] << s->x8) | ns[s->b]) & s->u.mask;
+            ASSASSYN_NEXT();
+        ASSASSYN_OP(kMux):
+            ns[s->out] = ns[s->a] ? ns[s->b] : ns[s->u.ca.c];
+            ASSASSYN_NEXT();
+        ASSASSYN_OP(kMask):
+            ns[s->out] = ns[s->a] & s->u.mask;
+            ASSASSYN_NEXT();
+        ASSASSYN_OP(kSExt):
+            ns[s->out] =
+                uint64_t(int64_t(ns[s->a] << s->x8) >> s->x8) & s->u.mask;
+            ASSASSYN_NEXT();
+        ASSASSYN_OP(kArrayRead): {
+            const std::vector<uint64_t> &data = arr[s->u.ca.aux];
+            uint64_t idx = ns[s->a];
+            ns[s->out] = idx < data.size() ? data[idx] : 0;
+            ASSASSYN_NEXT();
+        }
+        ASSASSYN_OP(kBinGeneric):
+            ns[s->out] = ops::evalBin(
+                static_cast<BinOpcode>(s->x8), ns[s->a], ns[s->b],
+                s->u.ca.c, s->x16 != 0, s->u.ca.aux);
+            ASSASSYN_NEXT();
+
+#if !(defined(__GNUC__) || defined(__clang__))
+            }
+        }
+#endif
+#undef ASSASSYN_OP
+#undef ASSASSYN_NEXT
     }
 
     /**
@@ -218,8 +339,8 @@ struct NetlistSim::Impl {
         const auto &cones = nl.cones();
         if (cones.empty()) {
             // Reordered (non-creation-order) netlist: no cone ranges;
-            // evaluate the full levelized list.
-            evalRange(0, static_cast<uint32_t>(nl.cells().size()));
+            // run the whole tape.
+            runTape(0, static_cast<uint32_t>(nl.tape().size()));
             return;
         }
         for (size_t c = 0; c < cones.size(); ++c) {
@@ -244,7 +365,7 @@ struct NetlistSim::Impl {
                 if (same)
                     continue; // outputs already correct
             }
-            evalRange(cone.begin, cone.end);
+            runTape(cone.begin, cone.end);
             rt.valid = true;
             for (size_t k = 0; k < cone.inputs.size(); ++k)
                 rt.sig[k] = nets[cone.inputs[k]];
@@ -568,10 +689,6 @@ struct NetlistSim::Impl {
 
 NetlistSim::NetlistSim(const Netlist &nl, NetlistSimOptions opts)
     : impl_(std::make_unique<Impl>(nl, opts))
-{}
-
-NetlistSim::NetlistSim(const Netlist &nl, bool capture_logs)
-    : NetlistSim(nl, NetlistSimOptions{capture_logs, 255, false})
 {}
 
 NetlistSim::~NetlistSim() = default;

@@ -3,15 +3,21 @@
  * The RTL-level cycle simulator: this repo's stand-in for Verilator.
  *
  * Unlike the event-driven simulator (src/sim), which lowers each stage
- * to a bytecode tape, this simulator executes the elaborated netlist's
- * cells, then commits every sequential block — the cost structure of an
- * RTL simulator. The netlist is levelized once at elaboration, so each
- * cycle is exactly one pass over the cell list (no settle loop), with
+ * to a bytecode tape and runs only the stages with pending events, this
+ * simulator evaluates all of the elaborated netlist's cells, then
+ * commits every sequential block — the cost structure of an RTL
+ * simulator. The netlist is levelized once at elaboration, so each
+ * cycle is exactly one pass over the cells (no settle loop), with
  * per-stage activity gating skipping cones whose inputs are unchanged
- * (docs/performance.md). The paper's Q5 speedup (2.2-8.1x) comes from
- * the backends' remaining cost difference, and its Q5 alignment claim
- * is validated by running one design through both engines and comparing
- * cycle counts, committed state, and log output byte for byte.
+ * (docs/performance.md). The cells are executed from the Netlist's
+ * pre-decoded tape (Netlist::tape(): one handler per semantic op,
+ * threaded dispatch), the same interpreter technique as the event
+ * engine's, so the two engines differ in what they evaluate each cycle,
+ * not in how well they interpret it. The paper's Q5 speedup (2.2-8.1x)
+ * comes from the backends' remaining cost difference, and its Q5
+ * alignment claim is validated by running one design through both
+ * engines and comparing cycle counts, committed state, and log output
+ * byte for byte.
  */
 #pragma once
 
@@ -64,7 +70,7 @@ struct NetlistSimOptions {
      * byte-identical to the sim::Simulator trace of the same design
      * and seed. Off (empty) by default; see docs/observability.md.
      */
-    std::string timeline_path;
+    std::string timeline_path = {};
 
     /**
      * Ring bound on retained timeline events, in lockstep with
@@ -77,8 +83,7 @@ struct NetlistSimOptions {
 /** Executes an elaborated Netlist cycle by cycle. */
 class NetlistSim {
   public:
-    explicit NetlistSim(const Netlist &nl, NetlistSimOptions opts);
-    explicit NetlistSim(const Netlist &nl, bool capture_logs = true);
+    explicit NetlistSim(const Netlist &nl, NetlistSimOptions opts = {});
     ~NetlistSim();
 
     NetlistSim(const NetlistSim &) = delete;

@@ -188,7 +188,9 @@ TEST(CkptTest, NetlistResumeByteIdentical)
     rtl::Netlist nl(*sys);
     for (uint64_t k : {1u, 17u, 300u, 599u}) {
         auto make = [&] {
-            return rigOf(std::make_unique<rtl::NetlistSim>(nl, true),
+            return rigOf(
+                std::make_unique<rtl::NetlistSim>(
+                    nl, rtl::NetlistSimOptions{.capture_logs = true}),
                          *sys, std::nullopt);
         };
         expectResumeIdentical("pipe_netlist_k" + std::to_string(k),
@@ -220,7 +222,9 @@ TEST(CkptTest, CpuResumeBothEnginesAcrossSeeds)
 
     rtl::Netlist nl(*cpu.sys);
     auto make = [&] {
-        return rigOf(std::make_unique<rtl::NetlistSim>(nl, false),
+        return rigOf(
+            std::make_unique<rtl::NetlistSim>(
+                nl, rtl::NetlistSimOptions{.capture_logs = false}),
                      *cpu.sys, std::nullopt);
     };
     expectResumeIdentical("cpu_netlist", make, k, budget);
@@ -243,7 +247,9 @@ TEST(CkptTest, OooCpuResumeBothEngines)
 
     rtl::Netlist nl(*ooo.sys);
     auto make_netlist = [&] {
-        return rigOf(std::make_unique<rtl::NetlistSim>(nl, false),
+        return rigOf(
+            std::make_unique<rtl::NetlistSim>(
+                nl, rtl::NetlistSimOptions{.capture_logs = false}),
                      *ooo.sys, std::nullopt);
     };
     expectResumeIdentical("ooo_netlist", make_netlist, k, budget);
@@ -275,7 +281,9 @@ TEST(CkptTest, ResumeMidFaultPlanBothEngines)
 
     rtl::Netlist nl(*cpu.sys);
     auto make_netlist = [&] {
-        return rigOf(std::make_unique<rtl::NetlistSim>(nl, false),
+        return rigOf(
+            std::make_unique<rtl::NetlistSim>(
+                nl, rtl::NetlistSimOptions{.capture_logs = false}),
                      *cpu.sys, spec);
     };
     expectResumeIdentical("cpu_fault_netlist", make_netlist, k, budget);

@@ -132,8 +132,9 @@ TEST(GraderVerdict, DeltasAreCappedByMaxDeltas)
     Verdict v = gradeProgram(faultDemo(), Core::kInOrder, Engine::kEvent,
                              opts);
     ASSERT_FALSE(v.pass());
-    if (v.divergence)
+    if (v.divergence) {
         EXPECT_LE(v.divergence->deltas.size(), 2u);
+    }
 }
 
 } // namespace

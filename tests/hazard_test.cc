@@ -427,7 +427,7 @@ TEST(BackpressureTest, StallProducerIsLossless)
     EXPECT_EQ(eres.status, sim::RunStatus::kMaxCycles);
 
     rtl::Netlist nl(fix.sb.sys());
-    rtl::NetlistSim rsim(nl, /*capture_logs=*/false);
+    rtl::NetlistSim rsim(nl, {.capture_logs = false});
     sim::RunResult rres = rsim.run(200);
     EXPECT_EQ(rres.status, sim::RunStatus::kMaxCycles);
 
@@ -513,7 +513,7 @@ injectNetlist(const System &sys, const sim::FaultSpec &spec,
               uint64_t max_cycles)
 {
     rtl::Netlist nl(sys);
-    rtl::NetlistSim s(nl, /*capture_logs=*/false);
+    rtl::NetlistSim s(nl, {.capture_logs = false});
     sim::FaultInjector inj(sys, spec);
     inj.attach(s);
     InjectedRun out;

@@ -47,7 +47,7 @@ expectMetricsAligned(const System &sys, uint64_t max_cycles)
     ASSERT_TRUE(esim.finished()) << sys.name();
 
     rtl::Netlist nl(sys);
-    rtl::NetlistSim rsim(nl, /*capture_logs=*/false);
+    rtl::NetlistSim rsim(nl, {.capture_logs = false});
     rsim.run(max_cycles);
     ASSERT_TRUE(rsim.finished()) << sys.name();
 

@@ -4,7 +4,8 @@
  *  - elaboration always yields a topologically ordered cell list with
  *    per-stage activity-gating cones;
  *  - a mutated out-of-order (but acyclic) cell list is re-levelized by
- *    the Kahn fallback, with gating disabled and behavior unchanged;
+ *    the Kahn fallback, with gating disabled, the cell tape rebuilt in
+ *    the new order, and behavior unchanged;
  *  - a genuine combinational cycle is rejected with a structured
  *    diagnostic naming the cells, and the simulator returns a kFault
  *    RunResult instead of spinning in a settle loop (the bug this
@@ -82,8 +83,9 @@ TEST(NetlistLevelizeTest, ElaborationIsLevelizedWithCones)
     for (size_t i = 0; i < nl.cells().size(); ++i)
         producer[nl.cells()[i].out] = static_cast<uint32_t>(i);
     auto check = [&](uint32_t n, size_t i) {
-        if (producer[n] != kNone)
+        if (producer[n] != kNone) {
             EXPECT_LT(producer[n], i) << "net " << nl.netName(n);
+        }
     };
     for (size_t i = 0; i < nl.cells().size(); ++i) {
         const rtl::Cell &c = nl.cells()[i];
@@ -124,6 +126,9 @@ TEST(NetlistLevelizeTest, KahnFallbackReordersAndStaysAligned)
     rtl::Netlist nl(*sys);
     auto &cells = rtl::NetlistTestPeer::cells(nl);
     ASSERT_GT(cells.size(), 2u);
+    std::vector<uint32_t> before;
+    for (const rtl::CellStep &s : nl.tape())
+        before.push_back(s.out);
     std::reverse(cells.begin(), cells.end());
     rtl::NetlistTestPeer::refinalize(nl);
 
@@ -131,6 +136,15 @@ TEST(NetlistLevelizeTest, KahnFallbackReordersAndStaysAligned)
     // creation-order cones are gone: full-sweep fallback.
     EXPECT_TRUE(nl.levelized());
     EXPECT_TRUE(nl.cones().empty());
+
+    // The tape was rebuilt in the new cell order, record for record.
+    ASSERT_EQ(nl.tape().size(), nl.cells().size());
+    std::vector<uint32_t> after;
+    for (size_t i = 0; i < nl.tape().size(); ++i) {
+        EXPECT_EQ(nl.tape()[i].out, nl.cells()[i].out) << "cell " << i;
+        after.push_back(nl.tape()[i].out);
+    }
+    EXPECT_NE(after, before);
 
     rtl::NetlistSim rsim(nl);
     auto res = rsim.run(100);

@@ -6,7 +6,10 @@
  * C++ reference model in the event simulator AND the RTL netlist
  * simulator. This pins down the arithmetic contract (wrapping,
  * sign-extension, shift semantics, division-by-zero) across the whole
- * stack.
+ * stack. A second suite does the same for every other pure operation
+ * the two engines' tapes decode separately: the unary operators, the
+ * four casts, slices at both ends of the operand, concat, select and an
+ * array read past the end.
  */
 #include <gtest/gtest.h>
 
@@ -198,6 +201,184 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1u, 7u, 32u, 64u),
                        ::testing::Bool()),
     opCaseName);
+
+// ---- Unary operators, casts, slice, concat, select, array read ------------
+
+enum class Shape {
+    kNot, kNeg, kRedOr, kRedAnd, kZExt, kSExt, kTrunc, kBitcast,
+    kSliceLo, kSliceHi, kConcat, kSelect, kArrayRead,
+};
+
+const char *const kShapeNames[] = {
+    "not",     "neg",      "redor",    "redand", "zext",
+    "sext",    "trunc",    "bitcast",  "slice_lo", "slice_hi",
+    "concat",  "select",   "arrayread",
+};
+
+/** Widths of the two concat halves for a @p bits-wide operand. */
+std::pair<unsigned, unsigned>
+concatSplit(unsigned bits)
+{
+    if (bits == 1)
+        return {1, 1};
+    return {bits - bits / 2, bits / 2};
+}
+
+/**
+ * The reference model for one shape: @p a and @p b are operands of
+ * @p bits bits, @p c a 1-bit select, @p tbl the array @p a's ROM index
+ * reads when the shape is kArrayRead (index @p a, possibly past the
+ * end). @p out_bits receives the result width.
+ */
+uint64_t
+goldenShape(Shape sh, uint64_t a, uint64_t b, uint64_t c, unsigned bits,
+            const std::vector<uint64_t> &tbl, unsigned &out_bits)
+{
+    const uint64_t m = maskBits(bits);
+    out_bits = bits;
+    switch (sh) {
+      case Shape::kNot: return ~a & m;
+      case Shape::kNeg: return (~a + 1) & m;
+      case Shape::kRedOr: out_bits = 1; return a != 0;
+      case Shape::kRedAnd: out_bits = 1; return a == m;
+      case Shape::kZExt: out_bits = 64; return a;
+      case Shape::kSExt:
+        out_bits = 64;
+        return uint64_t(signExtend(a, bits));
+      case Shape::kTrunc:
+        out_bits = std::max(1u, bits / 2);
+        return truncate(a, out_bits);
+      case Shape::kBitcast: return a;
+      case Shape::kSliceLo:
+        out_bits = (bits - 1) / 2 + 1;
+        return truncate(a, out_bits);
+      case Shape::kSliceHi:
+        out_bits = bits - bits / 2;
+        return a >> (bits / 2);
+      case Shape::kConcat: {
+        auto [mb, lb] = concatSplit(bits);
+        out_bits = mb + lb;
+        return (truncate(a, mb) << lb) | truncate(b, lb);
+      }
+      case Shape::kSelect: return c ? a : b;
+      case Shape::kArrayRead: return a < tbl.size() ? tbl[a] : 0;
+    }
+    return 0;
+}
+
+class ShapeSemanticsTest
+    : public ::testing::TestWithParam<std::tuple<int, unsigned, bool>> {};
+
+TEST_P(ShapeSemanticsTest, BothBackendsMatchReference)
+{
+    const auto &[shape_idx, bits, sgn] = GetParam();
+    const Shape sh = static_cast<Shape>(shape_idx);
+    const char *name = kShapeNames[shape_idx];
+    DataType ty = sgn ? intType(bits) : uintType(bits);
+    const uint64_t m = maskBits(bits);
+
+    Rng rng(uint64_t(shape_idx) * 1000 + bits * 10 + sgn + 7);
+    std::vector<uint64_t> va(kVectors), vb(kVectors), vc(kVectors),
+        tbl(kVectors);
+    for (size_t i = 0; i < kVectors; ++i) {
+        va[i] = truncate(rng.next(), bits);
+        vb[i] = truncate(rng.next(), bits);
+        vc[i] = rng.below(2);
+        tbl[i] = truncate(rng.next(), bits);
+    }
+    // Edge operands: zero, all-ones, the sign bit alone, the largest
+    // positive value.
+    va[0] = 0;
+    va[1] = m;
+    va[2] = uint64_t(1) << (bits - 1);
+    va[3] = m >> 1;
+    // The array read indexes with `a`: half the indices past the end.
+    if (sh == Shape::kArrayRead)
+        for (size_t i = 0; i < kVectors; ++i)
+            va[i] = rng.below(2 * kVectors);
+
+    SysBuilder sb("shapes");
+    Arr rom_a = sb.mem("rom_a",
+                       sh == Shape::kArrayRead ? uintType(8) : ty,
+                       kVectors, va);
+    Arr rom_b = sb.mem("rom_b", ty, kVectors, vb);
+    Arr rom_c = sb.mem("rom_c", uintType(1), kVectors, vc);
+    Arr table = sb.mem("table", ty, kVectors, tbl);
+    unsigned out_bits = 0;
+    goldenShape(sh, 0, 0, 0, bits, tbl, out_bits);
+    Arr out = sb.arr("out", uintType(out_bits), kVectors);
+    Reg idx = sb.reg("idx", uintType(8));
+    Stage d = sb.driver();
+    {
+        StageScope scope(d);
+        Val i = idx.read();
+        Val sel = i.trunc(std::max(1u, log2ceil(kVectors)));
+        Val a = rom_a.read(sel);
+        Val b = rom_b.read(sel);
+        Val r;
+        switch (sh) {
+          case Shape::kNot: r = ~a; break;
+          case Shape::kNeg: r = -a; break;
+          case Shape::kRedOr: r = a.orReduce(); break;
+          case Shape::kRedAnd: r = a.andReduce(); break;
+          case Shape::kZExt: r = a.zext(64); break;
+          case Shape::kSExt: r = a.sext(64); break;
+          case Shape::kTrunc: r = a.trunc(std::max(1u, bits / 2)); break;
+          case Shape::kBitcast:
+            r = a.as(sgn ? uintType(bits) : intType(bits));
+            break;
+          case Shape::kSliceLo: r = a.slice((bits - 1) / 2, 0); break;
+          case Shape::kSliceHi: r = a.slice(bits - 1, bits / 2); break;
+          case Shape::kConcat: {
+            auto [mb, lb] = concatSplit(bits);
+            r = a.trunc(mb).concat(b.trunc(lb));
+            break;
+          }
+          case Shape::kSelect: r = select(rom_c.read(sel), a, b); break;
+          case Shape::kArrayRead: r = table.read(a); break;
+        }
+        out.write(sel, r.as(uintType(out_bits)));
+        idx.write(i + 1);
+        when(i == kVectors - 1, [&] { finish(); });
+    }
+    compile(sb.sys());
+
+    sim::Simulator esim(sb.sys());
+    esim.run(kVectors + 2);
+    ASSERT_TRUE(esim.finished());
+
+    rtl::Netlist nl(sb.sys());
+    rtl::NetlistSim rsim(nl);
+    rsim.run(kVectors + 2);
+    ASSERT_TRUE(rsim.finished());
+
+    for (size_t i = 0; i < kVectors; ++i) {
+        unsigned ob = 0;
+        uint64_t want = goldenShape(sh, va[i], vb[i], vc[i], bits, tbl, ob);
+        EXPECT_EQ(esim.readArray(out.array(), i), want)
+            << name << " bits=" << bits << " sgn=" << sgn << " i=" << i
+            << " a=" << va[i] << " b=" << vb[i] << " c=" << vc[i];
+        EXPECT_EQ(rsim.readArray(out.array(), i), want)
+            << "(netlist) " << name << " bits=" << bits << " sgn=" << sgn
+            << " i=" << i;
+    }
+}
+
+std::string
+shapeCaseName(
+    const ::testing::TestParamInfo<std::tuple<int, unsigned, bool>> &info)
+{
+    const auto &[shape_idx, bits, sgn] = info.param;
+    return std::string(kShapeNames[shape_idx]) + "_w" +
+           std::to_string(bits) + (sgn ? "_signed" : "_unsigned");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllShapes, ShapeSemanticsTest,
+    ::testing::Combine(::testing::Range(0, int(std::size(kShapeNames))),
+                       ::testing::Values(1u, 7u, 33u, 63u, 64u),
+                       ::testing::Bool()),
+    shapeCaseName);
 
 } // namespace
 } // namespace assassyn

@@ -6,8 +6,14 @@
  */
 #include <gtest/gtest.h>
 
+#include "baseline/hls.h"
+#include "baseline/hls_workloads.h"
 #include "core/compiler/pass.h"
 #include "core/dsl/builder.h"
+#include "designs/accel_data.h"
+#include "designs/cpu.h"
+#include "designs/ooo.h"
+#include "isa/workloads.h"
 #include "rtl/netlist.h"
 #include "rtl/netlist_sim.h"
 #include "rtl/verilog.h"
@@ -101,6 +107,61 @@ TEST(NetlistTest, CellOrderIsTopological)
         }
         defined.insert(cell.out);
     }
+}
+
+/**
+ * The pre-decoded cell tape is index-parallel to the cell list, so cone
+ * ranges address both, and only div/mod take the generic ops::evalBin
+ * handler; every other cell has a specialised one.
+ */
+void
+expectTapeShape(const System &sys, const char *name)
+{
+    rtl::Netlist nl(sys);
+    ASSERT_EQ(nl.tape().size(), nl.cells().size()) << name;
+    for (size_t i = 0; i < nl.cells().size(); ++i) {
+        const rtl::Cell &c = nl.cells()[i];
+        const rtl::CellStep &s = nl.tape()[i];
+        EXPECT_EQ(s.out, c.out) << name << " cell " << i;
+        const bool divmod =
+            c.op == rtl::CellOp::kBin &&
+            (c.sub == uint8_t(BinOpcode::kDiv) ||
+             c.sub == uint8_t(BinOpcode::kMod));
+        EXPECT_EQ(s.op == uint8_t(rtl::CellStepOp::kBinGeneric), divmod)
+            << name << " cell " << i;
+    }
+}
+
+TEST(CellTapeTest, OneRecordPerCellOnPaperDesigns)
+{
+    auto image = isa::buildMemoryImage(isa::workload("vvadd"));
+    auto cpu = designs::buildCpu(designs::BranchPolicy::kTaken, image);
+    auto ooo = designs::buildOoo(image);
+    expectTapeShape(*cpu.sys, "cpu");
+    expectTapeShape(*ooo.sys, "ooo");
+
+    designs::KmpData kmp = designs::makeKmpData(2000, 5);
+    designs::SpmvData spmv = designs::makeSpmvData(64, 10, 6);
+    designs::SortData merge = designs::makeMergeSortData(256, 7);
+    designs::SortData radix = designs::makeRadixSortData(256, 8);
+    designs::StencilData st = designs::makeStencilData(16, 16, 9);
+    expectTapeShape(
+        *baseline::generateHls(baseline::hlsKmp(kmp), kmp.memory).sys,
+        "kmp");
+    expectTapeShape(
+        *baseline::generateHls(baseline::hlsSpmv(spmv), spmv.memory).sys,
+        "spmv");
+    expectTapeShape(*baseline::generateHls(baseline::hlsMergeSort(merge),
+                                           merge.memory)
+                         .sys,
+                    "merge");
+    expectTapeShape(*baseline::generateHls(baseline::hlsRadixSort(radix),
+                                           radix.memory)
+                         .sys,
+                    "radix");
+    expectTapeShape(
+        *baseline::generateHls(baseline::hlsStencil(st), st.memory).sys,
+        "st-2d");
 }
 
 TEST(NetlistSimTest, MatchesExpectedBehavior)

@@ -99,10 +99,11 @@ validateTraceEvents(const jsonv::Value &events)
                                   field(ev, "tid").u64());
         uint64_t ts = field(ev, "ts").u64();
         auto it = last_ts.find(key);
-        if (it != last_ts.end())
+        if (it != last_ts.end()) {
             EXPECT_GE(ts, it->second)
                 << "timestamps regressed on pid " << key.first
                 << " tid " << key.second;
+        }
         last_ts[key] = ts;
         if (ph.string == "X") {
             EXPECT_TRUE(field(ev, "dur").isNumber());
@@ -261,8 +262,9 @@ validateVerdict(const jsonv::Value &v)
     EXPECT_TRUE(field(v, "ipc").isNumber());
     EXPECT_TRUE(field(v, "error").isString());
     const jsonv::Value *div = v.find("divergence");
-    if (status.string == "diverged")
+    if (status.string == "diverged") {
         ASSERT_NE(div, nullptr);
+    }
     if (div) {
         EXPECT_TRUE(field(*div, "retirement").isNumber());
         EXPECT_TRUE(field(*div, "cycle").isNumber());
@@ -540,8 +542,9 @@ TEST(ValidateReports, BenchFig16V3TrackedReportIsWellFormed)
         // scan silently came back. The streaming HLS pipelines can
         // legitimately keep every stage busy every cycle.
         ASSERT_TRUE(field(run, "events_skipped").isNumber());
-        if (field(run, "design").string.rfind("cpu.", 0) == 0)
+        if (field(run, "design").string.rfind("cpu.", 0) == 0) {
             EXPECT_GT(field(run, "events_skipped").u64(), 0u);
+        }
         EXPECT_TRUE(field(run, "stages_woken").isNumber());
     }
 
@@ -565,8 +568,9 @@ TEST(ValidateReports, BenchFig16V3TrackedReportIsWellFormed)
         // hardware threads.
         const jsonv::Value &over = field(row, "oversubscribed");
         ASSERT_TRUE(over.isNumber());
-        if (hw > 0)
+        if (hw > 0) {
             EXPECT_EQ(over.number != 0.0, field(row, "workers").u64() > hw);
+        }
     }
 }
 
