@@ -14,6 +14,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -74,66 +76,51 @@ foldRep(TimedRun &r, int rep, const char *engine, uint64_t cycles,
     r.build_seconds = std::min(r.build_seconds, build);
 }
 
+/** Which simulation backend a repetition runs. */
+enum class EngineKind { kEvent, kNetlist };
+
 /**
- * One repetition of the event-driven (Assassyn-generated) simulator,
- * run to finish() and folded into @p r. A nonempty @p timeline_path
- * records the run's Perfetto timeline (docs/observability.md,
- * "Timeline tracing") — on the first repetition only, so repeated runs
- * don't clobber the trace.
+ * One repetition of one engine, run to finish() and folded into @p r:
+ * the event-driven (Assassyn-generated) simulator, or the netlist-level
+ * simulator (the Verilator stand-in) with elaboration included in its
+ * build time. A nonempty @p timeline_path records the run's Perfetto
+ * timeline (docs/observability.md, "Timeline tracing") — on the first
+ * repetition only, so repeated runs don't clobber the trace.
  */
 inline void
-eventRep(TimedRun &r, int rep, const System &sys, uint64_t max_cycles,
-         const std::string &timeline_path)
+engineRep(TimedRun &r, int rep, EngineKind kind, const System &sys,
+          uint64_t max_cycles, const std::string &timeline_path)
 {
+    const bool event = kind == EngineKind::kEvent;
+    const char *name = event ? "event" : "netlist";
     sim::SimOptions opts;
     opts.capture_logs = false;
     if (rep == 0)
         opts.timeline_path = timeline_path;
     auto t0 = std::chrono::steady_clock::now();
-    sim::Simulator s(sys, opts);
+    std::optional<rtl::Netlist> nl;
+    std::unique_ptr<sim::Engine> s;
+    if (event) {
+        s = std::make_unique<sim::Simulator>(sys, opts);
+    } else {
+        nl.emplace(sys);
+        s = std::make_unique<rtl::NetlistSim>(*nl, opts);
+    }
     auto t1 = std::chrono::steady_clock::now();
-    sim::RunResult res = s.run(max_cycles);
+    sim::RunResult res = s->run(max_cycles);
     auto t2 = std::chrono::steady_clock::now();
-    if (!s.finished())
-        fatal("benchmark design did not finish (",
+    if (!s->finished())
+        fatal("benchmark design did not finish (", name, ": ",
               sim::runStatusName(res.status),
               res.error.empty() ? "" : ": ", res.error, ")",
               res.hazard.empty() ? "" : "\n" + res.hazard.toString());
-    foldRep(r, rep, "event", s.cycle(),
+    foldRep(r, rep, name, s->cycle(),
             std::chrono::duration<double>(t1 - t0).count(),
-            std::chrono::duration<double>(t2 - t1).count(), s.metrics());
-    sim::SimStats st = s.stats();
-    r.events_skipped = st.events_skipped;
-    r.stages_woken = st.stages_woken;
-}
-
-/**
- * One repetition of the netlist-level simulator (the Verilator
- * stand-in), elaboration included in the build time; same contract as
- * eventRep.
- */
-inline void
-netlistRep(TimedRun &r, int rep, const System &sys, uint64_t max_cycles,
-           const std::string &timeline_path)
-{
-    rtl::NetlistSimOptions nopts;
-    nopts.capture_logs = false;
-    if (rep == 0)
-        nopts.timeline_path = timeline_path;
-    auto t0 = std::chrono::steady_clock::now();
-    rtl::Netlist nl(sys);
-    rtl::NetlistSim s(nl, nopts);
-    auto t1 = std::chrono::steady_clock::now();
-    sim::RunResult res = s.run(max_cycles);
-    auto t2 = std::chrono::steady_clock::now();
-    if (!s.finished())
-        fatal("benchmark design did not finish (netlist: ",
-              sim::runStatusName(res.status),
-              res.error.empty() ? "" : ": ", res.error, ")",
-              res.hazard.empty() ? "" : "\n" + res.hazard.toString());
-    foldRep(r, rep, "netlist", s.cycle(),
-            std::chrono::duration<double>(t1 - t0).count(),
-            std::chrono::duration<double>(t2 - t1).count(), s.metrics());
+            std::chrono::duration<double>(t2 - t1).count(), s->metrics());
+    if (event) {
+        r.events_skipped = r.metrics.counter("sched.events_skipped");
+        r.stages_woken = r.metrics.counter("sched.stages_woken");
+    }
 }
 
 /** Run the event-driven simulator to finish() once. */
@@ -141,7 +128,7 @@ inline TimedRun
 runEventSim(const System &sys, uint64_t max_cycles = 50'000'000)
 {
     TimedRun r;
-    eventRep(r, 0, sys, max_cycles, "");
+    engineRep(r, 0, EngineKind::kEvent, sys, max_cycles, "");
     return r;
 }
 
@@ -150,7 +137,7 @@ inline TimedRun
 runNetlistSim(const System &sys, uint64_t max_cycles = 50'000'000)
 {
     TimedRun r;
-    netlistRep(r, 0, sys, max_cycles, "");
+    engineRep(r, 0, EngineKind::kNetlist, sys, max_cycles, "");
     return r;
 }
 
@@ -168,11 +155,15 @@ runBothSims(const System &sys, const std::string &event_timeline,
     TimedRun ev, nl;
     for (int rep = 0; rep < reps; ++rep) {
         if (rep % 2 == 0) {
-            eventRep(ev, rep, sys, max_cycles, event_timeline);
-            netlistRep(nl, rep, sys, max_cycles, netlist_timeline);
+            engineRep(ev, rep, EngineKind::kEvent, sys, max_cycles,
+                      event_timeline);
+            engineRep(nl, rep, EngineKind::kNetlist, sys, max_cycles,
+                      netlist_timeline);
         } else {
-            netlistRep(nl, rep, sys, max_cycles, netlist_timeline);
-            eventRep(ev, rep, sys, max_cycles, event_timeline);
+            engineRep(nl, rep, EngineKind::kNetlist, sys, max_cycles,
+                      netlist_timeline);
+            engineRep(ev, rep, EngineKind::kEvent, sys, max_cycles,
+                      event_timeline);
         }
     }
     return {std::move(ev), std::move(nl)};

@@ -64,7 +64,7 @@ main()
         s.run(1);
         std::vector<bool> row;
         for (size_t k = 0; k < stages.size(); ++k) {
-            uint64_t e = s.executions(stages[k]);
+            uint64_t e = s.stageCounters(stages[k]).execs;
             row.push_back(e != prev[k]);
             prev[k] = e;
         }

@@ -6,6 +6,7 @@
 #include "core/ir/instruction.h"
 #include "core/ir/module.h"
 #include "core/ir/value.h"
+#include "sim/engine.h"
 #include "support/logging.h"
 #include "support/ops.h"
 
@@ -22,7 +23,7 @@ namespace {
  * semantics-preserving.
  */
 struct Walk {
-    const StateReader &sr;
+    const sim::Engine &engine;
     std::map<const Value *, uint64_t> memo;
 
     uint64_t
@@ -96,21 +97,22 @@ struct Walk {
           }
           case Opcode::kFifoValid: {
             const auto *f = static_cast<const FifoValid *>(inst);
-            return sr.occupancy(f->port()) > 0 ? 1 : 0;
+            return engine.fifoOccupancy(f->port()) > 0 ? 1 : 0;
           }
           case Opcode::kFifoPop: {
             // Peek of the current head — DOp::kFifoPeek semantics: 0
             // when the FIFO is empty.
             const auto *f = static_cast<const FifoPop *>(inst);
-            return sr.occupancy(f->port()) ? sr.read_fifo(f->port(), 0)
-                                           : 0;
+            return engine.fifoOccupancy(f->port())
+                       ? engine.readFifo(f->port(), 0)
+                       : 0;
           }
           case Opcode::kArrayRead: {
             const auto *r = static_cast<const ArrayRead *>(inst);
             uint64_t idx = eval(r->index());
             if (idx >= r->array()->size())
                 return 0; // the runtimes' out-of-range read value
-            return sr.read_array(r->array(), size_t(idx));
+            return engine.readArray(r->array(), size_t(idx));
           }
           default:
             fatal("debug eval: '",
@@ -127,9 +129,9 @@ struct Walk {
 } // namespace
 
 uint64_t
-evalValue(const Value *v, const StateReader &sr)
+evalValue(const Value *v, const sim::Engine &engine)
 {
-    Walk walk{sr, {}};
+    Walk walk{engine, {}};
     return walk.eval(v);
 }
 

@@ -9,8 +9,8 @@
  * executions; netlist nets are a private dense numbering). So the
  * debugger never asks an engine for an internal wire: it re-evaluates
  * the IR cone of the named value over *committed architectural state* —
- * register arrays, FIFO contents, FIFO occupancy — through the three
- * read callbacks both engines export identically. Pure ops reuse the
+ * register arrays, FIFO contents, FIFO occupancy — through the shared
+ * sim::Engine inspection surface. Pure ops reuse the
  * shared semantics kernel (support/ops.h), the exact functions both
  * backends compile against, with the same operand-width conventions the
  * compilers use — cross-backend identity by construction.
@@ -23,31 +23,24 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 namespace assassyn {
 
 class Value;
-class RegArray;
-class Port;
+
+namespace sim {
+class Engine;
+}
 
 namespace debug {
 
-/** Read-only committed-state access, filled from either engine. */
-struct StateReader {
-    std::function<uint64_t(const RegArray *, size_t)> read_array;
-    std::function<uint64_t(const Port *)> occupancy;
-    /** Entry @p pos slots behind the head; pos is pre-bounds-checked. */
-    std::function<uint64_t(const Port *, size_t)> read_fifo;
-};
-
 /**
  * Evaluate @p v — a constant, cross-stage reference, or *pure* IR cone
- * (kFifoPop included, as a peek) — over @p sr. Effectful instructions
- * (pushes, writes, calls) have no boundary value and fatal() with the
- * offending opcode.
+ * (kFifoPop included, as a peek) — over @p engine's committed state.
+ * Effectful instructions (pushes, writes, calls) have no boundary value
+ * and fatal() with the offending opcode.
  */
-uint64_t evalValue(const Value *v, const StateReader &sr);
+uint64_t evalValue(const Value *v, const sim::Engine &engine);
 
 } // namespace debug
 } // namespace assassyn

@@ -66,9 +66,8 @@ struct LiveSession {
     designs::CpuDesign cpu;
     designs::OooDesign ooo;
     const System *sys = nullptr;
-    std::optional<sim::Simulator> event;
     std::optional<rtl::Netlist> netlist;
-    std::optional<rtl::NetlistSim> rtl;
+    std::unique_ptr<sim::Engine> engine;
     std::optional<sim::FaultInjector> inj;
     std::unique_ptr<DebugSession> session;
 };
@@ -120,15 +119,14 @@ setup(const ReplayPlan &plan, LiveSession &live)
         fatal("usage: --core expects inorder | ooo, got '", core, "'");
     }
 
+    sim::SimOptions so;
+    so.shuffle = plan.shuffle;
+    so.shuffle_seed = plan.shuffle_seed;
     if (plan.engine == "event") {
-        sim::SimOptions so;
-        so.shuffle = plan.shuffle;
-        so.shuffle_seed = plan.shuffle_seed;
-        live.event.emplace(*live.sys, so);
+        live.engine = std::make_unique<sim::Simulator>(*live.sys, so);
     } else if (plan.engine == "netlist") {
-        rtl::NetlistSimOptions no;
         live.netlist.emplace(*live.sys);
-        live.rtl.emplace(*live.netlist, no);
+        live.engine = std::make_unique<rtl::NetlistSim>(*live.netlist, so);
     } else {
         fatal("usage: --engine expects event | netlist, got '",
               plan.engine, "'");
@@ -136,31 +134,20 @@ setup(const ReplayPlan &plan, LiveSession &live)
 
     if (plan.fault) {
         live.inj.emplace(*live.sys, *plan.fault);
-        if (live.event)
-            live.inj->attach(*live.event);
-        else
-            live.inj->attach(*live.rtl);
+        live.inj->attach(*live.engine);
     }
 
     // Restore any starting checkpoint *before* the session exists:
     // the session's base keyframe — the reverse floor — is taken at
     // construction.
-    if (!plan.ckpt.empty()) {
-        sim::Snapshot snap = sim::loadCheckpoint(plan.ckpt);
-        if (live.event)
-            live.event->restore(snap);
-        else
-            live.rtl->restore(snap);
-    }
+    if (!plan.ckpt.empty())
+        live.engine->restore(sim::loadCheckpoint(plan.ckpt));
 
     DebugOptions dopts;
     dopts.keyframe_every = plan.keyframe_every;
     dopts.keyframe_ring = size_t(plan.keyframe_ring);
-    if (live.event)
-        live.session.reset(
-            new DebugSession(*live.event, *live.sys, dopts));
-    else
-        live.session.reset(new DebugSession(*live.rtl, *live.sys, dopts));
+    live.session =
+        std::make_unique<DebugSession>(*live.engine, *live.sys, dopts);
     if (live.inj)
         live.session->watchFaults(&*live.inj);
 }

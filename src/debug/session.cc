@@ -88,11 +88,10 @@ struct BpState {
 };
 
 struct DebugSession::Impl {
-    std::unique_ptr<EngineBackend> be;
+    sim::Engine *be;
     const System &sys;
     DebugOptions opts;
     std::string engine;
-    StateReader reader;
 
     struct Keyframe {
         uint64_t cycle = 0;
@@ -117,19 +116,9 @@ struct DebugSession::Impl {
 
     const sim::FaultInjector *inj = nullptr;
 
-    Impl(std::unique_ptr<EngineBackend> backend, const System &s,
-         DebugOptions o)
-        : be(std::move(backend)), sys(s), opts(o)
+    Impl(sim::Engine &e, const System &s, DebugOptions o)
+        : be(&e), sys(s), opts(o)
     {
-        reader.read_array = [this](const RegArray *a, size_t i) {
-            return be->readArray(a, i);
-        };
-        reader.occupancy = [this](const Port *p) {
-            return be->fifoOccupancy(p);
-        };
-        reader.read_fifo = [this](const Port *p, size_t pos) {
-            return be->readFifo(p, pos);
-        };
         for (const auto &m : sys.modules())
             mods.push_back(m.get());
         last_sc.resize(mods.size());
@@ -156,7 +145,7 @@ struct DebugSession::Impl {
         switch (bp.kind) {
           case BpState::Kind::kValueChange:
           case BpState::Kind::kValueEq:
-            return evalValue(bp.value, reader);
+            return evalValue(bp.value, *be);
           case BpState::Kind::kExec:
             return be->stageCounters(bp.mod).execs;
           case BpState::Kind::kArrayWrite:
@@ -559,9 +548,9 @@ struct DebugSession::Impl {
     }
 };
 
-DebugSession::DebugSession(std::unique_ptr<EngineBackend> backend,
-                           const System &sys, DebugOptions opts)
-    : impl_(new Impl(std::move(backend), sys, opts))
+DebugSession::DebugSession(sim::Engine &engine, const System &sys,
+                           DebugOptions opts)
+    : impl_(new Impl(engine, sys, opts))
 {
 }
 
@@ -645,13 +634,13 @@ DebugSession::watchFaults(const sim::FaultInjector *injector)
 uint64_t
 DebugSession::read(const std::string &name) const
 {
-    return evalValue(impl_->resolveValue(name), impl_->reader);
+    return evalValue(impl_->resolveValue(name), *impl_->be);
 }
 
 uint64_t
 DebugSession::readValue(const Value *value) const
 {
-    return evalValue(value, impl_->reader);
+    return evalValue(value, *impl_->be);
 }
 
 std::vector<uint64_t>

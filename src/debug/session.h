@@ -3,10 +3,10 @@
  * DebugSession: deterministic time-travel debugging over either engine
  * (docs/debugging.md).
  *
- * The session wraps a live sim::Simulator or rtl::NetlistSim behind one
- * stepping interface — runTo / stepCycles / reverseStep / reverseTo —
- * and drives it in single-cycle run(1) slices. Slicing is free of
- * observable effect: PR 7's checkpoint work pins that run(1) loops are
+ * The session drives a live sim::Engine (sim::Simulator or
+ * rtl::NetlistSim) through one stepping interface — runTo / stepCycles
+ * / reverseStep / reverseTo — in single-cycle run(1) slices. Slicing is
+ * free of observable effect: PR 7's checkpoint work pins that run(1) loops are
  * byte-identical to run(N) in metrics, logs, and timelines, which is
  * the property that makes everything here composition rather than new
  * engine machinery.
@@ -23,7 +23,7 @@
  *
  * Breakpoints and watchpoints evaluate *committed* end-of-cycle state
  * between slices — IR value cones via debug/eval.h, array/FIFO/exec
- * event deltas via the engines' shared StageCounters / FifoTraffic
+ * event deltas via the Engine's StageCounters / FifoTraffic
  * accessors — so hit cycles are identical across backends and shuffle
  * seeds by construction. A stop at cycle C means C cycles have
  * committed and the next step executes cycle index C: a grader repro
@@ -38,10 +38,8 @@
 #include <vector>
 
 #include "core/ir/system.h"
-#include "sim/ckpt.h"
+#include "sim/engine.h"
 #include "sim/fault.h"
-#include "sim/hazard.h"
-#include "sim/metrics.h"
 
 namespace assassyn {
 namespace debug {
@@ -106,78 +104,6 @@ struct StallRecord {
 };
 
 /**
- * The type-erased engine surface. Both engines satisfy it verbatim;
- * the duck-typed adapter below is what the templated DebugSession
- * constructor instantiates, so this header needs neither engine.
- */
-class EngineBackend {
-  public:
-    virtual ~EngineBackend() = default;
-    virtual sim::RunResult run(uint64_t max_cycles) = 0;
-    virtual uint64_t cycle() const = 0;
-    virtual bool finished() const = 0;
-    virtual uint64_t readArray(const RegArray *array,
-                               size_t index) const = 0;
-    virtual uint64_t fifoOccupancy(const Port *port) const = 0;
-    virtual uint64_t readFifo(const Port *port, size_t pos) const = 0;
-    virtual sim::StageCounters stageCounters(const Module *mod) const = 0;
-    virtual sim::FifoTraffic fifoTraffic(const Port *port) const = 0;
-    virtual uint64_t arrayWrites(const RegArray *array) const = 0;
-    virtual sim::MetricsRegistry metrics() const = 0;
-    virtual const std::vector<std::string> &logOutput() const = 0;
-    virtual sim::Snapshot snapshot() const = 0;
-    virtual void restore(const sim::Snapshot &snap) = 0;
-};
-
-/** The duck-typed adapter over any engine with the common surface. */
-template <typename SimT>
-class EngineModel final : public EngineBackend {
-  public:
-    explicit EngineModel(SimT &sim) : sim_(sim) {}
-
-    sim::RunResult run(uint64_t n) override { return sim_.run(n); }
-    uint64_t cycle() const override { return sim_.cycle(); }
-    bool finished() const override { return sim_.finished(); }
-    uint64_t readArray(const RegArray *a, size_t i) const override
-    {
-        return sim_.readArray(a, i);
-    }
-    uint64_t fifoOccupancy(const Port *p) const override
-    {
-        return sim_.fifoOccupancy(p);
-    }
-    uint64_t readFifo(const Port *p, size_t pos) const override
-    {
-        return sim_.readFifo(p, pos);
-    }
-    sim::StageCounters stageCounters(const Module *m) const override
-    {
-        return sim_.stageCounters(m);
-    }
-    sim::FifoTraffic fifoTraffic(const Port *p) const override
-    {
-        return sim_.fifoTraffic(p);
-    }
-    uint64_t arrayWrites(const RegArray *a) const override
-    {
-        return sim_.arrayWrites(a);
-    }
-    sim::MetricsRegistry metrics() const override
-    {
-        return sim_.metrics();
-    }
-    const std::vector<std::string> &logOutput() const override
-    {
-        return sim_.logOutput();
-    }
-    sim::Snapshot snapshot() const override { return sim_.snapshot(); }
-    void restore(const sim::Snapshot &s) override { sim_.restore(s); }
-
-  private:
-    SimT &sim_;
-};
-
-/**
  * One deterministic replay session over a live engine instance. The
  * session does not own the engine; it owns every piece of debugging
  * state (keyframes, breakpoints, histories). Construct it *after*
@@ -186,17 +112,8 @@ class EngineModel final : public EngineBackend {
  */
 class DebugSession {
   public:
-    template <typename SimT>
-    explicit DebugSession(SimT &sim, const System &sys,
-                          DebugOptions opts = {})
-        : DebugSession(
-              std::unique_ptr<EngineBackend>(new EngineModel<SimT>(sim)),
-              sys, opts)
-    {
-    }
-
-    DebugSession(std::unique_ptr<EngineBackend> backend,
-                 const System &sys, DebugOptions opts = {});
+    DebugSession(sim::Engine &engine, const System &sys,
+                 DebugOptions opts = {});
     ~DebugSession();
 
     DebugSession(const DebugSession &) = delete;

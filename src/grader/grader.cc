@@ -112,13 +112,9 @@ struct Handles {
     const RegArray *ret_pc = nullptr;
 };
 
-/**
- * The per-cycle diffing state driven from a post-cycle hook. Templated
- * over the backend (sim::Simulator / rtl::NetlistSim share the read
- * surface but not a base class).
- */
-template <typename SimT> struct Lockstep {
-    SimT *sim = nullptr;
+/** The per-cycle diffing state driven from a post-cycle hook. */
+struct Lockstep {
+    sim::Engine *sim = nullptr;
     Handles h;
     const GoldenTrace *gold = nullptr;
     isa::Iss iss;                  ///< stepped once per DUT retirement
@@ -129,7 +125,7 @@ template <typename SimT> struct Lockstep {
     size_t max_deltas = 8;
     std::optional<Divergence> div; ///< first divergence only
 
-    Lockstep(SimT *s, Handles handles, const GoldenTrace *g,
+    Lockstep(sim::Engine *s, Handles handles, const GoldenTrace *g,
              std::vector<uint32_t> image, size_t cap)
         : sim(s), h(handles), gold(g), iss(std::move(image)),
           shadow(iss.memory()), max_deltas(cap)
@@ -311,9 +307,8 @@ template <typename SimT> struct Lockstep {
 };
 
 /** Post-run whole-state diff for runs that never visibly diverged. */
-template <typename SimT>
 void
-finalStateCheck(Lockstep<SimT> &ls, Verdict &v)
+finalStateCheck(Lockstep &ls, Verdict &v)
 {
     std::vector<StateDelta> deltas;
     if (ls.retirement != ls.gold->retired)
@@ -351,9 +346,8 @@ finalStateCheck(Lockstep<SimT> &ls, Verdict &v)
 }
 
 /** The engine-generic grade: attach, run, classify. */
-template <typename SimT>
 Verdict
-runGrade(const CorpusProgram &prog, Core core, SimT &sim,
+runGrade(const CorpusProgram &prog, Core core, sim::Engine &sim,
          const System &sys, const Handles &h, const GoldenTrace &gold,
          const std::vector<uint32_t> &image, const GradeOptions &opts)
 {
@@ -362,7 +356,7 @@ runGrade(const CorpusProgram &prog, Core core, SimT &sim,
     v.core = core;
     v.golden_retired = gold.retired;
 
-    Lockstep<SimT> ls(&sim, h, &gold, image, opts.max_deltas);
+    Lockstep ls(&sim, h, &gold, image, opts.max_deltas);
     sim.addPostCycleHook([&ls](uint64_t cycle) { ls.onCycle(cycle); });
 
     std::optional<sim::FaultInjector> inj;
@@ -377,24 +371,12 @@ runGrade(const CorpusProgram &prog, Core core, SimT &sim,
         ls.restoreFrom(snap);
     }
     const bool periodic = opts.ckpt_every > 0 && !opts.ckpt_path.empty();
-    sim::RunResult result;
-    for (;;) {
-        uint64_t at = sim.cycle();
-        uint64_t remaining =
-            prog.max_cycles > at ? prog.max_cycles - at : 0;
-        uint64_t slice = remaining;
-        if (periodic && opts.ckpt_every < remaining)
-            slice = opts.ckpt_every;
-        result = sim.run(slice);
-        if (result.status != sim::RunStatus::kMaxCycles ||
-            sim.cycle() >= prog.max_cycles)
-            break;
-        if (periodic) {
+    sim::RunResult result = sim::runSliced(
+        sim, prog.max_cycles, periodic ? opts.ckpt_every : 0, [&] {
             sim::Snapshot snap = sim.snapshot();
             ls.saveTo(snap);
             sim::saveCheckpoint(snap, opts.ckpt_path);
-        }
-    }
+        });
     v.retirements = ls.retirement;
     v.cycles = sim.cycle();
     v.ipc = v.cycles ? double(v.retirements) / double(v.cycles) : 0.0;
@@ -509,22 +491,20 @@ gradeProgram(const CorpusProgram &program, Core core, Engine engine,
     GoldenTrace gold = goldenRun(program, image);
     BuiltDesign design = buildCore(core, image);
 
+    sim::SimOptions so;
+    so.capture_logs = false;
+    so.shuffle = opts.shuffle;
+    so.shuffle_seed = opts.shuffle_seed;
+    so.timeline_path = opts.timeline_path;
+    std::optional<rtl::Netlist> nl;
+    std::unique_ptr<sim::Engine> sim;
     if (engine == Engine::kEvent) {
-        sim::SimOptions so;
-        so.capture_logs = false;
-        so.shuffle = opts.shuffle;
-        so.shuffle_seed = opts.shuffle_seed;
-        so.timeline_path = opts.timeline_path;
-        sim::Simulator sim(*design.sys, so);
-        return runGrade(program, core, sim, *design.sys, design.h, gold,
-                        image, opts);
+        sim = std::make_unique<sim::Simulator>(*design.sys, so);
+    } else {
+        nl.emplace(*design.sys);
+        sim = std::make_unique<rtl::NetlistSim>(*nl, so);
     }
-    rtl::NetlistSimOptions no;
-    no.capture_logs = false;
-    no.timeline_path = opts.timeline_path;
-    rtl::Netlist nl(*design.sys);
-    rtl::NetlistSim sim(nl, no);
-    return runGrade(program, core, sim, *design.sys, design.h, gold,
+    return runGrade(program, core, *sim, *design.sys, design.h, gold,
                     image, opts);
 }
 

@@ -662,7 +662,7 @@ Netlist::buildTape()
     }
 }
 
-Netlist::Netlist(const System &sys) : sys_(&sys)
+Netlist::Netlist(const System &sys) : sys_(&sys), analyzer_(sys)
 {
     NetlistBuilder builder(sys, *this);
     builder.build();

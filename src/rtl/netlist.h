@@ -35,9 +35,10 @@
  * constructor, there are no mutable members and no lazily-initialized
  * caches — so one `const Netlist` may back
  * any number of concurrent rtl::NetlistSim instances, each of which
- * owns all of its run-time state (net values, FIFO/array storage,
- * counters; see netlist_sim.cc). The referenced System must outlive the
- * Netlist. tests/parallel_determinism_test.cc pins the guarantee.
+ * owns all of its run-time state (its sim::RunState plus net values
+ * and cone state; see netlist_sim.cc). The referenced System must
+ * outlive the Netlist. tests/parallel_determinism_test.cc pins the
+ * guarantee.
  */
 #pragma once
 
@@ -47,6 +48,7 @@
 #include <vector>
 
 #include "core/ir/system.h"
+#include "sim/hazard.h"
 
 namespace assassyn {
 namespace rtl {
@@ -213,6 +215,13 @@ class Netlist {
 
     const System &sys() const { return *sys_; }
 
+    /**
+     * The shared hazard analysis of the design, built once with the
+     * netlist (as sim::Program::analyzer() is) so every NetlistSim over
+     * it shares one instead of re-walking the IR.
+     */
+    const sim::HazardAnalyzer &analyzer() const { return analyzer_; }
+
     size_t numNets() const { return net_bits_.size(); }
     unsigned netBits(uint32_t net) const { return net_bits_[net]; }
     const std::string &netName(uint32_t net) const { return net_names_[net]; }
@@ -284,6 +293,7 @@ class Netlist {
     void buildTape();
 
     const System *sys_;
+    sim::HazardAnalyzer analyzer_;
     std::vector<unsigned> net_bits_;
     std::vector<std::string> net_names_;
     std::map<uint32_t, uint64_t> consts_;

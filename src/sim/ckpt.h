@@ -15,7 +15,8 @@
  *
  * Sections are keyed off the shared System IR ordering (arrays in
  * RegArray::id order, FIFOs in IR port order, modules in Module::id
- * order), so a snapshot taken by `sim::Simulator` restores into
+ * order) and written by one serializer (sim::Engine, sim/engine.h),
+ * so a snapshot taken by `sim::Simulator` restores into
  * `rtl::NetlistSim` and vice versa; the sections themselves are
  * byte-identical across engines for the same design at the same
  * cycle.
@@ -135,8 +136,8 @@ struct SnapshotSection {
 
 /**
  * The in-memory checkpoint: engine identity plus named state
- * sections. Produced by Simulator::snapshot() / NetlistSim::snapshot()
- * and consumed by their restore(); round-trips through
+ * sections. Produced by Engine::snapshot() and consumed by
+ * Engine::restore() (sim/engine.h); round-trips through
  * encodeSnapshot()/decodeSnapshot() and save/loadCheckpoint().
  */
 struct Snapshot {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "sim/engine.h"
 #include "support/logging.h"
 #include "support/rng.h"
 
@@ -61,7 +62,14 @@ FaultInjector::FaultInjector(const System &sys, FaultSpec spec)
 }
 
 void
-FaultInjector::fire(uint64_t cycle, const StateAccess &sa)
+FaultInjector::attach(Engine &engine)
+{
+    engine.addPreCycleHook(
+        [this, &engine](uint64_t cycle) { fire(cycle, engine); });
+}
+
+void
+FaultInjector::fire(uint64_t cycle, Engine &engine)
 {
     for (const PlannedFault &f : plan_) {
         if (f.cycle != cycle)
@@ -70,14 +78,14 @@ FaultInjector::fire(uint64_t cycle, const StateAccess &sa)
         rec.cycle = cycle;
         std::ostringstream target;
         if (f.is_array) {
-            rec.before = sa.read_array(f.array, f.elem);
+            rec.before = engine.readArray(f.array, f.elem);
             rec.after = rec.before ^ (uint64_t(1) << f.bit);
-            sa.write_array(f.array, f.elem, rec.after);
+            engine.writeArray(f.array, f.elem, rec.after);
             rec.applied = true;
             target << "array '" << f.array->name() << "[" << f.elem
                    << "]' bit " << f.bit;
         } else {
-            uint64_t occ = sa.occupancy(f.port);
+            uint64_t occ = engine.fifoOccupancy(f.port);
             if (occ == 0) {
                 // Empty at fire time: nothing to flip. Recorded anyway —
                 // occupancy is cycle-aligned across backends, so the
@@ -87,17 +95,17 @@ FaultInjector::fire(uint64_t cycle, const StateAccess &sa)
                        << f.bit << " (empty, skipped)";
             } else {
                 size_t pos = static_cast<size_t>(f.entry_roll % occ);
-                rec.before = sa.read_fifo(f.port, pos);
+                rec.before = engine.readFifo(f.port, pos);
                 rec.after = rec.before ^ (uint64_t(1) << f.bit);
-                sa.write_fifo(f.port, pos, rec.after);
+                engine.writeFifo(f.port, pos, rec.after);
                 rec.applied = true;
                 target << "fifo '" << f.port->fullName() << "[" << pos
                        << "]' bit " << f.bit;
             }
         }
         rec.target = target.str();
-        if (sa.trace)
-            sa.trace(rec.target, rec.applied);
+        if (TraceRecorder *tr = engine.traceRecorder())
+            tr->fault(rec.target, rec.applied);
         records_.push_back(std::move(rec));
     }
 }

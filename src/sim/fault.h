@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -29,6 +28,8 @@
 
 namespace assassyn {
 namespace sim {
+
+class Engine;
 
 /** What to corrupt, where, and when. */
 struct FaultSpec {
@@ -51,59 +52,22 @@ struct FaultRecord {
 };
 
 /**
- * Schedules and applies the faults of one FaultSpec. Attach to a
- * sim::Simulator or an rtl::NetlistSim (duck-typed: anything with
- * addPreCycleHook / readArray / writeArray / fifoOccupancy / readFifo /
- * writeFifo); faults fire in a pre-cycle hook, corrupting state as seen
- * at the start of the scheduled cycle.
+ * Schedules and applies the faults of one FaultSpec to either engine
+ * (sim/engine.h); faults fire in a pre-cycle hook, corrupting state as
+ * seen at the start of the scheduled cycle.
  */
 class FaultInjector {
   public:
     FaultInjector(const System &sys, FaultSpec spec);
 
-    /** The backend state accessors fire() needs; built by attach(). */
-    struct StateAccess {
-        std::function<uint64_t(const RegArray *, size_t)> read_array;
-        std::function<void(const RegArray *, size_t, uint64_t)> write_array;
-        std::function<uint64_t(const Port *)> occupancy;
-        std::function<uint64_t(const Port *, size_t)> read_fifo;
-        std::function<void(const Port *, size_t, uint64_t)> write_fifo;
-        /** Routes each fired fault onto the backend's timeline trace. */
-        std::function<void(const std::string &, bool)> trace;
-    };
+    /**
+     * Register the injection hook on @p engine; this injector must stay
+     * alive while the engine runs. Attach to one engine only.
+     */
+    void attach(Engine &engine);
 
-    /** Register the injection hook on @p s. Attach to one backend only. */
-    template <typename SimT>
-    void
-    attach(SimT &s)
-    {
-        SimT *sim = &s;
-        StateAccess sa;
-        sa.read_array = [sim](const RegArray *a, size_t i) {
-            return sim->readArray(a, i);
-        };
-        sa.write_array = [sim](const RegArray *a, size_t i, uint64_t v) {
-            sim->writeArray(a, i, v);
-        };
-        sa.occupancy = [sim](const Port *p) {
-            return sim->fifoOccupancy(p);
-        };
-        sa.read_fifo = [sim](const Port *p, size_t pos) {
-            return sim->readFifo(p, pos);
-        };
-        sa.write_fifo = [sim](const Port *p, size_t pos, uint64_t v) {
-            sim->writeFifo(p, pos, v);
-        };
-        sa.trace = [sim](const std::string &target, bool applied) {
-            if (auto *rec = sim->traceRecorder())
-                rec->fault(target, applied);
-        };
-        s.addPreCycleHook(
-            [this, sa](uint64_t cycle) { fire(cycle, sa); });
-    }
-
-    /** Apply every fault scheduled for @p cycle. */
-    void fire(uint64_t cycle, const StateAccess &sa);
+    /** Apply every fault scheduled for @p cycle to @p engine. */
+    void fire(uint64_t cycle, Engine &engine);
 
     /** Faults scheduled (a pure function of the System and the spec). */
     size_t planned() const { return plan_.size(); }

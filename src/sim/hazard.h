@@ -75,10 +75,7 @@ struct HazardReport {
     std::string toString() const;
 };
 
-/**
- * What run() returns. Converts to uint64_t (the cycles simulated by this
- * call) so existing `uint64_t n = s.run(...)` call sites keep compiling.
- */
+/** What run() returns. */
 struct RunResult {
     RunStatus status = RunStatus::kMaxCycles;
     uint64_t cycles = 0;  ///< cycles simulated by this run() call
@@ -86,7 +83,6 @@ struct RunResult {
     std::string error;    ///< the fatal message for status == kFault
 
     bool ok() const { return status == RunStatus::kFinished; }
-    operator uint64_t() const { return cycles; }
 };
 
 /**

@@ -807,18 +807,8 @@ Program::build()
     port_base_.reserve(sys_->modules().size());
     slot_base_.reserve(sys_->modules().size());
     for (const auto &mod : sys_->modules()) {
-        port_base_.push_back(static_cast<uint32_t>(fifos_.size()));
-        for (const auto &port : mod->ports()) {
-            FifoSpec spec;
-            spec.port = port.get();
-            spec.policy = port->policy();
-            spec.depth = static_cast<uint32_t>(port->depth());
-            spec.cap = 1;
-            while (spec.cap < spec.depth)
-                spec.cap <<= 1;
-            spec.mask = spec.cap - 1;
-            fifos_.push_back(spec);
-        }
+        port_base_.push_back(num_fifos_);
+        num_fifos_ += static_cast<uint32_t>(mod->numPorts());
     }
     // The stall gate of each stage: the kStallProducer FIFOs it pushes
     // into. While any of them is full the stage does not execute (its
@@ -870,7 +860,7 @@ Program::build()
             shadow_mods_.push_back(mid);
     }
     // Invert into per-FIFO / per-array wake lists.
-    fifo_wake_.resize(fifos_.size());
+    fifo_wake_.resize(num_fifos_);
     array_wake_.resize(sys_->arrays().size());
     for (uint32_t mid : shadow_mods_) {
         for (uint32_t fid : dep_fifos[mid])

@@ -216,18 +216,6 @@ struct DStep {
 
 static_assert(sizeof(DStep) == 24, "DStep must stay 24 bytes");
 
-/** Compile-time description of one FIFO (runtime storage lives in the
- *  Simulator). `depth` is the architectural capacity; `cap`/`mask` is
- *  the power-of-two physical ring the runtime indexes with a single
- *  AND instead of a modulo. */
-struct FifoSpec {
-    const Port *port = nullptr;
-    FifoPolicy policy = FifoPolicy::kAbort;
-    uint32_t depth = 0; ///< architectural capacity (overflow bound)
-    uint32_t cap = 0;   ///< physical ring size: pow2 >= depth
-    uint32_t mask = 0;  ///< cap - 1
-};
-
 /** The [shadow | active] spans of one stage over the fused tape. */
 struct StageSpan {
     uint32_t shadow_begin = 0;
@@ -271,9 +259,6 @@ class Program {
 
     /** Initial slot values (constants materialized, synthetics zero). */
     const std::vector<uint64_t> &slotInit() const { return slot_init_; }
-
-    /** FIFO descriptors, in dense fifo-index order. */
-    const std::vector<FifoSpec> &fifos() const { return fifos_; }
 
     /** The fused step tape shared by all stages. */
     const std::vector<DStep> &tape() const { return tape_; }
@@ -339,7 +324,7 @@ class Program {
     /** The shared hazard analysis (const; safe to query concurrently). */
     const HazardAnalyzer &analyzer() const { return analyzer_; }
 
-    /** Dense FIFO index of a port. */
+    /** Dense FIFO index of a port; equals sim::RunState::fifoIndex. */
     uint32_t
     fifoIndex(const Port *port) const
     {
@@ -375,7 +360,7 @@ class Program {
     // known at compile time (a ConstInt, or a pure cone folded over
     // constants). Drives immediate fusion; never consulted at run time.
     std::vector<uint8_t> slot_is_const_;
-    std::vector<FifoSpec> fifos_;
+    uint32_t num_fifos_ = 0;
     std::vector<DStep> tape_;      ///< fused SoA tape (all stages)
     std::vector<uint32_t> switch_table_; ///< kSwitch jump tables
     std::vector<StageSpan> spans_; ///< indexed by Module::id

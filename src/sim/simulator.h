@@ -33,98 +33,15 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "core/ir/system.h"
-#include "sim/ckpt.h"
-#include "sim/hazard.h"
-#include "sim/metrics.h"
+#include "sim/engine.h"
 #include "sim/program.h"
-#include "sim/trace.h"
-#include "support/hooks.h"
-#include "support/rng.h"
 
 namespace assassyn {
 namespace sim {
-
-/** Runtime configuration of a simulation. */
-struct SimOptions {
-    /**
-     * Shuffle stage execution order each cycle (Sec. 5.1 randomization).
-     * The shadow pass keeps cross-stage reads well-defined, so results
-     * must be invariant; tests assert exactly that.
-     */
-    bool shuffle = false;
-    uint64_t shuffle_seed = 1;
-
-    /** Collect log() output; disable for pure-throughput benchmarks. */
-    bool capture_logs = true;
-
-    /** Also echo log() lines to stdout. */
-    bool echo_logs = false;
-
-    /**
-     * When nonempty, stream a VCD waveform here: register-array elements
-     * (arrays up to 64 entries), stage execution strobes, and FIFO
-     * occupancies, sampled once per cycle.
-     */
-    std::string vcd_path;
-
-    /**
-     * When nonempty, stream a human-readable event trace here: one line
-     * per cycle with activity, naming the stages that executed and the
-     * stages spinning on a wait_until. The serialized-trace debugging
-     * story of paper Sec. 7 Q5.
-     */
-    std::string trace_path;
-
-    /**
-     * When nonempty, record a structured Chrome-trace / Perfetto
-     * timeline here (sim/trace.h, schema assassyn.trace.v1): coalesced
-     * per-stage activity spans, FIFO push->pop flows, arbiter grants,
-     * fault injections, and watchdog verdicts, byte-identical to the
-     * rtl::NetlistSim trace of the same design and seed. Off (empty) by
-     * default; see docs/observability.md ("Timeline tracing").
-     */
-    std::string timeline_path;
-
-    /**
-     * Ring bound on retained timeline events when timeline_path is set:
-     * the oldest events fall out first, and the drop count surfaces as
-     * the trace.dropped_events metric.
-     */
-    size_t timeline_events = size_t(1) << 20;
-
-    /** Event-counter saturation bound, mirroring the 8-bit RTL counter. */
-    uint64_t max_pending_events = 255;
-
-    /**
-     * What happens when a stage's pending-event counter would exceed
-     * max_pending_events. With false (default), the run aborts — the
-     * design is broken and silently dropping events would hide it. With
-     * true, the counter saturates exactly like the bounded hardware
-     * counter of the RTL backend: excess increments are dropped, each
-     * drop is counted under stage.<mod>.event_saturations, and the run
-     * continues. The same option on rtl::NetlistSimOptions keeps both
-     * backends bit-identical (tests/metrics_alignment_test.cc).
-     */
-    bool saturate_events = false;
-
-    /**
-     * Deadlock/livelock watchdog: after this many consecutive cycles in
-     * which no architectural state changed and at least one stage was
-     * blocked (retained event, spinning wait, or backpressure stall),
-     * run() stops with a wait-for-graph diagnosis instead of burning
-     * the rest of max_cycles. The design's logic is deterministic, so a
-     * zero-progress cycle with a blocked stage can only repeat forever;
-     * external pokes (writeArray / writeFifo from hooks) reset the
-     * window. 0 disables the watchdog. See docs/robustness.md.
-     */
-    uint64_t watchdog_window = 1024;
-};
 
 /** Aggregate statistics of a finished run. */
 struct SimStats {
@@ -144,13 +61,15 @@ struct SimStats {
 
 /**
  * Executes one compiled System. A Simulator is the *run-time* half of
- * the compile/run split (docs/architecture.md): it owns only mutable
- * per-run state — slot store, FIFO/array storage, metrics, RNG, the
- * hazard-watchdog window — and executes an immutable sim::Program.
- * Construct once, then run(); architectural state (register arrays) is
- * inspectable before and after.
+ * the compile/run split (docs/architecture.md): on top of the shared
+ * RunState (sim/engine.h) it owns only the event engine's private
+ * state — slot store, buffered effects, the ready set, shadow
+ * staleness flags, the shuffle RNG and the VCD/text-trace writers — and
+ * executes an immutable sim::Program. Construct once, then run();
+ * architectural state is inspectable through the Engine surface before
+ * and after.
  */
-class Simulator {
+class Simulator final : public Engine {
   public:
     /** Convenience: compiles a private Program, then runs it. */
     explicit Simulator(const System &sys, SimOptions opts = {});
@@ -163,119 +82,24 @@ class Simulator {
      */
     explicit Simulator(std::shared_ptr<const Program> program,
                        SimOptions opts = {});
-    ~Simulator();
-
-    Simulator(const Simulator &) = delete;
-    Simulator &operator=(const Simulator &) = delete;
-
-    /**
-     * Run until finish() executes, @p max_cycles elapse, the watchdog
-     * detects a hazard, or the simulated design faults. Design-level
-     * failures (FIFO overflow under the Abort policy, assertion
-     * failure, event-counter overflow) no longer throw: they come back
-     * as RunResult::kFault with the message in RunResult::error, after
-     * the event trace and VCD have been flushed — post-mortem data
-     * survives every failure mode. The result converts to uint64_t (the
-     * cycles simulated by this call) for legacy call sites.
-     */
-    RunResult run(uint64_t max_cycles);
-
-    /** True once a finish() instruction committed. */
-    bool finished() const;
-
-    /** Cycles simulated so far. */
-    uint64_t cycle() const;
-
-    /** Read one element of a register array. */
-    uint64_t readArray(const RegArray *array, size_t index) const;
-
-    /** Overwrite one element of a register array (testbench poke). */
-    void writeArray(const RegArray *array, size_t index, uint64_t value);
-
-    /** Current number of entries in a port's FIFO. */
-    uint64_t fifoOccupancy(const Port *port) const;
-
-    /** Read the FIFO entry @p pos slots behind the head (0 = head). */
-    uint64_t readFifo(const Port *port, size_t pos) const;
-
-    /** Overwrite a live FIFO entry (fault injection / testbench poke). */
-    void writeFifo(const Port *port, size_t pos, uint64_t value);
-
-    /** Captured log() lines, in execution order. */
-    const std::vector<std::string> &logOutput() const;
-
-    /** Number of times a stage's body executed. */
-    uint64_t executions(const Module *mod) const;
-
-    /**
-     * Point-in-time scheduler counters for one stage (sim/metrics.h),
-     * read from live state without folding a full MetricsRegistry. The
-     * per-cycle polling surface of the time-travel debugger
-     * (src/debug/); rtl::NetlistSim exposes the identical signature
-     * with identical values.
-     */
-    StageCounters stageCounters(const Module *mod) const;
-
-    /** Point-in-time traffic counters for one FIFO (same contract). */
-    FifoTraffic fifoTraffic(const Port *port) const;
-
-    /** Committed write count of one register array (same contract). */
-    uint64_t arrayWrites(const RegArray *array) const;
+    ~Simulator() override;
 
     /** Run statistics so far. */
     SimStats stats() const;
 
-    /**
-     * Snapshot of every performance counter and occupancy histogram
-     * (see sim/metrics.h for the key scheme). Collected continuously;
-     * may be taken mid-run or after finish. Bit-identical to the
-     * snapshot of an rtl::NetlistSim run over the same design.
-     */
-    MetricsRegistry metrics() const;
-
-    /**
-     * Serialize every piece of mutable run state into an
-     * engine-portable Snapshot (sim/ckpt.h, docs/robustness.md). Must
-     * be taken between run() calls — i.e. at a cycle boundary. A run
-     * that already ended with a watchdog verdict is not resumable and
-     * fatal()s here; take checkpoints *before* the verdict instead
-     * (runSweep's periodic checkpointing does exactly that).
-     */
-    Snapshot snapshot() const;
-
-    /**
-     * Rewind this instance to @p snap. The instance must have been
-     * built from the same design (and, for byte-identical timelines,
-     * the same timeline options); layout mismatches are structured
-     * FatalErrors. Accepts snapshots from either engine: all
-     * architectural sections are engine-independent, and the
-     * event-only shuffle RNG section is re-seeded fresh when absent.
-     * After restore, run(n) continues exactly as the checkpointed run
-     * would have — metrics, logs, traces, and timelines at cycle N are
-     * byte-identical to an uninterrupted run (tests/ckpt_test.cc).
-     */
-    void restore(const Snapshot &snap);
-
-    /**
-     * Register a hook fired before each cycle's execution phase, seeing
-     * architectural state as of the start of that cycle.
-     */
-    void addPreCycleHook(CycleHook hook);
-
-    /** Register a hook fired after each cycle's commit phase. */
-    void addPostCycleHook(CycleHook hook);
-
     /** The immutable compiled artifact this instance executes. */
     const std::shared_ptr<const Program> &program() const;
 
-    /**
-     * The timeline recorder (sim/trace.h), or nullptr when
-     * SimOptions::timeline_path is empty. Exposed for dropped-span
-     * accounting in tests and for fault-injection event routing.
-     */
-    TraceRecorder *traceRecorder() const;
-
   private:
+    void runCycles(uint64_t max_cycles) override;
+    bool executed(const Module *mod) const override;
+    void arrayPoked(uint32_t aid) override;
+    void fifoPoked(uint32_t fid) override;
+    void rebuildViews() override;
+    void saveSections(Snapshot &snap) const override;
+    void loadSections(const Snapshot &snap) override;
+    void flushOnFault(const std::string &message) override;
+
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };

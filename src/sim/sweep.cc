@@ -327,24 +327,64 @@ runSweep(const std::vector<RunConfig> &configs,
     return report;
 }
 
+RunResult
+runSliced(Engine &engine, uint64_t max_cycles, uint64_t every,
+          const std::function<void()> &at_boundary)
+{
+    RunResult res;
+    uint64_t total = 0;
+    for (;;) {
+        uint64_t at = engine.cycle();
+        uint64_t remaining = max_cycles > at ? max_cycles - at : 0;
+        res = engine.run(every && every < remaining ? every : remaining);
+        total += res.cycles;
+        // Anything but a clean out-of-budget slice ends the run:
+        // finish, fault, and watchdog verdicts are terminal, and a
+        // kMaxCycles at the full budget is the caller's budget limit.
+        if (res.status != RunStatus::kMaxCycles ||
+            engine.cycle() >= max_cycles)
+            break;
+        if (every)
+            at_boundary();
+    }
+    res.cycles = total;
+    return res;
+}
+
+InstanceFn
+instanceOf(EngineFactory make)
+{
+    return [make = std::move(make)](const RunConfig &cfg) {
+        InstanceResult out;
+        out.name = cfg.name;
+        std::unique_ptr<Engine> sim = make(cfg);
+        std::optional<FaultInjector> inj;
+        if (cfg.fault) {
+            inj.emplace(sim->sys(), *cfg.fault);
+            inj->attach(*sim);
+        }
+        if (!cfg.resume_from.empty())
+            sim->restore(loadCheckpoint(cfg.resume_from));
+        const bool periodic = cfg.ckpt_every > 0 && !cfg.ckpt_path.empty();
+        out.result = runSliced(
+            *sim, cfg.max_cycles, periodic ? cfg.ckpt_every : 0, [&] {
+                saveCheckpoint(sim->snapshot(), cfg.ckpt_path);
+                if (cfg.on_checkpoint)
+                    cfg.on_checkpoint(cfg.name, sim->cycle());
+            });
+        out.end_cycle = sim->cycle();
+        out.metrics = sim->metrics();
+        out.logs = sim->logOutput();
+        return out;
+    };
+}
+
 InstanceFn
 eventInstance(std::shared_ptr<const Program> program)
 {
-    return [program](const RunConfig &cfg) {
-        InstanceResult out;
-        out.name = cfg.name;
-        Simulator sim(program, cfg.sim);
-        std::optional<FaultInjector> inj;
-        if (cfg.fault) {
-            inj.emplace(program->sys(), *cfg.fault);
-            inj.value().attach(sim);
-        }
-        out.result = runWithCheckpoints(sim, cfg);
-        out.end_cycle = sim.cycle();
-        out.metrics = sim.metrics();
-        out.logs = sim.logOutput();
-        return out;
-    };
+    return instanceOf([program](const RunConfig &cfg) {
+        return std::make_unique<Simulator>(program, cfg.sim);
+    });
 }
 
 } // namespace sim

@@ -13,11 +13,10 @@
  * per-run metrics, merged metrics, and a JSON rendering.
  *
  * Layering note: assassyn_rtl links against assassyn_sim, not the other
- * way around, so this header never names rtl types. The event backend
- * gets a ready-made InstanceFn (eventInstance); the netlist backend —
- * or any other engine with the common run/metrics surface — goes
- * through the instanceOf() adapter template, which only needs a factory
- * callable. Determinism contract: an InstanceFn must depend only on its
+ * way around, so this header never names rtl types. Any engine runs
+ * through instanceOf(), which takes a factory returning a
+ * std::unique_ptr<Engine>; eventInstance() is that factory for the
+ * event engine. Determinism contract: an InstanceFn must depend only on its
  * RunConfig, so results are independent of worker count and of the
  * order instances get picked up — tests/parallel_determinism_test.cc
  * pins sweep output byte-identical across workers={1,2,4,8}.
@@ -180,89 +179,36 @@ SweepReport runSweep(const std::vector<RunConfig> &configs,
                      const SweepOptions &opts);
 
 /**
- * The event-backend InstanceFn: each call builds a Simulator from the
- * shared immutable @p program (no recompilation), attaches the fault
- * plan if the config carries one, runs to the config's budget, and
- * snapshots metrics + logs.
+ * Run @p engine up to the absolute cycle @p max_cycles, in slices of
+ * @p every cycles (0: one slice), calling @p at_boundary after every
+ * full slice that ended with budget remaining — the periodic-checkpoint
+ * seam. Finish, fault and watchdog verdicts end the run early. Returns
+ * the last slice's result, with cycles summed over all slices.
+ */
+RunResult runSliced(Engine &engine, uint64_t max_cycles, uint64_t every,
+                    const std::function<void()> &at_boundary);
+
+/** Builds a fresh engine for one RunConfig (called concurrently). */
+using EngineFactory =
+    std::function<std::unique_ptr<Engine>(const RunConfig &)>;
+
+/**
+ * The InstanceFn over any engine: each call builds an engine with
+ * @p make over shared immutable compiled state, attaches the fault plan
+ * if the config carries one, restores from resume_from when set, runs
+ * to the config's budget — in ckpt_every-cycle slices with a checkpoint
+ * persisted after every full slice that ended with budget remaining,
+ * when periodic checkpointing is on — and snapshots metrics + logs.
+ * RunResult::cycles aggregates the cycles run by *this* call (not
+ * cycles inherited from a checkpoint).
+ */
+InstanceFn instanceOf(EngineFactory make);
+
+/**
+ * The event-engine InstanceFn: a Simulator over the shared immutable
+ * @p program per instance (no recompilation).
  */
 InstanceFn eventInstance(std::shared_ptr<const Program> program);
-
-/**
- * Drive one engine instance to its cycle budget, honoring the config's
- * resume/checkpoint fields. Works on any engine with the common
- * run/cycle/snapshot/restore surface (sim::Simulator, rtl::NetlistSim).
- * Restores first when resume_from is set; then runs in ckpt_every-cycle
- * slices when periodic checkpointing is on (whole budget at once
- * otherwise), persisting a checkpoint after every full slice that ended
- * with budget remaining. RunResult::cycles aggregates the cycles run by
- * *this* call (not cycles inherited from the checkpoint).
- */
-template <typename SimT>
-RunResult
-runWithCheckpoints(SimT &sim, const RunConfig &cfg)
-{
-    if (!cfg.resume_from.empty())
-        sim.restore(loadCheckpoint(cfg.resume_from));
-    const bool periodic = cfg.ckpt_every > 0 && !cfg.ckpt_path.empty();
-    RunResult res;
-    uint64_t total = 0;
-    for (;;) {
-        uint64_t at = sim.cycle();
-        uint64_t remaining =
-            cfg.max_cycles > at ? cfg.max_cycles - at : 0;
-        uint64_t slice = remaining;
-        if (periodic && cfg.ckpt_every < remaining)
-            slice = cfg.ckpt_every;
-        res = sim.run(slice);
-        total += res.cycles;
-        // Anything but a clean out-of-budget slice ends the run:
-        // finish, fault, and watchdog verdicts are terminal, and a
-        // kMaxCycles at the full budget is the caller's budget limit.
-        if (res.status != RunStatus::kMaxCycles ||
-            sim.cycle() >= cfg.max_cycles)
-            break;
-        if (periodic) {
-            saveCheckpoint(sim.snapshot(), cfg.ckpt_path);
-            if (cfg.on_checkpoint)
-                cfg.on_checkpoint(cfg.name, sim.cycle());
-        }
-    }
-    res.cycles = total;
-    return res;
-}
-
-/**
- * Adapter for any engine with the common backend surface (run /
- * cycle / metrics / logOutput / the fault-injection accessors —
- * rtl::NetlistSim has exactly this shape). @p make is called once per
- * instance, concurrently, and must return a unique_ptr to a fresh
- * engine built over shared immutable compiled state:
- *
- *     auto fn = instanceOf(sys, [&](const RunConfig &cfg) {
- *         return std::make_unique<rtl::NetlistSim>(netlist, toRtl(cfg.sim));
- *     });
- */
-template <typename MakeSim>
-InstanceFn
-instanceOf(const System &sys, MakeSim make)
-{
-    const System *sp = &sys;
-    return [sp, make](const RunConfig &cfg) {
-        InstanceResult out;
-        out.name = cfg.name;
-        auto sim = make(cfg);
-        std::optional<FaultInjector> inj;
-        if (cfg.fault) {
-            inj.emplace(*sp, *cfg.fault);
-            inj->attach(*sim);
-        }
-        out.result = runWithCheckpoints(*sim, cfg);
-        out.end_cycle = sim->cycle();
-        out.metrics = sim->metrics();
-        out.logs = sim->logOutput();
-        return out;
-    };
-}
 
 } // namespace sim
 } // namespace assassyn

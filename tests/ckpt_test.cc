@@ -28,6 +28,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -111,19 +112,18 @@ buildPipe(uint64_t stop)
 }
 
 /** One engine instance plus the fault injector keeping its hooks alive. */
-template <typename SimT> struct Rig {
-    std::unique_ptr<SimT> sim;
+struct Rig {
+    std::unique_ptr<sim::Engine> sim;
     std::unique_ptr<sim::FaultInjector> inj;
 
-    SimT *operator->() { return sim.get(); }
+    sim::Engine *operator->() { return sim.get(); }
 };
 
-template <typename SimT>
-Rig<SimT>
-rigOf(std::unique_ptr<SimT> sim, const System &sys,
+Rig
+rigOf(std::unique_ptr<sim::Engine> sim, const System &sys,
       const std::optional<sim::FaultSpec> &fault)
 {
-    Rig<SimT> rig;
+    Rig rig;
     rig.sim = std::move(sim);
     if (fault) {
         rig.inj = std::make_unique<sim::FaultInjector>(sys, *fault);
@@ -137,9 +137,9 @@ rigOf(std::unique_ptr<SimT> sim, const System &sys,
  * fresh instance, run to the budget — every observable must match the
  * uninterrupted run.
  */
-template <typename MakeRig>
 void
-expectResumeIdentical(const std::string &label, MakeRig make, uint64_t k,
+expectResumeIdentical(const std::string &label,
+                      const std::function<Rig()> &make, uint64_t k,
                       uint64_t budget)
 {
     auto straight = make();

@@ -1,0 +1,397 @@
+/**
+ * @file
+ * The engine contract (sim/engine.h): both engines, driven only through
+ * sim::Engine&, expose identical inspection, identical structured fatals,
+ * the same watchdog and hook semantics, identical metrics, and snapshots
+ * each restores from the other. Options the netlist engine cannot honour
+ * fail loudly at construction instead of being dropped.
+ */
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <functional>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/compiler/pass.h"
+#include "core/dsl/builder.h"
+#include "rtl/netlist.h"
+#include "rtl/netlist_sim.h"
+#include "sim/engine.h"
+#include "sim/simulator.h"
+#include "support/logging.h"
+
+namespace assassyn {
+namespace {
+
+using namespace dsl;
+
+/**
+ * Every kind of run state: register arrays, FIFO entries in flight,
+ * per-stage event counters and a log stream; finishes at @p stop + 1.
+ */
+std::unique_ptr<System>
+buildPipe(uint64_t stop)
+{
+    SysBuilder sb("contract_pipe");
+    Stage sink = sb.stage("sink", {{"x", uintType(16)}});
+    sink.fifoDepth("x", 8);
+    Stage d = sb.driver();
+    Reg acc = sb.reg("acc", uintType(32));
+    Reg cyc = sb.reg("cyc", uintType(16));
+    {
+        StageScope scope(sink);
+        Val x = sink.arg("x");
+        acc.write(acc.read() + x.zext(32));
+        log("acc += {}", {x});
+    }
+    {
+        StageScope scope(d);
+        Val v = cyc.read();
+        cyc.write(v + 1);
+        when(v < lit(stop, 16), [&] { asyncCall(sink, {v}); });
+        when(v == lit(stop, 16), [&] { finish(); });
+    }
+    compile(sb.sys());
+    return sb.take();
+}
+
+/** One event delivered to a stage whose wait_until never holds. */
+std::unique_ptr<System>
+buildSpinner()
+{
+    SysBuilder sb("contract_spinner");
+    Stage sink = sb.stage("sink", {{"x", uintType(8)}});
+    Stage d = sb.driver();
+    Reg started = sb.reg("started", uintType(1));
+    {
+        StageScope scope(sink);
+        waitUntil([&] { return litFalse(); });
+        sink.arg("x");
+    }
+    {
+        StageScope scope(d);
+        when(started.read() == 0, [&] {
+            asyncCall(sink, {lit(7, 8)});
+            started.write(lit(1, 1));
+        });
+    }
+    compile(sb.sys());
+    return sb.take();
+}
+
+/** Both engines over one design, each owned behind the base class. */
+struct Engines {
+    std::unique_ptr<System> sys;
+    std::unique_ptr<rtl::Netlist> nl;
+
+    explicit Engines(std::unique_ptr<System> s)
+        : sys(std::move(s)), nl(std::make_unique<rtl::Netlist>(*sys))
+    {
+    }
+
+    std::unique_ptr<sim::Engine>
+    make(bool event, const sim::SimOptions &opts = {}) const
+    {
+        if (event)
+            return std::make_unique<sim::Simulator>(*sys, opts);
+        return std::make_unique<rtl::NetlistSim>(*nl, opts);
+    }
+
+    const RegArray *
+    array(const std::string &name) const
+    {
+        for (const auto &a : sys->arrays())
+            if (a->name() == name)
+                return a.get();
+        ADD_FAILURE() << "no array " << name;
+        return nullptr;
+    }
+
+    const Port *
+    port(const std::string &mod, const std::string &name) const
+    {
+        for (const auto &p : sys->module(mod)->ports())
+            if (p->name() == name)
+                return p.get();
+        ADD_FAILURE() << "no port " << mod << "." << name;
+        return nullptr;
+    }
+};
+
+/** Everything the inspection surface shows, rendered to compare. */
+std::string
+inspect(const sim::Engine &e)
+{
+    std::ostringstream os;
+    os << "cycle " << e.cycle() << (e.finished() ? " finished\n" : "\n");
+    const System &sys = e.sys();
+    for (const auto &a : sys.arrays()) {
+        os << a->name() << " writes=" << e.arrayWrites(a.get()) << ":";
+        for (size_t i = 0; i < a->size(); ++i)
+            os << " " << e.readArray(a.get(), i);
+        os << "\n";
+    }
+    for (const auto &mod : sys.modules()) {
+        sim::StageCounters c = e.stageCounters(mod.get());
+        os << mod->name() << " execs=" << c.execs
+           << " spins=" << c.wait_spins << " idle=" << c.idle_cycles
+           << " in=" << c.events_in << " bp=" << c.backpressure_stalls
+           << " pending=" << c.pending << "\n";
+        for (const auto &p : mod->ports()) {
+            sim::FifoTraffic t = e.fifoTraffic(p.get());
+            uint64_t occ = e.fifoOccupancy(p.get());
+            os << p->fullName() << " push=" << t.pushes << " pop=" << t.pops
+               << " drop=" << t.drops << " stall=" << t.stall_cycles
+               << " [";
+            for (uint64_t i = 0; i < occ; ++i)
+                os << " " << e.readFifo(p.get(), i);
+            os << " ]\n";
+        }
+    }
+    os << "logs " << e.logOutput().size() << "\n";
+    return os.str();
+}
+
+/** The FatalError message @p f raises; empty when it does not throw. */
+std::string
+fatalOf(const std::function<void()> &f)
+{
+    try {
+        f();
+    } catch (const FatalError &err) {
+        return err.what();
+    }
+    return "";
+}
+
+TEST(EngineContract, InspectionAgreesAtEveryBoundary)
+{
+    Engines fx(buildPipe(40));
+    auto ev = fx.make(true);
+    auto nl = fx.make(false);
+    sim::Engine &a = *ev, &b = *nl;
+    EXPECT_STREQ(a.engineName(), "event");
+    EXPECT_STREQ(b.engineName(), "netlist");
+    while (!a.finished()) {
+        ASSERT_EQ(inspect(a), inspect(b));
+        EXPECT_EQ(a.run(1).status, b.run(1).status);
+    }
+    EXPECT_TRUE(b.finished());
+    EXPECT_EQ(inspect(a), inspect(b));
+    EXPECT_EQ(a.logOutput(), b.logOutput());
+    EXPECT_FALSE(a.logOutput().empty());
+}
+
+TEST(EngineContract, OutOfRangeFatalsAreIdentical)
+{
+    Engines fx(buildPipe(40));
+    const RegArray *acc = fx.array("acc");
+    const Port *x = fx.port("sink", "x");
+    std::vector<std::vector<std::string>> msgs;
+    for (bool event : {true, false}) {
+        auto e = fx.make(event);
+        e->run(3); // entries in flight
+        ASSERT_GT(e->fifoOccupancy(x), 0u);
+        msgs.push_back({
+            fatalOf([&] { e->readArray(acc, 5); }),
+            fatalOf([&] { e->writeArray(acc, 5, 1); }),
+            fatalOf([&] { e->readFifo(x, 9); }),
+            fatalOf([&] { e->writeFifo(x, 9, 1); }),
+        });
+    }
+    EXPECT_EQ(msgs[0], msgs[1]);
+    EXPECT_EQ(msgs[0][0], "readArray: index 5 out of range for 'acc'");
+    EXPECT_EQ(msgs[0][1], "writeArray: index 5 out of range for 'acc'");
+    EXPECT_EQ(msgs[0][2].rfind("readFifo: position 9 out of range for '", 0),
+              0u)
+        << msgs[0][2];
+    EXPECT_EQ(msgs[0][3].rfind("writeFifo: position 9 out of range for '", 0),
+              0u)
+        << msgs[0][3];
+}
+
+TEST(EngineContract, PokesResetTheWatchdog)
+{
+    Engines fx(buildSpinner());
+    const RegArray *started = fx.array("started");
+    sim::SimOptions opts;
+    opts.watchdog_window = 64;
+    std::vector<std::string> verdicts;
+    for (bool event : {true, false}) {
+        auto quiet = fx.make(event, opts);
+        sim::RunResult r = quiet->run(10'000);
+        EXPECT_EQ(r.status, sim::RunStatus::kLivelock);
+        verdicts.push_back(r.hazard.toString());
+
+        // A testbench poking state every cycle is external progress:
+        // the zero-progress window never closes.
+        auto poked = fx.make(event, opts);
+        sim::Engine &e = *poked;
+        e.addPostCycleHook([&e, started](uint64_t) {
+            e.writeArray(started, 0, e.readArray(started, 0));
+        });
+        r = e.run(1'000);
+        EXPECT_EQ(r.status, sim::RunStatus::kMaxCycles);
+        EXPECT_EQ(r.cycles, 1'000u);
+    }
+    EXPECT_EQ(verdicts[0], verdicts[1]);
+}
+
+TEST(EngineContract, HooksSeeStartAndCommittedState)
+{
+    Engines fx(buildPipe(40));
+    const RegArray *cyc = fx.array("cyc");
+    std::vector<std::vector<uint64_t>> seen;
+    uint64_t cycles = 0;
+    for (bool event : {true, false}) {
+        auto owned = fx.make(event);
+        sim::Engine &e = *owned;
+        std::vector<uint64_t> log;
+        e.addPreCycleHook([&](uint64_t c) {
+            EXPECT_EQ(e.readArray(cyc, 0), c); // start-of-cycle state
+            log.push_back(c);
+        });
+        e.addPostCycleHook([&](uint64_t c) {
+            EXPECT_EQ(e.readArray(cyc, 0), c + 1); // committed state
+            log.push_back(e.stageCounters(fx.sys->module("sink")).execs);
+        });
+        e.run(1'000);
+        EXPECT_TRUE(e.finished());
+        cycles = e.cycle();
+        seen.push_back(std::move(log));
+    }
+    EXPECT_EQ(seen[0], seen[1]);
+    EXPECT_EQ(seen[0].size(), 2 * cycles);
+}
+
+TEST(EngineContract, MetricsIdenticalMidRunAndAtFinish)
+{
+    Engines fx(buildPipe(60));
+    auto ev = fx.make(true);
+    auto nl = fx.make(false);
+    for (uint64_t n : {0u, 1u, 36u, 1'000u}) {
+        ev->run(n);
+        nl->run(n);
+        EXPECT_TRUE(ev->metrics() == nl->metrics())
+            << "after run(" << n << "):\n"
+            << ev->metrics().diff(nl->metrics());
+    }
+    EXPECT_TRUE(ev->finished() && nl->finished());
+}
+
+TEST(EngineContract, SnapshotsRestoreAcrossEnginesBothWays)
+{
+    Engines fx(buildPipe(300));
+    auto ref = fx.make(true);
+    ref->run(10'000);
+    ASSERT_TRUE(ref->finished());
+
+    for (bool src_event : {true, false}) {
+        for (uint64_t k : {1u, 150u}) {
+            auto src = fx.make(src_event);
+            auto other = fx.make(!src_event);
+            src->run(k);
+            other->run(k);
+            sim::Snapshot snap = src->snapshot();
+            sim::Snapshot peer = other->snapshot();
+            // One serializer: every section the netlist writes is
+            // byte-identical to the event engine's.
+            const sim::Snapshot &ns = src_event ? peer : snap;
+            const sim::Snapshot &es = src_event ? snap : peer;
+            for (const sim::SnapshotSection &sec : ns.sections) {
+                const sim::SnapshotSection *ev = es.find(sec.name);
+                ASSERT_NE(ev, nullptr) << sec.name;
+                EXPECT_EQ(ev->bytes, sec.bytes) << sec.name;
+            }
+
+            auto dst = fx.make(!src_event);
+            dst->restore(snap);
+            EXPECT_EQ(dst->cycle(), k);
+            dst->run(10'000);
+            EXPECT_TRUE(dst->finished());
+            EXPECT_TRUE(dst->metrics() == ref->metrics())
+                << dst->metrics().diff(ref->metrics());
+            EXPECT_EQ(dst->logOutput(), ref->logOutput());
+        }
+    }
+}
+
+TEST(EngineContract, NetlistRejectsEventOnlyOutputs)
+{
+    Engines fx(buildPipe(10));
+    namespace fs = std::filesystem;
+    std::string vcd = ::testing::TempDir() + "assassyn_contract.vcd";
+    std::string trace = ::testing::TempDir() + "assassyn_contract.trace";
+    fs::remove(vcd);
+    fs::remove(trace);
+
+    sim::SimOptions with_vcd;
+    with_vcd.vcd_path = vcd;
+    std::string msg = fatalOf([&] { fx.make(false, with_vcd); });
+    EXPECT_NE(msg.find("vcd_path"), std::string::npos) << msg;
+    EXPECT_FALSE(fs::exists(vcd));
+
+    sim::SimOptions with_trace;
+    with_trace.trace_path = trace;
+    msg = fatalOf([&] { fx.make(false, with_trace); });
+    EXPECT_NE(msg.find("trace_path"), std::string::npos) << msg;
+    EXPECT_FALSE(fs::exists(trace));
+
+    // The event engine honours both.
+    {
+        sim::SimOptions both = with_vcd;
+        both.trace_path = trace;
+        auto ev = fx.make(true, both);
+        ev->run(100);
+    }
+    EXPECT_TRUE(fs::exists(vcd));
+    EXPECT_TRUE(fs::exists(trace));
+    fs::remove(vcd);
+    fs::remove(trace);
+}
+
+TEST(EngineContract, NetlistIgnoresShuffle)
+{
+    Engines fx(buildPipe(80));
+    auto plain = fx.make(false);
+    sim::SimOptions opts;
+    opts.shuffle = true;
+    opts.shuffle_seed = 7;
+    auto shuffled = fx.make(false, opts);
+    plain->run(1'000);
+    shuffled->run(1'000);
+    EXPECT_TRUE(plain->metrics() == shuffled->metrics());
+    EXPECT_EQ(plain->logOutput(), shuffled->logOutput());
+}
+
+TEST(EngineContract, EchoLogsOnBothEngines)
+{
+    Engines fx(buildPipe(20));
+    auto captured = fx.make(true);
+    captured->run(1'000);
+    std::string expected;
+    for (const std::string &line : captured->logOutput())
+        expected += line + "\n";
+    ASSERT_FALSE(expected.empty());
+
+    sim::SimOptions opts;
+    opts.capture_logs = false;
+    opts.echo_logs = true;
+    for (bool event : {true, false}) {
+        auto e = fx.make(event, opts);
+        ::testing::internal::CaptureStdout();
+        e->run(1'000);
+        std::fflush(stdout);
+        std::string out = ::testing::internal::GetCapturedStdout();
+        EXPECT_EQ(out, expected) << (event ? "event" : "netlist");
+        EXPECT_TRUE(e->logOutput().empty());
+    }
+}
+
+} // namespace
+} // namespace assassyn

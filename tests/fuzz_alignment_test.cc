@@ -502,13 +502,11 @@ TEST(AlignmentSweepTest, SweepRunnerAlignsAcrossBackends)
             sim::runSweep(configs, sim::eventInstance(prog), 4);
         sim::SweepReport rt = sim::runSweep(
             configs,
-            sim::instanceOf(*sys,
-                            [&](const sim::RunConfig &cfg) {
-                                rtl::NetlistSimOptions o;
-                                o.capture_logs = cfg.sim.capture_logs;
-                                return std::make_unique<rtl::NetlistSim>(
-                                    nl, o);
-                            }),
+            sim::instanceOf([&](const sim::RunConfig &cfg) {
+                rtl::NetlistSimOptions o;
+                o.capture_logs = cfg.sim.capture_logs;
+                return std::make_unique<rtl::NetlistSim>(nl, o);
+            }),
             4);
 
         ASSERT_EQ(ev.runs.size(), configs.size());

@@ -480,9 +480,8 @@ struct InjectedRun {
 };
 
 /** Flatten every architectural array of @p sys as @p s left it. */
-template <typename SimT>
 std::vector<uint64_t>
-snapshotState(const SimT &s, const System &sys)
+snapshotState(const sim::Engine &s, const System &sys)
 {
     std::vector<uint64_t> out;
     for (const auto &array : sys.arrays())

@@ -88,7 +88,7 @@ TEST(SchedulerTest, WakeListSkipsIdleStagesAndAccountsForThem)
     // The sink ran exactly on its 1-in-16 beat; every other cycle it
     // was idle and the wake-list scheduler must have skipped it.
     uint64_t beats = design.stop / 16; // driver counts 0, 16, ..., 1584
-    EXPECT_EQ(s.executions(design.sink.mod()), beats);
+    EXPECT_EQ(s.stageCounters(design.sink.mod()).execs, beats);
     EXPECT_GT(st.events_skipped, st.cycles / 2)
         << "a 1-in-16 sink must contribute ~15/16 of its cycles as "
            "skipped idle visits";

@@ -185,9 +185,9 @@ TEST(SimTest, WaitUntilRetainsEvent)
     compile(sb.sys());
     Simulator s(sb.sys());
     s.run(4);
-    EXPECT_EQ(s.executions(worker.mod()), 0u); // spinning
+    EXPECT_EQ(s.stageCounters(worker.mod()).execs, 0u); // spinning
     s.run(4);
-    EXPECT_EQ(s.executions(worker.mod()), 1u); // released by go
+    EXPECT_EQ(s.stageCounters(worker.mod()).execs, 1u); // released by go
     EXPECT_EQ(s.readArray(got.array(), 0), 42u);
 }
 
@@ -225,7 +225,7 @@ TEST(SimTest, EventCounterQueuesMultipleCalls)
     compile(sb.sys());
     Simulator s(sb.sys());
     s.run(6);
-    EXPECT_EQ(s.executions(sink.mod()), 2u);
+    EXPECT_EQ(s.stageCounters(sink.mod()).execs, 2u);
     EXPECT_EQ(s.readArray(sum.array(), 0), 30u);
 }
 
@@ -256,7 +256,7 @@ TEST(SimTest, CrossStageCombRefSameCycle)
     s.run(1);
     EXPECT_EQ(s.readArray(seen.array(), 0), 4u);
     // prod itself never executes: only its shadow cone runs.
-    EXPECT_EQ(s.executions(prod.mod()), 0u);
+    EXPECT_EQ(s.stageCounters(prod.mod()).execs, 0u);
 }
 
 TEST(SimTest, ArbiterSerializesContendedCalls)
@@ -295,7 +295,7 @@ TEST(SimTest, ArbiterSerializesContendedCalls)
     // Both writes landed despite colliding in the same cycle.
     EXPECT_EQ(s.readArray(rf.array(), 1), 100u);
     EXPECT_EQ(s.readArray(rf.array(), 2), 200u);
-    EXPECT_EQ(s.executions(wb.mod()), 2u);
+    EXPECT_EQ(s.stageCounters(wb.mod()).execs, 2u);
 }
 
 TEST(SimTest, ShuffleIsResultInvariant)
