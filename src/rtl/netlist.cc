@@ -40,13 +40,6 @@ forEachCellInput(const Cell &cell, F &&fn)
     }
 }
 
-/** Sign-extension shift for @p bits-wide operands (0: no extension). */
-uint8_t
-sextShift(unsigned bits)
-{
-    return (bits == 0 || bits >= 64) ? 0 : uint8_t(64 - bits);
-}
-
 } // namespace
 
 /** Elaborates a lowered System into a Netlist. */
@@ -571,92 +564,44 @@ Netlist::levelize()
 void
 Netlist::buildTape()
 {
-    tape_.assign(cells_.size(), CellStep{});
+    using sim::DOp;
+    tape_.assign(cells_.size(), sim::DStep{});
     for (size_t i = 0; i < cells_.size(); ++i) {
         const Cell &cell = cells_[i];
-        CellStep &s = tape_[i];
+        sim::DStep &s = tape_[i];
         s.a = cell.a;
         s.b = cell.b;
-        s.out = cell.out;
-        s.u.mask = maskBits(cell.bits);
-        // Read by the signed comparisons, kShrS and kSExt; the slice,
-        // concat and generic records overwrite it.
-        s.x8 = sextShift(cell.opnd_bits);
-        auto op = [&s](CellStepOp o) { s.op = uint8_t(o); };
+        s.dest = cell.out;
         switch (cell.op) {
-          case CellOp::kBin: {
-            const bool sgn = cell.sgn;
-            switch (static_cast<BinOpcode>(cell.sub)) {
-              case BinOpcode::kAnd: op(CellStepOp::kAnd); break;
-              case BinOpcode::kOr:  op(CellStepOp::kOr); break;
-              case BinOpcode::kXor: op(CellStepOp::kXor); break;
-              case BinOpcode::kAdd: op(CellStepOp::kAdd); break;
-              case BinOpcode::kSub: op(CellStepOp::kSub); break;
-              case BinOpcode::kMul: op(CellStepOp::kMul); break;
-              case BinOpcode::kShl: op(CellStepOp::kShl); break;
-              case BinOpcode::kShr:
-                op(sgn ? CellStepOp::kShrS : CellStepOp::kShrU);
-                break;
-              case BinOpcode::kEq: op(CellStepOp::kEq); break;
-              case BinOpcode::kNe: op(CellStepOp::kNe); break;
-              case BinOpcode::kLt:
-                op(sgn ? CellStepOp::kLtS : CellStepOp::kLtU);
-                break;
-              case BinOpcode::kLe:
-                op(sgn ? CellStepOp::kLeS : CellStepOp::kLeU);
-                break;
-              case BinOpcode::kGt:
-                op(sgn ? CellStepOp::kGtS : CellStepOp::kGtU);
-                break;
-              case BinOpcode::kGe:
-                op(sgn ? CellStepOp::kGeS : CellStepOp::kGeU);
-                break;
-              case BinOpcode::kDiv:
-              case BinOpcode::kMod:
-                // Rare ops keep the shared ops::evalBin semantics
-                // (div-by-zero, INT_MIN edge cases), exactly like the
-                // event tape's generic fallback.
-                op(CellStepOp::kBinGeneric);
-                s.x8 = cell.sub;
-                s.x16 = sgn ? 1 : 0;
-                s.u.ca.c = cell.opnd_bits;
-                s.u.ca.aux = cell.bits;
-                break;
-            }
+          case CellOp::kBin:
+            sim::encodeBin(s, static_cast<BinOpcode>(cell.sub), cell.sgn,
+                           cell.opnd_bits, cell.bits);
             break;
-          }
           case CellOp::kUn:
-            switch (static_cast<UnOpcode>(cell.sub)) {
-              case UnOpcode::kNot: op(CellStepOp::kNot); break;
-              case UnOpcode::kNeg: op(CellStepOp::kNeg); break;
-              case UnOpcode::kRedOr: op(CellStepOp::kRedOr); break;
-              case UnOpcode::kRedAnd:
-                op(CellStepOp::kRedAnd);
-                s.u.mask = maskBits(cell.opnd_bits);
-                break;
-            }
+            sim::encodeUn(s, static_cast<UnOpcode>(cell.sub),
+                          cell.opnd_bits, cell.bits);
             break;
           case CellOp::kSlice:
-            op(CellStepOp::kSlice);
+            s.op = uint8_t(DOp::kSlice);
             s.x8 = uint8_t(cell.c_imm);
             s.u.mask = maskBits(cell.b_imm - cell.c_imm + 1);
             break;
           case CellOp::kConcat:
-            op(CellStepOp::kConcat);
+            s.op = uint8_t(DOp::kConcat);
             s.x8 = uint8_t(cell.c_imm);
+            s.u.mask = maskBits(cell.bits);
             break;
           case CellOp::kMux:
-            op(CellStepOp::kMux);
+            s.op = uint8_t(DOp::kSelect);
             s.u.ca.c = cell.c;
             break;
           case CellOp::kCast:
-            op(static_cast<Cast::Mode>(cell.sub) == Cast::Mode::kSExt
-                   ? CellStepOp::kSExt
-                   : CellStepOp::kMask);
+            sim::encodeCast(s, static_cast<Cast::Mode>(cell.sub),
+                            cell.opnd_bits, cell.bits);
             break;
           case CellOp::kArrayRead:
-            op(CellStepOp::kArrayRead);
-            s.u.ca.aux = cell.aux;
+            s.op = uint8_t(DOp::kArrayRead);
+            s.b = cell.aux;
             break;
         }
     }

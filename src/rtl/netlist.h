@@ -20,10 +20,12 @@
  * is recorded as a structured diagnostic naming the offending cells
  * (levelized() / combCycleDiag()) instead of looping at runtime. The
  * levelized cells are then decoded, once, into a dense tape of 24-byte
- * CellStep records (tape()) with one opcode per semantic operation and
- * every mask and shift precomputed; it is the simulator's only
- * evaluator. The Cell list itself stays the structural view the area
- * and timing models and the SystemVerilog emitter read.
+ * sim::DStep records (tape()) — the event engine's tape format, limited
+ * to its pure opcode prefix — with every mask and shift precomputed; it
+ * is the simulator's only evaluator, and it runs the event engine's own
+ * pure handlers (sim/pure_ops.inc). The Cell list itself stays the
+ * structural view the area and timing models and the SystemVerilog
+ * emitter read.
  *
  * The Netlist feeds three consumers: the netlist simulator (the repo's
  * Verilator stand-in), the synthesis area model, and the SystemVerilog
@@ -49,6 +51,7 @@
 
 #include "core/ir/system.h"
 #include "sim/hazard.h"
+#include "sim/program.h"
 
 namespace assassyn {
 namespace rtl {
@@ -88,46 +91,6 @@ struct Cell {
     const Module *origin = nullptr;
     OriginTag tag = OriginTag::kFunc;
 };
-
-/**
- * Opcode of a pre-decoded cell-tape record: one per semantic operation,
- * the pure half of sim::DOp. Div/mod keep the shared ops::evalBin
- * semantics through kBinGeneric, as on the event tape.
- */
-enum class CellStepOp : uint8_t {
-    kAnd, kOr, kXor, kAdd, kSub, kMul, kShl, kShrU, kShrS,
-    kEq, kNe, kLtU, kLeU, kGtU, kGeU, kLtS, kLeS, kGtS, kGeS,
-    kNot, kNeg, kRedOr, kRedAnd, kSlice, kConcat, kMux,
-    kMask,      ///< zext / trunc / bitcast
-    kSExt,
-    kArrayRead, ///< array u.ca.aux, index net `a`; 0 when out of range
-    kBinGeneric, ///< x8 = BinOpcode, x16 = signed, u.ca = {opnd, out bits}
-};
-
-/**
- * One pre-decoded cell, index-parallel to Netlist::cells() so cone
- * ranges address both. Everything the evaluator would otherwise
- * re-derive per cycle is precomputed here: the output mask, the
- * sign-extension shift (64 - operand bits, 0 at 0 or >= 64 bits), the
- * slice low bit and the concat lsb width.
- */
-struct CellStep {
-    uint8_t op = 0;   ///< CellStepOp
-    uint8_t x8 = 0;   ///< sign-extension shift / slice lo / concat lsb bits
-    uint16_t x16 = 0; ///< kBinGeneric signedness
-    uint32_t a = 0;
-    uint32_t b = 0;
-    uint32_t out = 0;
-    union U {
-        uint64_t mask; ///< precomputed result mask (kRedAnd: all-ones input)
-        struct CA {
-            uint32_t c;   ///< mux false input / generic operand bits
-            uint32_t aux; ///< array id / generic output bits
-        } ca;
-    } u{0};
-};
-
-static_assert(sizeof(CellStep) == 24, "CellStep must stay 24 bytes");
 
 /** Sentinel for "this optional net was not allocated". */
 inline constexpr uint32_t kNoNet = 0xffffffffu;
@@ -232,11 +195,14 @@ class Netlist {
     const std::vector<Cell> &cells() const { return cells_; }
 
     /**
-     * The cells lowered once, in finalize(), to the dense pre-decoded
-     * records the netlist simulator executes; index-parallel to
-     * cells().
+     * The cells lowered once, in finalize(), to the pre-decoded
+     * sim::DStep records the netlist simulator executes: one per cell,
+     * index-parallel to cells(), all in the pure prefix of sim::DOp.
+     * Everything the evaluator would otherwise re-derive per cycle is
+     * precomputed, as on the event tape: the output mask, the
+     * sign-extension shift, the slice low bit and the concat lsb width.
      */
-    const std::vector<CellStep> &tape() const { return tape_; }
+    const std::vector<sim::DStep> &tape() const { return tape_; }
     const std::vector<FifoBlock> &fifos() const { return fifos_; }
     const std::vector<ArrayBlock> &arrays() const { return arrays_; }
     const std::vector<CounterBlock> &counters() const { return counters_; }
@@ -298,7 +264,7 @@ class Netlist {
     std::vector<std::string> net_names_;
     std::map<uint32_t, uint64_t> consts_;
     std::vector<Cell> cells_;
-    std::vector<CellStep> tape_;
+    std::vector<sim::DStep> tape_;
     std::vector<FifoBlock> fifos_;
     std::vector<ArrayBlock> arrays_;
     std::vector<CounterBlock> counters_;

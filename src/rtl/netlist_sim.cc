@@ -93,32 +93,26 @@ struct NetlistSim::Impl {
 
     /**
      * One pass over the pre-decoded tape records [@p begin, @p end),
-     * i.e. over the levelized cells of the same index range.
+     * i.e. over the levelized cells of the same index range. The
+     * handlers are the event engine's own (sim/pure_ops.inc).
      */
     void
     runTape(uint32_t begin, uint32_t end)
     {
-        const CellStep *s = nl.tape().data() + begin;
-        const CellStep *const e = nl.tape().data() + end;
-        uint64_t *const ns = nets.data();
+        const sim::DStep *s = nl.tape().data() + begin;
+        const sim::DStep *const e = nl.tape().data() + end;
+        uint64_t *const v = nets.data();
         const sim::RunState::Array *const ast = st.arrays.data();
 #if defined(__GNUC__) || defined(__clang__)
         // Threaded dispatch (computed goto), as in sim::Simulator's
-        // runTape: each handler ends in its own indirect jump. The table
-        // is indexed by CellStepOp and lists every opcode in
-        // declaration order.
+        // runTape, over the pure prefix of sim::DOp only.
+#define ASSASSYN_DOP_LABEL(name) &&op_##name,
         static const void *const kJump[] = {
-            &&op_kAnd, &&op_kOr, &&op_kXor, &&op_kAdd, &&op_kSub,
-            &&op_kMul, &&op_kShl, &&op_kShrU, &&op_kShrS, &&op_kEq,
-            &&op_kNe, &&op_kLtU, &&op_kLeU, &&op_kGtU, &&op_kGeU,
-            &&op_kLtS, &&op_kLeS, &&op_kGtS, &&op_kGeS, &&op_kNot,
-            &&op_kNeg, &&op_kRedOr, &&op_kRedAnd, &&op_kSlice,
-            &&op_kConcat, &&op_kMux, &&op_kMask, &&op_kSExt,
-            &&op_kArrayRead, &&op_kBinGeneric,
+            ASSASSYN_PURE_DOPS(ASSASSYN_DOP_LABEL)
         };
-        static_assert(std::size(kJump) ==
-                          size_t(CellStepOp::kBinGeneric) + 1,
-                      "jump table must cover every CellStepOp");
+#undef ASSASSYN_DOP_LABEL
+        static_assert(std::size(kJump) == sim::kPureDOps,
+                      "jump table must cover the pure prefix of DOp");
 #define ASSASSYN_OP(name) op_##name
 #define ASSASSYN_NEXT()                                                  \
     do {                                                                 \
@@ -131,121 +125,13 @@ struct NetlistSim::Impl {
         goto *kJump[s->op];
 #else
         // Portable fallback: the same handler bodies under a switch.
-#define ASSASSYN_OP(name) case CellStepOp::name
+#define ASSASSYN_OP(name) case sim::DOp::name
 #define ASSASSYN_NEXT() break
         for (; s != e; ++s) {
-            switch (static_cast<CellStepOp>(s->op)) {
+            switch (static_cast<sim::DOp>(s->op)) {
 #endif
 
-        ASSASSYN_OP(kAnd):
-            ns[s->out] = (ns[s->a] & ns[s->b]) & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kOr):
-            ns[s->out] = (ns[s->a] | ns[s->b]) & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kXor):
-            ns[s->out] = (ns[s->a] ^ ns[s->b]) & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kAdd):
-            ns[s->out] = (ns[s->a] + ns[s->b]) & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kSub):
-            ns[s->out] = (ns[s->a] - ns[s->b]) & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kMul):
-            ns[s->out] = (ns[s->a] * ns[s->b]) & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kShl): {
-            uint64_t sh = ns[s->b];
-            ns[s->out] = (sh >= 64 ? 0 : ns[s->a] << sh) & s->u.mask;
-            ASSASSYN_NEXT();
-        }
-        ASSASSYN_OP(kShrU): {
-            uint64_t sh = ns[s->b];
-            ns[s->out] = (sh >= 64 ? 0 : ns[s->a] >> sh) & s->u.mask;
-            ASSASSYN_NEXT();
-        }
-        ASSASSYN_OP(kShrS): {
-            int64_t sa = int64_t(ns[s->a] << s->x8) >> s->x8;
-            uint64_t sh = ns[s->b];
-            ns[s->out] =
-                uint64_t(sh >= 64 ? (sa < 0 ? -1 : 0) : sa >> sh) &
-                s->u.mask;
-            ASSASSYN_NEXT();
-        }
-        ASSASSYN_OP(kEq):
-            ns[s->out] = ns[s->a] == ns[s->b];
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kNe):
-            ns[s->out] = ns[s->a] != ns[s->b];
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kLtU):
-            ns[s->out] = ns[s->a] < ns[s->b];
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kLeU):
-            ns[s->out] = ns[s->a] <= ns[s->b];
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kGtU):
-            ns[s->out] = ns[s->a] > ns[s->b];
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kGeU):
-            ns[s->out] = ns[s->a] >= ns[s->b];
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kLtS):
-            ns[s->out] = (int64_t(ns[s->a] << s->x8) >> s->x8) <
-                         (int64_t(ns[s->b] << s->x8) >> s->x8);
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kLeS):
-            ns[s->out] = (int64_t(ns[s->a] << s->x8) >> s->x8) <=
-                         (int64_t(ns[s->b] << s->x8) >> s->x8);
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kGtS):
-            ns[s->out] = (int64_t(ns[s->a] << s->x8) >> s->x8) >
-                         (int64_t(ns[s->b] << s->x8) >> s->x8);
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kGeS):
-            ns[s->out] = (int64_t(ns[s->a] << s->x8) >> s->x8) >=
-                         (int64_t(ns[s->b] << s->x8) >> s->x8);
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kNot):
-            ns[s->out] = ~ns[s->a] & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kNeg):
-            ns[s->out] = (~ns[s->a] + 1) & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kRedOr):
-            ns[s->out] = ns[s->a] != 0;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kRedAnd):
-            ns[s->out] = ns[s->a] == s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kSlice):
-            ns[s->out] = (ns[s->a] >> s->x8) & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kConcat):
-            ns[s->out] = ((ns[s->a] << s->x8) | ns[s->b]) & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kMux):
-            ns[s->out] = ns[s->a] ? ns[s->b] : ns[s->u.ca.c];
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kMask):
-            ns[s->out] = ns[s->a] & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kSExt):
-            ns[s->out] =
-                uint64_t(int64_t(ns[s->a] << s->x8) >> s->x8) & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kArrayRead): {
-            const sim::RunState::Array &a = ast[s->u.ca.aux];
-            uint64_t idx = ns[s->a];
-            ns[s->out] = idx < a.size ? a.data[idx] : 0;
-            ASSASSYN_NEXT();
-        }
-        ASSASSYN_OP(kBinGeneric):
-            ns[s->out] = ops::evalBin(
-                static_cast<BinOpcode>(s->x8), ns[s->a], ns[s->b],
-                s->u.ca.c, s->x16 != 0, s->u.ca.aux);
-            ASSASSYN_NEXT();
+#include "sim/pure_ops.inc"
 
 #if !(defined(__GNUC__) || defined(__clang__))
             }

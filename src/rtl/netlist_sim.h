@@ -10,10 +10,10 @@
  * cycle is exactly one pass over the cells (no settle loop), with
  * per-stage activity gating skipping cones whose inputs are unchanged
  * (docs/performance.md). The cells are executed from the Netlist's
- * pre-decoded tape (Netlist::tape(): one handler per semantic op,
- * threaded dispatch), the same interpreter technique as the event
- * engine's, so the two engines differ in what they evaluate each cycle,
- * not in how well they interpret it. The paper's Q5 speedup (2.2-8.1x)
+ * pre-decoded tape (Netlist::tape(): sim::DStep records in the pure
+ * prefix of sim::DOp, threaded dispatch) by the event engine's own
+ * pure-op handlers, so the two engines differ in what they evaluate
+ * each cycle, not in how they interpret it. The paper's Q5 speedup (2.2-8.1x)
  * comes from the backends' remaining cost difference, and its Q5
  * alignment claim is validated by running one design through both
  * engines and comparing cycle counts, committed state, and log output

@@ -27,6 +27,77 @@ sextShift(unsigned bits)
 
 } // namespace
 
+void
+encodeBin(DStep &s, BinOpcode op, bool sgn, unsigned opnd_bits,
+          unsigned out_bits)
+{
+    DOp d = DOp::kBinGeneric;
+    switch (op) {
+      case BinOpcode::kAdd: d = DOp::kAdd; break;
+      case BinOpcode::kSub: d = DOp::kSub; break;
+      case BinOpcode::kMul: d = DOp::kMul; break;
+      case BinOpcode::kAnd: d = DOp::kAnd; break;
+      case BinOpcode::kOr:  d = DOp::kOr; break;
+      case BinOpcode::kXor: d = DOp::kXor; break;
+      case BinOpcode::kShl: d = DOp::kShl; break;
+      case BinOpcode::kShr: d = sgn ? DOp::kShrS : DOp::kShrU; break;
+      case BinOpcode::kEq:  d = DOp::kEq; break;
+      case BinOpcode::kNe:  d = DOp::kNe; break;
+      case BinOpcode::kLt:  d = sgn ? DOp::kLtS : DOp::kLtU; break;
+      case BinOpcode::kLe:  d = sgn ? DOp::kLeS : DOp::kLeU; break;
+      case BinOpcode::kGt:  d = sgn ? DOp::kGtS : DOp::kGtU; break;
+      case BinOpcode::kGe:  d = sgn ? DOp::kGeS : DOp::kGeU; break;
+      case BinOpcode::kDiv:
+      case BinOpcode::kMod:
+        // Rare ops keep the shared ops::evalBin semantics (div-by-zero,
+        // INT_MIN edge cases) via the generic fallback instead of
+        // duplicating them here.
+        s.op = uint8_t(DOp::kBinGeneric);
+        s.x8 = uint8_t(op);
+        s.x16 = sgn ? 1 : 0;
+        s.u.ca.c = opnd_bits;
+        s.u.ca.aux = out_bits;
+        return;
+    }
+    s.op = uint8_t(d);
+    s.x8 = sextShift(opnd_bits); // read by kShrS and the signed compares
+    s.u.mask = maskBits(out_bits);
+}
+
+void
+encodeUn(DStep &s, UnOpcode op, unsigned opnd_bits, unsigned out_bits)
+{
+    switch (op) {
+      case UnOpcode::kNot:
+        s.op = uint8_t(DOp::kNot);
+        s.u.mask = maskBits(out_bits);
+        break;
+      case UnOpcode::kNeg:
+        s.op = uint8_t(DOp::kNeg);
+        s.u.mask = maskBits(out_bits);
+        break;
+      case UnOpcode::kRedOr:
+        s.op = uint8_t(DOp::kRedOr);
+        break;
+      case UnOpcode::kRedAnd:
+        s.op = uint8_t(DOp::kRedAnd);
+        s.u.mask = maskBits(opnd_bits);
+        break;
+    }
+}
+
+void
+encodeCast(DStep &s, Cast::Mode mode, unsigned src_bits, unsigned out_bits)
+{
+    if (mode == Cast::Mode::kSExt) {
+        s.op = uint8_t(DOp::kSExt);
+        s.x8 = sextShift(src_bits);
+    } else {
+        s.op = uint8_t(DOp::kMask);
+    }
+    s.u.mask = maskBits(out_bits);
+}
+
 /**
  * Compiles the shadow and active step spans of one module into the
  * fused tape. Operates on the Program under construction; never used
@@ -179,6 +250,12 @@ struct ProgCompiler {
      * but s.dest. Returns 0 when no fusion applies (caller emits the
      * two-slot form), 1 when @p s was encoded, 2 when the result is a
      * compile-time zero (an over-wide shift) the caller should fold.
+     *
+     * Each form is canonical: an op whose immediate form would repeat
+     * another handler is re-encoded onto it (and -> kMask, shr -> kSlice,
+     * sub -> kAddImm, <= / >= -> < / > against k+1 / k-1), and ops with
+     * no immediate form (xor, mul, shl, signed shr, div, mod) keep the
+     * two-slot form, the constant staying in its slot.
      */
     int
     emitBinImm(DStep &s, BinOpcode bop, bool sgn, unsigned opnd_bits,
@@ -192,15 +269,11 @@ struct ProgCompiler {
         const uint8_t mshift = uint8_t(64 - out_bits);
         switch (bop) {
           case BinOpcode::kAnd:
-            s.op = uint8_t(DOp::kAndImm);
+            s.op = uint8_t(DOp::kMask);
             s.u.mask = imm & mask;
             return 1;
           case BinOpcode::kOr:
             s.op = uint8_t(DOp::kOrImm);
-            s.u.mask = imm & mask;
-            return 1;
-          case BinOpcode::kXor:
-            s.op = uint8_t(DOp::kXorImm);
             s.u.mask = imm & mask;
             return 1;
           case BinOpcode::kAdd:
@@ -208,43 +281,24 @@ struct ProgCompiler {
             s.x8 = mshift;
             s.u.mask = imm;
             return 1;
-          case BinOpcode::kMul:
-            s.op = uint8_t(DOp::kMulImm);
-            s.x8 = mshift;
-            s.u.mask = imm;
-            return 1;
           case BinOpcode::kSub:
             if (imm_is_lhs)
                 return 0; // imm - x: rare, keep the two-slot form
-            s.op = uint8_t(DOp::kSubImm);
+            s.op = uint8_t(DOp::kAddImm);
             s.x8 = mshift;
-            s.u.mask = imm;
+            s.u.mask = 0 - imm;
             return 1;
           case BinOpcode::kShl:
             if (imm_is_lhs)
                 return 0;
+            return imm >= 64 ? 2 : 0;
+          case BinOpcode::kShr:
+            if (imm_is_lhs || sgn)
+                return 0; // no signed immediate form
             if (imm >= 64)
                 return 2;
-            s.op = uint8_t(DOp::kShlImm);
+            s.op = uint8_t(DOp::kSlice);
             s.x8 = uint8_t(imm);
-            s.u.mask = mask;
-            return 1;
-          case BinOpcode::kShr:
-            if (imm_is_lhs)
-                return 0;
-            if (!sgn) {
-                if (imm >= 64)
-                    return 2;
-                s.op = uint8_t(DOp::kShrUImm);
-                s.x8 = uint8_t(imm);
-                s.u.mask = mask;
-                return 1;
-            }
-            if (imm >= 64)
-                return 0; // sign-fill result: keep the two-slot form
-            s.op = uint8_t(DOp::kShrSImm);
-            s.x8 = sextShift(opnd_bits);
-            s.x16 = uint16_t(imm);
             s.u.mask = mask;
             return 1;
           case BinOpcode::kEq:
@@ -270,37 +324,38 @@ struct ProgCompiler {
                   default:             eff = BinOpcode::kLe; break;
                 }
             }
-            if (sgn) {
-                s.x8 = sextShift(opnd_bits);
-                s.u.mask = uint64_t(signExtend(imm, opnd_bits));
-                switch (eff) {
-                  case BinOpcode::kLt:
-                    s.op = uint8_t(DOp::kLtSImm); break;
-                  case BinOpcode::kLe:
-                    s.op = uint8_t(DOp::kLeSImm); break;
-                  case BinOpcode::kGt:
-                    s.op = uint8_t(DOp::kGtSImm); break;
-                  default:
-                    s.op = uint8_t(DOp::kGeSImm); break;
-                }
-            } else {
-                s.u.mask = imm;
-                switch (eff) {
-                  case BinOpcode::kLt:
-                    s.op = uint8_t(DOp::kLtUImm); break;
-                  case BinOpcode::kLe:
-                    s.op = uint8_t(DOp::kLeUImm); break;
-                  case BinOpcode::kGt:
-                    s.op = uint8_t(DOp::kGtUImm); break;
-                  default:
-                    s.op = uint8_t(DOp::kGeUImm); break;
-                }
+            // Only the strict forms exist: x <= k is x < k+1 and
+            // x >= k is x > k-1, unless k+1 / k-1 leaves the 64-bit
+            // range (then the two-slot compare runs).
+            uint64_t k = sgn ? uint64_t(signExtend(imm, opnd_bits)) : imm;
+            const uint64_t top = sgn ? uint64_t(INT64_MAX) : UINT64_MAX;
+            const uint64_t bottom = sgn ? uint64_t(INT64_MIN) : 0;
+            if (eff == BinOpcode::kLe) {
+                if (k == top)
+                    return 0;
+                eff = BinOpcode::kLt;
+                ++k;
+            } else if (eff == BinOpcode::kGe) {
+                if (k == bottom)
+                    return 0;
+                eff = BinOpcode::kGt;
+                --k;
             }
+            const bool lt = eff == BinOpcode::kLt;
+            if (sgn) {
+                s.op = uint8_t(lt ? DOp::kLtSImm : DOp::kGtSImm);
+                s.x8 = sextShift(opnd_bits);
+            } else {
+                s.op = uint8_t(lt ? DOp::kLtUImm : DOp::kGtUImm);
+            }
+            s.u.mask = k;
             return 1;
           }
+          case BinOpcode::kXor:
+          case BinOpcode::kMul:
           case BinOpcode::kDiv:
           case BinOpcode::kMod:
-            return 0; // generic fallback keeps the edge-case semantics
+            return 0;
         }
         return 0;
     }
@@ -358,49 +413,7 @@ struct ProgCompiler {
             }
             s.a = prog.slotOf(bin->lhs());
             s.b = prog.slotOf(bin->rhs());
-            s.u.mask = maskBits(out_bits);
-            switch (bop) {
-              case BinOpcode::kAdd: s.op = uint8_t(DOp::kAdd); break;
-              case BinOpcode::kSub: s.op = uint8_t(DOp::kSub); break;
-              case BinOpcode::kMul: s.op = uint8_t(DOp::kMul); break;
-              case BinOpcode::kAnd: s.op = uint8_t(DOp::kAnd); break;
-              case BinOpcode::kOr:  s.op = uint8_t(DOp::kOr); break;
-              case BinOpcode::kXor: s.op = uint8_t(DOp::kXor); break;
-              case BinOpcode::kShl: s.op = uint8_t(DOp::kShl); break;
-              case BinOpcode::kShr:
-                s.op = uint8_t(sgn ? DOp::kShrS : DOp::kShrU);
-                s.x8 = sextShift(opnd_bits);
-                break;
-              case BinOpcode::kEq: s.op = uint8_t(DOp::kEq); break;
-              case BinOpcode::kNe: s.op = uint8_t(DOp::kNe); break;
-              case BinOpcode::kLt:
-                s.op = uint8_t(sgn ? DOp::kLtS : DOp::kLtU);
-                s.x8 = sextShift(opnd_bits);
-                break;
-              case BinOpcode::kLe:
-                s.op = uint8_t(sgn ? DOp::kLeS : DOp::kLeU);
-                s.x8 = sextShift(opnd_bits);
-                break;
-              case BinOpcode::kGt:
-                s.op = uint8_t(sgn ? DOp::kGtS : DOp::kGtU);
-                s.x8 = sextShift(opnd_bits);
-                break;
-              case BinOpcode::kGe:
-                s.op = uint8_t(sgn ? DOp::kGeS : DOp::kGeU);
-                s.x8 = sextShift(opnd_bits);
-                break;
-              case BinOpcode::kDiv:
-              case BinOpcode::kMod:
-                // Rare ops keep the shared ops::evalBin semantics
-                // (div-by-zero, INT_MIN edge cases) via the generic
-                // fallback instead of duplicating them here.
-                s.op = uint8_t(DOp::kBinGeneric);
-                s.x8 = uint8_t(bop);
-                s.x16 = sgn ? 1 : 0;
-                s.u.ca.c = opnd_bits;
-                s.u.ca.aux = out_bits;
-                break;
-            }
+            encodeBin(s, bop, sgn, opnd_bits, out_bits);
             break;
           }
           case Opcode::kUnOp: {
@@ -413,23 +426,8 @@ struct ProgCompiler {
                 return;
             }
             s.a = prog.slotOf(un->value());
-            switch (un->unOpcode()) {
-              case UnOpcode::kNot:
-                s.op = uint8_t(DOp::kNot);
-                s.u.mask = maskBits(out_bits);
-                break;
-              case UnOpcode::kNeg:
-                s.op = uint8_t(DOp::kNeg);
-                s.u.mask = maskBits(out_bits);
-                break;
-              case UnOpcode::kRedOr:
-                s.op = uint8_t(DOp::kRedOr);
-                break;
-              case UnOpcode::kRedAnd:
-                s.op = uint8_t(DOp::kRedAnd);
-                s.u.mask = maskBits(un->value()->type().bits());
-                break;
-            }
+            encodeUn(s, un->unOpcode(), un->value()->type().bits(),
+                     out_bits);
             break;
           }
           case Opcode::kSlice: {
@@ -533,14 +531,8 @@ struct ProgCompiler {
                                       out_bits));
                 return;
             }
-            if (cast->mode() == Cast::Mode::kSExt) {
-                s.op = uint8_t(DOp::kSExt);
-                s.x8 = sextShift(cast->value()->type().bits());
-                s.u.mask = maskBits(out_bits);
-            } else {
-                s.op = uint8_t(DOp::kMask);
-                s.u.mask = maskBits(out_bits);
-            }
+            encodeCast(s, cast->mode(), cast->value()->type().bits(),
+                       out_bits);
             break;
           }
           case Opcode::kFifoValid: {
@@ -957,32 +949,20 @@ Program::fuseTape()
           case DOp::kSlice:
           case DOp::kMask:
           case DOp::kSExt:
-          case DOp::kAndImm:
           case DOp::kOrImm:
-          case DOp::kXorImm:
           case DOp::kAddImm:
-          case DOp::kSubImm:
-          case DOp::kMulImm:
-          case DOp::kShlImm:
-          case DOp::kShrUImm:
-          case DOp::kShrSImm:
           case DOp::kEqImm:
           case DOp::kNeImm:
           case DOp::kLtUImm:
-          case DOp::kLeUImm:
           case DOp::kGtUImm:
-          case DOp::kGeUImm:
           case DOp::kLtSImm:
-          case DOp::kLeSImm:
           case DOp::kGtSImm:
-          case DOp::kGeSImm:
           case DOp::kSel2:
           case DOp::kConcatImm:
           case DOp::kArrayRead:
           case DOp::kWaitCheck:
           case DOp::kSkipIfFalse:
           case DOp::kSkipIfNeImm:
-          case DOp::kSkipIfEqImm:
           case DOp::kSwitch:
           case DOp::kPush:
           case DOp::kArrayRmw:
@@ -1169,8 +1149,11 @@ Program::fuseTape()
               }
               case DOp::kSkipIfFalse:
                 // The compare result is i1, so the skip's truthiness
-                // test reduces to the compare itself.
-                f.op = uint8_t(ne ? DOp::kSkipIfEqImm : DOp::kSkipIfNeImm);
+                // test reduces to the compare itself. Only == guards
+                // fuse: no perfbench design has a != guard here.
+                if (ne)
+                    break;
+                f.op = uint8_t(DOp::kSkipIfNeImm);
                 f.b = c.b; // relative skip offset, remapped below
                 f.u.mask = imm;
                 ok = true;
@@ -1470,8 +1453,7 @@ Program::fuseTape()
         if (dead[i])
             continue;
         const DOp op = static_cast<DOp>(tape_[i].op);
-        if (op == DOp::kSkipIfFalse || op == DOp::kSkipIfNeImm ||
-            op == DOp::kSkipIfEqImm) {
+        if (op == DOp::kSkipIfFalse || op == DOp::kSkipIfNeImm) {
             uint32_t tgt = static_cast<uint32_t>(i) + 1 + tape_[i].b;
             tape_[i].b = newidx[tgt] - newidx[i] - 1;
         }
@@ -1531,8 +1513,7 @@ Program::buildSwitches()
     // Earliest step that can jump to each index; -1 marks a span start.
     std::vector<int64_t> entered(n + 1, INT64_MAX);
     for (uint32_t i = 0; i < n; ++i)
-        if (op(i) == DOp::kSkipIfFalse || op(i) == DOp::kSkipIfNeImm ||
-            op(i) == DOp::kSkipIfEqImm)
+        if (op(i) == DOp::kSkipIfFalse || op(i) == DOp::kSkipIfNeImm)
             entered[target(i)] = std::min<int64_t>(entered[target(i)], i);
     for (const StageSpan &sp : spans_) {
         entered[sp.shadow_begin] = -1;

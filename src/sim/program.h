@@ -17,9 +17,12 @@
  *
  * Tape encoding v2 (docs/architecture.md "Interpreter core"): one
  * contiguous structure-of-arrays tape of 24-byte DSteps shared by all
- * stages, addressed through per-stage [shadow | active] spans. The
- * re-lowering performs operand fusion the generic v1 register VM paid
- * for at run time:
+ * stages, addressed through per-stage [shadow | active] spans. DStep is
+ * also the netlist's cell-tape record: the 30 pure opcodes leading DOp
+ * are the whole vocabulary of rtl::Netlist::tape(), encoded by the same
+ * selector (encodeBin / encodeUn / encodeCast) and run by the same
+ * handlers (sim/pure_ops.inc). The re-lowering performs operand fusion
+ * the generic v1 register VM paid for at run time:
  *   - identity casts (zext/bitcast widenings, same-width sext) are
  *     dissolved into slot aliases — slotOf() resolves through them, so
  *     they cost zero steps;
@@ -30,7 +33,8 @@
  *     compile time straight into slot initial values (zero steps), and
  *     an operation with one constant operand lowers to an
  *     immediate-fused opcode that carries the constant inline instead
- *     of loading it from a slot every cycle;
+ *     of loading it from a slot every cycle, canonicalised onto the
+ *     fewest opcodes (see ASSASSYN_EVENT_DOPS);
  *   - kPredAnd predicate chains are folded into the kSkipIfFalse
  *     region guards, and per-effect predicate tests are dropped
  *     entirely: every effect step is provably dominated by the skip
@@ -61,6 +65,7 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -71,131 +76,128 @@
 namespace assassyn {
 namespace sim {
 
-/** Dense opcode space of the v2 tape. Hot pure ops lead so the
- *  interpreter switch compiles to one dense jump table. */
+/**
+ * The pure operations both engines execute, in opcode order: the prefix
+ * of DOp the netlist's cell tape (rtl::Netlist::tape()) is written in.
+ * Their handlers exist once, in sim/pure_ops.inc. Results are masked
+ * with DStep::u.mask unless noted; comparisons produce a bare 0/1, and
+ * the signed ones sign-extend both operands with the x8 shift pair.
+ */
+#define ASSASSYN_PURE_DOPS(X)                                            \
+    X(kAnd) X(kOr) X(kXor) X(kAdd) X(kSub) X(kMul)                       \
+    X(kShl)  /* shift amount from slot b, >= 64 flushes to 0 */          \
+    X(kShrU)                                                             \
+    X(kShrS) /* x8 = 64 - opnd_bits (0 when opnd_bits is 0 or >= 64) */ \
+    X(kEq) X(kNe) X(kLtU) X(kLeU) X(kGtU) X(kGeU)                        \
+    X(kLtS) X(kLeS) X(kGtS) X(kGeS)                                      \
+    X(kNot) X(kNeg) X(kRedOr)                                            \
+    X(kRedAnd) /* u.mask = maskBits(opnd_bits); result = (a == mask) */  \
+    X(kSlice)  /* (a >> x8) & u.mask: slices, shr by a constant */       \
+    X(kConcat) /* x8 = lsb_bits; ((a << x8) | b) & mask */               \
+    X(kSelect) /* a ? b : u.ca.c */                                      \
+    X(kMask)   /* a & u.mask: zext/trunc/bitcast, and by a constant */   \
+    X(kSExt)   /* x8 = 64 - src_bits; sign-extend then & u.mask */       \
+    X(kArrayRead) /* a = index slot, b = array id; 0 when out of range */ \
+    X(kBinGeneric) /* div/mod via ops::evalBin; x8 = BinOpcode,           \
+                      x16 = sgn, u.ca.c = opnd_bits, u.ca.aux = out_bits */
+
+/**
+ * The event engine's own opcodes, after the pure prefix. Every op
+ * before kWaitCheck writes slot dest; none from kWaitCheck on does.
+ *
+ * Immediate-fused forms inline a constant operand into the step (in
+ * u.mask unless noted), saving the slot load of the two-slot form.
+ * Compile-time constant folding runs first, so the remaining operand is
+ * always live. Only forms that are neither a re-encoding of another op
+ * nor unused survive: an and by a constant is a kMask, an unsigned shr
+ * by one a kSlice, a sub of one a kAddImm of its negation, and <= / >=
+ * against k are < k+1 / > k-1 (docs/architecture.md "The dense step
+ * tape").
+ *
+ * Superinstructions are built by the post-compile peephole (fuseTape),
+ * never emitted directly: a single-use immediate compare folded into
+ * the select it feeds (the dominant decode-table pattern), and
+ * three-operand forms for predicate trees and bit reassembly (the third
+ * slot rides in x16 unless noted).
+ */
+#define ASSASSYN_EVENT_DOPS(X)                                           \
+    X(kOrImm)   /* a | u.mask (imm pre-masked; also const-msb concats) */ \
+    X(kAddImm)  /* (a + u.mask) & (~0 >> x8); x8 = 64 - out_bits */      \
+    X(kEqImm)   /* a == u.mask */                                        \
+    X(kNeImm) X(kLtUImm) X(kGtUImm)                                      \
+    X(kLtSImm)  /* sext_x8(a) < (int64)u.mask (imm pre-sign-extended) */ \
+    X(kGtSImm)                                                           \
+    X(kSelT)    /* a ? u.mask : b */                                     \
+    X(kSelF)    /* a ? b : u.mask */                                     \
+    X(kSel2)    /* a ? u.ca.c : u.ca.aux (both arms 32-bit constants) */ \
+    X(kConcatImm) /* (a << x8) | u.mask (constant lsb, pre-masked) */    \
+    X(kArrayReadImm) /* a = constant index (bound-checked), b = array */ \
+    X(kEqImmSel)  /* (a == u.ca.aux) ? b : x16 (slots; x16 narrow) */    \
+    X(kEqImmSelT) /* (a == u.ca.aux) ? u.ca.c : b */                     \
+    X(kEqImmSelF) /* (a == u.ca.aux) ? b : u.ca.c */                     \
+    X(kEqImmSel2) /* (a == x16) ? u.ca.c : u.ca.aux */                   \
+    X(kEqImmSel3) /* (a == x8) ? b : (a == x16) ? u.ca.c : u.ca.aux      \
+                     (two fused decode-chain entries; all arms slots) */ \
+    X(kAndAnd)    /* ((a & b) & x16) & u.mask */                         \
+    X(kAndOr)     /* ((a & b) | x16) & u.mask */                         \
+    X(kOrAnd)     /* ((a | b) & x16) & u.mask */                         \
+    X(kOrOr)      /* ((a | b) | x16) & u.mask */                         \
+    X(kEqAnd)     /* (a == b) & x16 */                                   \
+    X(kNeAnd)     /* (a != b) & x16 */                                   \
+    X(kNeImmAnd)  /* (a != u.ca.aux) & b */                              \
+    X(kValidAnd)  /* (fifo a nonempty) & b */                            \
+    X(kAndSel)    /* (a & b) ? x16 : u.ca.c (all slots) */               \
+    X(kConcat3)   /* ((a << x8) | (b << u.ca.aux) | x16) & u.ca.c */     \
+    X(kSliceConcat) /* ((((a >> x8) & u.ca.c) << x16) | b) & u.ca.aux */ \
+    X(kConcatSlice) /* ((a << x8) | ((b >> x16) & u.ca.c)) & u.ca.aux */ \
+    X(kSelSel)    /* a ? b : (x16 ? u.ca.c : u.ca.aux) (all slots;       \
+                     fused forwarding-mux chain) */                      \
+    X(kValid2)    /* (fifo a nonempty) & (fifo x16 nonempty) */          \
+    X(kValid2And) /* (fifo a nonempty) & (fifo x16 nonempty) & b */      \
+    X(kEqAndAnd)  /* (a == b) & u.ca.c & u.ca.aux (slots) */             \
+    X(kOr5)       /* (a | b | x16 | u.ca.c | u.ca.aux) & (~0 >> x8) */   \
+    X(kArrayReadImmAdd) /* (array b word [imm a] + u.mask) & (~0 >> x8) */ \
+    X(kFifoValid) /* a = fifo id */                                      \
+    X(kFifoPeek)  /* a = fifo id */                                      \
+    /* Control: */                                                       \
+    X(kWaitCheck) /* a = cond slot; bail out (retain event) when 0 */    \
+    X(kWaitCheckAnd) /* bail out (retain event) when (a & b) is 0 */     \
+    X(kWaitCheckValidAnd) /* bail out when ((fifo a nonempty) & b) is 0 */ \
+    X(kSkipIfFalse) /* a = cond slot; jump over b steps when 0 */        \
+    X(kSkipIfNeImm) /* jump over b steps when a != u.mask */             \
+    /* FSM state dispatch, built by the post-fusion pass buildSwitches   \
+       (never emitted directly): */                                      \
+    X(kSwitch) /* jump over switchTable()[b + min(a - u.mask, dest)]     \
+                  steps (dest = dense key range; its entry is the miss) */ \
+    X(kJump)   /* jump over b steps unconditionally */                   \
+    /* Effects (buffered; committed in phase 2). Unconditional by        \
+       construction: each sits inside the skip region of its predicate. */ \
+    X(kDequeue)   /* a = fifo id */                                      \
+    X(kPush)      /* a = value slot, b = fifo id, x16 = src module id */ \
+    X(kPushCat)   /* push ((a << x8) | dest) & u.mask (dest = lsb SLOT,  \
+                     not a result); b = fifo id, x16 = src mod */        \
+    X(kArrayWrite) /* a = index slot, b = value slot, x16 = array id */  \
+    X(kArrayRmw)  /* write ((array b word [imm dest] + u.mask) &         \
+                     (~0 >> x8)) to array x16 at index slot a */         \
+    X(kSubscribe) /* a = target module id */                             \
+    X(kLog)       /* a = index into Program::logs() */                   \
+    X(kAssertEff) /* a = cond slot, b = index into Program::asserts() */ \
+    X(kFinishEff)
+
+/** Dense opcode space of the tape: the pure prefix, then the event
+ *  engine's own ops. */
 enum class DOp : uint8_t {
-    // Pure arithmetic/logic; result masked with DStep::u.mask.
-    kAnd,
-    kOr,
-    kXor,
-    kAdd,
-    kSub,
-    kMul,
-    kShl,  ///< shift amount from slot b, >=64 flushes to 0
-    kShrU,
-    kShrS, ///< x8 = 64 - opnd_bits (0 when opnd_bits is 0 or >= 64)
-    // Comparisons produce a bare 0/1; signed variants sign-extend both
-    // operands with the x8 shift pair.
-    kEq,
-    kNe,
-    kLtU,
-    kLeU,
-    kGtU,
-    kGeU,
-    kLtS,
-    kLeS,
-    kGtS,
-    kGeS,
-    kNot,
-    kNeg,
-    kRedOr,
-    kRedAnd, ///< u.mask = maskBits(opnd_bits); result = (a == mask)
-    kSlice,  ///< x8 = lo, u.mask = maskBits(hi - lo + 1)
-    kConcat, ///< x8 = lsb_bits; ((a << x8) | b) & mask
-    kSelect, ///< a ? b : u.ca.c
-    kMask,   ///< narrowing zext/trunc/bitcast: a & u.mask
-    kSExt,   ///< x8 = 64 - src_bits; sign-extend then & u.mask
-    // Immediate-fused variants: a constant operand is inlined into the
-    // step (u.mask unless noted), eliminating the slot load the v1 tape
-    // paid for every constant operand. Compile-time constant folding
-    // (all-constant cones dissolve into slot initial values) runs
-    // first, so an imm step's remaining operand is always live.
-    kAndImm,  ///< a & u.mask (imm folded into the result mask)
-    kOrImm,   ///< a | u.mask (imm pre-masked; also const-msb concats)
-    kXorImm,  ///< a ^ u.mask (imm pre-masked)
-    kAddImm,  ///< (a + u.mask) & (~0 >> x8); x8 = 64 - out_bits
-    kSubImm,  ///< (a - u.mask) & (~0 >> x8)
-    kMulImm,  ///< (a * u.mask) & (~0 >> x8)
-    kShlImm,  ///< (a << x8) & u.mask; compile guarantees x8 < 64
-    kShrUImm, ///< (a >> x8) & u.mask; compile guarantees x8 < 64
-    kShrSImm, ///< (sext_x8(a) >> x16) & u.mask; x16 < 64
-    kEqImm,   ///< a == u.mask
-    kNeImm,
-    kLtUImm,
-    kLeUImm,
-    kGtUImm,
-    kGeUImm,
-    kLtSImm, ///< sext_x8(a) < (int64)u.mask (imm pre-sign-extended)
-    kLeSImm,
-    kGtSImm,
-    kGeSImm,
-    kSelT,      ///< a ? u.mask : b
-    kSelF,      ///< a ? b : u.mask
-    kSel2,      ///< a ? u.ca.c : u.ca.aux (both arms 32-bit constants)
-    kConcatImm, ///< (a << x8) | u.mask (constant lsb, pre-masked)
-    kArrayReadImm, ///< a = constant index (compile-time bound-checked),
-                   ///< b = array id
-    // Superinstructions: a single-use immediate compare folded into
-    // the select it feeds (the dominant decode-table pattern). Built
-    // by the post-compile peephole (fuseTape), never emitted directly.
-    kEqImmSel,  ///< (a == u.ca.aux) ? b : x16 (slots; x16 kept narrow)
-    kEqImmSelT, ///< (a == u.ca.aux) ? u.ca.c : b
-    kEqImmSelF, ///< (a == u.ca.aux) ? b : u.ca.c
-    kEqImmSel2, ///< (a == x16) ? u.ca.c : u.ca.aux
-    kEqImmSel3, ///< (a == x8) ? b : (a == x16) ? u.ca.c : u.ca.aux
-                ///< (two fused decode-chain entries; all arms slots)
-    // Three-operand superinstructions for predicate trees and bit
-    // reassembly (third slot rides in x16 unless noted).
-    kAndAnd,   ///< ((a & b) & x16) & u.mask
-    kAndOr,    ///< ((a & b) | x16) & u.mask
-    kOrAnd,    ///< ((a | b) & x16) & u.mask
-    kOrOr,     ///< ((a | b) | x16) & u.mask
-    kEqAnd,    ///< (a == b) & x16
-    kNeAnd,    ///< (a != b) & x16
-    kNeImmAnd, ///< (a != u.ca.aux) & b
-    kValidAnd, ///< (fifo a nonempty) & b
-    kAndSel,   ///< (a & b) ? x16 : u.ca.c (all slots)
-    kConcat3,  ///< ((a << x8) | (b << u.ca.aux) | x16) & u.ca.c
-    kSliceConcat, ///< ((((a >> x8) & u.ca.c) << x16) | b) & u.ca.aux
-    kConcatSlice, ///< ((a << x8) | ((b >> x16) & u.ca.c)) & u.ca.aux
-    kSelSel,    ///< a ? b : (x16 ? u.ca.c : u.ca.aux) (all slots;
-                ///< fused forwarding-mux chain)
-    kValid2,    ///< (fifo a nonempty) & (fifo x16 nonempty)
-    kValid2And, ///< (fifo a nonempty) & (fifo x16 nonempty) & b
-    kEqAndAnd,  ///< (a == b) & u.ca.c & u.ca.aux (slots)
-    kOr5,       ///< (a | b | x16 | u.ca.c | u.ca.aux) & (~0 >> x8)
-    kArrayReadImmAdd, ///< (array b word [imm a] + u.mask) & (~0 >> x8)
-    kBinGeneric, ///< div/mod fallback via ops::evalBin; x8 = BinOpcode,
-                 ///< x16 = sgn, u.ca.c = opnd_bits, u.ca.aux = out_bits
-    kFifoValid,  ///< a = fifo id
-    kFifoPeek,   ///< a = fifo id
-    kArrayRead,  ///< a = index slot, b = array id
-    // Control and effects: no op from here on writes slot dest.
-    kWaitCheck,  ///< a = cond slot; bail out (retain event) when 0
-    kWaitCheckAnd, ///< bail out (retain event) when (a & b) is 0
-    kWaitCheckValidAnd, ///< bail out when ((fifo a nonempty) & b) is 0
-    kSkipIfFalse, ///< a = cond slot; jump over b steps when 0
-    kSkipIfNeImm, ///< jump over b steps when a != u.mask
-    kSkipIfEqImm, ///< jump over b steps when a == u.mask
-    // FSM state dispatch, built by the post-fusion pass buildSwitches
-    // (never emitted directly).
-    kSwitch, ///< jump over switchTable()[b + min(a - u.mask, dest)]
-             ///< steps (dest = dense key range; its entry is the miss)
-    kJump,   ///< jump over b steps unconditionally
-    // Effects (buffered; committed in phase 2). Unconditional by
-    // construction: each sits inside the skip region of its predicate.
-    kDequeue,    ///< a = fifo id
-    kPush,       ///< a = value slot, b = fifo id, x16 = src module id
-    kPushCat,    ///< push ((a << x8) | dest) & u.mask (dest = lsb
-                 ///< SLOT, not a result); b = fifo id, x16 = src mod
-    kArrayWrite, ///< a = index slot, b = value slot, x16 = array id
-    kArrayRmw,   ///< write ((array b word [imm dest] + u.mask) &
-                 ///< (~0 >> x8)) to array x16 at index slot a
-    kSubscribe,  ///< a = target module id
-    kLog,        ///< a = index into Program::logs()
-    kAssertEff,  ///< a = cond slot, b = index into Program::asserts()
-    kFinishEff,
+#define ASSASSYN_DOP_ENUM(name) name,
+    ASSASSYN_PURE_DOPS(ASSASSYN_DOP_ENUM)
+    ASSASSYN_EVENT_DOPS(ASSASSYN_DOP_ENUM)
+#undef ASSASSYN_DOP_ENUM
 };
+
+/** Opcodes [0, kPureDOps) are the pure prefix; kDOps counts them all.
+ *  Each engine's jump table static_asserts its size against these, so
+ *  kBinGeneric must close the pure list and kFinishEff the event list. */
+inline constexpr size_t kPureDOps = size_t(DOp::kBinGeneric) + 1;
+inline constexpr size_t kDOps = size_t(DOp::kFinishEff) + 1;
 
 /** One fused 24-byte micro-op of the compiled tape. */
 struct DStep {
@@ -215,6 +217,17 @@ struct DStep {
 };
 
 static_assert(sizeof(DStep) == 24, "DStep must stay 24 bytes");
+
+/**
+ * The one opcode selector of the pure two-slot operations, shared by
+ * Program's step compiler and rtl::Netlist::buildTape. Each fills the
+ * opcode, x8 and u of @p s; the caller sets the operands and dest.
+ */
+void encodeBin(DStep &s, BinOpcode op, bool sgn, unsigned opnd_bits,
+               unsigned out_bits);
+void encodeUn(DStep &s, UnOpcode op, unsigned opnd_bits, unsigned out_bits);
+void encodeCast(DStep &s, Cast::Mode mode, unsigned src_bits,
+                unsigned out_bits);
 
 /** The [shadow | active] spans of one stage over the fused tape. */
 struct StageSpan {

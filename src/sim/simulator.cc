@@ -268,7 +268,7 @@ struct Simulator::Impl {
     {
         const DStep *const tape = prog->tape().data();
         const uint32_t *const sw = prog->switchTable().data();
-        uint64_t *const sl = slots.data();
+        uint64_t *const v = slots.data();
         const RunState::Fifo *const fst = st.fifos.data();
         const RunState::Array *const ast = st.arrays.data();
         FifoPending *const fpd = fifo_pend.data();
@@ -281,36 +281,16 @@ struct Simulator::Impl {
         // Threaded dispatch (computed goto): every handler ends in its
         // own indirect jump to the next step's handler, so the branch
         // predictor learns per-opcode successor patterns that a single
-        // shared switch branch cannot express. The table is indexed by
-        // DOp and must list every opcode in declaration order.
+        // shared switch branch cannot express. The table is generated
+        // from the opcode lists, so it follows DOp by construction.
+#define ASSASSYN_DOP_LABEL(name) &&op_##name,
         static const void *const kJump[] = {
-            &&op_kAnd, &&op_kOr, &&op_kXor, &&op_kAdd, &&op_kSub,
-            &&op_kMul, &&op_kShl, &&op_kShrU, &&op_kShrS, &&op_kEq,
-            &&op_kNe, &&op_kLtU, &&op_kLeU, &&op_kGtU, &&op_kGeU,
-            &&op_kLtS, &&op_kLeS, &&op_kGtS, &&op_kGeS, &&op_kNot,
-            &&op_kNeg, &&op_kRedOr, &&op_kRedAnd, &&op_kSlice,
-            &&op_kConcat, &&op_kSelect, &&op_kMask, &&op_kSExt,
-            &&op_kAndImm, &&op_kOrImm, &&op_kXorImm, &&op_kAddImm,
-            &&op_kSubImm, &&op_kMulImm, &&op_kShlImm, &&op_kShrUImm,
-            &&op_kShrSImm, &&op_kEqImm, &&op_kNeImm, &&op_kLtUImm,
-            &&op_kLeUImm, &&op_kGtUImm, &&op_kGeUImm, &&op_kLtSImm,
-            &&op_kLeSImm, &&op_kGtSImm, &&op_kGeSImm, &&op_kSelT,
-            &&op_kSelF, &&op_kSel2, &&op_kConcatImm, &&op_kArrayReadImm,
-            &&op_kEqImmSel, &&op_kEqImmSelT, &&op_kEqImmSelF,
-            &&op_kEqImmSel2, &&op_kEqImmSel3, &&op_kAndAnd, &&op_kAndOr,
-            &&op_kOrAnd, &&op_kOrOr, &&op_kEqAnd, &&op_kNeAnd,
-            &&op_kNeImmAnd, &&op_kValidAnd, &&op_kAndSel, &&op_kConcat3,
-            &&op_kSliceConcat, &&op_kConcatSlice, &&op_kSelSel,
-            &&op_kValid2, &&op_kValid2And, &&op_kEqAndAnd, &&op_kOr5, &&op_kArrayReadImmAdd,
-            &&op_kBinGeneric, &&op_kFifoValid, &&op_kFifoPeek,
-            &&op_kArrayRead, &&op_kWaitCheck, &&op_kWaitCheckAnd,
-            &&op_kWaitCheckValidAnd,
-            &&op_kSkipIfFalse, &&op_kSkipIfNeImm, &&op_kSkipIfEqImm,
-            &&op_kSwitch, &&op_kJump,
-            &&op_kDequeue, &&op_kPush, &&op_kPushCat, &&op_kArrayWrite,
-            &&op_kArrayRmw, &&op_kSubscribe, &&op_kLog, &&op_kAssertEff,
-            &&op_kFinishEff,
+            ASSASSYN_PURE_DOPS(ASSASSYN_DOP_LABEL)
+            ASSASSYN_EVENT_DOPS(ASSASSYN_DOP_LABEL)
         };
+#undef ASSASSYN_DOP_LABEL
+        static_assert(std::size(kJump) == kDOps,
+                      "jump table must cover every DOp");
 #define ASSASSYN_OP(name) op_##name
 #define ASSASSYN_NEXT()                                                  \
     do {                                                                 \
@@ -329,331 +309,180 @@ struct Simulator::Impl {
             switch (static_cast<DOp>(s->op)) {
 #endif
 
-        ASSASSYN_OP(kAnd):
-            sl[s->dest] = (sl[s->a] & sl[s->b]) & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kOr):
-            sl[s->dest] = (sl[s->a] | sl[s->b]) & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kXor):
-            sl[s->dest] = (sl[s->a] ^ sl[s->b]) & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kAdd):
-            sl[s->dest] = (sl[s->a] + sl[s->b]) & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kSub):
-            sl[s->dest] = (sl[s->a] - sl[s->b]) & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kMul):
-            sl[s->dest] = (sl[s->a] * sl[s->b]) & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kShl): {
-            uint64_t sh = sl[s->b];
-            sl[s->dest] = (sh >= 64 ? 0 : sl[s->a] << sh) & s->u.mask;
-            ASSASSYN_NEXT();
-        }
-        ASSASSYN_OP(kShrU): {
-            uint64_t sh = sl[s->b];
-            sl[s->dest] = (sh >= 64 ? 0 : sl[s->a] >> sh) & s->u.mask;
-            ASSASSYN_NEXT();
-        }
-        ASSASSYN_OP(kShrS): {
-            int64_t sa = int64_t(sl[s->a] << s->x8) >> s->x8;
-            uint64_t sh = sl[s->b];
-            sl[s->dest] =
-                uint64_t(sh >= 64 ? (sa < 0 ? -1 : 0) : sa >> sh) &
-                s->u.mask;
-            ASSASSYN_NEXT();
-        }
-        ASSASSYN_OP(kEq):
-            sl[s->dest] = sl[s->a] == sl[s->b];
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kNe):
-            sl[s->dest] = sl[s->a] != sl[s->b];
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kLtU):
-            sl[s->dest] = sl[s->a] < sl[s->b];
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kLeU):
-            sl[s->dest] = sl[s->a] <= sl[s->b];
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kGtU):
-            sl[s->dest] = sl[s->a] > sl[s->b];
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kGeU):
-            sl[s->dest] = sl[s->a] >= sl[s->b];
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kLtS):
-            sl[s->dest] = (int64_t(sl[s->a] << s->x8) >> s->x8) <
-                          (int64_t(sl[s->b] << s->x8) >> s->x8);
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kLeS):
-            sl[s->dest] = (int64_t(sl[s->a] << s->x8) >> s->x8) <=
-                          (int64_t(sl[s->b] << s->x8) >> s->x8);
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kGtS):
-            sl[s->dest] = (int64_t(sl[s->a] << s->x8) >> s->x8) >
-                          (int64_t(sl[s->b] << s->x8) >> s->x8);
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kGeS):
-            sl[s->dest] = (int64_t(sl[s->a] << s->x8) >> s->x8) >=
-                          (int64_t(sl[s->b] << s->x8) >> s->x8);
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kNot):
-            sl[s->dest] = ~sl[s->a] & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kNeg):
-            sl[s->dest] = (~sl[s->a] + 1) & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kRedOr):
-            sl[s->dest] = sl[s->a] != 0;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kRedAnd):
-            sl[s->dest] = sl[s->a] == s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kSlice):
-            sl[s->dest] = (sl[s->a] >> s->x8) & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kConcat):
-            sl[s->dest] = ((sl[s->a] << s->x8) | sl[s->b]) & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kSelect):
-            sl[s->dest] = sl[s->a] ? sl[s->b] : sl[s->u.ca.c];
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kMask):
-            sl[s->dest] = sl[s->a] & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kSExt):
-            sl[s->dest] =
-                uint64_t(int64_t(sl[s->a] << s->x8) >> s->x8) &
-                s->u.mask;
-            ASSASSYN_NEXT();
+#include "sim/pure_ops.inc"
 
         // Immediate-fused forms: one slot load, the constant operand
         // rides in the step (pre-masked/sign-extended by the compiler
         // as each evaluator needs).
-        ASSASSYN_OP(kAndImm):
-            sl[s->dest] = sl[s->a] & s->u.mask;
-            ASSASSYN_NEXT();
         ASSASSYN_OP(kOrImm):
-            sl[s->dest] = sl[s->a] | s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kXorImm):
-            sl[s->dest] = sl[s->a] ^ s->u.mask;
+            v[s->dest] = v[s->a] | s->u.mask;
             ASSASSYN_NEXT();
         ASSASSYN_OP(kAddImm):
-            sl[s->dest] = (sl[s->a] + s->u.mask) & (~0ull >> s->x8);
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kSubImm):
-            sl[s->dest] = (sl[s->a] - s->u.mask) & (~0ull >> s->x8);
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kMulImm):
-            sl[s->dest] = (sl[s->a] * s->u.mask) & (~0ull >> s->x8);
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kShlImm):
-            sl[s->dest] = (sl[s->a] << s->x8) & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kShrUImm):
-            sl[s->dest] = (sl[s->a] >> s->x8) & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kShrSImm):
-            sl[s->dest] =
-                uint64_t((int64_t(sl[s->a] << s->x8) >> s->x8) >>
-                         s->x16) &
-                s->u.mask;
+            v[s->dest] = (v[s->a] + s->u.mask) & (~0ull >> s->x8);
             ASSASSYN_NEXT();
         ASSASSYN_OP(kEqImm):
-            sl[s->dest] = sl[s->a] == s->u.mask;
+            v[s->dest] = v[s->a] == s->u.mask;
             ASSASSYN_NEXT();
         ASSASSYN_OP(kNeImm):
-            sl[s->dest] = sl[s->a] != s->u.mask;
+            v[s->dest] = v[s->a] != s->u.mask;
             ASSASSYN_NEXT();
         ASSASSYN_OP(kLtUImm):
-            sl[s->dest] = sl[s->a] < s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kLeUImm):
-            sl[s->dest] = sl[s->a] <= s->u.mask;
+            v[s->dest] = v[s->a] < s->u.mask;
             ASSASSYN_NEXT();
         ASSASSYN_OP(kGtUImm):
-            sl[s->dest] = sl[s->a] > s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kGeUImm):
-            sl[s->dest] = sl[s->a] >= s->u.mask;
+            v[s->dest] = v[s->a] > s->u.mask;
             ASSASSYN_NEXT();
         ASSASSYN_OP(kLtSImm):
-            sl[s->dest] = (int64_t(sl[s->a] << s->x8) >> s->x8) <
-                          int64_t(s->u.mask);
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kLeSImm):
-            sl[s->dest] = (int64_t(sl[s->a] << s->x8) >> s->x8) <=
-                          int64_t(s->u.mask);
+            v[s->dest] = (int64_t(v[s->a] << s->x8) >> s->x8) <
+                         int64_t(s->u.mask);
             ASSASSYN_NEXT();
         ASSASSYN_OP(kGtSImm):
-            sl[s->dest] = (int64_t(sl[s->a] << s->x8) >> s->x8) >
-                          int64_t(s->u.mask);
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kGeSImm):
-            sl[s->dest] = (int64_t(sl[s->a] << s->x8) >> s->x8) >=
-                          int64_t(s->u.mask);
+            v[s->dest] = (int64_t(v[s->a] << s->x8) >> s->x8) >
+                         int64_t(s->u.mask);
             ASSASSYN_NEXT();
         ASSASSYN_OP(kSelT):
-            sl[s->dest] = sl[s->a] ? s->u.mask : sl[s->b];
+            v[s->dest] = v[s->a] ? s->u.mask : v[s->b];
             ASSASSYN_NEXT();
         ASSASSYN_OP(kSelF):
-            sl[s->dest] = sl[s->a] ? sl[s->b] : s->u.mask;
+            v[s->dest] = v[s->a] ? v[s->b] : s->u.mask;
             ASSASSYN_NEXT();
         ASSASSYN_OP(kSel2):
-            sl[s->dest] = sl[s->a] ? s->u.ca.c : s->u.ca.aux;
+            v[s->dest] = v[s->a] ? s->u.ca.c : s->u.ca.aux;
             ASSASSYN_NEXT();
         ASSASSYN_OP(kConcatImm):
-            sl[s->dest] = (sl[s->a] << s->x8) | s->u.mask;
+            v[s->dest] = (v[s->a] << s->x8) | s->u.mask;
             ASSASSYN_NEXT();
         ASSASSYN_OP(kArrayReadImm):
-            sl[s->dest] = ast[s->b].data[s->a];
+            v[s->dest] = ast[s->b].data[s->a];
             ASSASSYN_NEXT();
 
         // Superinstructions (compare-select pairs, see fuseTape).
         ASSASSYN_OP(kEqImmSel):
-            sl[s->dest] = sl[s->a] == s->u.ca.aux ? sl[s->b] : sl[s->x16];
+            v[s->dest] = v[s->a] == s->u.ca.aux ? v[s->b] : v[s->x16];
             ASSASSYN_NEXT();
         ASSASSYN_OP(kEqImmSelT):
-            sl[s->dest] = sl[s->a] == s->u.ca.aux ? s->u.ca.c : sl[s->b];
+            v[s->dest] = v[s->a] == s->u.ca.aux ? s->u.ca.c : v[s->b];
             ASSASSYN_NEXT();
         ASSASSYN_OP(kEqImmSelF):
-            sl[s->dest] = sl[s->a] == s->u.ca.aux ? sl[s->b] : s->u.ca.c;
+            v[s->dest] = v[s->a] == s->u.ca.aux ? v[s->b] : s->u.ca.c;
             ASSASSYN_NEXT();
         ASSASSYN_OP(kEqImmSel2):
-            sl[s->dest] = sl[s->a] == s->x16 ? s->u.ca.c : s->u.ca.aux;
+            v[s->dest] = v[s->a] == s->x16 ? s->u.ca.c : s->u.ca.aux;
             ASSASSYN_NEXT();
         ASSASSYN_OP(kEqImmSel3): {
-            const uint64_t scrut = sl[s->a];
-            sl[s->dest] = scrut == s->x8      ? sl[s->b]
-                          : scrut == s->x16   ? sl[s->u.ca.c]
-                                              : sl[s->u.ca.aux];
+            const uint64_t scrut = v[s->a];
+            v[s->dest] = scrut == s->x8      ? v[s->b]
+                         : scrut == s->x16   ? v[s->u.ca.c]
+                                             : v[s->u.ca.aux];
             ASSASSYN_NEXT();
         }
 
         // Three-operand superinstructions (predicate trees and bit
         // reassembly, see fuseTape).
         ASSASSYN_OP(kAndAnd):
-            sl[s->dest] = (sl[s->a] & sl[s->b] & sl[s->x16]) & s->u.mask;
+            v[s->dest] = (v[s->a] & v[s->b] & v[s->x16]) & s->u.mask;
             ASSASSYN_NEXT();
         ASSASSYN_OP(kAndOr):
-            sl[s->dest] = ((sl[s->a] & sl[s->b]) | sl[s->x16]) & s->u.mask;
+            v[s->dest] = ((v[s->a] & v[s->b]) | v[s->x16]) & s->u.mask;
             ASSASSYN_NEXT();
         ASSASSYN_OP(kOrAnd):
-            sl[s->dest] = ((sl[s->a] | sl[s->b]) & sl[s->x16]) & s->u.mask;
+            v[s->dest] = ((v[s->a] | v[s->b]) & v[s->x16]) & s->u.mask;
             ASSASSYN_NEXT();
         ASSASSYN_OP(kOrOr):
-            sl[s->dest] = (sl[s->a] | sl[s->b] | sl[s->x16]) & s->u.mask;
+            v[s->dest] = (v[s->a] | v[s->b] | v[s->x16]) & s->u.mask;
             ASSASSYN_NEXT();
         ASSASSYN_OP(kEqAnd):
-            sl[s->dest] = uint64_t(sl[s->a] == sl[s->b]) & sl[s->x16];
+            v[s->dest] = uint64_t(v[s->a] == v[s->b]) & v[s->x16];
             ASSASSYN_NEXT();
         ASSASSYN_OP(kNeAnd):
-            sl[s->dest] = uint64_t(sl[s->a] != sl[s->b]) & sl[s->x16];
+            v[s->dest] = uint64_t(v[s->a] != v[s->b]) & v[s->x16];
             ASSASSYN_NEXT();
         ASSASSYN_OP(kNeImmAnd):
-            sl[s->dest] = uint64_t(sl[s->a] != s->u.ca.aux) & sl[s->b];
+            v[s->dest] = uint64_t(v[s->a] != s->u.ca.aux) & v[s->b];
             ASSASSYN_NEXT();
         ASSASSYN_OP(kValidAnd):
-            sl[s->dest] = uint64_t(fst[s->a].count > 0) & sl[s->b];
+            v[s->dest] = uint64_t(fst[s->a].count > 0) & v[s->b];
             ASSASSYN_NEXT();
         ASSASSYN_OP(kAndSel):
-            sl[s->dest] = (sl[s->a] & sl[s->b] & s->u.ca.aux)
-                              ? sl[s->x16]
-                              : sl[s->u.ca.c];
+            v[s->dest] = (v[s->a] & v[s->b] & s->u.ca.aux)
+                             ? v[s->x16]
+                             : v[s->u.ca.c];
             ASSASSYN_NEXT();
         ASSASSYN_OP(kConcat3):
-            sl[s->dest] = ((sl[s->a] << s->x8) |
-                           (sl[s->b] << s->u.ca.aux) | sl[s->x16]) &
-                          s->u.ca.c;
+            v[s->dest] = ((v[s->a] << s->x8) |
+                          (v[s->b] << s->u.ca.aux) | v[s->x16]) &
+                         s->u.ca.c;
             ASSASSYN_NEXT();
         ASSASSYN_OP(kSliceConcat):
-            sl[s->dest] = ((((sl[s->a] >> s->x8) & s->u.ca.c) << s->x16) |
-                           sl[s->b]) &
-                          s->u.ca.aux;
+            v[s->dest] = ((((v[s->a] >> s->x8) & s->u.ca.c) << s->x16) |
+                          v[s->b]) &
+                         s->u.ca.aux;
             ASSASSYN_NEXT();
         ASSASSYN_OP(kConcatSlice):
-            sl[s->dest] = ((sl[s->a] << s->x8) |
-                           ((sl[s->b] >> s->x16) & s->u.ca.c)) &
-                          s->u.ca.aux;
+            v[s->dest] = ((v[s->a] << s->x8) |
+                          ((v[s->b] >> s->x16) & s->u.ca.c)) &
+                         s->u.ca.aux;
             ASSASSYN_NEXT();
         ASSASSYN_OP(kSelSel):
-            sl[s->dest] = sl[s->a] ? sl[s->b]
-                          : sl[s->x16] ? sl[s->u.ca.c]
-                                       : sl[s->u.ca.aux];
+            v[s->dest] = v[s->a] ? v[s->b]
+                         : v[s->x16] ? v[s->u.ca.c]
+                                      : v[s->u.ca.aux];
             ASSASSYN_NEXT();
         ASSASSYN_OP(kValid2):
-            sl[s->dest] = uint64_t(fst[s->a].count > 0) &
-                          uint64_t(fst[s->x16].count > 0);
+            v[s->dest] = uint64_t(fst[s->a].count > 0) &
+                         uint64_t(fst[s->x16].count > 0);
             ASSASSYN_NEXT();
         ASSASSYN_OP(kValid2And):
-            sl[s->dest] = uint64_t(fst[s->a].count > 0) &
-                          uint64_t(fst[s->x16].count > 0) & sl[s->b];
+            v[s->dest] = uint64_t(fst[s->a].count > 0) &
+                         uint64_t(fst[s->x16].count > 0) & v[s->b];
             ASSASSYN_NEXT();
         ASSASSYN_OP(kEqAndAnd):
-            sl[s->dest] = uint64_t(sl[s->a] == sl[s->b]) &
-                          sl[s->u.ca.c] & sl[s->u.ca.aux];
+            v[s->dest] = uint64_t(v[s->a] == v[s->b]) &
+                         v[s->u.ca.c] & v[s->u.ca.aux];
             ASSASSYN_NEXT();
         ASSASSYN_OP(kOr5):
-            sl[s->dest] = (sl[s->a] | sl[s->b] | sl[s->x16] |
-                           sl[s->u.ca.c] | sl[s->u.ca.aux]) &
-                          (~0ull >> s->x8);
+            v[s->dest] = (v[s->a] | v[s->b] | v[s->x16] |
+                          v[s->u.ca.c] | v[s->u.ca.aux]) &
+                         (~0ull >> s->x8);
             ASSASSYN_NEXT();
         ASSASSYN_OP(kArrayReadImmAdd):
-            sl[s->dest] = (ast[s->b].data[s->a] + s->u.mask) &
-                          (~0ull >> s->x8);
+            v[s->dest] = (ast[s->b].data[s->a] + s->u.mask) &
+                         (~0ull >> s->x8);
             ASSASSYN_NEXT();
 
-        ASSASSYN_OP(kBinGeneric):
-            sl[s->dest] = ops::evalBin(
-                static_cast<BinOpcode>(s->x8), sl[s->a], sl[s->b],
-                s->u.ca.c, s->x16 != 0, s->u.ca.aux);
-            ASSASSYN_NEXT();
         ASSASSYN_OP(kFifoValid):
-            sl[s->dest] = fst[s->a].count > 0;
+            v[s->dest] = fst[s->a].count > 0;
             ASSASSYN_NEXT();
         ASSASSYN_OP(kFifoPeek): {
             const RunState::Fifo &f = fst[s->a];
-            sl[s->dest] = f.count ? fa[f.base + f.head] : 0;
-            ASSASSYN_NEXT();
-        }
-        ASSASSYN_OP(kArrayRead): {
-            const RunState::Array &arr = ast[s->b];
-            uint64_t idx = sl[s->a];
-            sl[s->dest] = idx < arr.size ? arr.data[idx] : 0;
+            v[s->dest] = f.count ? fa[f.base + f.head] : 0;
             ASSASSYN_NEXT();
         }
         ASSASSYN_OP(kWaitCheck):
-            if (!sl[s->a])
+            if (!v[s->a])
                 return false;
             ASSASSYN_NEXT();
         ASSASSYN_OP(kWaitCheckAnd):
-            if (!(sl[s->a] & sl[s->b] & s->u.mask))
+            if (!(v[s->a] & v[s->b] & s->u.mask))
                 return false;
             ASSASSYN_NEXT();
         ASSASSYN_OP(kWaitCheckValidAnd):
-            if (!(uint64_t(fst[s->a].count > 0) & sl[s->b]))
+            if (!(uint64_t(fst[s->a].count > 0) & v[s->b]))
                 return false;
             ASSASSYN_NEXT();
         ASSASSYN_OP(kSkipIfFalse):
-            if (!sl[s->a])
+            if (!v[s->a])
                 s += s->b;
             ASSASSYN_NEXT();
         ASSASSYN_OP(kSkipIfNeImm):
-            if (sl[s->a] != s->u.mask)
-                s += s->b;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kSkipIfEqImm):
-            if (sl[s->a] == s->u.mask)
+            if (v[s->a] != s->u.mask)
                 s += s->b;
             ASSASSYN_NEXT();
         ASSASSYN_OP(kSwitch): {
             // One dispatch for a whole FSM state chain (buildSwitches):
             // keys below the table's base wrap to huge values and take
             // the trailing miss entry like keys above it.
-            const uint64_t key = sl[s->a] - s->u.mask;
+            const uint64_t key = v[s->a] - s->u.mask;
             s += sw[s->b + (key < s->dest ? key : s->dest)];
             ASSASSYN_NEXT();
         }
@@ -669,7 +498,7 @@ struct Simulator::Impl {
             if (f.push)
                 multiplePushes(s->b);
             f.push = true;
-            f.value = sl[s->a] & s->u.mask;
+            f.value = v[s->a] & s->u.mask;
             f.src = mst[s->x16].mod;
             touchFifo(s->b);
             ASSASSYN_NEXT();
@@ -679,27 +508,27 @@ struct Simulator::Impl {
             if (f.push)
                 multiplePushes(s->b);
             f.push = true;
-            f.value = ((sl[s->a] << s->x8) | sl[s->dest]) & s->u.mask;
+            f.value = ((v[s->a] << s->x8) | v[s->dest]) & s->u.mask;
             f.src = mst[s->x16].mod;
             touchFifo(s->b);
             ASSASSYN_NEXT();
         }
         ASSASSYN_OP(kArrayWrite): {
             ArrayPending &w = apd[s->x16];
-            uint64_t idx = sl[s->a];
+            uint64_t idx = v[s->a];
             // The to_write bookkeeping of Fig. 9 b.2: one in-range
             // write per register array per cycle.
             if (idx >= ast[s->x16].size || w.write)
                 badArrayWrite(s->x16, idx);
             w.write = true;
             w.index = idx;
-            w.value = sl[s->b] & s->u.mask;
+            w.value = v[s->b] & s->u.mask;
             touchArray(s->x16);
             ASSASSYN_NEXT();
         }
         ASSASSYN_OP(kArrayRmw): {
             ArrayPending &w = apd[s->x16];
-            uint64_t idx = sl[s->a];
+            uint64_t idx = v[s->a];
             if (idx >= ast[s->x16].size || w.write)
                 badArrayWrite(s->x16, idx);
             w.write = true;
@@ -720,7 +549,7 @@ struct Simulator::Impl {
                 emitLog(prog->logs()[s->a]);
             ASSASSYN_NEXT();
         ASSASSYN_OP(kAssertEff):
-            if (!sl[s->a])
+            if (!v[s->a])
                 fatal("cycle ", st.cycle, ": assertion failed: ",
                       prog->asserts()[s->b]->msg());
             ASSASSYN_NEXT();

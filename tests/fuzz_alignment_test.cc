@@ -16,8 +16,14 @@
 
 #include <algorithm>
 
+#include "baseline/hls.h"
+#include "baseline/hls_workloads.h"
 #include "core/compiler/pass.h"
 #include "core/dsl/builder.h"
+#include "designs/accel_data.h"
+#include "designs/cpu.h"
+#include "designs/ooo.h"
+#include "isa/workloads.h"
 #include "rtl/netlist.h"
 #include "rtl/netlist_sim.h"
 #include "sim/fault.h"
@@ -87,6 +93,7 @@ class RandomDesign {
             Val mix = mixOf(pool);
             expose("mix", mix);
             log("s" + std::to_string(i) + " {}", {mix});
+            check(mix >= 0, "an unsigned value is never negative");
 
             // A register write guarded by a random nested condition;
             // stage i owns regs[i], stage 0 additionally owns scratch.
@@ -165,7 +172,7 @@ class RandomDesign {
             Val b = pool[rng_.below(pool.size())];
             b = fitTo(b, a.bits());
             Val r;
-            switch (rng_.below(12)) {
+            switch (rng_.below(17)) {
               case 0: r = a + b; break;
               case 1: r = a - b; break;
               case 2: r = a * b; break;
@@ -177,6 +184,14 @@ class RandomDesign {
               case 8: r = ~a; break;
               case 9: r = a.slice(a.bits() - 1, a.bits() / 2); break;
               case 10: r = fitTo(a, std::min(64u, a.bits() + 4)); break;
+              case 11: r = (a > b).zext(8); break;
+              case 12:
+                r = (a.as(intType(a.bits())) > b.as(intType(b.bits())))
+                        .zext(8);
+                break;
+              case 13: r = -a; break;
+              case 14: r = a.andReduce().zext(8); break;
+              case 15: r = a % b; break;
               default: r = a >> lit(rng_.below(a.bits()), 6); break;
             }
             pool.push_back(r);
@@ -459,6 +474,51 @@ TEST(FsmDispatchShapes, SeedsReachEveryChainShape)
     EXPECT_GT(far, 0u);
     EXPECT_GT(cut_enclosed, 0u);
     EXPECT_GT(missed, 0u);
+}
+
+/**
+ * The tape must earn every opcode: over the seeds the tests above run
+ * and the paper's designs (the in-order and OoO CPUs and the five HLS
+ * accelerators), every sim::DOp is emitted at least once. An opcode
+ * nothing here reaches is either dead (delete it) or untested (extend
+ * the generators), never exempted.
+ */
+TEST(OpcodeCoverage, SeedsAndDesignsEmitEveryOpcode)
+{
+    std::vector<size_t> hits(sim::kDOps, 0);
+    auto note = [&](const System &sys) {
+        auto prog = sim::Program::compile(sys);
+        for (const sim::DStep &s : prog->tape())
+            ++hits.at(s.op);
+    };
+    for (uint64_t seed = 1; seed < 81; ++seed)
+        note(*RandomDesign(seed).build());
+    for (uint64_t seed = 1; seed < 61; ++seed)
+        note(*RandomFsmDesign(seed).build());
+
+    auto image = isa::buildMemoryImage(isa::workload("vvadd"));
+    note(*designs::buildCpu(designs::BranchPolicy::kTaken, image).sys);
+    note(*designs::buildOoo(image).sys);
+    designs::KmpData kmp = designs::makeKmpData(2000, 5);
+    designs::SpmvData spmv = designs::makeSpmvData(64, 10, 6);
+    designs::SortData merge = designs::makeMergeSortData(256, 7);
+    designs::SortData radix = designs::makeRadixSortData(256, 8);
+    designs::StencilData st = designs::makeStencilData(16, 16, 9);
+    note(*baseline::generateHls(baseline::hlsKmp(kmp), kmp.memory).sys);
+    note(*baseline::generateHls(baseline::hlsSpmv(spmv), spmv.memory).sys);
+    note(*baseline::generateHls(baseline::hlsMergeSort(merge), merge.memory)
+              .sys);
+    note(*baseline::generateHls(baseline::hlsRadixSort(radix), radix.memory)
+              .sys);
+    note(*baseline::generateHls(baseline::hlsStencil(st), st.memory).sys);
+
+#define OPCODE_NAME(name) #name,
+    const char *const names[] = {ASSASSYN_PURE_DOPS(OPCODE_NAME)
+                                     ASSASSYN_EVENT_DOPS(OPCODE_NAME)};
+#undef OPCODE_NAME
+    static_assert(std::size(names) == sim::kDOps);
+    for (size_t op = 0; op < sim::kDOps; ++op)
+        EXPECT_GT(hits[op], 0u) << "no seed or design emits " << names[op];
 }
 
 /**

@@ -127,8 +127,8 @@ TEST(NetlistLevelizeTest, KahnFallbackReordersAndStaysAligned)
     auto &cells = rtl::NetlistTestPeer::cells(nl);
     ASSERT_GT(cells.size(), 2u);
     std::vector<uint32_t> before;
-    for (const rtl::CellStep &s : nl.tape())
-        before.push_back(s.out);
+    for (const sim::DStep &s : nl.tape())
+        before.push_back(s.dest);
     std::reverse(cells.begin(), cells.end());
     rtl::NetlistTestPeer::refinalize(nl);
 
@@ -141,8 +141,8 @@ TEST(NetlistLevelizeTest, KahnFallbackReordersAndStaysAligned)
     ASSERT_EQ(nl.tape().size(), nl.cells().size());
     std::vector<uint32_t> after;
     for (size_t i = 0; i < nl.tape().size(); ++i) {
-        EXPECT_EQ(nl.tape()[i].out, nl.cells()[i].out) << "cell " << i;
-        after.push_back(nl.tape()[i].out);
+        EXPECT_EQ(nl.tape()[i].dest, nl.cells()[i].out) << "cell " << i;
+        after.push_back(nl.tape()[i].dest);
     }
     EXPECT_NE(after, before);
 

@@ -6,8 +6,9 @@
  * C++ reference model in the event simulator AND the RTL netlist
  * simulator. This pins down the arithmetic contract (wrapping,
  * sign-extension, shift semantics, division-by-zero) across the whole
- * stack. A second suite does the same for every other pure operation
- * the two engines' tapes decode separately: the unary operators, the
+ * stack. A second suite repeats the binary operators with one operand a
+ * literal, which the event tape lowers to immediate forms. A third does
+ * the same for every other pure operation: the unary operators, the
  * four casts, slices at both ends of the operand, concat, select and an
  * array read past the end.
  */
@@ -102,6 +103,37 @@ isComparison(BinOpcode op)
     }
 }
 
+bool
+isShift(BinOpcode op)
+{
+    return op == BinOpcode::kShl || op == BinOpcode::kShr;
+}
+
+/** The operator as the DSL spells it. */
+Val
+applyOp(BinOpcode op, Val a, Val b)
+{
+    switch (op) {
+      case BinOpcode::kAdd: return a + b;
+      case BinOpcode::kSub: return a - b;
+      case BinOpcode::kMul: return a * b;
+      case BinOpcode::kDiv: return a / b;
+      case BinOpcode::kMod: return a % b;
+      case BinOpcode::kAnd: return a & b;
+      case BinOpcode::kOr:  return a | b;
+      case BinOpcode::kXor: return a ^ b;
+      case BinOpcode::kShl: return a << b;
+      case BinOpcode::kShr: return a >> b;
+      case BinOpcode::kEq:  return a == b;
+      case BinOpcode::kNe:  return a != b;
+      case BinOpcode::kLt:  return a < b;
+      case BinOpcode::kLe:  return a <= b;
+      case BinOpcode::kGt:  return a > b;
+      case BinOpcode::kGe:  return a >= b;
+    }
+    return a;
+}
+
 class OpSemanticsTest
     : public ::testing::TestWithParam<std::tuple<int, unsigned, bool>> {};
 
@@ -116,7 +148,7 @@ TEST_P(OpSemanticsTest, BothBackendsMatchReference)
     for (size_t i = 0; i < kVectors; ++i) {
         va[i] = truncate(rng.next(), bits);
         // Shift amounts and the occasional zero divisor.
-        if (oc.op == BinOpcode::kShl || oc.op == BinOpcode::kShr)
+        if (isShift(oc.op))
             vb[i] = rng.below(bits + 2);
         else
             vb[i] = i % 7 == 0 ? 0 : truncate(rng.next(), bits);
@@ -125,10 +157,7 @@ TEST_P(OpSemanticsTest, BothBackendsMatchReference)
     // The design: stream operand pairs from ROMs through the operator.
     SysBuilder sb("ops");
     Arr rom_a = sb.mem("rom_a", ty, kVectors, va);
-    Arr rom_b = sb.mem("rom_b",
-                       oc.op == BinOpcode::kShl || oc.op == BinOpcode::kShr
-                           ? uintType(8)
-                           : ty,
+    Arr rom_b = sb.mem("rom_b", isShift(oc.op) ? uintType(8) : ty,
                        kVectors, vb);
     unsigned out_bits = isComparison(oc.op) ? 1 : bits;
     Arr out = sb.arr("out", uintType(out_bits), kVectors);
@@ -140,25 +169,7 @@ TEST_P(OpSemanticsTest, BothBackendsMatchReference)
         Val sel = i.trunc(std::max(1u, log2ceil(kVectors)));
         Val a = rom_a.read(sel);
         Val b = rom_b.read(sel);
-        Val r;
-        switch (oc.op) {
-          case BinOpcode::kAdd: r = a + b; break;
-          case BinOpcode::kSub: r = a - b; break;
-          case BinOpcode::kMul: r = a * b; break;
-          case BinOpcode::kDiv: r = a / b; break;
-          case BinOpcode::kMod: r = a % b; break;
-          case BinOpcode::kAnd: r = a & b; break;
-          case BinOpcode::kOr:  r = a | b; break;
-          case BinOpcode::kXor: r = a ^ b; break;
-          case BinOpcode::kShl: r = a << b; break;
-          case BinOpcode::kShr: r = a >> b; break;
-          case BinOpcode::kEq:  r = a == b; break;
-          case BinOpcode::kNe:  r = a != b; break;
-          case BinOpcode::kLt:  r = a < b; break;
-          case BinOpcode::kLe:  r = a <= b; break;
-          case BinOpcode::kGt:  r = a > b; break;
-          case BinOpcode::kGe:  r = a >= b; break;
-        }
+        Val r = applyOp(oc.op, a, b);
         out.write(sel, r.as(uintType(out_bits)));
         idx.write(i + 1);
         when(i == kVectors - 1, [&] { finish(); });
@@ -201,6 +212,122 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1u, 7u, 32u, 64u),
                        ::testing::Bool()),
     opCaseName);
+
+// ---- One operand a literal ------------------------------------------------
+
+/**
+ * The same operators with one operand a literal k, on the rhs or the
+ * lhs. The event tape lowers these to immediate forms (and to kMask,
+ * shr to kSlice, sub to an add of -k, <= and >= to < k+1 and > k-1,
+ * the rest to the two-slot form), so each k checks a rewrite against
+ * golden() on both engines. k runs over 0, 1, the all-ones value and
+ * the signed minimum and maximum of the literal's type, plus the
+ * in-range edges bits-1 and bits for a constant shift amount. The
+ * variable operand sweeps the same edge values and their neighbours,
+ * so every compare boundary k+-1 is crossed.
+ */
+class ConstOperandSemanticsTest
+    : public ::testing::TestWithParam<
+          std::tuple<int, unsigned, bool, bool>> {};
+
+/** 0, 1, all-ones, signed min and signed max of a @p bits-wide type. */
+std::vector<uint64_t>
+edgeValues(unsigned bits)
+{
+    const uint64_t m = maskBits(bits);
+    return {0, 1, m, uint64_t(1) << (bits - 1), m >> 1};
+}
+
+TEST_P(ConstOperandSemanticsTest, BothBackendsMatchReference)
+{
+    const auto &[op_idx, bits, sgn, lhs_const] = GetParam();
+    const OpCase &oc = kOps[size_t(op_idx)];
+    const DataType ty = sgn ? intType(bits) : uintType(bits);
+    // A shift amount is an 8-bit unsigned operand on either side.
+    const bool shift = isShift(oc.op);
+    const DataType kty = shift && !lhs_const ? uintType(8) : ty;
+    const DataType xty = shift && lhs_const ? uintType(8) : ty;
+
+    std::vector<uint64_t> ks = edgeValues(kty.bits());
+    if (shift && !lhs_const) {
+        ks.push_back(bits - 1);
+        ks.push_back(bits);
+    }
+    // The variable operand: every k, its neighbours, then random.
+    Rng rng(uint64_t(op_idx) * 1000 + bits * 10 + sgn * 2 + lhs_const);
+    std::vector<uint64_t> vx;
+    for (uint64_t e : edgeValues(xty.bits()))
+        for (uint64_t d : {uint64_t(0), uint64_t(1), ~uint64_t(0)})
+            vx.push_back(truncate(e + d, xty.bits()));
+    while (vx.size() < kVectors)
+        vx.push_back(shift && lhs_const ? rng.below(bits + 2)
+                                        : truncate(rng.next(), bits));
+    vx.resize(kVectors);
+
+    SysBuilder sb("ops_imm");
+    Arr rom = sb.mem("rom_x", xty, kVectors, vx);
+    unsigned out_bits = isComparison(oc.op) ? 1 : bits;
+    std::vector<Arr> outs;
+    for (size_t j = 0; j < ks.size(); ++j)
+        outs.push_back(
+            sb.arr("out" + std::to_string(j), uintType(out_bits), kVectors));
+    Reg idx = sb.reg("idx", uintType(8));
+    Stage d = sb.driver();
+    {
+        StageScope scope(d);
+        Val i = idx.read();
+        Val sel = i.trunc(std::max(1u, log2ceil(kVectors)));
+        Val x = rom.read(sel);
+        for (size_t j = 0; j < ks.size(); ++j) {
+            Val k = lit(ks[j], kty);
+            Val r = lhs_const ? applyOp(oc.op, k, x) : applyOp(oc.op, x, k);
+            outs[j].write(sel, r.as(uintType(out_bits)));
+        }
+        idx.write(i + 1);
+        when(i == kVectors - 1, [&] { finish(); });
+    }
+    compile(sb.sys());
+
+    sim::Simulator esim(sb.sys());
+    esim.run(kVectors + 2);
+    ASSERT_TRUE(esim.finished());
+
+    rtl::Netlist nl(sb.sys());
+    rtl::NetlistSim rsim(nl);
+    rsim.run(kVectors + 2);
+    ASSERT_TRUE(rsim.finished());
+
+    for (size_t j = 0; j < ks.size(); ++j) {
+        for (size_t i = 0; i < kVectors; ++i) {
+            const uint64_t a = lhs_const ? ks[j] : vx[i];
+            const uint64_t b = lhs_const ? vx[i] : ks[j];
+            uint64_t want = truncate(golden(oc.op, a, b, bits, sgn), out_bits);
+            EXPECT_EQ(esim.readArray(outs[j].array(), i), want)
+                << oc.name << " bits=" << bits << " sgn=" << sgn
+                << " a=" << a << " b=" << b;
+            EXPECT_EQ(rsim.readArray(outs[j].array(), i), want)
+                << "(netlist) " << oc.name << " bits=" << bits
+                << " sgn=" << sgn << " a=" << a << " b=" << b;
+        }
+    }
+}
+
+std::string
+constCaseName(const ::testing::TestParamInfo<
+              std::tuple<int, unsigned, bool, bool>> &info)
+{
+    const auto &[op_idx, bits, sgn, lhs_const] = info.param;
+    return std::string(kOps[size_t(op_idx)].name) + "_w" +
+           std::to_string(bits) + (sgn ? "_signed" : "_unsigned") +
+           (lhs_const ? "_lhs" : "_rhs");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllOps, ConstOperandSemanticsTest,
+    ::testing::Combine(::testing::Range(0, int(std::size(kOps))),
+                       ::testing::Values(1u, 7u, 32u, 64u),
+                       ::testing::Bool(), ::testing::Bool()),
+    constCaseName);
 
 // ---- Unary operators, casts, slice, concat, select, array read ------------
 

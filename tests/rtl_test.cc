@@ -121,13 +121,13 @@ expectTapeShape(const System &sys, const char *name)
     ASSERT_EQ(nl.tape().size(), nl.cells().size()) << name;
     for (size_t i = 0; i < nl.cells().size(); ++i) {
         const rtl::Cell &c = nl.cells()[i];
-        const rtl::CellStep &s = nl.tape()[i];
-        EXPECT_EQ(s.out, c.out) << name << " cell " << i;
+        const sim::DStep &s = nl.tape()[i];
+        EXPECT_EQ(s.dest, c.out) << name << " cell " << i;
         const bool divmod =
             c.op == rtl::CellOp::kBin &&
             (c.sub == uint8_t(BinOpcode::kDiv) ||
              c.sub == uint8_t(BinOpcode::kMod));
-        EXPECT_EQ(s.op == uint8_t(rtl::CellStepOp::kBinGeneric), divmod)
+        EXPECT_EQ(s.op == uint8_t(sim::DOp::kBinGeneric), divmod)
             << name << " cell " << i;
     }
 }
