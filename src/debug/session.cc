@@ -111,29 +111,15 @@ struct DebugSession::Impl {
     std::vector<HitRecord> hit_log;
     std::deque<StallRecord> stalls;
 
-    std::vector<const Module *> mods;
-    std::vector<sim::StageCounters> last_sc; ///< parallel to mods
-
     const sim::FaultInjector *inj = nullptr;
 
     Impl(sim::Engine &e, const System &s, DebugOptions o)
         : be(&e), sys(s), opts(o)
     {
-        for (const auto &m : sys.modules())
-            mods.push_back(m.get());
-        last_sc.resize(mods.size());
-        refreshStageCounters();
         base.cycle = be->cycle();
         base.snap = be->snapshot();
         engine = base.snap.engine;
         ++kf_taken;
-    }
-
-    void
-    refreshStageCounters()
-    {
-        for (size_t i = 0; i < mods.size(); ++i)
-            last_sc[i] = be->stageCounters(mods[i]);
     }
 
     // --- Breakpoint machinery ----------------------------------------------
@@ -177,7 +163,6 @@ struct DebugSession::Impl {
             bp.prev = observe(bp);
             bp.primed = true;
         }
-        refreshStageCounters();
     }
 
     /**
@@ -231,22 +216,19 @@ struct DebugSession::Impl {
     int
     sample(uint64_t c)
     {
-        for (size_t i = 0; i < mods.size(); ++i) {
-            sim::StageCounters cur = be->stageCounters(mods[i]);
-            const sim::StageCounters &old = last_sc[i];
-            if (cur.execs == old.execs) {
-                const char *why = nullptr;
-                if (cur.backpressure_stalls > old.backpressure_stalls)
-                    why = "backpressure stall";
-                else if (cur.wait_spins > old.wait_spins)
-                    why = "wait_until spin";
-                if (why) {
-                    stalls.push_back({c, mods[i]->name(), why});
-                    if (stalls.size() > opts.stall_history)
-                        stalls.pop_front();
-                }
-            }
-            last_sc[i] = cur;
+        // Slices are one cycle, so the published activity is exactly
+        // what each stage did in the cycle just committed.
+        for (const auto &mod : sys.modules()) {
+            sim::StageActivity act = be->stageActivity(mod.get());
+            if (act != sim::StageActivity::kBackpressure &&
+                act != sim::StageActivity::kWaitSpin)
+                continue;
+            stalls.push_back({c, mod->name(),
+                              act == sim::StageActivity::kBackpressure
+                                  ? "backpressure stall"
+                                  : "wait_until spin"});
+            if (stalls.size() > opts.stall_history)
+                stalls.pop_front();
         }
         int stop_index = -1;
         for (size_t i = 0; i < bps.size(); ++i) {

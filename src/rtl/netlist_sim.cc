@@ -17,7 +17,6 @@ struct StageView {
     uint32_t mid = 0;       ///< Module::id (RunState stage index)
     uint32_t exec_net = 0;  ///< exec_valid (pending & wait_cond & ~full)
     bool driver = false;    ///< no event counter
-    bool bp_stalled = false; ///< gated this cycle by a full stall-policy FIFO
     std::vector<uint32_t> stall_fifos; ///< RunState FIFO ids gating it
 };
 
@@ -32,23 +31,6 @@ struct ConeRt {
     std::vector<uint64_t> sig;  ///< input nets at last evaluation
     std::vector<uint64_t> aver; ///< read-array versions at last evaluation
 };
-
-/** The options the netlist engine can honour, or a fatal(). */
-const sim::SimOptions &
-checked(const sim::SimOptions &opts)
-{
-    // `shuffle` needs no check: results are shuffle-invariant by
-    // contract, and the netlist has no stage order to shuffle.
-    if (!opts.vcd_path.empty())
-        fatal("NetlistSim: vcd_path '", opts.vcd_path,
-              "' is an event-engine output; the netlist engine "
-              "cannot write it");
-    if (!opts.trace_path.empty())
-        fatal("NetlistSim: trace_path '", opts.trace_path,
-              "' is an event-engine output; the netlist engine "
-              "cannot write it");
-    return opts;
-}
 
 } // namespace
 
@@ -221,40 +203,37 @@ struct NetlistSim::Impl {
         // schedule that replaces the old sweep-until-settled loop.
         evalCells();
 
-        // Per-stage accounting, from the settled exec_valid nets. This
-        // is the same classification the event-driven simulator makes in
-        // its phase 1 (executed / spinning on wait_until / idle). A
-        // pending stage whose exec_valid is held low by a full
-        // kStallProducer FIFO additionally counts as backpressure-
-        // stalled, charged both to the stage and to each full gating
-        // FIFO.
-        for (StageView &v : views) {
+        // Per-stage accounting, from the settled exec_valid nets,
+        // published into RunState: the same classification the
+        // event-driven simulator makes in its phase 1 (executed /
+        // spinning on wait_until / idle). A pending stage whose
+        // exec_valid is held low by a full kStallProducer FIFO
+        // additionally counts as backpressure-stalled, charged both to
+        // the stage and to each full gating FIFO.
+        const uint64_t stamp = cycle + 1;
+        for (const StageView &v : views) {
             sim::RunState::Stage &stg = stages[v.mid];
-            v.bp_stalled = false;
-            sim::StageActivity act = sim::StageActivity::kIdle;
+            stg.stamp = stamp;
             if (nets[v.exec_net]) {
                 ++stg.execs;
                 ++rs.total_execs;
-                act = sim::StageActivity::kExec;
+                stg.act = sim::StageActivity::kExec;
             } else if (v.driver || stg.pending > 0) {
                 ++stg.wait_spins;
+                bool bp = false;
                 for (uint32_t fid : v.stall_fifos) {
                     if (fifos[fid].count == fifos[fid].depth) {
-                        v.bp_stalled = true;
+                        bp = true;
                         ++fifos[fid].stall_cycles;
                     }
                 }
-                if (v.bp_stalled)
+                if (bp)
                     ++stg.bp_stalls;
-                act = v.bp_stalled ? sim::StageActivity::kBackpressure
-                                   : sim::StageActivity::kWaitSpin;
+                stg.act = bp ? sim::StageActivity::kBackpressure
+                             : sim::StageActivity::kWaitSpin;
             } else {
                 ++stg.idle_cycles;
-            }
-            if (rs.recorder) {
-                rs.recorder->stageActivity(stg.mod, act);
-                if (nets[v.exec_net] && stg.mod->isGenerated())
-                    rs.recorder->grant(stg.mod);
+                stg.act = sim::StageActivity::kIdle;
             }
         }
 
@@ -337,25 +316,19 @@ struct NetlistSim::Impl {
             uint64_t inc = 0;
             for (uint32_t en : blk.incs)
                 inc += nets[en] ? 1 : 0;
-            if (inc)
+            // A received event, or a consumed one (the stage executed),
+            // changes the counter.
+            bool dec = nets[blk.dec] != 0;
+            if (inc || dec)
                 progress = true;
-            rs.commitEvents(stages[counter_mod[i]], inc, nets[blk.dec] != 0);
-        }
-        for (const StageView &v : views) {
-            if (nets[v.exec_net] && !v.driver)
-                progress = true;
+            rs.commitEvents(stages[counter_mod[i]], inc, dec);
         }
 
         rs.done = cycle + 1;
+        if (rs.observed)
+            self.observeCycle();
         rs.post_hooks.fire(cycle);
-        self.checkWatchdog(progress, [this] {
-            for (const StageView &v : views)
-                if (v.bp_stalled ||
-                    (!v.driver && st.stages[v.mid].pending > 0 &&
-                     !nets[v.exec_net]))
-                    return true;
-            return false;
-        });
+        self.checkWatchdog(progress);
         if (rs.recorder)
             rs.recorder->endCycle();
         ++rs.cycle;
@@ -381,7 +354,7 @@ struct NetlistSim::Impl {
 };
 
 NetlistSim::NetlistSim(const Netlist &nl, sim::SimOptions opts)
-    : Engine(nl.sys(), nl.analyzer(), checked(opts), "netlist"),
+    : Engine(nl.sys(), nl.analyzer(), opts, "netlist"),
       impl_(std::make_unique<Impl>(*this, nl))
 {
     // A netlist with a residual combinational cycle has no valid
@@ -402,12 +375,6 @@ NetlistSim::runCycles(uint64_t max_cycles)
                                            !st_.hazard_flag &&
                                            st_.cycle - start < max_cycles;)
         im.step();
-}
-
-bool
-NetlistSim::executed(const Module *mod) const
-{
-    return impl_->nets[impl_->nl.execNet(mod)] != 0;
 }
 
 void
@@ -435,8 +402,6 @@ NetlistSim::rebuildViews()
         std::fill(rt.sig.begin(), rt.sig.end(), 0);
         std::fill(rt.aver.begin(), rt.aver.end(), 0);
     }
-    for (StageView &v : im.views)
-        v.bp_stalled = false;
 }
 
 uint64_t

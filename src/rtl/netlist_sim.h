@@ -18,7 +18,9 @@
  * alignment claim is validated by running one design through both
  * engines and comparing cycle counts, committed state, and log output
  * byte for byte. Everything past evaluation and commit — inspection,
- * metrics, checkpoints, the watchdog — is the shared sim::Engine.
+ * metrics, checkpoints, the watchdog, and every per-cycle output
+ * (timeline, VCD, text trace), rendered from the stage activity each
+ * cycle publishes into sim::RunState — is the shared sim::Engine.
  */
 #pragma once
 
@@ -40,9 +42,9 @@ using NetlistSimOptions = sim::SimOptions;
 /**
  * Executes an elaborated Netlist cycle by cycle. On top of the shared
  * sim::RunState it owns only the netlist's private state: net values
- * and the activity-gating cone state. SimOptions::vcd_path and
- * trace_path are event-engine outputs; a NetlistSim constructed with
- * either set fatal()s rather than silently dropping them.
+ * and the activity-gating cone state. It honours every SimOptions field
+ * except `shuffle`, which it ignores: results are shuffle-invariant by
+ * contract and the netlist has no stage order.
  */
 class NetlistSim final : public sim::Engine {
   public:
@@ -54,7 +56,6 @@ class NetlistSim final : public sim::Engine {
 
   private:
     void runCycles(uint64_t max_cycles) override;
-    bool executed(const Module *mod) const override;
     void arrayPoked(uint32_t aid) override;
     void rebuildViews() override;
 

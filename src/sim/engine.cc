@@ -3,11 +3,51 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "sim/vcd.h"
 #include "support/bits.h"
 #include "support/logging.h"
 
 namespace assassyn {
 namespace sim {
+
+namespace {
+
+/** Arrays traced element-wise in the VCD; memories and big arrays are not. */
+bool
+inWaveform(const RunState::Array &a)
+{
+    return !a.array->isMemory() && a.size <= 64;
+}
+
+/**
+ * Open the VCD of one run and declare its signals: array elements,
+ * then one execution strobe per stage, then one occupancy per FIFO,
+ * each in RunState order — the order Engine::observeCycle samples in.
+ */
+std::unique_ptr<VcdWriter>
+openWaveform(const RunState &st)
+{
+    auto vcd = std::make_unique<VcdWriter>(st.opts.vcd_path);
+    for (const RunState::Array &a : st.arrays) {
+        if (!inWaveform(a))
+            continue;
+        for (uint32_t i = 0; i < a.size; ++i)
+            vcd->addSignal(a.size > 1 ? a.array->name() + "_" +
+                                            std::to_string(i)
+                                      : a.array->name(),
+                           a.array->elemType().bits());
+    }
+    for (const RunState::Stage &s : st.stages)
+        vcd->addSignal(s.mod->name() + "__exec", 1);
+    for (const RunState::Fifo &f : st.fifos)
+        vcd->addSignal(f.port->owner()->name() + "__" + f.port->name() +
+                           "__count",
+                       log2ceil(uint64_t(f.depth) + 1));
+    vcd->writeHeader(st.sys.name());
+    return vcd;
+}
+
+} // namespace
 
 // ---------------------------------------------------------------------------
 // RunState
@@ -46,11 +86,18 @@ RunState::RunState(const System &s, const SimOptions &o)
             fifos.push_back(std::move(f));
         }
     }
-    // Interned from the shared System IR, so the emitted file is
-    // byte-identical across engines for the same design and seed.
+    // Every observer is interned from the shared System IR and fed only
+    // from RunState, so each file is byte-identical across engines for
+    // the same design and seed. Opening one leases its path: two
+    // concurrent runs handed the same path fail here, before any cycle.
     if (!opts.timeline_path.empty())
         recorder = std::make_unique<TraceRecorder>(
             sys, opts.timeline_path, opts.timeline_events);
+    if (!opts.vcd_path.empty())
+        vcd = openWaveform(*this);
+    if (!opts.trace_path.empty())
+        trace = std::make_unique<OutputFile>(opts.trace_path);
+    observed = recorder || vcd || trace;
 }
 
 RunState::~RunState()
@@ -121,8 +168,14 @@ Engine::run(uint64_t max_cycles)
     } catch (const FatalError &err) {
         // A simulated-design fault: flush post-mortem artifacts and
         // report it structurally. Toolchain bugs (InternalError) still
-        // propagate — they are our fault, not the design's.
-        flushOnFault(err.what());
+        // propagate — they are our fault, not the design's. The faulting
+        // cycle committed no consistent state, so it gets no VCD frame:
+        // the waveform ends at the last committed cycle.
+        if (st_.trace) {
+            st_.trace->write("#" + std::to_string(st_.cycle) +
+                             ": FAULT: " + err.what() + "\n");
+            st_.trace->flush();
+        }
         // Close every open timeline interval at the faulting cycle and
         // write the file now, so the trace survives even if the engine
         // is kept alive.
@@ -143,21 +196,10 @@ Engine::run(uint64_t max_cycles)
         res.status = RunStatus::kMaxCycles;
         // Best-effort diagnosis of who was blocked when the budget ran
         // out; `kind` is advisory here (status stays kMaxCycles).
-        res.hazard = analyze(st_.quiet_cycles);
+        res.hazard = analyzer_.analyze(st_, st_.quiet_cycles);
         res.hazard.kind.clear();
     }
     return res;
-}
-
-HazardReport
-Engine::analyze(uint64_t window) const
-{
-    return analyzer_.analyze(
-        st_.cycle, window, [this](const Module *m) { return executed(m); },
-        [this](const Module *m) { return st_.stages[m->id()].pending; },
-        [this](const Port *p) {
-            return uint64_t(st_.fifos[st_.fifoIndex(p)].count);
-        });
 }
 
 /**
@@ -169,12 +211,83 @@ Engine::analyze(uint64_t window) const
 void
 Engine::raiseHazard()
 {
-    st_.hazard = analyze(st_.quiet_cycles);
+    st_.hazard = analyzer_.analyze(st_, st_.quiet_cycles);
     st_.hazard_status = st_.hazard.kind == "livelock" ? RunStatus::kLivelock
                                                       : RunStatus::kDeadlock;
     st_.hazard_flag = true;
     if (st_.recorder)
         st_.recorder->hazard(st_.hazard);
+    if (st_.trace) {
+        st_.trace->write(st_.hazard.toString());
+        st_.trace->flush();
+    }
+}
+
+bool
+Engine::anyBlocked() const
+{
+    for (const RunState::Stage &s : st_.stages) {
+        StageActivity act = st_.activity(s);
+        if (act == StageActivity::kBackpressure ||
+            (act != StageActivity::kExec && s.pending > 0 &&
+             !s.mod->isDriver()))
+            return true;
+    }
+    return false;
+}
+
+void
+Engine::observeCycle()
+{
+    RunState &st = st_;
+    if (st.recorder) {
+        // Tracing observes every stage, idle spans included.
+        for (const RunState::Stage &s : st.stages) {
+            StageActivity act = st.activity(s);
+            st.recorder->stageActivity(s.mod, act);
+            if (act == StageActivity::kExec && s.mod->isGenerated())
+                st.recorder->grant(s.mod);
+        }
+    }
+    if (st.vcd) {
+        VcdWriter &vcd = *st.vcd;
+        vcd.beginCycle(st.cycle);
+        size_t sig = 0;
+        for (const RunState::Array &a : st.arrays)
+            if (inWaveform(a))
+                for (uint32_t i = 0; i < a.size; ++i)
+                    vcd.set(sig++, a.data[i]);
+        for (const RunState::Stage &s : st.stages)
+            vcd.set(sig++, st.activity(s) == StageActivity::kExec);
+        for (const RunState::Fifo &f : st.fifos)
+            vcd.set(sig++, f.count);
+        vcd.flush();
+    }
+    if (st.trace) {
+        // One line per cycle with any activity, stages in topological
+        // order; one composed line is one locked write, so concurrent
+        // runs can never interleave mid-line.
+        std::string line;
+        for (const Module *mod : st.sys.topoOrder()) {
+            StageActivity act = st.activity(st.stages[mod->id()]);
+            if (act == StageActivity::kIdle)
+                continue;
+            line += ' ';
+            line += mod->name();
+            if (act != StageActivity::kExec) {
+                line += "(wait:";
+                line += act == StageActivity::kBackpressure
+                            ? "fifo_full"
+                            : waitReason(*mod);
+                line += ')';
+            }
+        }
+        if (!line.empty()) {
+            st.trace->write("#" + std::to_string(st.cycle) + ":" + line +
+                            "\n");
+            st.trace->flush();
+        }
+    }
 }
 
 uint64_t
@@ -255,6 +368,12 @@ uint64_t
 Engine::arrayWrites(const RegArray *array) const
 {
     return st_.arrays.at(array->id()).writes;
+}
+
+StageActivity
+Engine::stageActivity(const Module *mod) const
+{
+    return st_.activity(st_.stages.at(mod->id()));
 }
 
 MetricsRegistry
@@ -505,6 +624,8 @@ Engine::restore(const Snapshot &snap)
             s.events_in = r.u64();
             s.saturations = r.u64();
             s.bp_stalls = r.u64();
+            s.act = StageActivity::kIdle;
+            s.stamp = 0;
         }
         r.expectEnd();
     }

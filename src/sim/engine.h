@@ -13,23 +13,27 @@
  *
  *  - RunState holds every piece of mutable run state that outlives a
  *    cycle: register arrays, the FIFO arena, their traffic counters, the
- *    per-stage scheduler counters, the run meta fields, logs, the
- *    watchdog verdict, the timeline recorder and the hooks. Both
- *    engines' commits go through its helpers (FIFO pop/push with the
- *    overflow policy, event-counter saturation), and its lazily folded
- *    counters (idle spans, occupancy histograms) are folded in one
- *    place.
+ *    per-stage scheduler counters and the cycle's published stage
+ *    activity, the run meta fields, logs, the watchdog verdict, the
+ *    per-cycle observers (timeline recorder, VCD, text trace) and the
+ *    hooks. Both engines' commits go through its helpers (FIFO pop/push
+ *    with the overflow policy, event-counter saturation), and its lazily
+ *    folded counters (idle spans, occupancy histograms) are folded in
+ *    one place.
  *  - Engine owns a RunState and implements the public surface over it
- *    with non-virtual methods. Its virtual calls are all cold: one per
- *    run() into the engine's cycle loop, plus hazard diagnosis, poke
- *    invalidation, fault flushing and post-restore view rebuilding.
- *    Nothing virtual runs per cycle or per tape step.
+ *    with non-virtual methods, including the one end-of-cycle
+ *    observation point that renders every per-cycle output from the
+ *    published activity. Its virtual calls are all cold: one per run()
+ *    into the engine's cycle loop, plus poke invalidation, engine-private
+ *    snapshot sections and post-restore view rebuilding. Nothing
+ *    virtual runs per cycle or per tape step.
  *
- * Because metrics(), snapshot() and the hazard report are produced by
- * one implementation from one RunState layout, cross-engine byte
- * identity of metrics and checkpoints holds by construction; what the
- * differential tests still pin is that both evaluators commit the same
- * state each cycle.
+ * Because metrics(), snapshot(), the hazard report and every per-cycle
+ * output file are produced by one implementation from one RunState
+ * layout, cross-engine byte identity of those artifacts holds by
+ * construction; what the differential tests still pin is that both
+ * evaluators commit the same state and publish the same activity each
+ * cycle.
  */
 #pragma once
 
@@ -48,6 +52,8 @@
 
 namespace assassyn {
 namespace sim {
+
+class VcdWriter;
 
 /** Runtime configuration of a simulation, on either engine. */
 struct SimOptions {
@@ -69,17 +75,19 @@ struct SimOptions {
     /**
      * When nonempty, stream a VCD waveform here: register-array elements
      * (arrays up to 64 entries), stage execution strobes, and FIFO
-     * occupancies, sampled once per cycle. Event engine only; the
-     * netlist engine rejects it at construction.
+     * occupancies, sampled once per committed cycle — a faulting cycle
+     * committed nothing consistent and gets no frame. Byte-identical
+     * across engines for the same design.
      */
     std::string vcd_path = {};
 
     /**
      * When nonempty, stream a human-readable event trace here: one line
      * per cycle with activity, naming the stages that executed and the
-     * stages spinning on a wait_until. The serialized-trace debugging
-     * story of paper Sec. 7 Q5. Event engine only; the netlist engine
-     * rejects it at construction.
+     * stages spinning on a wait_until, plus the watchdog verdict or the
+     * FAULT line that ends the run. The serialized-trace debugging story
+     * of paper Sec. 7 Q5. Byte-identical across engines for the same
+     * design.
      */
     std::string trace_path = {};
 
@@ -188,6 +196,13 @@ struct RunState {
         uint64_t events_in = 0;
         uint64_t saturations = 0; ///< increments dropped at the bound
         uint64_t bp_stalls = 0;   ///< cycles gated by backpressure
+        /**
+         * The activity the evaluating engine published for cycle
+         * stamp - 1. The event engine stamps only the stages it visits,
+         * so a stale stamp means the stage sat idle (activity()).
+         */
+        StageActivity act = StageActivity::kIdle;
+        uint64_t stamp = 0;
     };
 
     RunState(const System &sys, const SimOptions &opts);
@@ -216,7 +231,12 @@ struct RunState {
     HazardReport hazard;
 
     std::vector<std::string> logs;
-    std::unique_ptr<TraceRecorder> recorder;
+    // The per-cycle observers, each fed only from the published stage
+    // activity and committed state (Engine::observeCycle).
+    std::unique_ptr<TraceRecorder> recorder; ///< SimOptions::timeline_path
+    std::unique_ptr<VcdWriter> vcd;          ///< SimOptions::vcd_path
+    std::unique_ptr<OutputFile> trace;       ///< SimOptions::trace_path
+    bool observed = false;                   ///< any of the three is open
     HookList pre_hooks;
     HookList post_hooks;
 
@@ -224,6 +244,13 @@ struct RunState {
     fifoIndex(const Port *port) const
     {
         return port_base[port->owner()->id()] + port->index();
+    }
+
+    /** @p s's activity in the last committed cycle. */
+    StageActivity
+    activity(const Stage &s) const
+    {
+        return s.stamp == done ? s.act : StageActivity::kIdle;
     }
 
     /** Idle cycles including the open span. */
@@ -363,8 +390,8 @@ class Engine {
      * failures (FIFO overflow under the Abort policy, assertion
      * failure, event-counter overflow) do not throw: they come back as
      * RunResult::kFault with the message in RunResult::error, after the
-     * engine's post-mortem outputs have been flushed. Toolchain bugs
-     * (InternalError) still propagate.
+     * text trace's FAULT line and the timeline have been flushed.
+     * Toolchain bugs (InternalError) still propagate.
      */
     RunResult run(uint64_t max_cycles);
 
@@ -410,6 +437,14 @@ class Engine {
 
     /** Committed write count of one register array. */
     uint64_t arrayWrites(const RegArray *array) const;
+
+    /**
+     * What @p mod did in the last committed cycle, as its engine
+     * published it: the activity the timeline, the VCD strobe, the text
+     * trace, the hazard report and the debugger's stall history read.
+     * kIdle before the first cycle and right after restore().
+     */
+    StageActivity stageActivity(const Module *mod) const;
 
     /**
      * Snapshot of every performance counter and occupancy histogram
@@ -461,9 +496,6 @@ class Engine {
      */
     virtual void runCycles(uint64_t max_cycles) = 0;
 
-    /** Whether @p mod's body executed in the current cycle. */
-    virtual bool executed(const Module *mod) const = 0;
-
     /** Invalidate derived views after an external array write. */
     virtual void arrayPoked(uint32_t aid) = 0;
 
@@ -482,37 +514,36 @@ class Engine {
     /** Load engine-private sections (absent when the source differs). */
     virtual void loadSections(const Snapshot &snap) { (void)snap; }
 
-    /** Flush engine-private post-mortem outputs after a design fault. */
-    virtual void flushOnFault(const std::string &message)
-    {
-        (void)message;
-    }
+    /**
+     * The end-of-cycle observation point. Each engine calls it once per
+     * committed cycle — after publishing every stage's activity and
+     * setting `done`, before the post-cycle hooks — behind the single
+     * branch `if (st_.observed)`. It feeds the timeline recorder, samples
+     * the VCD and writes the text-trace line.
+     */
+    void observeCycle();
 
     /**
      * The end-of-cycle watchdog step. @p progress says whether the
-     * cycle committed any architectural change; @p blocked is asked
-     * (only when needed) whether some stage was blocked this cycle.
-     * External pokes count as progress. Returns true when this call
-     * raised the deadlock/livelock verdict.
+     * cycle committed any architectural change; only a zero-progress
+     * cycle scans the published activity for a blocked stage. External
+     * pokes count as progress.
      */
-    template <typename BlockedFn>
-    bool
-    checkWatchdog(bool progress, BlockedFn &&blocked)
+    void
+    checkWatchdog(bool progress)
     {
         if (!st_.opts.watchdog_window || st_.hazard_flag)
-            return false;
+            return;
         if (st_.poked) {
             progress = true;
             st_.poked = false;
         }
-        if (progress || !blocked()) {
+        if (progress || !anyBlocked()) {
             st_.quiet_cycles = 0;
-            return false;
+            return;
         }
-        if (++st_.quiet_cycles < st_.opts.watchdog_window)
-            return false;
-        raiseHazard();
-        return true;
+        if (++st_.quiet_cycles >= st_.opts.watchdog_window)
+            raiseHazard();
     }
 
     RunState st_;
@@ -520,8 +551,8 @@ class Engine {
     std::string unrunnable_;
 
   private:
-    /** Wait-for-graph diagnosis of the current state. */
-    HazardReport analyze(uint64_t window) const;
+    /** Some stage was backpressured or kept a pending event unserved. */
+    bool anyBlocked() const;
     void raiseHazard();
 
     const HazardAnalyzer &analyzer_;

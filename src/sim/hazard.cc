@@ -1,10 +1,12 @@
 #include "sim/hazard.h"
 
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <sstream>
 
 #include "core/compiler/walk.h"
+#include "sim/engine.h"
 
 namespace assassyn {
 namespace sim {
@@ -20,6 +22,12 @@ runStatusName(RunStatus status)
       case RunStatus::kFault:     return "fault";
     }
     return "?";
+}
+
+const char *
+waitReason(const Module &mod)
+{
+    return mod.hasExplicitWait() ? "wait_until" : "fifo_empty";
 }
 
 std::string
@@ -139,16 +147,18 @@ joinNames(const std::vector<const Module *> &mods)
 } // namespace
 
 HazardReport
-HazardAnalyzer::analyze(uint64_t cycle, uint64_t window,
-                        const ExecutedFn &executed, const PendingFn &pending,
-                        const OccupancyFn &occupancy) const
+HazardAnalyzer::analyze(const RunState &st, uint64_t window) const
 {
+    auto occupancy = [&st](const Port *p) {
+        return st.fifos[st.fifoIndex(p)].count;
+    };
     HazardReport rep;
-    rep.detected_cycle = cycle;
+    rep.detected_cycle = st.cycle;
     rep.window = window;
     bool saw_explicit_wait = false;
     for (const Module *mod : sys_->topoOrder()) {
-        if (executed(mod))
+        const RunState::Stage &stage = st.stages[mod->id()];
+        if (st.activity(stage) == StageActivity::kExec)
             continue; // ran this cycle: not blocked
         // A backpressure stall gates execution before the wait check, in
         // both backends; report it first for the same reason.
@@ -158,7 +168,7 @@ HazardAnalyzer::analyze(uint64_t cycle, uint64_t window,
                 WaitForEdge e;
                 e.stage = mod->name();
                 e.reason = "fifo_full";
-                e.pending = mod->isDriver() ? 0 : pending(mod);
+                e.pending = mod->isDriver() ? 0 : stage.pending;
                 e.fifo = p->fullName();
                 e.peer = p->owner()->name();
                 rep.waiting.push_back(std::move(e));
@@ -169,11 +179,10 @@ HazardAnalyzer::analyze(uint64_t cycle, uint64_t window,
             continue;
         if (mod->isDriver())
             continue; // drivers are never event-blocked
-        uint64_t pend = pending(mod);
+        uint64_t pend = stage.pending;
         if (pend == 0)
             continue; // idle, not blocked
-        const char *reason =
-            mod->hasExplicitWait() ? "wait_until" : "fifo_empty";
+        const char *reason = waitReason(*mod);
         if (mod->hasExplicitWait())
             saw_explicit_wait = true;
         std::vector<const Port *> starved;

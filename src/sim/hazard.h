@@ -19,7 +19,8 @@
  *    why (the stall-reason vocabulary of the event trace), and which
  *    FIFO / producer it is waiting on;
  *  - HazardAnalyzer: the shared analysis, built once from the lowered
- *    System, that both backends query with their own state accessors.
+ *    System, that reads the shared run state (sim/engine.h) — the stage
+ *    activity each engine publishes, pending events, FIFO occupancy.
  *    Because it walks the same IR in the same deterministic order, the
  *    rendered report is byte-identical across backends — the alignment
  *    guarantee extended to failure diagnostics.
@@ -27,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -36,6 +36,8 @@
 
 namespace assassyn {
 namespace sim {
+
+struct RunState;
 
 /** How a run ended. */
 enum class RunStatus : uint8_t {
@@ -47,6 +49,14 @@ enum class RunStatus : uint8_t {
 };
 
 const char *runStatusName(RunStatus status);
+
+/**
+ * Why @p mod spins on its wait_until: "wait_until" for the developer's
+ * own guard, "fifo_empty" for the argument-validity wait the compiler
+ * synthesized (an input FIFO is still empty). A stage gated by a full
+ * output FIFO is blocked on "fifo_full" instead.
+ */
+const char *waitReason(const Module &mod);
 
 /** One blocked stage in the wait-for graph. */
 struct WaitForEdge {
@@ -90,29 +100,21 @@ struct RunResult {
  * per-port producer lists (who pushes into each FIFO), per-module wait
  * sets (the FIFOs whose validity feeds the module's wait_until cone),
  * and per-module stall sets (the kStallProducer FIFOs the module pushes
- * into). At detection time a backend supplies its live state through
- * small accessors and gets back the wait-for graph.
+ * into). At detection time it reads the engine's run state and returns
+ * the wait-for graph.
  */
 class HazardAnalyzer {
   public:
     explicit HazardAnalyzer(const System &sys);
 
-    using PendingFn = std::function<uint64_t(const Module *)>;
-    using OccupancyFn = std::function<uint64_t(const Port *)>;
-    using ExecutedFn = std::function<bool(const Module *)>;
-
     /**
-     * Diagnose the design at the end of a cycle. @p executed reports
-     * whether a stage's body ran this cycle (such stages are not
-     * blocked); @p pending gives retained event counts; @p occupancy
-     * gives end-of-cycle FIFO occupancy. Stages are visited in
-     * topological order, so the report is deterministic and identical
-     * across backends.
+     * Diagnose @p st at the end of its last committed cycle: stages that
+     * executed are not blocked; the rest are judged by their retained
+     * events and the end-of-cycle occupancy of the FIFOs they wait on.
+     * Stages are visited in topological order, so the report is
+     * deterministic and identical across backends.
      */
-    HazardReport analyze(uint64_t cycle, uint64_t window,
-                         const ExecutedFn &executed,
-                         const PendingFn &pending,
-                         const OccupancyFn &occupancy) const;
+    HazardReport analyze(const RunState &st, uint64_t window) const;
 
     /** Stages pushing into @p port, in module declaration order. */
     const std::vector<const Module *> &producersOf(const Port *port) const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "sim/vcd.h"
 #include "support/bits.h"
 #include "support/logging.h"
 #include "support/ops.h"
@@ -37,12 +36,8 @@ struct ArrayPending {
 struct ModSched {
     const Module *mod = nullptr;
     bool driver = false;
-    bool dec = false;
-    bool strobe = false;     ///< executed (valid when visit == stamp)
-    bool waited = false;     ///< had an event but the wait_until failed
-    bool bp_stalled = false; ///< gated by a full stall-policy FIFO
+    bool dec = false; ///< executed a non-driver body: consume one event
     uint32_t topo_pos = 0;
-    uint64_t visit = 0; ///< stamp (cycle+1) of the last phase-1 visit
     uint64_t inc = 0;
 };
 
@@ -75,16 +70,9 @@ struct Simulator::Impl {
     std::vector<uint64_t> touched_fifo_w;
     std::vector<uint64_t> touched_arr_w;
     std::vector<uint64_t> touched_mod_w;
-    uint64_t visit_stamp = 0; ///< cycle+1 of the running/last stepCycle
     bool finish_pending = false;
 
     std::vector<uint32_t> shuffle_scratch;
-    std::unique_ptr<PathLease> vcd_lease;
-    std::unique_ptr<VcdWriter> vcd;
-    std::vector<std::vector<size_t>> vcd_arrays;
-    std::vector<size_t> vcd_execs;
-    std::vector<size_t> vcd_fifos;
-    std::unique_ptr<OutputFile> trace_file;
     Rng rng;
 
     // ----------------------------------------------------------------------
@@ -113,14 +101,6 @@ struct Simulator::Impl {
         touched_fifo_w.assign((st.fifos.size() + 63) / 64, 0);
         touched_arr_w.assign((st.arrays.size() + 63) / 64, 0);
         touched_mod_w.assign((mods.size() + 63) / 64, 0);
-        if (!opts.vcd_path.empty())
-            buildVcd();
-        // Both per-run output files go through the locked OutputFile
-        // writer: construction fails fast — before any cycle runs —
-        // when two concurrent instances (a runSweep misconfiguration)
-        // were handed the same path.
-        if (!opts.trace_path.empty())
-            trace_file = std::make_unique<OutputFile>(opts.trace_path);
     }
 
     /**
@@ -143,70 +123,6 @@ struct Simulator::Impl {
                 ready_.push_back(mid);
         }
         shadow_stale.assign(mods.size(), 1);
-    }
-
-    void
-    buildVcd()
-    {
-        // VcdWriter owns its FILE; the lease alone provides the
-        // process-wide collision check for the path.
-        vcd_lease = std::make_unique<PathLease>(opts.vcd_path);
-        vcd = std::make_unique<VcdWriter>(opts.vcd_path);
-        for (const RunState::Array &arr : st.arrays) {
-            std::vector<size_t> ids;
-            if (!arr.array->isMemory() && arr.array->size() <= 64) {
-                for (size_t i = 0; i < arr.size; ++i) {
-                    std::string name = arr.array->name();
-                    if (arr.array->size() > 1) {
-                        name += "_";
-                        name += std::to_string(i);
-                    }
-                    ids.push_back(vcd->addSignal(
-                        name, arr.array->elemType().bits()));
-                }
-            }
-            vcd_arrays.push_back(std::move(ids));
-        }
-        for (const ModSched &ms : mods)
-            vcd_execs.push_back(
-                vcd->addSignal(ms.mod->name() + "__exec", 1));
-        for (const RunState::Fifo &f : st.fifos)
-            vcd_fifos.push_back(vcd->addSignal(
-                f.port->owner()->name() + "__" + f.port->name() +
-                    "__count",
-                log2ceil(uint64_t(f.depth) + 1)));
-        vcd->writeHeader(prog->sys().name());
-    }
-
-    // Flag views: strobe/waited/bp_stalled are written only for stages
-    // the scheduler visited, so readers gate on the visit stamp instead
-    // of relying on a full-scan per-cycle clear.
-    bool strobeNow(const ModSched &ms) const
-    {
-        return ms.visit == visit_stamp && ms.strobe;
-    }
-    bool waitedNow(const ModSched &ms) const
-    {
-        return ms.visit == visit_stamp && ms.waited;
-    }
-    bool bpNow(const ModSched &ms) const
-    {
-        return ms.visit == visit_stamp && ms.bp_stalled;
-    }
-
-    void
-    sampleVcd()
-    {
-        vcd->beginCycle(st.cycle);
-        for (size_t a = 0; a < st.arrays.size(); ++a)
-            for (size_t i = 0; i < vcd_arrays[a].size(); ++i)
-                vcd->set(vcd_arrays[a][i],
-                         st.arrays[a].data[i]);
-        for (size_t m = 0; m < mods.size(); ++m)
-            vcd->set(vcd_execs[m], strobeNow(mods[m]));
-        for (size_t f = 0; f < st.fifos.size(); ++f)
-            vcd->set(vcd_fifos[f], st.fifos[f].count);
-        vcd->flush();
     }
 
     // ----------------------------------------------------------------------
@@ -622,7 +538,6 @@ struct Simulator::Impl {
         // pending event). Membership only changes at commit, so the
         // visit set is start-of-cycle exact; idle stages cost nothing.
         const uint64_t stamp = cycle + 1;
-        visit_stamp = stamp;
         const std::vector<uint32_t> *order = &ready_;
         if (opts.shuffle) {
             // Sec. 5.1 randomization, now over the ready set: the
@@ -637,10 +552,9 @@ struct Simulator::Impl {
         for (uint32_t mid : *order) {
             ModSched &ms = mods[mid];
             RunState::Stage &stg = stages[mid];
-            ms.visit = stamp;
-            ms.strobe = false;
-            ms.waited = false;
-            ms.bp_stalled = false;
+            // Publish this cycle's activity (stg.act below); stages
+            // outside the ready set keep a stale stamp and read idle.
+            stg.stamp = stamp;
             // Backpressure gate: a stage pushing into a full
             // kStallProducer FIFO does not execute this cycle. The gate
             // reads start-of-cycle occupancy (counts only change at
@@ -656,8 +570,7 @@ struct Simulator::Impl {
                 }
             }
             if (full_stall) {
-                ms.bp_stalled = true;
-                ms.waited = true;
+                stg.act = StageActivity::kBackpressure;
                 ++stg.bp_stalls;
                 ++stg.wait_spins;
                 continue;
@@ -666,13 +579,13 @@ struct Simulator::Impl {
             if (runTape(sp.active_begin, sp.active_end)) {
                 ++stg.execs;
                 ++rs.total_execs;
-                ms.strobe = true;
+                stg.act = StageActivity::kExec;
                 if (!ms.driver) {
                     ms.dec = true;
                     touchMod(mid);
                 }
             } else {
-                ms.waited = true;
+                stg.act = StageActivity::kWaitSpin;
                 ++stg.wait_spins;
             }
         }
@@ -719,9 +632,9 @@ struct Simulator::Impl {
                            uint32_t(__builtin_ctzll(bits));
             ModSched &ms = mods[mid];
             RunState::Stage &stg = stages[mid];
-            if (ms.inc)
-                progress = true;
-            if (!ms.driver && strobeNow(ms))
+            // A received event, or a consumed one (a non-driver body
+            // executed), changes the stage's event counter.
+            if (ms.inc || ms.dec)
                 progress = true;
             rs.commitEvents(stg, ms.inc, ms.dec);
             ms.dec = false;
@@ -755,93 +668,16 @@ struct Simulator::Impl {
                     }),
                 ready_.end());
         }
-        if (rs.recorder) {
-            // The same four-way classification the netlist engine
-            // derives from its settled exec_valid nets. Tracing
-            // observes every stage (idle spans included), so this is
-            // the one observer that pays for a full scan.
-            for (ModSched &ms : mods) {
-                StageActivity act =
-                    strobeNow(ms)   ? StageActivity::kExec
-                    : bpNow(ms)     ? StageActivity::kBackpressure
-                    : waitedNow(ms) ? StageActivity::kWaitSpin
-                                    : StageActivity::kIdle;
-                rs.recorder->stageActivity(ms.mod, act);
-                if (strobeNow(ms) && ms.mod->isGenerated())
-                    rs.recorder->grant(ms.mod);
-            }
-        }
         rs.done = cycle + 1;
-        if (vcd)
-            sampleVcd();
-        if (trace_file)
-            writeTrace();
+        if (rs.observed)
+            self.observeCycle();
         rs.post_hooks.fire(cycle);
-        // Stages outside the ready set have no pending event by
-        // construction, so scanning the ready set is exactly the full
-        // blocked-stage scan.
-        bool verdict = self.checkWatchdog(progress, [this] {
-            for (uint32_t mid : ready_) {
-                const ModSched &ms = mods[mid];
-                if (bpNow(ms) || (!ms.driver && st.stages[mid].pending > 0 &&
-                                  !strobeNow(ms)))
-                    return true;
-            }
-            return false;
-        });
-        if (verdict && trace_file) {
-            trace_file->write(rs.hazard.toString());
-            trace_file->flush();
-        }
+        self.checkWatchdog(progress);
         if (rs.recorder)
             rs.recorder->endCycle();
         ++rs.cycle;
         if (finish_pending)
             rs.finished = true;
-    }
-
-    /**
-     * Why a spinning stage failed its wait_until this cycle. An explicit
-     * wait_until is the developer's own guard; an implicit one was
-     * synthesized by the compiler from the validity of the FIFO
-     * arguments the body consumes, so spinning there means an input
-     * FIFO is still empty.
-     */
-    static const char *
-    stallReason(const Module &mod)
-    {
-        return mod.hasExplicitWait() ? "wait_until" : "fifo_empty";
-    }
-
-    /** One event-trace line per cycle with any activity. */
-    void
-    writeTrace()
-    {
-        bool any = false;
-        for (const ModSched &ms : mods)
-            any |= strobeNow(ms) || waitedNow(ms);
-        if (!any)
-            return;
-        // One composed line = one locked write: concurrent instances
-        // can never interleave mid-line even if misconfigured to share
-        // a stream.
-        std::string line = "#";
-        line += std::to_string(st.cycle);
-        line += ":";
-        for (uint32_t mid : prog->topoIdx()) {
-            const ModSched &ms = mods[mid];
-            if (strobeNow(ms)) {
-                line += " " + ms.mod->name();
-            } else if (waitedNow(ms)) {
-                line += " " + ms.mod->name() + "(wait:" +
-                        (ms.bp_stalled ? "fifo_full"
-                                       : stallReason(*ms.mod)) +
-                        ")";
-            }
-        }
-        line += "\n";
-        trace_file->write(line);
-        trace_file->flush();
     }
 };
 
@@ -864,12 +700,6 @@ Simulator::runCycles(uint64_t max_cycles)
                                            !st_.hazard_flag &&
                                            st_.cycle - start < max_cycles;)
         im.stepCycle();
-}
-
-bool
-Simulator::executed(const Module *mod) const
-{
-    return impl_->strobeNow(impl_->mods[mod->id()]);
 }
 
 void
@@ -895,16 +725,11 @@ Simulator::rebuildViews()
     for (ModSched &ms : im.mods) {
         ms.inc = 0;
         ms.dec = false;
-        ms.strobe = false;
-        ms.waited = false;
-        ms.bp_stalled = false;
-        ms.visit = 0;
     }
     im.rebuildReady();
     std::fill(im.touched_fifo_w.begin(), im.touched_fifo_w.end(), 0);
     std::fill(im.touched_arr_w.begin(), im.touched_arr_w.end(), 0);
     std::fill(im.touched_mod_w.begin(), im.touched_mod_w.end(), 0);
-    im.visit_stamp = 0;
     im.finish_pending = st_.finished;
     im.slots = im.prog->slotInit();
 }
@@ -933,22 +758,6 @@ Simulator::loadSections(const Snapshot &snap)
         word = r.u64();
     r.expectEnd();
     impl_->rng.setState(state);
-}
-
-void
-Simulator::flushOnFault(const std::string &message)
-{
-    Impl &im = *impl_;
-    if (im.trace_file) {
-        im.trace_file->printf("#%llu: FAULT: %s\n",
-                              (unsigned long long)st_.cycle,
-                              message.c_str());
-        im.trace_file->flush();
-    }
-    // The faulting cycle never reached its sample point; capture the
-    // state as-is so the waveform ends at the failure.
-    if (im.vcd)
-        im.sampleVcd();
 }
 
 SimStats

@@ -64,8 +64,9 @@ struct SimStats {
  * the compile/run split (docs/architecture.md): on top of the shared
  * RunState (sim/engine.h) it owns only the event engine's private
  * state — slot store, buffered effects, the ready set, shadow
- * staleness flags, the shuffle RNG and the VCD/text-trace writers — and
- * executes an immutable sim::Program. Construct once, then run();
+ * staleness flags and the shuffle RNG — and executes an immutable
+ * sim::Program. Phase 1 publishes each visited stage's activity into
+ * RunState, where the shared observers read it. Construct once, then run();
  * architectural state is inspectable through the Engine surface before
  * and after.
  */
@@ -92,13 +93,11 @@ class Simulator final : public Engine {
 
   private:
     void runCycles(uint64_t max_cycles) override;
-    bool executed(const Module *mod) const override;
     void arrayPoked(uint32_t aid) override;
     void fifoPoked(uint32_t fid) override;
     void rebuildViews() override;
     void saveSections(Snapshot &snap) const override;
     void loadSections(const Snapshot &snap) override;
-    void flushOnFault(const std::string &message) override;
 
     struct Impl;
     std::unique_ptr<Impl> impl_;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Value-change-dump (VCD) tracing for the cycle-accurate simulator.
+ * Value-change-dump (VCD) tracing for both engines.
  *
  * The paper's Fig. 2(d) observation — the event trace and the RTL
  * waveform are the same data transposed — is directly inspectable here:
@@ -12,8 +12,8 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "support/logging.h"
@@ -21,21 +21,18 @@
 namespace assassyn {
 namespace sim {
 
-/** Streams a 2-state VCD file; values are sampled once per cycle. */
+/**
+ * Streams a 2-state VCD file through the locked OutputFile writer (path
+ * collisions are a structured fatal() at construction). Values are
+ * sampled once per cycle; each cycle's changes are composed into one
+ * record and appended in one locked write at flush().
+ */
 class VcdWriter {
   public:
-    explicit VcdWriter(const std::string &path)
-    {
-        file_ = std::fopen(path.c_str(), "w");
-        if (!file_)
-            fatal("cannot open VCD file '", path, "'");
-    }
+    explicit VcdWriter(std::string path) : out_(std::move(path)) {}
 
-    ~VcdWriter()
-    {
-        if (file_)
-            std::fclose(file_);
-    }
+    /** Writes any record not yet flushed. */
+    ~VcdWriter() { flush(); }
 
     VcdWriter(const VcdWriter &) = delete;
     VcdWriter &operator=(const VcdWriter &) = delete;
@@ -57,22 +54,25 @@ class VcdWriter {
     void
     writeHeader(const std::string &design)
     {
-        std::fprintf(file_, "$date reproduction run $end\n");
-        std::fprintf(file_, "$version assassyn-cpp $end\n");
-        std::fprintf(file_, "$timescale 1ns $end\n");
-        std::fprintf(file_, "$scope module %s $end\n", design.c_str());
-        for (const Signal &s : signals_) {
-            std::fprintf(file_, "$var wire %u %s %s $end\n", s.bits,
-                         s.code.c_str(), s.name.c_str());
-        }
-        std::fprintf(file_, "$upscope $end\n$enddefinitions $end\n");
+        rec_ += "$date reproduction run $end\n"
+                "$version assassyn-cpp $end\n"
+                "$timescale 1ns $end\n"
+                "$scope module " +
+                design + " $end\n";
+        for (const Signal &s : signals_)
+            rec_ += "$var wire " + std::to_string(s.bits) + " " + s.code +
+                    " " + s.name + " $end\n";
+        rec_ += "$upscope $end\n$enddefinitions $end\n";
+        flush();
     }
 
     /** Begin a sample at @p cycle; then call set() for each signal. */
     void
     beginCycle(uint64_t cycle)
     {
-        std::fprintf(file_, "#%llu\n", (unsigned long long)cycle);
+        rec_ += '#';
+        rec_ += std::to_string(cycle);
+        rec_ += '\n';
     }
 
     /** Record one signal's current value (emitted only on change). */
@@ -84,29 +84,33 @@ class VcdWriter {
             return;
         s.last = value;
         if (s.bits == 1) {
-            std::fprintf(file_, "%c%s\n", value ? '1' : '0',
-                         s.code.c_str());
-            return;
+            rec_ += value ? '1' : '0';
+        } else {
+            rec_ += 'b';
+            bool seen = false;
+            for (int b = int(s.bits) - 1; b >= 0; --b) {
+                int bit = int((value >> b) & 1);
+                if (bit)
+                    seen = true;
+                if (seen || b == 0)
+                    rec_ += char('0' + bit);
+            }
+            rec_ += ' ';
         }
-        char buf[80];
-        int pos = 0;
-        buf[pos++] = 'b';
-        bool seen = false;
-        for (int b = int(s.bits) - 1; b >= 0; --b) {
-            int bit = int((value >> b) & 1);
-            if (bit)
-                seen = true;
-            if (seen || b == 0)
-                buf[pos++] = char('0' + bit);
-        }
-        buf[pos] = '\0';
-        std::fprintf(file_, "%s %s\n", buf, s.code.c_str());
+        rec_ += s.code;
+        rec_ += '\n';
     }
 
-    size_t numSignals() const { return signals_.size(); }
-
-    /** Push buffered records to disk (called once per sampled cycle). */
-    void flush() { std::fflush(file_); }
+    /** Append the composed record to the file (once per sampled cycle). */
+    void
+    flush()
+    {
+        if (rec_.empty())
+            return;
+        out_.write(rec_);
+        out_.flush();
+        rec_.clear();
+    }
 
   private:
     struct Signal {
@@ -128,7 +132,8 @@ class VcdWriter {
         return code;
     }
 
-    FILE *file_ = nullptr;
+    OutputFile out_;
+    std::string rec_; ///< the record being composed
     std::vector<Signal> signals_;
 };
 

@@ -1,6 +1,5 @@
 #include "support/logging.h"
 
-#include <cstdarg>
 #include <cstdio>
 #include <mutex>
 #include <set>
@@ -105,16 +104,6 @@ OutputFile::write(const std::string &text)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     std::fwrite(text.data(), 1, text.size(), file_);
-}
-
-void
-OutputFile::printf(const char *fmt, ...)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    va_list args;
-    va_start(args, fmt);
-    std::vfprintf(file_, fmt, args);
-    va_end(args);
 }
 
 void

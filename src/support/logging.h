@@ -119,9 +119,9 @@ class PathLease {
 /**
  * The locked output-file writer: an exclusive PathLease plus a FILE
  * with a per-file mutex, so every artifact writer (timeline traces,
- * event traces, sweep reports, VCD headers) gets collision detection
- * and non-interleaved writes from one place. One write()/printf() call
- * is one atomic append.
+ * event traces, VCD waveforms, sweep reports) gets collision detection
+ * and non-interleaved writes from one place. Writers compose each
+ * record first; one write() call is one atomic append.
  */
 class OutputFile {
   public:
@@ -134,13 +134,6 @@ class OutputFile {
 
     /** Append one blob under the file lock. */
     void write(const std::string &text);
-
-    /** Append one formatted record under the file lock. */
-    void printf(const char *fmt, ...)
-#if defined(__GNUC__)
-        __attribute__((format(printf, 2, 3)))
-#endif
-        ;
 
     void flush();
 

@@ -2,14 +2,15 @@
  * @file
  * The engine contract (sim/engine.h): both engines, driven only through
  * sim::Engine&, expose identical inspection, identical structured fatals,
- * the same watchdog and hook semantics, identical metrics, and snapshots
- * each restores from the other. Options the netlist engine cannot honour
- * fail loudly at construction instead of being dropped.
+ * the same watchdog and hook semantics, identical metrics, snapshots
+ * each restores from the other, and byte-identical per-cycle output
+ * files (VCD, text trace, timeline) — including the verdict and fault
+ * endings of a run.
  */
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -19,6 +20,10 @@
 
 #include "core/compiler/pass.h"
 #include "core/dsl/builder.h"
+#include "designs/accel.h"
+#include "designs/cpu.h"
+#include "designs/ooo.h"
+#include "isa/workloads.h"
 #include "rtl/netlist.h"
 #include "rtl/netlist_sim.h"
 #include "sim/engine.h"
@@ -84,6 +89,71 @@ buildSpinner()
     return sb.take();
 }
 
+/**
+ * A driver pushing into a depth-4 FIFO whose consumer never drains it:
+ * the fifth push overflows at cycle 4 under the default abort policy.
+ */
+std::unique_ptr<System>
+buildOverflow()
+{
+    SysBuilder sb("contract_overflow");
+    Stage sink = sb.stage("sink", {{"x", uintType(8)}});
+    sink.fifoDepth("x", 4);
+    Stage d = sb.driver();
+    Reg cyc = sb.reg("cyc", uintType(8));
+    {
+        StageScope scope(sink);
+        waitUntil([&] { return litFalse(); });
+        sink.arg("x");
+    }
+    {
+        StageScope scope(d);
+        Val v = cyc.read();
+        cyc.write(v + 1);
+        asyncCall(sink, {v});
+    }
+    compile(sb.sys());
+    return sb.take();
+}
+
+/**
+ * Lossless backpressure: a driver sends 20 values through a depth-2
+ * kStallProducer FIFO into a sink that consumes only on odd cycles, so
+ * the producer spends cycles gated by the full FIFO.
+ */
+std::unique_ptr<System>
+buildBackpressure()
+{
+    SysBuilder sb("contract_backpressure");
+    Stage sink = sb.stage("sink", {{"x", uintType(8)}});
+    sink.fifoDepth("x", 2);
+    sink.fifoPolicy("x", FifoPolicy::kStallProducer);
+    Stage prod = sb.driver("prod");
+    Stage tick = sb.driver("tick");
+    Reg cnt = sb.reg("cnt", uintType(8));
+    Reg sent = sb.reg("sent", uintType(8));
+    Reg drained = sb.reg("drained", uintType(8));
+    {
+        StageScope scope(tick);
+        cnt.write(cnt.read() + 1);
+    }
+    {
+        StageScope scope(sink);
+        waitUntil([&] { return sink.argValid("x") & cnt.read().bit(0); });
+        drained.write(drained.read() + sink.arg("x"));
+    }
+    {
+        StageScope scope(prod);
+        Val n = sent.read();
+        when(n < lit(20, 8), [&] {
+            asyncCall(sink, {lit(1, 8)});
+            sent.write(n + 1);
+        });
+    }
+    compile(sb.sys());
+    return sb.take();
+}
+
 /** Both engines over one design, each owned behind the base class. */
 struct Engines {
     std::unique_ptr<System> sys;
@@ -141,7 +211,8 @@ inspect(const sim::Engine &e)
         os << mod->name() << " execs=" << c.execs
            << " spins=" << c.wait_spins << " idle=" << c.idle_cycles
            << " in=" << c.events_in << " bp=" << c.backpressure_stalls
-           << " pending=" << c.pending << "\n";
+           << " pending=" << c.pending << " last="
+           << sim::stageActivityName(e.stageActivity(mod.get())) << "\n";
         for (const auto &p : mod->ports()) {
             sim::FifoTraffic t = e.fifoTraffic(p.get());
             uint64_t occ = e.fifoOccupancy(p.get());
@@ -321,38 +392,144 @@ TEST(EngineContract, SnapshotsRestoreAcrossEnginesBothWays)
     }
 }
 
-TEST(EngineContract, NetlistRejectsEventOnlyOutputs)
+/** The per-cycle output files of one run, read back once it ended. */
+struct Observed {
+    std::string vcd, trace, timeline;
+    sim::RunResult result;
+    uint64_t cycle = 0; ///< Engine::cycle() when the run ended
+};
+
+std::string
+slurp(const std::string &path)
 {
-    Engines fx(buildPipe(10));
-    namespace fs = std::filesystem;
-    std::string vcd = ::testing::TempDir() + "assassyn_contract.vcd";
-    std::string trace = ::testing::TempDir() + "assassyn_contract.trace";
-    fs::remove(vcd);
-    fs::remove(trace);
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
 
-    sim::SimOptions with_vcd;
-    with_vcd.vcd_path = vcd;
-    std::string msg = fatalOf([&] { fx.make(false, with_vcd); });
-    EXPECT_NE(msg.find("vcd_path"), std::string::npos) << msg;
-    EXPECT_FALSE(fs::exists(vcd));
-
-    sim::SimOptions with_trace;
-    with_trace.trace_path = trace;
-    msg = fatalOf([&] { fx.make(false, with_trace); });
-    EXPECT_NE(msg.find("trace_path"), std::string::npos) << msg;
-    EXPECT_FALSE(fs::exists(trace));
-
-    // The event engine honours both.
+/** Run one engine of @p fx for @p cycles with every observer on. */
+Observed
+observe(const Engines &fx, bool event, sim::SimOptions opts,
+        uint64_t cycles, const std::string &tag)
+{
+    std::string base = ::testing::TempDir() + "assassyn_observe_" + tag;
+    opts.vcd_path = base + ".vcd";
+    opts.trace_path = base + ".trace";
+    opts.timeline_path = base + ".json";
+    Observed o;
     {
-        sim::SimOptions both = with_vcd;
-        both.trace_path = trace;
-        auto ev = fx.make(true, both);
-        ev->run(100);
+        auto e = fx.make(event, opts);
+        o.result = e->run(cycles);
+        o.cycle = e->cycle();
+    } // the timeline is written when the engine goes away
+    for (auto [path, text] : {std::pair{&opts.vcd_path, &o.vcd},
+                              std::pair{&opts.trace_path, &o.trace},
+                              std::pair{&opts.timeline_path, &o.timeline}}) {
+        *text = slurp(*path);
+        std::remove(path->c_str());
     }
-    EXPECT_TRUE(fs::exists(vcd));
-    EXPECT_TRUE(fs::exists(trace));
-    fs::remove(vcd);
-    fs::remove(trace);
+    return o;
+}
+
+/** The event engine, shuffled and not, and the netlist, on one design. */
+std::vector<Observed>
+observeAll(const Engines &fx, uint64_t cycles, sim::SimOptions opts,
+           const std::string &tag)
+{
+    std::vector<Observed> runs;
+    runs.push_back(observe(fx, true, opts, cycles, tag + "_event"));
+    opts.shuffle = true;
+    opts.shuffle_seed = 7;
+    runs.push_back(observe(fx, true, opts, cycles, tag + "_shuffled"));
+    opts.shuffle = false;
+    runs.push_back(observe(fx, false, opts, cycles, tag + "_netlist"));
+    for (const Observed &o : runs) {
+        EXPECT_FALSE(o.vcd.empty());
+        EXPECT_FALSE(o.trace.empty());
+        EXPECT_FALSE(o.timeline.empty());
+        // Sizes first: a mismatch of multi-megabyte files stays readable.
+        EXPECT_EQ(o.vcd.size(), runs[0].vcd.size());
+        EXPECT_TRUE(o.vcd == runs[0].vcd);
+        EXPECT_EQ(o.trace.size(), runs[0].trace.size());
+        EXPECT_TRUE(o.trace == runs[0].trace);
+        EXPECT_EQ(o.timeline.size(), runs[0].timeline.size());
+        EXPECT_TRUE(o.timeline == runs[0].timeline);
+        EXPECT_EQ(o.cycle, runs[0].cycle);
+        EXPECT_EQ(o.result.status, runs[0].result.status);
+    }
+    return runs;
+}
+
+/** The last non-empty line of @p text. */
+std::string
+lastLine(const std::string &text)
+{
+    size_t end = text.find_last_not_of('\n');
+    if (end == std::string::npos)
+        return "";
+    size_t begin = text.rfind('\n', end);
+    begin = begin == std::string::npos ? 0 : begin + 1;
+    return text.substr(begin, end + 1 - begin);
+}
+
+TEST(EngineContract, ObservationFilesByteIdentical)
+{
+    auto image = isa::buildMemoryImage(isa::workload("towers"));
+    std::vector<std::pair<std::string, std::unique_ptr<System>>> cases;
+    cases.emplace_back(
+        "cpu", designs::buildCpu(designs::BranchPolicy::kTaken, image).sys);
+    cases.emplace_back("ooo", designs::buildOoo(image).sys);
+    cases.emplace_back(
+        "kmp", designs::buildKmpAccel(designs::makeKmpData(300, 11)).sys);
+    cases.emplace_back("backpressure", buildBackpressure());
+    for (auto &[name, sys] : cases) {
+        SCOPED_TRACE(name);
+        Engines fx(std::move(sys));
+        std::vector<Observed> runs = observeAll(fx, 3'000, {}, name);
+        // The drivers run from cycle 0, so the trace starts there.
+        EXPECT_EQ(runs[0].trace.rfind("#0:", 0), 0u) << runs[0].trace;
+        EXPECT_NE(runs[0].vcd.find("$enddefinitions $end"),
+                  std::string::npos);
+        if (name == "backpressure") {
+            EXPECT_NE(runs[0].trace.find(" prod(wait:fifo_full)"),
+                      std::string::npos)
+                << runs[0].trace;
+        }
+    }
+}
+
+TEST(EngineContract, WatchdogVerdictLineIdenticalOnBothEngines)
+{
+    Engines fx(buildSpinner());
+    sim::SimOptions opts;
+    opts.watchdog_window = 64;
+    std::vector<Observed> runs = observeAll(fx, 10'000, opts, "verdict");
+    EXPECT_EQ(runs[0].result.status, sim::RunStatus::kLivelock);
+    // The verdict closes the trace, after the last cycle's stage line.
+    std::string report = runs[0].result.hazard.toString();
+    ASSERT_FALSE(report.empty());
+    EXPECT_EQ(runs[0].trace.substr(runs[0].trace.size() - report.size()),
+              report);
+    EXPECT_NE(report.find("livelock detected"), std::string::npos)
+        << report;
+}
+
+TEST(EngineContract, FaultLineIdenticalAndVcdEndsAtLastCommit)
+{
+    Engines fx(buildOverflow());
+    std::vector<Observed> runs = observeAll(fx, 100, {}, "fault");
+    const Observed &o = runs[0];
+    ASSERT_EQ(o.result.status, sim::RunStatus::kFault);
+    ASSERT_EQ(o.cycle, 4u); // the faulting cycle never committed
+    EXPECT_EQ(lastLine(o.trace), "#4: FAULT: " + o.result.error);
+    EXPECT_NE(o.result.error.find("FIFO overflow"), std::string::npos)
+        << o.result.error;
+    // The waveform's last frame is cycle 3; its value changes follow.
+    size_t frame = o.vcd.rfind("\n#");
+    ASSERT_NE(frame, std::string::npos);
+    EXPECT_EQ(o.vcd.substr(frame + 1, o.vcd.find('\n', frame + 1) - frame - 1),
+              "#3");
 }
 
 TEST(EngineContract, NetlistIgnoresShuffle)

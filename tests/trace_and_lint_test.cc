@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the event-trace debugging output (paper Q5), the penetrable
+ * Tests for the event-trace debugging output (paper Q5) on both engines,
+ * the penetrable
  * stage-buffer semantics (depth-1 FIFO streaming at full rate), and a
  * structural lint of the generated SystemVerilog (every referenced net
  * declared, every net driven at most once).
@@ -17,6 +18,7 @@
 #include "designs/cpu.h"
 #include "isa/workloads.h"
 #include "rtl/netlist.h"
+#include "rtl/netlist_sim.h"
 #include "rtl/verilog.h"
 #include "sim/simulator.h"
 
@@ -32,6 +34,18 @@ slurp(const std::string &path)
     std::stringstream ss;
     ss << in.rdbuf();
     return ss.str();
+}
+
+/** The engines the trace tests run on; the trace is written once for both. */
+const char *const kEngines[] = {"event", "netlist"};
+
+std::unique_ptr<sim::Engine>
+makeEngine(const std::string &engine, const System &sys,
+           const rtl::Netlist &nl, const sim::SimOptions &opts)
+{
+    if (engine == "event")
+        return std::make_unique<sim::Simulator>(sys, opts);
+    return std::make_unique<rtl::NetlistSim>(nl, opts);
 }
 
 TEST(EventTraceTest, NamesExecutingAndWaitingStages)
@@ -57,23 +71,30 @@ TEST(EventTraceTest, NamesExecutingAndWaitingStages)
     }
     compile(sb.sys());
 
-    std::string path = std::string(::testing::TempDir()) + "events.trace";
-    sim::SimOptions opts;
-    opts.trace_path = path;
-    sim::Simulator s(sb.sys(), opts);
-    s.run(20);
-    ASSERT_TRUE(s.finished());
+    rtl::Netlist nl(sb.sys());
 
-    std::string text = slurp(path);
-    // While go==0 the worker spins on its explicit wait_until: the trace
-    // names both the stall and its reason; after release it must show a
-    // plain worker execution.
-    EXPECT_NE(text.find("worker(wait:wait_until)"), std::string::npos);
-    bool plain_exec = text.find(" worker\n") != std::string::npos ||
-                      text.find(" worker ") != std::string::npos;
-    EXPECT_TRUE(plain_exec) << text;
-    EXPECT_NE(text.find("driver"), std::string::npos);
-    std::remove(path.c_str());
+    for (const std::string engine : kEngines) {
+        SCOPED_TRACE(engine);
+        std::string path =
+            std::string(::testing::TempDir()) + engine + "_events.trace";
+        sim::SimOptions opts;
+        opts.trace_path = path;
+        auto s = makeEngine(engine, sb.sys(), nl, opts);
+        s->run(20);
+        ASSERT_TRUE(s->finished());
+        s.reset();
+
+        std::string text = slurp(path);
+        // While go==0 the worker spins on its explicit wait_until: the
+        // trace names both the stall and its reason; after release it
+        // must show a plain worker execution.
+        EXPECT_NE(text.find("worker(wait:wait_until)"), std::string::npos);
+        bool plain_exec = text.find(" worker\n") != std::string::npos ||
+                          text.find(" worker ") != std::string::npos;
+        EXPECT_TRUE(plain_exec) << text;
+        EXPECT_NE(text.find("driver"), std::string::npos);
+        std::remove(path.c_str());
+    }
 }
 
 /**
@@ -119,21 +140,28 @@ TEST(EventTraceTest, StallReasonsMatchGoldenTrace)
     }
     compile(sb.sys());
 
-    std::string path = std::string(::testing::TempDir()) + "stall.trace";
-    sim::SimOptions opts;
-    opts.trace_path = path;
-    sim::Simulator s(sb.sys(), opts);
-    s.run(20);
-    ASSERT_TRUE(s.finished());
-    EXPECT_EQ(s.readArray(out.array(), 0), 7u);
-    EXPECT_EQ(s.readArray(held.array(), 0), 9u);
-
-    std::string got = slurp(path);
+    rtl::Netlist nl(sb.sys());
     std::string want =
         slurp(std::string(ASSASSYN_SOURCE_DIR) + "/tests/golden/stall_trace.golden");
     ASSERT_FALSE(want.empty()) << "golden file missing";
-    EXPECT_EQ(got, want) << "--- actual trace ---\n" << got;
-    std::remove(path.c_str());
+
+    for (const std::string engine : kEngines) {
+        SCOPED_TRACE(engine);
+        std::string path =
+            std::string(::testing::TempDir()) + engine + "_stall.trace";
+        sim::SimOptions opts;
+        opts.trace_path = path;
+        auto s = makeEngine(engine, sb.sys(), nl, opts);
+        s->run(20);
+        ASSERT_TRUE(s->finished());
+        EXPECT_EQ(s->readArray(out.array(), 0), 7u);
+        EXPECT_EQ(s->readArray(held.array(), 0), 9u);
+        s.reset();
+
+        std::string got = slurp(path);
+        EXPECT_EQ(got, want) << "--- actual trace ---\n" << got;
+        std::remove(path.c_str());
+    }
 }
 
 TEST(PenetrableFifoTest, DepthOneStreamsAtFullRate)

@@ -415,34 +415,40 @@ TEST(TraceTimeline, TracePathCollisionUnderRunSweepIsStructuredFatal)
     Stream design;
     auto prog = sim::Program::compile(design.sb.sys());
 
-    // Hold the path open, the way a concurrent misconfigured sweep
-    // instance would, so the collision is deterministic.
-    std::string path = tempPath("collide_sweep.json");
-    OutputFile holder(path);
+    // The per-cycle text trace and the VCD waveform.
+    for (std::string sim::SimOptions::*field :
+         {&sim::SimOptions::trace_path, &sim::SimOptions::vcd_path}) {
+        SCOPED_TRACE(field == &sim::SimOptions::vcd_path ? "vcd_path"
+                                                          : "trace_path");
+        // Hold the path open, the way a concurrent misconfigured sweep
+        // instance would, so the collision is deterministic.
+        std::string path = tempPath("collide_sweep.json");
+        OutputFile holder(path);
 
-    std::vector<sim::RunConfig> configs(2);
-    configs[0].name = "a";
-    configs[0].sim.capture_logs = false;
-    configs[0].sim.trace_path = path; // the per-cycle text trace
-    configs[1].name = "b";
-    configs[1].sim.capture_logs = false;
-    configs[1].sim.trace_path = path;
+        std::vector<sim::RunConfig> configs(2);
+        configs[0].name = "a";
+        configs[0].sim.capture_logs = false;
+        configs[0].sim.*field = path;
+        configs[1].name = "b";
+        configs[1].sim.capture_logs = false;
+        configs[1].sim.*field = path;
 
-    EXPECT_THROW(
-        sim::runSweep(configs, sim::eventInstance(prog), 2),
-        FatalError);
+        EXPECT_THROW(
+            sim::runSweep(configs, sim::eventInstance(prog), 2),
+            FatalError);
 
-    // Distinct paths sweep cleanly.
-    std::string pa = tempPath("sweep_a.json");
-    std::string pb = tempPath("sweep_b.json");
-    configs[0].sim.trace_path = pa;
-    configs[1].sim.trace_path = pb;
-    sim::SweepReport rep =
-        sim::runSweep(configs, sim::eventInstance(prog), 2);
-    EXPECT_TRUE(rep.allOk());
-    std::remove(path.c_str());
-    std::remove(pa.c_str());
-    std::remove(pb.c_str());
+        // Distinct paths sweep cleanly.
+        std::string pa = tempPath("sweep_a.json");
+        std::string pb = tempPath("sweep_b.json");
+        configs[0].sim.*field = pa;
+        configs[1].sim.*field = pb;
+        sim::SweepReport rep =
+            sim::runSweep(configs, sim::eventInstance(prog), 2);
+        EXPECT_TRUE(rep.allOk());
+        std::remove(path.c_str());
+        std::remove(pa.c_str());
+        std::remove(pb.c_str());
+    }
 }
 
 } // namespace
