@@ -8,8 +8,6 @@
  *  - randomized stage order (Sec. 5.1): result invariance and the cost
  *    of the shuffle.
  */
-#include <benchmark/benchmark.h>
-
 #include "bench/common.h"
 #include "core/compiler/pass.h"
 #include "core/dsl/builder.h"
@@ -181,29 +179,12 @@ printTable()
     std::printf("\n");
 }
 
-void
-BM_ShuffleOverhead(benchmark::State &state)
-{
-    auto image = isa::buildMemoryImage(isa::workload("vvadd"));
-    auto cpu = designs::buildCpu(designs::BranchPolicy::kTaken, image);
-    sim::SimOptions opts;
-    opts.capture_logs = false;
-    opts.shuffle = state.range(0) != 0;
-    for (auto _ : state) {
-        sim::Simulator s(*cpu.sys, opts);
-        s.run(5000000);
-        benchmark::DoNotOptimize(s.cycle());
-    }
-}
-BENCHMARK(BM_ShuffleOverhead)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    rejectLeftoverArgs(argc, argv, "");
     printTable();
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -31,142 +32,113 @@
 namespace assassyn {
 namespace bench {
 
-/**
- * Wall-time + cycle result of one simulated run. Timing is split into
- * the one-time build phase (IR-to-tape compile or netlist elaboration,
- * plus state construction) and the run proper: "simulated k-cycles per
- * second" conventionally excludes elaboration on both backends, and the
- * split keeps the ratio honest for designs whose runs are short. With
- * `reps > 1` both phases keep their best (minimum) observation and the
- * metrics snapshot is required bit-identical across repetitions.
- */
-struct TimedRun {
-    uint64_t cycles = 0;
-    double seconds = 0;       ///< run wall-clock (best of reps)
-    double build_seconds = 0; ///< compile/elaborate + construct (best of reps)
-    /** Wake-list idle-stage visits avoided (event backend; 0 on rtl). */
-    uint64_t events_skipped = 0;
-    /** Ready-set insertions by committed events (event backend; 0 on rtl). */
-    uint64_t stages_woken = 0;
-    sim::MetricsRegistry metrics; ///< full counter snapshot of the run
+/** Cycle budget of a benchmark run; every design finishes well inside. */
+inline constexpr uint64_t kMaxCycles = 50'000'000;
 
-    double kcps() const { return cycles / seconds / 1e3; }
+/** min/median/max of one engine's per-rep simulated cycles/s. */
+struct Spread {
+    double min = 0, median = 0, max = 0;
 };
 
 /**
- * Fold repetition @p rep of one engine into @p r: the first sets the
- * cycle count and metrics snapshot, later ones must reproduce that
- * snapshot bit for bit and can only lower the best times.
+ * Wall-time + cycle result of one engine on one design. Timing is split
+ * into the one-time build phase (IR-to-tape compile or netlist
+ * elaboration, plus state construction) and the run proper: "simulated
+ * cycles per second" conventionally excludes elaboration on both
+ * backends, and the split keeps the ratio honest for designs whose runs
+ * are short. Every run's metrics snapshot must be bit-identical to the
+ * first one's.
  */
-inline void
-foldRep(TimedRun &r, int rep, const char *engine, uint64_t cycles,
-        double build, double run, sim::MetricsRegistry metrics)
-{
-    if (rep == 0) {
-        r.cycles = cycles;
-        r.seconds = run;
-        r.build_seconds = build;
-        r.metrics = std::move(metrics);
-        return;
+struct TimedRun {
+    uint64_t cycles = 0;
+    double build_seconds = 0; ///< one run's build, best rep's mean
+    std::vector<double> cps;  ///< run-only simulated cycles/s, one per rep
+    sim::MetricsRegistry metrics; ///< full counter snapshot of the run
+
+    /** Best rep, in k-cycles/s. */
+    double kcps() const { return spread().max / 1e3; }
+
+    Spread
+    spread() const
+    {
+        std::vector<double> v = cps;
+        std::sort(v.begin(), v.end());
+        size_t n = v.size();
+        return {v.front(), (v[(n - 1) / 2] + v[n / 2]) / 2, v.back()};
     }
-    if (metrics != r.metrics)
-        fatal(engine, " simulator diverged between repetitions:\n",
-              metrics.diff(r.metrics));
-    r.seconds = std::min(r.seconds, run);
-    r.build_seconds = std::min(r.build_seconds, build);
-}
+};
 
 /** Which simulation backend a repetition runs. */
 enum class EngineKind { kEvent, kNetlist };
 
 /**
- * One repetition of one engine, run to finish() and folded into @p r:
- * the event-driven (Assassyn-generated) simulator, or the netlist-level
- * simulator (the Verilator stand-in) with elaboration included in its
- * build time. A nonempty @p timeline_path records the run's Perfetto
- * timeline (docs/observability.md, "Timeline tracing") — on the first
- * repetition only, so repeated runs don't clobber the trace.
+ * One repetition of one engine, folded into @p r: fresh engines are
+ * built and run to finish() until the rep's run phases total at least
+ * @p min_seconds (a single run when 0), and the rep contributes its
+ * cycles/s over all of them. The event-driven (Assassyn-generated)
+ * simulator compiles its tape per run; the netlist-level simulator (the
+ * Verilator stand-in) elaborates its netlist per run, inside the build
+ * time. A nonempty @p timeline_path has every run record its Perfetto
+ * timeline there (docs/observability.md, "Timeline tracing"); a traced
+ * run's metrics carry trace.* counters an untraced one lacks, so trace
+ * a separate single run, never a timed rep.
  */
 inline void
-engineRep(TimedRun &r, int rep, EngineKind kind, const System &sys,
-          uint64_t max_cycles, const std::string &timeline_path)
+engineRep(TimedRun &r, EngineKind kind, const System &sys,
+          uint64_t max_cycles, double min_seconds,
+          const std::string &timeline_path = "")
 {
     const bool event = kind == EngineKind::kEvent;
     const char *name = event ? "event" : "netlist";
-    sim::SimOptions opts;
-    opts.capture_logs = false;
-    if (rep == 0)
+    const bool first_rep = r.cps.empty();
+    double build = 0, run = 0;
+    uint64_t cycles = 0;
+    int runs = 0;
+    do {
+        sim::SimOptions opts;
+        opts.capture_logs = false;
         opts.timeline_path = timeline_path;
-    auto t0 = std::chrono::steady_clock::now();
-    std::optional<rtl::Netlist> nl;
-    std::unique_ptr<sim::Engine> s;
-    if (event) {
-        s = std::make_unique<sim::Simulator>(sys, opts);
-    } else {
-        nl.emplace(sys);
-        s = std::make_unique<rtl::NetlistSim>(*nl, opts);
-    }
-    auto t1 = std::chrono::steady_clock::now();
-    sim::RunResult res = s->run(max_cycles);
-    auto t2 = std::chrono::steady_clock::now();
-    if (!s->finished())
-        fatal("benchmark design did not finish (", name, ": ",
-              sim::runStatusName(res.status),
-              res.error.empty() ? "" : ": ", res.error, ")",
-              res.hazard.empty() ? "" : "\n" + res.hazard.toString());
-    foldRep(r, rep, name, s->cycle(),
-            std::chrono::duration<double>(t1 - t0).count(),
-            std::chrono::duration<double>(t2 - t1).count(), s->metrics());
-    if (event) {
-        r.events_skipped = r.metrics.counter("sched.events_skipped");
-        r.stages_woken = r.metrics.counter("sched.stages_woken");
-    }
+        auto t0 = std::chrono::steady_clock::now();
+        std::optional<rtl::Netlist> nl;
+        std::unique_ptr<sim::Engine> s;
+        if (event) {
+            s = std::make_unique<sim::Simulator>(sys, opts);
+        } else {
+            nl.emplace(sys);
+            s = std::make_unique<rtl::NetlistSim>(*nl, opts);
+        }
+        auto t1 = std::chrono::steady_clock::now();
+        sim::RunResult res = s->run(max_cycles);
+        auto t2 = std::chrono::steady_clock::now();
+        if (!s->finished())
+            fatal("benchmark design did not finish (", name, ": ",
+                  sim::runStatusName(res.status),
+                  res.error.empty() ? "" : ": ", res.error, ")",
+                  res.hazard.empty() ? "" : "\n" + res.hazard.toString());
+        if (first_rep && runs == 0) {
+            r.cycles = s->cycle();
+            r.metrics = s->metrics();
+        } else if (sim::MetricsRegistry m = s->metrics(); m != r.metrics) {
+            fatal(name, " simulator diverged between runs:\n",
+                  m.diff(r.metrics));
+        }
+        build += std::chrono::duration<double>(t1 - t0).count();
+        run += std::chrono::duration<double>(t2 - t1).count();
+        cycles += s->cycle();
+        ++runs;
+    } while (run < min_seconds);
+    r.cps.push_back(double(cycles) / run);
+    build /= runs;
+    r.build_seconds = first_rep ? build : std::min(r.build_seconds, build);
 }
 
 /** Run the event-driven simulator to finish() once. */
 inline TimedRun
-runEventSim(const System &sys, uint64_t max_cycles = 50'000'000)
+runEventSim(const System &sys, uint64_t max_cycles = kMaxCycles)
 {
     TimedRun r;
-    engineRep(r, 0, EngineKind::kEvent, sys, max_cycles, "");
+    engineRep(r, EngineKind::kEvent, sys, max_cycles, 0);
     return r;
-}
-
-/** Run the netlist-level simulator to finish() once. */
-inline TimedRun
-runNetlistSim(const System &sys, uint64_t max_cycles = 50'000'000)
-{
-    TimedRun r;
-    engineRep(r, 0, EngineKind::kNetlist, sys, max_cycles, "");
-    return r;
-}
-
-/**
- * Time both engines on @p sys, best of @p reps each, with the
- * repetitions interleaved (event, netlist, then netlist, event, ...) so
- * a slow stretch of a shared host lands on both engines instead of
- * skewing their ratio.
- */
-inline std::pair<TimedRun, TimedRun>
-runBothSims(const System &sys, const std::string &event_timeline,
-            const std::string &netlist_timeline, int reps,
-            uint64_t max_cycles = 50'000'000)
-{
-    TimedRun ev, nl;
-    for (int rep = 0; rep < reps; ++rep) {
-        if (rep % 2 == 0) {
-            engineRep(ev, rep, EngineKind::kEvent, sys, max_cycles,
-                      event_timeline);
-            engineRep(nl, rep, EngineKind::kNetlist, sys, max_cycles,
-                      netlist_timeline);
-        } else {
-            engineRep(nl, rep, EngineKind::kNetlist, sys, max_cycles,
-                      netlist_timeline);
-            engineRep(ev, rep, EngineKind::kEvent, sys, max_cycles,
-                      event_timeline);
-        }
-    }
-    return {std::move(ev), std::move(nl)};
 }
 
 /**
@@ -240,7 +212,7 @@ class MetricsReport {
 
 /** Cycle count only (event simulator, logs off). */
 inline uint64_t
-cyclesOf(const System &sys, uint64_t max_cycles = 50'000'000)
+cyclesOf(const System &sys, uint64_t max_cycles = kMaxCycles)
 {
     return runEventSim(sys, max_cycles).cycles;
 }
@@ -339,26 +311,19 @@ eatFlag(int &argc, char **argv, const char *flag)
 }
 
 /**
- * Consume a value-taking `--flag VALUE` pair from argv if present,
- * storing VALUE into @p out and returning whether the flag was there.
- * A trailing flag with no value is a fatal() — silently treating the
- * next flag as the value would misparse the rest of the line.
+ * Exit with status 2 and a usage line if any argument is left after the
+ * binary's eatFlag calls: an unknown or misspelled option is an error,
+ * never silently ignored. @p flags lists the accepted options for the
+ * usage line ("" for a binary that takes none).
  */
-inline bool
-eatFlagValue(int &argc, char **argv, const char *flag, std::string &out)
+inline void
+rejectLeftoverArgs(int argc, char **argv, const char *flags)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], flag) == 0) {
-            if (i + 1 >= argc)
-                fatal("flag ", flag, " expects a value");
-            out = argv[i + 1];
-            for (int j = i; j + 2 < argc; ++j)
-                argv[j] = argv[j + 2];
-            argc -= 2;
-            return true;
-        }
-    }
-    return false;
+    if (argc <= 1)
+        return;
+    std::fprintf(stderr, "%s: unknown argument '%s'\nusage: %s%s%s\n",
+                 argv[0], argv[1], argv[0], *flags ? " " : "", flags);
+    std::exit(2);
 }
 
 /** Geometric mean. */

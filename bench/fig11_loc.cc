@@ -7,8 +7,6 @@
  * sources (cloc-style: non-blank, non-comment) and compares against the
  * reference LoC the paper reports for the third-party artifacts.
  */
-#include <benchmark/benchmark.h>
-
 #include "bench/common.h"
 
 namespace {
@@ -59,25 +57,12 @@ printTable()
                 gmean(hls_ratios));
 }
 
-void
-BM_CountLoc(benchmark::State &state)
-{
-    for (auto _ : state) {
-        size_t total = 0;
-        for (const Row &row : kRows)
-            total += countLoc(sourceDir() + "/src/designs/" + row.file);
-        benchmark::DoNotOptimize(total);
-    }
-}
-BENCHMARK(BM_CountLoc);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    rejectLeftoverArgs(argc, argv, "");
     printTable();
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -6,8 +6,6 @@
  * Against HLS the ratio multiplies the measured cycle-count speedup with
  * the HLS/Assassyn area ratio (paper: up to 32x, mean 6x).
  */
-#include <benchmark/benchmark.h>
-
 #include "bench/bench_designs.h"
 #include "bench/common.h"
 #include "designs/cpu.h"
@@ -61,28 +59,12 @@ printTable()
                 gmean(hls_gain));
 }
 
-void
-BM_AccelCycleCount(benchmark::State &state)
-{
-    auto pair = paperAccels()[1]; // spmv
-    auto d = pair.assassyn();
-    for (auto _ : state) {
-        uint64_t c = cyclesOf(*d.sys);
-        benchmark::DoNotOptimize(c);
-        state.PauseTiming();
-        d = pair.assassyn(); // rebuild: runs are single-shot
-        state.ResumeTiming();
-    }
-}
-BENCHMARK(BM_AccelCycleCount)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    rejectLeftoverArgs(argc, argv, "");
     printTable();
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -6,8 +6,6 @@
  * control-heavy designs (CPU, priority queue, merge sort) and the
  * counter SM below ~5% except on tiny designs like kmp.
  */
-#include <benchmark/benchmark.h>
-
 #include "bench/bench_designs.h"
 #include "bench/common.h"
 #include "designs/cpu.h"
@@ -49,25 +47,12 @@ printTable()
     std::printf("\n");
 }
 
-void
-BM_AreaEstimation(benchmark::State &state)
-{
-    auto image = isa::buildMemoryImage(isa::workload("vvadd"));
-    auto cpu = designs::buildCpu(designs::BranchPolicy::kTaken, image);
-    for (auto _ : state) {
-        auto rep = areaOf(*cpu.sys);
-        benchmark::DoNotOptimize(rep.func);
-    }
-}
-BENCHMARK(BM_AreaEstimation);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    rejectLeftoverArgs(argc, argv, "");
     printTable();
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -6,8 +6,6 @@
  * accelerators the reference is our HLS baseline's own area (the paper's
  * HLS bars), where Assassyn should average roughly 70% savings.
  */
-#include <benchmark/benchmark.h>
-
 #include "bench/bench_designs.h"
 #include "bench/common.h"
 #include "designs/cpu.h"
@@ -66,25 +64,12 @@ printTable()
                 gmean(savings));
 }
 
-void
-BM_NetlistElaboration(benchmark::State &state)
-{
-    auto image = isa::buildMemoryImage(isa::workload("vvadd"));
-    auto cpu = designs::buildCpu(designs::BranchPolicy::kTaken, image);
-    for (auto _ : state) {
-        rtl::Netlist nl(*cpu.sys);
-        benchmark::DoNotOptimize(nl.cells().size());
-    }
-}
-BENCHMARK(BM_NetlistElaboration);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    rejectLeftoverArgs(argc, argv, "");
     printTable();
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -9,8 +9,6 @@
  *      directions, while the Assassyn simulator is cycle-exact to RTL.
  *  (b) accelerator speedup over the HLS baseline (paper gmean: 1.81x).
  */
-#include <benchmark/benchmark.h>
-
 #include <iterator>
 
 #include "baseline/gem5like.h"
@@ -87,31 +85,15 @@ printTable(bool trace)
     std::printf("%-8s %9.2f   (1.81)\n\n", "g-mean", gmean(sp));
 }
 
-void
-BM_CpuVvaddIpc(benchmark::State &state)
-{
-    auto image = isa::buildMemoryImage(isa::workload("vvadd"));
-    for (auto _ : state) {
-        auto cpu = designs::buildCpu(designs::BranchPolicy::kTaken, image);
-        sim::SimOptions opts;
-        opts.capture_logs = false;
-        sim::Simulator s(*cpu.sys, opts);
-        s.run(50'000'000);
-        benchmark::DoNotOptimize(s.cycle());
-    }
-}
-BENCHMARK(BM_CpuVvaddIpc)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     bool trace = eatFlag(argc, argv, "--trace");
+    rejectLeftoverArgs(argc, argv, "[--trace]");
     if (trace)
         HostProfiler::instance().enable();
     printTable(trace);
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -12,22 +12,23 @@
  * The paper reports 2.2x over Verilator on the CPU and 8.1x on the HLS
  * accelerators (idle-stage skipping pays off most on mostly-idle FSM
  * designs), with gem5 losing on sub-10k-cycle runs to its init overhead
- * and winning by an order of magnitude once amortized. Alignment (equal
- * cycle counts between asyn and rtl) is asserted for every design.
+ * and winning by an order of magnitude once amortized. Alignment (an
+ * identical metrics snapshot on asyn and rtl) is asserted for every
+ * design.
+ *
+ * Timing: kReps reps per engine per design, taken round the designs
+ * (see timeCases). Each rep builds fresh engines and runs them to
+ * finish() until its run phases total at least kMinRepSeconds, so short
+ * designs are timed over many runs; build time is timed separately. The
+ * table and BENCH_fig16.json give the median cycles/s with the min and
+ * max rep.
  */
-#include <benchmark/benchmark.h>
-
-#include <cstdlib>
-#include <thread>
-
 #include "baseline/gem5like.h"
 #include "isa/riscv.h"
 #include "bench/bench_designs.h"
 #include "bench/common.h"
 #include "designs/cpu.h"
 #include "isa/workloads.h"
-#include "sim/program.h"
-#include "sim/sweep.h"
 #include "support/profiler.h"
 
 namespace {
@@ -35,188 +36,128 @@ namespace {
 using namespace assassyn;
 using namespace assassyn::bench;
 
-/** One design's throughput, for the machine-readable report. */
-struct ThroughputRow {
-    std::string design;
-    uint64_t cycles;
-    double asyn_kcps;
-    double rtl_kcps;
-    double asyn_build_s;     ///< tape compile + state construction
-    double rtl_build_s;      ///< netlist elaboration + state construction
-    uint64_t events_skipped; ///< wake-list idle visits avoided (event)
-    uint64_t stages_woken;   ///< ready-set insertions (event)
-};
+constexpr int kReps = 5;
+constexpr double kMinRepSeconds = 0.05;
 
-/** One worker-count's batch throughput in the sweep-scaling section. */
-struct SweepScalingRow {
-    size_t workers;
-    double seconds;      ///< batch wall-clock
-    double batch_kcps;   ///< total simulated kcycles / batch seconds
-    double speedup;      ///< vs the 1-worker batch
-    bool oversubscribed; ///< more workers than hardware threads
-};
-
-/** The sweep-scaling section of the v2 report. */
-struct SweepScaling {
+/** One design of the table and its timing on both engines. */
+struct Case {
     std::string design;
-    size_t instances = 0;
-    uint64_t cycles_per_instance = 0;
-    std::vector<SweepScalingRow> rows;
+    std::unique_ptr<System> sys;
+    TimedRun ev = {}, nl = {};
+
+    double speedup() const
+    {
+        return ev.spread().median / nl.spread().median;
+    }
 };
 
 /**
- * Thread-scaling of the sweep runner (sim/sweep.h): one CPU compiled
- * once into a sim::Program, a batch of shuffle-seed instances executed
- * at 1/2/4/8 workers. Per-instance metrics are required bit-identical
- * to the serial baseline at every worker count — the scaling numbers
- * are only meaningful if parallelism changes nothing but wall-clock.
- * Speedup saturates at the machine's core count; the report records
- * honest wall-clock on whatever host ran it (docs/performance.md).
+ * Time both engines on every case, kReps reps each, and require their
+ * metrics aligned. The reps go round the cases (rep 0 of every case,
+ * then rep 1, ...), so each case's spread samples the host over the
+ * whole table rather than one moment of it. Within a case the engines
+ * take turns going first (event first on even reps), so a slow stretch
+ * of a shared host lands on both instead of skewing their ratio.
  */
-SweepScaling
-runSweepScaling(bool smoke, uint64_t ckpt_every)
+void
+timeCases(std::vector<Case> &cases)
 {
-    auto image = isa::buildMemoryImage(isa::workload("vvadd"));
-    auto cpu = designs::buildCpu(designs::BranchPolicy::kTaken, image);
-    auto prog = sim::Program::compile(*cpu.sys);
-
-    SweepScaling out;
-    out.design = "cpu.vvadd";
-    out.instances = smoke ? 4 : 8;
-    std::vector<sim::RunConfig> configs;
-    for (size_t i = 0; i < out.instances; ++i) {
-        sim::RunConfig cfg;
-        cfg.name = "seed" + std::to_string(i + 1);
-        cfg.sim.capture_logs = false;
-        cfg.sim.shuffle = true;
-        cfg.sim.shuffle_seed = i + 1;
-        // --ckpt-every: periodic per-instance checkpoints. Because a
-        // restore is byte-identical, the bit-identity assertion below
-        // holds with checkpointing on — the flag doubles as a live
-        // check that slicing perturbs nothing.
-        if (ckpt_every) {
-            cfg.ckpt_every = ckpt_every;
-            cfg.ckpt_path = artifactsDir() + "/fig16_" + cfg.name +
-                            ".ckpt.json";
+    for (int rep = 0; rep < kReps; ++rep) {
+        for (Case &c : cases) {
+            auto event = [&] {
+                engineRep(c.ev, EngineKind::kEvent, *c.sys, kMaxCycles,
+                          kMinRepSeconds);
+            };
+            auto netlist = [&] {
+                engineRep(c.nl, EngineKind::kNetlist, *c.sys, kMaxCycles,
+                          kMinRepSeconds);
+            };
+            if (rep % 2 == 0) {
+                event();
+                netlist();
+            } else {
+                netlist();
+                event();
+            }
         }
-        configs.push_back(cfg);
     }
+    // The paper's alignment claim, checked at full counter depth: not
+    // just equal cycle counts but an identical metrics snapshot.
+    for (const Case &c : cases)
+        requireAligned(c.ev, c.nl, c.design);
+}
 
-    // Serial baseline: the reference per-instance metrics and the
-    // 1-worker wall-clock every other row is compared against.
-    sim::SweepReport base =
-        sim::runSweep(configs, sim::eventInstance(prog), 1);
-    if (!base.allOk())
-        fatal("sweep scaling: baseline batch did not finish");
-    out.cycles_per_instance = base.runs[0].result.cycles;
-    uint64_t total_cycles = 0;
-    std::vector<std::string> ref;
-    for (const sim::InstanceResult &run : base.runs) {
-        total_cycles += run.result.cycles;
-        ref.push_back(run.metrics.toJson(out.design));
-    }
-    out.rows.push_back(
-        {1, base.seconds, double(total_cycles) / base.seconds / 1e3, 1.0,
-         false});
+/** "median [min-max]" in k-cycles/s, for the printed table. */
+std::string
+kcpsText(const Spread &s)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.0f [%.0f-%.0f]", s.median / 1e3,
+                  s.min / 1e3, s.max / 1e3);
+    return buf;
+}
 
-    // Worker counts beyond the machine's hardware threads still run (the
-    // bit-identity assertion is a live correctness check at every
-    // count), but their rows are marked oversubscribed: wall-clock from
-    // an oversubscribed batch says nothing about the runner's scaling.
-    const unsigned hw = std::thread::hardware_concurrency();
-    for (size_t workers : {size_t(2), size_t(4), size_t(8)}) {
-        sim::SweepReport rep =
-            sim::runSweep(configs, sim::eventInstance(prog), workers);
-        for (size_t i = 0; i < rep.runs.size(); ++i)
-            if (rep.runs[i].metrics.toJson(out.design) != ref[i])
-                fatal("sweep scaling: instance '", configs[i].name,
-                      "' metrics diverged at ", workers, " workers");
-        out.rows.push_back({workers, rep.seconds,
-                            double(total_cycles) / rep.seconds / 1e3,
-                            base.seconds / rep.seconds,
-                            hw != 0 && workers > hw});
-    }
-    return out;
+/** @p key: the median; @p key_min / @p key_max: the extreme reps. */
+void
+writeSpread(JsonWriter &w, const std::string &key, const Spread &s)
+{
+    w.key(key);
+    w.value(s.median);
+    w.key(key + "_min");
+    w.value(s.min);
+    w.key(key + "_max");
+    w.value(s.max);
 }
 
 /**
- * BENCH_fig16.json (schema assassyn.bench.fig16.v3): cycles/sec per
- * design per backend, plus the sweep-runner thread-scaling section, at
- * the repo root (full runs only) so successive checkouts can be diffed
- * for throughput regressions (docs/performance.md). v3 over v2:
- * run-only timing (the one-time build phase is reported per backend in
- * its own field), best of `reps` repetitions with bit-identical metrics
- * required across them, the wake-list scheduler's events_skipped /
- * stages_woken counters per run, and an `oversubscribed` marker on
- * sweep rows whose worker count exceeds the machine's hardware threads.
+ * BENCH_fig16.json (schema assassyn.bench.fig16.v4): cycles/s per
+ * design per backend, at the repo root (full runs only) so successive
+ * checkouts can be diffed (docs/performance.md). v4 over v3: each
+ * engine's `*_cps` is the median of the reps, with `*_cps_min` /
+ * `*_cps_max` beside it; each rep times at least `min_rep_seconds` of
+ * runs; the sweep-scaling section is gone (perfbench's
+ * sim.sweep.efficiency measures sweep scaling).
  */
 void
-writeBenchJson(const std::vector<ThroughputRow> &rows,
-               const SweepScaling &sweep, bool smoke, int reps)
+writeBenchJson(const std::vector<Case> &cases, bool smoke)
 {
     JsonWriter w;
     w.beginObject();
     w.key("schema");
-    w.value("assassyn.bench.fig16.v3");
+    w.value("assassyn.bench.fig16.v4");
     w.key("smoke");
     w.value(smoke ? 1.0 : 0.0);
     w.key("timing");
-    w.value("run-only, best of reps; build reported separately");
+    w.value("run-only; median, min and max of reps; build reported "
+            "separately");
     w.key("reps");
-    w.value(uint64_t(reps));
+    w.value(uint64_t(kReps));
+    w.key("min_rep_seconds");
+    w.value(kMinRepSeconds);
     w.key("runs");
     w.beginArray();
-    for (const ThroughputRow &r : rows) {
+    for (const Case &c : cases) {
         w.beginObject();
         w.key("design");
-        w.value(r.design);
+        w.value(c.design);
         w.key("cycles");
-        w.value(double(r.cycles));
-        w.key("asyn_cps");
-        w.value(r.asyn_kcps * 1e3);
-        w.key("rtl_cps");
-        w.value(r.rtl_kcps * 1e3);
+        w.value(double(c.ev.cycles));
+        writeSpread(w, "asyn_cps", c.ev.spread());
+        writeSpread(w, "rtl_cps", c.nl.spread());
         w.key("asyn_over_rtl");
-        w.value(r.asyn_kcps / r.rtl_kcps);
+        w.value(c.speedup());
         w.key("asyn_build_seconds");
-        w.value(r.asyn_build_s);
+        w.value(c.ev.build_seconds);
         w.key("rtl_build_seconds");
-        w.value(r.rtl_build_s);
+        w.value(c.nl.build_seconds);
+        // Wake-list scheduler counters of the event engine.
         w.key("events_skipped");
-        w.value(r.events_skipped);
+        w.value(c.ev.metrics.counter("sched.events_skipped"));
         w.key("stages_woken");
-        w.value(r.stages_woken);
+        w.value(c.ev.metrics.counter("sched.stages_woken"));
         w.endObject();
     }
     w.endArray();
-    w.key("sweep");
-    w.beginObject();
-    w.key("design");
-    w.value(sweep.design);
-    w.key("instances");
-    w.value(uint64_t(sweep.instances));
-    w.key("cycles_per_instance");
-    w.value(sweep.cycles_per_instance);
-    w.key("hardware_threads");
-    w.value(uint64_t(std::thread::hardware_concurrency()));
-    w.key("rows");
-    w.beginArray();
-    for (const SweepScalingRow &r : sweep.rows) {
-        w.beginObject();
-        w.key("workers");
-        w.value(uint64_t(r.workers));
-        w.key("seconds");
-        w.value(r.seconds);
-        w.key("batch_kcps");
-        w.value(r.batch_kcps);
-        w.key("speedup_vs_1");
-        w.value(r.speedup);
-        w.key("oversubscribed");
-        w.value(r.oversubscribed ? 1.0 : 0.0);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
     w.endObject();
     // Only a full run updates the tracked record; the --smoke slice
     // (the perf_smoke ctest) reports under the gitignored artifacts/.
@@ -231,85 +172,59 @@ writeBenchJson(const std::vector<ThroughputRow> &rows,
     std::printf("throughput report: %s\n", path.c_str());
 }
 
-/**
- * --resume <manifest>: run one cpu.vvadd instance resumed from a
- * checkpoint (e.g. one left behind by a --ckpt-every run) and print
- * its row — the CLI face of the retry-from-checkpoint path
- * (docs/robustness.md).
- */
 void
-runResumed(const std::string &manifest)
+printTable(bool smoke, bool trace)
 {
-    auto image = isa::buildMemoryImage(isa::workload("vvadd"));
-    auto cpu = designs::buildCpu(designs::BranchPolicy::kTaken, image);
-    auto prog = sim::Program::compile(*cpu.sys);
-    sim::RunConfig cfg;
-    cfg.name = "resumed";
-    cfg.sim.capture_logs = false;
-    cfg.sim.shuffle = true;
-    cfg.resume_from = manifest;
-    sim::SweepReport rep =
-        sim::runSweep({cfg}, sim::eventInstance(prog), 1);
-    const sim::InstanceResult &run = rep.runs[0];
-    std::printf("-- resumed cpu.vvadd from %s --\n", manifest.c_str());
-    std::printf("%-8s %10s %10s %10s\n", "status", "ran", "end_cycle",
-                "seconds");
-    std::printf("%-8s %10llu %10llu %10.3f\n",
-                sim::runStatusName(run.result.status),
-                (unsigned long long)run.result.cycles,
-                (unsigned long long)run.end_cycle, run.seconds);
-}
+    const std::vector<AccelPair> accels = paperAccels();
+    const size_t num_cpu = smoke ? 2 : std::size(kSodorIpc);
+    const size_t num_hls = smoke ? 1 : accels.size();
+    std::vector<Case> cases;
+    for (size_t i = 0; i < num_cpu; ++i) {
+        auto image = isa::buildMemoryImage(isa::workload(kSodorIpc[i].name));
+        cases.push_back({"cpu." + std::string(kSodorIpc[i].name),
+                         designs::buildCpu(designs::BranchPolicy::kTaken,
+                                           image)
+                             .sys});
+    }
+    for (size_t i = 0; i < num_hls; ++i)
+        cases.push_back({"hls." + accels[i].name, accels[i].hls().sys});
 
-void
-printTable(bool smoke, bool trace, uint64_t ckpt_every)
-{
-    // Best-of-N run-only timing, event and netlist reps interleaved:
-    // the one-time build phase (tape compile or netlist elaboration +
-    // construction) is timed separately, and each repetition's metrics
-    // snapshot must be bit-identical.
-    const int reps = 3;
+    // Under --trace, the first CPU workload also records its timeline on
+    // both backends, in one untimed run each; their aligned metrics
+    // snapshots cover the trace.* keys too. (Byte-identity of the
+    // simulated-cycle events is asserted by
+    // tests/trace_timeline_test.cc with the host profiler off; here
+    // each file also carries its own host timeline.)
+    if (trace) {
+        TimedRun ev, nl;
+        engineRep(ev, EngineKind::kEvent, *cases[0].sys, kMaxCycles, 0,
+                  artifactsDir() + "/fig16_trace_event.json");
+        engineRep(nl, EngineKind::kNetlist, *cases[0].sys, kMaxCycles, 0,
+                  artifactsDir() + "/fig16_trace_rtl.json");
+        requireAligned(ev, nl, cases[0].design + " (traced)");
+    }
+    timeCases(cases);
+
     std::printf("=== Fig. 16 (Q5): simulated k-cycles/s (and alignment) "
                 "===\n");
-    std::printf("(run-only wall-clock, best of %d; build time reported "
-                "separately)\n", reps);
+    std::printf("(run-only wall-clock: median [min-max] of %d interleaved "
+                "reps of >= %.0f ms each;\n build time reported "
+                "separately)\n",
+                kReps, kMinRepSeconds * 1e3);
     std::printf("-- CPU workloads (5-stage bp.t core) --\n");
-    std::printf("%-10s %8s %10s %10s %10s %8s %10s\n", "workload", "cycles",
+    std::printf("%-10s %8s %20s %20s %8s %8s %10s\n", "workload", "cycles",
                 "asyn", "rtl(sim)", "gem5", "speedup", "build(ms)");
     MetricsReport report;
-    std::vector<ThroughputRow> rows;
+    for (const Case &c : cases)
+        report.add(c.design, c.ev.metrics,
+                   {{"asyn_kcps", c.ev.spread().median / 1e3},
+                    {"rtl_kcps", c.nl.spread().median / 1e3}});
     std::vector<double> cpu_speedups;
-    size_t cpu_left = smoke ? 2 : size_t(-1);
-    bool first_cpu = true;
-    for (const SodorIpc &ref : kSodorIpc) {
-        if (cpu_left-- == 0)
-            break;
-        auto image = isa::buildMemoryImage(isa::workload(ref.name));
-        auto cpu = designs::buildCpu(designs::BranchPolicy::kTaken, image);
-        // Under --trace, the first CPU workload records its timeline on
-        // both backends; the aligned metrics snapshots below then cover
-        // the trace.* keys too. (Byte-identity of the simulated-cycle
-        // events is asserted by tests/trace_timeline_test.cc with the
-        // host profiler off; here each file also carries its own host
-        // timeline.) Timed numbers for that workload include overhead.
-        std::string ev_tl, nl_tl;
-        if (trace && first_cpu) {
-            ev_tl = artifactsDir() + "/fig16_trace_event.json";
-            nl_tl = artifactsDir() + "/fig16_trace_rtl.json";
-        }
-        first_cpu = false;
-        auto [ev, nl] = runBothSims(*cpu.sys, ev_tl, nl_tl, reps);
-        // The paper's alignment claim, checked at full counter depth:
-        // not just equal cycle counts but an identical metrics snapshot.
-        requireAligned(ev, nl, ref.name);
-        report.add("cpu." + std::string(ref.name), ev.metrics,
-                   {{"asyn_kcps", ev.kcps()}, {"rtl_kcps", nl.kcps()}});
-        rows.push_back({"cpu." + std::string(ref.name), ev.cycles,
-                        ev.kcps(), nl.kcps(), ev.build_seconds,
-                        nl.build_seconds, ev.events_skipped,
-                        ev.stages_woken});
-
+    for (size_t i = 0; i < num_cpu; ++i) {
+        const Case &c = cases[i];
         // gem5: include the initialization phase in wall time, as the
         // paper does.
+        auto image = isa::buildMemoryImage(isa::workload(kSodorIpc[i].name));
         auto t0 = std::chrono::steady_clock::now();
         baseline::Gem5LikeCpu gem5(image);
         auto g = gem5.run();
@@ -317,26 +232,29 @@ printTable(bool smoke, bool trace, uint64_t ckpt_every)
         double gem5_s = std::chrono::duration<double>(t1 - t0).count();
         double gem5_kcps = double(g.cycles) / gem5_s / 1e3;
 
-        std::printf("%-10s %8llu %10.0f %10.0f %10.0f %7.1fx %4.1f/%4.1f\n",
-                    ref.name, (unsigned long long)ev.cycles, ev.kcps(),
-                    nl.kcps(), gem5_kcps, ev.kcps() / nl.kcps(),
-                    ev.build_seconds * 1e3, nl.build_seconds * 1e3);
-        cpu_speedups.push_back(ev.kcps() / nl.kcps());
+        std::printf("%-10s %8llu %20s %20s %8.0f %7.1fx %4.1f/%4.1f\n",
+                    kSodorIpc[i].name, (unsigned long long)c.ev.cycles,
+                    kcpsText(c.ev.spread()).c_str(),
+                    kcpsText(c.nl.spread()).c_str(), gem5_kcps,
+                    c.speedup(), c.ev.build_seconds * 1e3,
+                    c.nl.build_seconds * 1e3);
+        cpu_speedups.push_back(c.speedup());
     }
     std::printf("asyn/rtl speedup (gmean): %.1fx  (paper: 2.2x on CPU)\n",
                 gmean(cpu_speedups));
     // Regression canary on the CI path (perf_smoke): the event engine
     // must beat the netlist engine outright on every CPU workload it
-    // ran. Both now interpret a pre-decoded tape with threaded
-    // dispatch, so the margin is event skipping alone: ~1.2-1.4x on
-    // these short CPU runs. The interleaved reps keep host drift from
-    // landing on one engine only.
+    // ran, comparing each engine's best rep. Both interpret a
+    // pre-decoded tape with threaded dispatch, so the margin is event
+    // skipping alone: ~1.2-1.4x on these short CPU runs.
     if (smoke)
-        for (const ThroughputRow &r : rows)
-            if (r.asyn_kcps / r.rtl_kcps <= 1.0)
-                fatal("perf smoke: ", r.design, " asyn/rtl speedup ",
-                      r.asyn_kcps / r.rtl_kcps,
+        for (size_t i = 0; i < num_cpu; ++i) {
+            const Case &c = cases[i];
+            double best = c.ev.spread().max / c.nl.spread().max;
+            if (best <= 1.0)
+                fatal("perf smoke: ", c.design, " asyn/rtl speedup ", best,
                       " is not above 1.0 — event engine regression");
+        }
 
     // The paper's long-run observation: once its initialization is
     // amortized, gem5 runs an order of magnitude faster than the
@@ -359,61 +277,33 @@ printTable(bool smoke, bool trace, uint64_t ckpt_every)
         auto g = gem5.run();
         auto t1 = std::chrono::steady_clock::now();
         double gem5_s = std::chrono::duration<double>(t1 - t0).count();
-        std::printf("%-10s %8llu %10.0f %10s %10.0f   (gem5 amortizes: "
-                    "paper reports ~10x)\n",
+        std::printf("%-10s %8llu %20.0f %20s %8.0f   (one run; gem5 "
+                    "amortizes: paper reports ~10x)\n",
                     "long-loop", (unsigned long long)ev.cycles, ev.kcps(),
                     "-", double(g.cycles) / gem5_s / 1e3);
     }
 
     std::printf("-- HLS accelerator workloads --\n");
-    std::printf("%-10s %8s %10s %10s %8s\n", "workload", "cycles", "asyn",
+    std::printf("%-10s %8s %20s %20s %8s\n", "workload", "cycles", "asyn",
                 "rtl(sim)", "speedup");
     std::vector<double> hls_speedups;
-    size_t hls_left = smoke ? 1 : size_t(-1);
-    for (const AccelPair &p : paperAccels()) {
-        if (hls_left-- == 0)
-            break;
-        auto hls = p.hls();
-        auto [ev, nl] = runBothSims(*hls.sys, "", "", reps);
-        requireAligned(ev, nl, "HLS " + p.name);
-        report.add("hls." + p.name, ev.metrics,
-                   {{"asyn_kcps", ev.kcps()}, {"rtl_kcps", nl.kcps()}});
-        rows.push_back({"hls." + p.name, ev.cycles, ev.kcps(), nl.kcps(),
-                        ev.build_seconds, nl.build_seconds,
-                        ev.events_skipped, ev.stages_woken});
-        std::printf("%-10s %8llu %10.0f %10.0f %7.1fx\n", p.name.c_str(),
-                    (unsigned long long)ev.cycles, ev.kcps(), nl.kcps(),
-                    ev.kcps() / nl.kcps());
-        hls_speedups.push_back(ev.kcps() / nl.kcps());
+    for (size_t i = num_cpu; i < cases.size(); ++i) {
+        const Case &c = cases[i];
+        std::printf("%-10s %8llu %20s %20s %7.1fx\n",
+                    c.design.substr(4).c_str(),
+                    (unsigned long long)c.ev.cycles,
+                    kcpsText(c.ev.spread()).c_str(),
+                    kcpsText(c.nl.spread()).c_str(), c.speedup());
+        hls_speedups.push_back(c.speedup());
     }
     std::printf("asyn/rtl speedup (gmean): %.1fx  (paper: 8.1x on HLS)\n\n",
                 gmean(hls_speedups));
 
-    // Sweep-runner thread scaling (compile once, run many).
-    SweepScaling sweep = runSweepScaling(smoke, ckpt_every);
-    std::printf("-- sweep runner: %zu instances of %s (%llu cycles each), "
-                "%u hardware threads --\n",
-                sweep.instances, sweep.design.c_str(),
-                (unsigned long long)sweep.cycles_per_instance,
-                std::thread::hardware_concurrency());
-    std::printf("%-8s %10s %12s %8s\n", "workers", "seconds",
-                "batch kc/s", "speedup");
-    for (const SweepScalingRow &r : sweep.rows)
-        std::printf("%-8zu %10.3f %12.0f %7.2fx%s\n", r.workers, r.seconds,
-                    r.batch_kcps, r.speedup,
-                    r.oversubscribed ? "  (oversubscribed: no scaling "
-                                       "signal on this host)"
-                                     : "");
-    std::printf("(per-instance metrics bit-identical to the serial "
-                "baseline at every worker count)\n");
-
     std::string report_path = artifactsDir() + "/fig16_metrics.json";
     report.write(report_path);
     std::printf("metrics report: %s\n", report_path.c_str());
-    writeBenchJson(rows, sweep, smoke, reps);
+    writeBenchJson(cases, smoke);
     if (trace) {
-        // Standalone host timeline, written after the sweeps so the
-        // per-worker run:* spans are included.
         std::string host_path = artifactsDir() + "/fig16_host_trace.json";
         HostProfiler::instance().writeJson(host_path);
         std::printf("host timeline: %s\n", host_path.c_str());
@@ -421,60 +311,21 @@ printTable(bool smoke, bool trace, uint64_t ckpt_every)
     std::printf("\n");
 }
 
-void
-BM_EventSimCpu(benchmark::State &state)
-{
-    auto image = isa::buildMemoryImage(isa::workload("qsort"));
-    auto cpu = designs::buildCpu(designs::BranchPolicy::kTaken, image);
-    for (auto _ : state) {
-        TimedRun r = runEventSim(*cpu.sys);
-        state.counters["kcycles/s"] = r.kcps();
-    }
-}
-BENCHMARK(BM_EventSimCpu)->Unit(benchmark::kMillisecond);
-
-void
-BM_NetlistSimCpu(benchmark::State &state)
-{
-    auto image = isa::buildMemoryImage(isa::workload("qsort"));
-    auto cpu = designs::buildCpu(designs::BranchPolicy::kTaken, image);
-    for (auto _ : state) {
-        TimedRun r = runNetlistSim(*cpu.sys);
-        state.counters["kcycles/s"] = r.kcps();
-    }
-}
-BENCHMARK(BM_NetlistSimCpu)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     // --smoke: the short slice registered as the perf_smoke ctest label —
-    // two CPU workloads plus one accelerator, no long-loop, no
-    // micro-benchmarks. Keeps alignment + JSON emission on the CI path
-    // without the multi-minute full sweep. --trace: record timelines for
-    // the first CPU workload and a host phase profile (artifacts/).
-    // --ckpt-every N: periodic checkpoints during the sweep-scaling
-    // section; --resume <manifest>: run one instance resumed from a
-    // checkpoint before the table (docs/robustness.md).
+    // two CPU workloads plus one accelerator, no long-loop. Keeps
+    // alignment + JSON emission on the CI path without the full table.
+    // --trace: record timelines for the first CPU workload and a host
+    // phase profile (artifacts/).
     bool smoke = eatFlag(argc, argv, "--smoke");
     bool trace = eatFlag(argc, argv, "--trace");
-    std::string ckpt_every_str, resume_manifest;
-    eatFlagValue(argc, argv, "--ckpt-every", ckpt_every_str);
-    eatFlagValue(argc, argv, "--resume", resume_manifest);
-    uint64_t ckpt_every =
-        ckpt_every_str.empty()
-            ? 0
-            : std::strtoull(ckpt_every_str.c_str(), nullptr, 0);
+    rejectLeftoverArgs(argc, argv, "[--smoke] [--trace]");
     if (trace)
         HostProfiler::instance().enable();
-    if (!resume_manifest.empty())
-        runResumed(resume_manifest);
-    printTable(smoke, trace, ckpt_every);
-    if (smoke)
-        return 0;
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
+    printTable(smoke, trace);
     return 0;
 }

@@ -8,8 +8,6 @@
  *  plus the always-taken success-rate table and the OoO pipeline
  *  profile the paper quotes (dispatch/issue utilization).
  */
-#include <benchmark/benchmark.h>
-
 #include "bench/common.h"
 #include "designs/cpu.h"
 #include "designs/ooo.h"
@@ -153,27 +151,13 @@ printTable()
     }
 }
 
-void
-BM_OooTowers(benchmark::State &state)
-{
-    auto image = isa::buildMemoryImage(isa::workload("towers"));
-    for (auto _ : state) {
-        auto ooo = designs::buildOoo(image);
-        sim::SimOptions opts;
-        opts.capture_logs = false;
-        sim::Simulator s(*ooo.sys, opts);
-        s.run(50'000'000);
-        benchmark::DoNotOptimize(s.cycle());
-    }
-}
-BENCHMARK(BM_OooTowers)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     bool trace = eatFlag(argc, argv, "--trace");
+    rejectLeftoverArgs(argc, argv, "[--trace]");
     if (trace)
         HostProfiler::instance().enable();
     printTable();
@@ -182,7 +166,5 @@ main(int argc, char **argv)
         HostProfiler::instance().writeJson(path);
         std::printf("host timeline: %s\n", path.c_str());
     }
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -7,8 +7,6 @@
  * e.g. the CPU's bypass network feeding decode — show up here before
  * any synthesis tool runs).
  */
-#include <benchmark/benchmark.h>
-
 #include "bench/bench_designs.h"
 #include "bench/common.h"
 #include "designs/cpu.h"
@@ -68,26 +66,12 @@ printTable()
     std::printf("\n");
 }
 
-void
-BM_TimingAnalysis(benchmark::State &state)
-{
-    auto image = isa::buildMemoryImage(isa::workload("vvadd"));
-    auto cpu = designs::buildCpu(designs::BranchPolicy::kTaken, image);
-    rtl::Netlist nl(*cpu.sys);
-    for (auto _ : state) {
-        auto rep = synth::estimateTiming(nl);
-        benchmark::DoNotOptimize(rep.critical_path_ps);
-    }
-}
-BENCHMARK(BM_TimingAnalysis);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    rejectLeftoverArgs(argc, argv, "");
     printTable();
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -28,7 +28,7 @@ main(int argc, char **argv)
     isa::IssStats golden = iss.run();
     std::printf("workload %s: %llu instructions, %llu branches "
                 "(%.1f%% taken)\n",
-                name.c_str(), (unsigned long long)golden.instructions,
+                name.c_str(), (unsigned long long)golden.retired,
                 (unsigned long long)golden.branches,
                 100.0 * double(golden.branches_taken) /
                     double(golden.branches));

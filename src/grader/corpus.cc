@@ -164,7 +164,10 @@ fuzzProgram(uint64_t seed, int body_len)
     };
 
     os << "# fuzz seed " << seed << " (generated; never edit by hand)\n";
-    os << "    li s0, 0x100\n"; // scratch base (byte address)
+    // Scratch base (byte address): the top 16 words of the 256-word
+    // image, above any body this generator emits. 0x3C0 still fits one
+    // addi, so the code length does not depend on where scratch sits.
+    os << "    li s0, 0x3C0\n";
     os << "    li s1, 3\n";     // bounded loop counter
     for (const char *r : {"x5", "x6", "x7", "x10", "x11", "x12", "x13",
                           "x14", "x15"})

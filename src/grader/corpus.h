@@ -66,8 +66,10 @@ std::vector<CorpusProgram> filterCorpus(const std::vector<CorpusProgram> &all,
 
 /**
  * A seeded random RV32I-subset program: straight-line arithmetic,
- * forward branches and jumps, scratch-region loads/stores, and one
- * bounded backward loop, so termination is guaranteed by construction.
+ * forward branches and jumps, loads/stores to a 16-word scratch area
+ * at the top of its 256-word image (byte 0x3C0: above the code for any
+ * body_len up to 56), and one bounded backward loop, so termination is
+ * guaranteed by construction.
  * Deterministic in (seed, body_len).
  */
 CorpusProgram fuzzProgram(uint64_t seed, int body_len = 24);

@@ -162,7 +162,6 @@ Iss::step()
     // the DSL CPUs whose `retired` counter only moves at writeback /
     // ROB commit.
     ++stats_.retired;
-    ++stats_.instructions;
 }
 
 } // namespace isa

@@ -32,7 +32,6 @@ namespace isa {
 struct IssStats {
     uint64_t retired = 0;   ///< architecturally completed instructions
     uint64_t fetched = 0;   ///< instruction words fetched and decoded
-    uint64_t instructions = 0; ///< legacy alias, kept equal to retired
     uint64_t branches = 0;
     uint64_t branches_taken = 0;
     uint64_t loads = 0;

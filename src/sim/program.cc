@@ -862,18 +862,6 @@ Program::build()
     }
     fuseTape();
     buildSwitches();
-    // Event wake metadata: which stages each stage's effects can
-    // subscribe. Purely descriptive (diagnostics, docs/architecture.md);
-    // the scheduler wakes from the committed Subscribe steps.
-    wake_targets_.resize(sys_->modules().size());
-    for (const auto &mod : sys_->modules()) {
-        const StageSpan &sp = spans_[mod->id()];
-        std::set<uint32_t> targets;
-        for (uint32_t i = sp.active_begin; i < sp.active_end; ++i)
-            if (tape_[i].op == uint8_t(DOp::kSubscribe))
-                targets.insert(tape_[i].a);
-        wake_targets_[mod->id()].assign(targets.begin(), targets.end());
-    }
 }
 
 /**

@@ -320,14 +320,6 @@ class Program {
         return array_wake_;
     }
 
-    /** Event wake metadata: stages each stage may Subscribe (wake), by
-     *  Module::id. Derived from the tape; used for diagnostics/docs —
-     *  the scheduler wakes targets from the committed Subscribe itself. */
-    const std::vector<std::vector<uint32_t>> &wakeTargets() const
-    {
-        return wake_targets_;
-    }
-
     /** kStallProducer FIFO ids gating each stage, by Module::id. */
     const std::vector<std::vector<uint32_t>> &stallFifos() const
     {
@@ -384,7 +376,6 @@ class Program {
     std::vector<uint32_t> shadow_mods_;
     std::vector<std::vector<uint32_t>> fifo_wake_;  ///< by fifo index
     std::vector<std::vector<uint32_t>> array_wake_; ///< by RegArray::id
-    std::vector<std::vector<uint32_t>> wake_targets_; ///< by Module::id
     // Dense compile-time index tables: a port's FIFO is
     // port_base[owner id] + port index, a value's slot is
     // slot_base[parent id] + value id (synthetic slots appended after),

@@ -7,7 +7,7 @@
  * toolchain itself emits: trace files (assassyn.trace.v1), sweep
  * reports (assassyn.sweep.v2), checkpoint manifests
  * (assassyn.ckpt.v1), and bench trajectories
- * (assassyn.bench.fig16.v3). Deliberately small: a recursive-descent
+ * (assassyn.bench.fig16.v4). Deliberately small: a recursive-descent
  * parser into a plain DOM value, numbers as double (every quantity we
  * emit — cycles, timestamps, counters — fits in the 2^53 integer range
  * of a double), strings with the RFC 8259 escapes json.h produces.

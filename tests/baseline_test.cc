@@ -78,7 +78,7 @@ TEST_P(Gem5WorkloadTest, FunctionallyCorrectAndIpcPlausible)
     EXPECT_LE(r.ipc, 1.0);
     // Same dynamic instruction count as the golden ISS.
     isa::Iss iss(isa::buildMemoryImage(wl));
-    EXPECT_EQ(r.instructions, iss.run().instructions);
+    EXPECT_EQ(r.instructions, iss.run().retired);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sodor, Gem5WorkloadTest,

@@ -65,7 +65,7 @@ TEST_P(CpuWorkloadTest, MatchesIssArchitecturally)
     CpuRun r = runCpu(cpu, s);
 
     // Retired instruction count must match the ISS exactly.
-    EXPECT_EQ(r.retired, golden.instructions) << name;
+    EXPECT_EQ(r.retired, golden.retired) << name;
     EXPECT_EQ(r.br_total, golden.branches) << name;
     EXPECT_EQ(r.br_taken, golden.branches_taken) << name;
 
@@ -167,7 +167,7 @@ TEST(CpuVariantTest, InterlockedDatapathCorrectButSlower)
     const isa::Workload &wl = isa::workload("towers");
     auto image = isa::buildMemoryImage(wl);
     isa::Iss iss(image);
-    uint64_t golden = iss.run().instructions;
+    uint64_t golden = iss.run().retired;
 
     CpuDesign with = buildCpu(BranchPolicy::kTaken, image);
     CpuDesign without = buildCpu(BranchPolicy::kTaken, image, false);

@@ -133,7 +133,7 @@ runIss(const std::vector<uint32_t> &image)
         g.regs[i] = iss.reg(i);
     g.scratch.assign(iss.memory().begin() + 0x100 / 4,
                      iss.memory().begin() + 0x100 / 4 + 16);
-    g.instructions = stats.instructions;
+    g.instructions = stats.retired;
     return g;
 }
 

@@ -20,6 +20,11 @@ namespace {
 
 constexpr uint64_t kSeeds = 200;
 constexpr uint64_t kFirstSeed = 1;
+// The two longest bodies among seeds 1..200000 (65 and 66 code words).
+// With the scratch area at byte 0x100 their stores overwrote their own
+// code; grading seed 147028 aborted when the ISS met opcode 0 at pc
+// 0x260.
+constexpr uint64_t kLongSeeds[] = {137437, 147028};
 
 size_t
 workerCount()
@@ -63,6 +68,41 @@ TEST(GraderFuzz, EveryTenthSeedAlignsAcrossBackends)
         EXPECT_TRUE(ev.verdict.pass()) << ev.verdict.toJson();
         EXPECT_EQ(ev.verdict.toJson(), nv.verdict.toJson());
     }
+}
+
+TEST(GraderFuzz, EverySeedsCodeEndsBelowItsScratchArea)
+{
+    // The generated loads and stores address 16 words from the base the
+    // listing puts in s0. Code reaching that far would be overwritten by
+    // its own stores, and the ISS would then run the garbage.
+    const std::string base_line = "    li s0, ";
+    std::vector<uint64_t> seeds(std::begin(kLongSeeds), std::end(kLongSeeds));
+    for (uint64_t s = kFirstSeed; s < kFirstSeed + kSeeds; ++s)
+        seeds.push_back(s);
+    for (uint64_t seed : seeds) {
+        CorpusProgram prog = fuzzProgram(seed);
+        size_t at = prog.source.find(base_line);
+        ASSERT_NE(at, std::string::npos) << prog.name;
+        uint64_t scratch_byte = std::stoull(
+            prog.source.substr(at + base_line.size()), nullptr, 0);
+        ASSERT_LE(scratch_byte + 16 * 4, uint64_t(prog.mem_words) * 4)
+            << prog.name;
+
+        std::vector<uint32_t> image = prog.image();
+        while (!image.empty() && image.back() == 0)
+            image.pop_back();
+        EXPECT_LE(image.size() * 4, scratch_byte)
+            << prog.name << ": " << image.size() << " code words";
+    }
+
+    std::vector<CorpusProgram> programs;
+    for (uint64_t seed : kLongSeeds)
+        programs.push_back(fuzzProgram(seed));
+    GradeReport report = gradeCorpus(programs, {Core::kInOrder, Core::kOoO},
+                                     {Engine::kEvent}, {}, 1);
+    ASSERT_EQ(report.runs.size(), programs.size() * 2);
+    for (const GradeRun &run : report.runs)
+        EXPECT_TRUE(run.verdict.pass()) << run.verdict.toJson();
 }
 
 TEST(GraderFuzz, StreamsAreDeterministicPerSeed)

@@ -196,7 +196,7 @@ TEST_P(WorkloadTest, RunsAndVerifiesOnIss)
     Iss iss(buildMemoryImage(wl));
     IssStats st = iss.run();
     EXPECT_TRUE(st.halted);
-    EXPECT_GT(st.instructions, 100u);
+    EXPECT_GT(st.retired, 100u);
     EXPECT_TRUE(wl.verify(iss.memory())) << wl.name << " output mismatch";
 }
 

@@ -56,7 +56,7 @@ TEST_P(OooWorkloadTest, MatchesIssArchitecturally)
     sim::Simulator s(*ooo.sys);
     OooRun r = runOoo(ooo, s);
 
-    EXPECT_EQ(r.retired, golden.instructions);
+    EXPECT_EQ(r.retired, golden.retired);
     EXPECT_EQ(s.readArray(ooo.br_total, 0), golden.branches);
     EXPECT_EQ(s.readArray(ooo.br_taken, 0), golden.branches_taken);
     for (unsigned i = 0; i < 32; ++i)
