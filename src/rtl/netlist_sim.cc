@@ -85,7 +85,6 @@ struct NetlistSim::Impl {
         const sim::DStep *const e = nl.tape().data() + end;
         uint64_t *const v = nets.data();
         const sim::RunState::Array *const ast = st.arrays.data();
-#if defined(__GNUC__) || defined(__clang__)
         // Threaded dispatch (computed goto), as in sim::Simulator's
         // runTape, over the pure prefix of sim::DOp only.
 #define ASSASSYN_DOP_LABEL(name) &&op_##name,
@@ -105,20 +104,9 @@ struct NetlistSim::Impl {
         if (s == e)
             return;
         goto *kJump[s->op];
-#else
-        // Portable fallback: the same handler bodies under a switch.
-#define ASSASSYN_OP(name) case sim::DOp::name
-#define ASSASSYN_NEXT() break
-        for (; s != e; ++s) {
-            switch (static_cast<sim::DOp>(s->op)) {
-#endif
 
 #include "sim/pure_ops.inc"
 
-#if !(defined(__GNUC__) || defined(__clang__))
-            }
-        }
-#endif
 #undef ASSASSYN_OP
 #undef ASSASSYN_NEXT
     }

@@ -251,16 +251,14 @@ struct ProgCompiler {
      * two-slot form), 1 when @p s was encoded, 2 when the result is a
      * compile-time zero (an over-wide shift) the caller should fold.
      *
-     * Each form is canonical: an op whose immediate form would repeat
-     * another handler is re-encoded onto it (and -> kMask, shr -> kSlice,
-     * sub -> kAddImm, <= / >= -> < / > against k+1 / k-1), and ops with
-     * no immediate form (xor, mul, shl, signed shr, div, mod) keep the
-     * two-slot form, the constant staying in its slot.
+     * Only ops whose immediate form fusion or dispatch keys on (eq, ne,
+     * add) or that re-encode onto a pure op (and -> kMask, shr ->
+     * kSlice, sub -> kAddImm) inline the constant; every other op keeps
+     * the two-slot form, the constant staying in its slot.
      */
     int
-    emitBinImm(DStep &s, BinOpcode bop, bool sgn, unsigned opnd_bits,
-               unsigned out_bits, const Value *live, uint64_t imm,
-               bool imm_is_lhs)
+    emitBinImm(DStep &s, BinOpcode bop, bool sgn, unsigned out_bits,
+               const Value *live, uint64_t imm, bool imm_is_lhs)
     {
         s.a = prog.slotOf(live);
         const uint64_t mask = maskBits(out_bits);
@@ -270,10 +268,6 @@ struct ProgCompiler {
         switch (bop) {
           case BinOpcode::kAnd:
             s.op = uint8_t(DOp::kMask);
-            s.u.mask = imm & mask;
-            return 1;
-          case BinOpcode::kOr:
-            s.op = uint8_t(DOp::kOrImm);
             s.u.mask = imm & mask;
             return 1;
           case BinOpcode::kAdd:
@@ -309,55 +303,9 @@ struct ProgCompiler {
             s.op = uint8_t(DOp::kNeImm);
             s.u.mask = imm;
             return 1;
-          case BinOpcode::kLt:
-          case BinOpcode::kLe:
-          case BinOpcode::kGt:
-          case BinOpcode::kGe: {
-            // A constant lhs mirrors to the flipped comparison against
-            // a constant rhs (imm < x  <=>  x > imm).
-            BinOpcode eff = bop;
-            if (imm_is_lhs) {
-                switch (bop) {
-                  case BinOpcode::kLt: eff = BinOpcode::kGt; break;
-                  case BinOpcode::kLe: eff = BinOpcode::kGe; break;
-                  case BinOpcode::kGt: eff = BinOpcode::kLt; break;
-                  default:             eff = BinOpcode::kLe; break;
-                }
-            }
-            // Only the strict forms exist: x <= k is x < k+1 and
-            // x >= k is x > k-1, unless k+1 / k-1 leaves the 64-bit
-            // range (then the two-slot compare runs).
-            uint64_t k = sgn ? uint64_t(signExtend(imm, opnd_bits)) : imm;
-            const uint64_t top = sgn ? uint64_t(INT64_MAX) : UINT64_MAX;
-            const uint64_t bottom = sgn ? uint64_t(INT64_MIN) : 0;
-            if (eff == BinOpcode::kLe) {
-                if (k == top)
-                    return 0;
-                eff = BinOpcode::kLt;
-                ++k;
-            } else if (eff == BinOpcode::kGe) {
-                if (k == bottom)
-                    return 0;
-                eff = BinOpcode::kGt;
-                --k;
-            }
-            const bool lt = eff == BinOpcode::kLt;
-            if (sgn) {
-                s.op = uint8_t(lt ? DOp::kLtSImm : DOp::kGtSImm);
-                s.x8 = sextShift(opnd_bits);
-            } else {
-                s.op = uint8_t(lt ? DOp::kLtUImm : DOp::kGtUImm);
-            }
-            s.u.mask = k;
-            return 1;
-          }
-          case BinOpcode::kXor:
-          case BinOpcode::kMul:
-          case BinOpcode::kDiv:
-          case BinOpcode::kMod:
+          default:
             return 0;
         }
-        return 0;
     }
 
     void
@@ -401,7 +349,7 @@ struct ProgCompiler {
                 return;
             }
             if (ac || bc) {
-                int r = emitBinImm(s, bop, sgn, opnd_bits, out_bits,
+                int r = emitBinImm(s, bop, sgn, out_bits,
                                    ac ? bin->rhs() : bin->lhs(),
                                    ac ? av : bv, ac);
                 if (r == 2) {
@@ -453,23 +401,6 @@ struct ProgCompiler {
                 fold(v, ops::evalConcat(mv, lv, lsb_bits, out_bits));
                 return;
             }
-            if (lc) {
-                // Constant low half rides in the step; the shifted msb
-                // cannot collide with it, so a plain OR reassembles.
-                s.op = uint8_t(DOp::kConcatImm);
-                s.a = prog.slotOf(cc->msb());
-                s.x8 = uint8_t(lsb_bits);
-                s.u.mask = lv;
-                break;
-            }
-            if (mc) {
-                // Constant high half pre-shifts into an OR immediate.
-                s.op = uint8_t(DOp::kOrImm);
-                s.a = prog.slotOf(cc->lsb());
-                s.u.mask = (lsb_bits >= 64 ? 0 : mv << lsb_bits) &
-                           maskBits(out_bits);
-                break;
-            }
             s.op = uint8_t(DOp::kConcat);
             s.a = prog.slotOf(cc->msb());
             s.b = prog.slotOf(cc->lsb());
@@ -479,7 +410,7 @@ struct ProgCompiler {
           }
           case Opcode::kSelect: {
             const auto *sel = static_cast<const Select *>(inst);
-            uint64_t cv = 0, tv = 0, fv = 0;
+            uint64_t cv = 0;
             if (constOf(sel->cond(), cv)) {
                 const Value *arm = cv ? sel->onTrue() : sel->onFalse();
                 uint64_t armv = 0;
@@ -492,26 +423,10 @@ struct ProgCompiler {
                 s.u.mask = maskBits(out_bits);
                 break;
             }
-            const bool tc = constOf(sel->onTrue(), tv);
-            const bool fc = constOf(sel->onFalse(), fv);
+            s.op = uint8_t(DOp::kSelect);
             s.a = prog.slotOf(sel->cond());
-            if (tc && fc && tv <= 0xffffffffull && fv <= 0xffffffffull) {
-                s.op = uint8_t(DOp::kSel2);
-                s.u.ca.c = uint32_t(tv);
-                s.u.ca.aux = uint32_t(fv);
-            } else if (tc) {
-                s.op = uint8_t(DOp::kSelT);
-                s.b = prog.slotOf(sel->onFalse());
-                s.u.mask = tv;
-            } else if (fc) {
-                s.op = uint8_t(DOp::kSelF);
-                s.b = prog.slotOf(sel->onTrue());
-                s.u.mask = fv;
-            } else {
-                s.op = uint8_t(DOp::kSelect);
-                s.b = prog.slotOf(sel->onTrue());
-                s.u.ca.c = prog.slotOf(sel->onFalse());
-            }
+            s.b = prog.slotOf(sel->onTrue());
+            s.u.ca.c = prog.slotOf(sel->onFalse());
             break;
           }
           case Opcode::kCast: {
@@ -937,16 +852,9 @@ Program::fuseTape()
           case DOp::kSlice:
           case DOp::kMask:
           case DOp::kSExt:
-          case DOp::kOrImm:
           case DOp::kAddImm:
           case DOp::kEqImm:
           case DOp::kNeImm:
-          case DOp::kLtUImm:
-          case DOp::kGtUImm:
-          case DOp::kLtSImm:
-          case DOp::kGtSImm:
-          case DOp::kSel2:
-          case DOp::kConcatImm:
           case DOp::kArrayRead:
           case DOp::kWaitCheck:
           case DOp::kSkipIfFalse:
@@ -957,8 +865,6 @@ Program::fuseTape()
           case DOp::kAssertEff:
             note(s.a, i);
             break;
-          case DOp::kSelT:
-          case DOp::kSelF:
           case DOp::kNeImmAnd:
           case DOp::kSliceConcat:
           case DOp::kConcatSlice:
@@ -1015,12 +921,6 @@ Program::fuseTape()
             note(s.a, i);
             note(s.dest, i);
             break;
-          case DOp::kEqImmSelT:
-          case DOp::kEqImmSelF:
-            note(s.a, i);
-            note(s.b, i);
-            break;
-          case DOp::kEqImmSel2:
           case DOp::kArrayReadImm:
           case DOp::kArrayReadImmAdd:
           case DOp::kValid2:
@@ -1097,41 +997,6 @@ Program::fuseTape()
                 f.b = tslot;
                 f.x16 = uint16_t(fslot);
                 f.u.ca.aux = uint32_t(imm);
-                ok = true;
-                break;
-              }
-              case DOp::kSelT: // cond ? K : b
-                if (c.a != p.dest || imm > 0xffffffffull ||
-                    c.u.mask > 0xffffffffull)
-                    break;
-                f.op = uint8_t(ne ? DOp::kEqImmSelF : DOp::kEqImmSelT);
-                f.b = c.b;
-                f.u.ca.c = uint32_t(c.u.mask);
-                f.u.ca.aux = uint32_t(imm);
-                ok = true;
-                break;
-              case DOp::kSelF: // cond ? b : K
-                if (c.a != p.dest || imm > 0xffffffffull ||
-                    c.u.mask > 0xffffffffull)
-                    break;
-                f.op = uint8_t(ne ? DOp::kEqImmSelT : DOp::kEqImmSelF);
-                f.b = c.b;
-                f.u.ca.c = uint32_t(c.u.mask);
-                f.u.ca.aux = uint32_t(imm);
-                ok = true;
-                break;
-              case DOp::kSel2: {
-                if (c.a != p.dest)
-                    break;
-                uint32_t tv = c.u.ca.c, fv = c.u.ca.aux;
-                if (ne)
-                    std::swap(tv, fv);
-                if (imm > 0xffffull)
-                    break;
-                f.op = uint8_t(DOp::kEqImmSel2);
-                f.x16 = uint16_t(imm);
-                f.u.ca.c = tv;
-                f.u.ca.aux = fv;
                 ok = true;
                 break;
               }

@@ -30,11 +30,10 @@
  *     AND-with-precomputed-mask steps; no per-step width arithmetic
  *     survives to run time;
  *   - constant operands are folded: all-constant cones evaluate at
- *     compile time straight into slot initial values (zero steps), and
- *     an operation with one constant operand lowers to an
- *     immediate-fused opcode that carries the constant inline instead
- *     of loading it from a slot every cycle, canonicalised onto the
- *     fewest opcodes (see ASSASSYN_EVENT_DOPS);
+ *     compile time straight into slot initial values (zero steps); an
+ *     operation with one constant operand otherwise reads the constant
+ *     from its own slot, except for the few immediate forms that fusion
+ *     or dispatch keys on (see ASSASSYN_EVENT_DOPS);
  *   - kPredAnd predicate chains are folded into the kSkipIfFalse
  *     region guards, and per-effect predicate tests are dropped
  *     entirely: every effect step is provably dominated by the skip
@@ -105,13 +104,15 @@ namespace sim {
  * The event engine's own opcodes, after the pure prefix. Every op
  * before kWaitCheck writes slot dest; none from kWaitCheck on does.
  *
- * Immediate-fused forms inline a constant operand into the step (in
- * u.mask unless noted), saving the slot load of the two-slot form.
- * Compile-time constant folding runs first, so the remaining operand is
- * always live. Only forms that are neither a re-encoding of another op
- * nor unused survive: an and by a constant is a kMask, an unsigned shr
- * by one a kSlice, a sub of one a kAddImm of its negation, and <= / >=
- * against k are < k+1 / > k-1 (docs/architecture.md "The dense step
+ * Constant operands stay in their slots. An immediate form (constant in
+ * u.mask unless noted) exists only where fusion or dispatch keys on the
+ * inline constant: kEqImm / kNeImm feed the compare-select fusions,
+ * kSkipIfNeImm and kSwitch; kAddImm feeds kArrayReadImmAdd / kArrayRmw;
+ * kArrayReadImm is the hot constant-index register read. Compile-time
+ * constant folding runs first, so the remaining operand is always live.
+ * Three constant forms are re-encodings onto pure ops: an and by a
+ * constant is a kMask, an unsigned shr by one a kSlice, and a sub of one
+ * a kAddImm of its negation (docs/architecture.md "The dense step
  * tape").
  *
  * Superinstructions are built by the post-compile peephole (fuseTape),
@@ -121,21 +122,11 @@ namespace sim {
  * slot rides in x16 unless noted).
  */
 #define ASSASSYN_EVENT_DOPS(X)                                           \
-    X(kOrImm)   /* a | u.mask (imm pre-masked; also const-msb concats) */ \
     X(kAddImm)  /* (a + u.mask) & (~0 >> x8); x8 = 64 - out_bits */      \
     X(kEqImm)   /* a == u.mask */                                        \
-    X(kNeImm) X(kLtUImm) X(kGtUImm)                                      \
-    X(kLtSImm)  /* sext_x8(a) < (int64)u.mask (imm pre-sign-extended) */ \
-    X(kGtSImm)                                                           \
-    X(kSelT)    /* a ? u.mask : b */                                     \
-    X(kSelF)    /* a ? b : u.mask */                                     \
-    X(kSel2)    /* a ? u.ca.c : u.ca.aux (both arms 32-bit constants) */ \
-    X(kConcatImm) /* (a << x8) | u.mask (constant lsb, pre-masked) */    \
+    X(kNeImm)                                                            \
     X(kArrayReadImm) /* a = constant index (bound-checked), b = array */ \
     X(kEqImmSel)  /* (a == u.ca.aux) ? b : x16 (slots; x16 narrow) */    \
-    X(kEqImmSelT) /* (a == u.ca.aux) ? u.ca.c : b */                     \
-    X(kEqImmSelF) /* (a == u.ca.aux) ? b : u.ca.c */                     \
-    X(kEqImmSel2) /* (a == x16) ? u.ca.c : u.ca.aux */                   \
     X(kEqImmSel3) /* (a == x8) ? b : (a == x16) ? u.ca.c : u.ca.aux      \
                      (two fused decode-chain entries; all arms slots) */ \
     X(kAndAnd)    /* ((a & b) & x16) & u.mask */                         \

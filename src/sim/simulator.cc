@@ -193,7 +193,6 @@ struct Simulator::Impl {
         const uint64_t *const fa = st.fifo_arena.data();
         const DStep *s = tape + begin;
         const DStep *const e = tape + end;
-#if defined(__GNUC__) || defined(__clang__)
         // Threaded dispatch (computed goto): every handler ends in its
         // own indirect jump to the next step's handler, so the branch
         // predictor learns per-opcode successor patterns that a single
@@ -217,22 +216,11 @@ struct Simulator::Impl {
         if (s == e)
             return true;
         goto *kJump[s->op];
-#else
-        // Portable fallback: the same handler bodies under a switch.
-#define ASSASSYN_OP(name) case DOp::name
-#define ASSASSYN_NEXT() break
-        for (; s != e; ++s) {
-            switch (static_cast<DOp>(s->op)) {
-#endif
 
 #include "sim/pure_ops.inc"
 
-        // Immediate-fused forms: one slot load, the constant operand
-        // rides in the step (pre-masked/sign-extended by the compiler
-        // as each evaluator needs).
-        ASSASSYN_OP(kOrImm):
-            v[s->dest] = v[s->a] | s->u.mask;
-            ASSASSYN_NEXT();
+        // Immediate forms: one slot load, the constant operand rides in
+        // the step.
         ASSASSYN_OP(kAddImm):
             v[s->dest] = (v[s->a] + s->u.mask) & (~0ull >> s->x8);
             ASSASSYN_NEXT();
@@ -242,32 +230,6 @@ struct Simulator::Impl {
         ASSASSYN_OP(kNeImm):
             v[s->dest] = v[s->a] != s->u.mask;
             ASSASSYN_NEXT();
-        ASSASSYN_OP(kLtUImm):
-            v[s->dest] = v[s->a] < s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kGtUImm):
-            v[s->dest] = v[s->a] > s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kLtSImm):
-            v[s->dest] = (int64_t(v[s->a] << s->x8) >> s->x8) <
-                         int64_t(s->u.mask);
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kGtSImm):
-            v[s->dest] = (int64_t(v[s->a] << s->x8) >> s->x8) >
-                         int64_t(s->u.mask);
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kSelT):
-            v[s->dest] = v[s->a] ? s->u.mask : v[s->b];
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kSelF):
-            v[s->dest] = v[s->a] ? v[s->b] : s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kSel2):
-            v[s->dest] = v[s->a] ? s->u.ca.c : s->u.ca.aux;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kConcatImm):
-            v[s->dest] = (v[s->a] << s->x8) | s->u.mask;
-            ASSASSYN_NEXT();
         ASSASSYN_OP(kArrayReadImm):
             v[s->dest] = ast[s->b].data[s->a];
             ASSASSYN_NEXT();
@@ -275,15 +237,6 @@ struct Simulator::Impl {
         // Superinstructions (compare-select pairs, see fuseTape).
         ASSASSYN_OP(kEqImmSel):
             v[s->dest] = v[s->a] == s->u.ca.aux ? v[s->b] : v[s->x16];
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kEqImmSelT):
-            v[s->dest] = v[s->a] == s->u.ca.aux ? s->u.ca.c : v[s->b];
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kEqImmSelF):
-            v[s->dest] = v[s->a] == s->u.ca.aux ? v[s->b] : s->u.ca.c;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kEqImmSel2):
-            v[s->dest] = v[s->a] == s->x16 ? s->u.ca.c : s->u.ca.aux;
             ASSASSYN_NEXT();
         ASSASSYN_OP(kEqImmSel3): {
             const uint64_t scrut = v[s->a];
@@ -472,14 +425,8 @@ struct Simulator::Impl {
         ASSASSYN_OP(kFinishEff):
             finish_pending = true;
             ASSASSYN_NEXT();
-
-#if !(defined(__GNUC__) || defined(__clang__))
-            }
-        }
-#endif
 #undef ASSASSYN_OP
 #undef ASSASSYN_NEXT
-        return true;
     }
 
     [[gnu::noinline, noreturn]] void

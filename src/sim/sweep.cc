@@ -266,11 +266,6 @@ runInstanceWithRetry(const RunConfig &cfg, const InstanceFn &instance,
             resume = cfg.ckpt_path;
             ++resumes;
         }
-        if (opts.retry_backoff_ms) {
-            uint64_t shift = attempt - 1 < 6 ? attempt - 1 : 6;
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                opts.retry_backoff_ms << shift));
-        }
     }
 }
 

@@ -153,26 +153,19 @@ struct SweepOptions {
      * that the failure is recorded per-instance instead of thrown.
      */
     uint32_t max_attempts = 1;
-
-    /**
-     * Base backoff before retry r (milliseconds), doubled per failed
-     * attempt (capped at 64x). 0 retries immediately — the right value
-     * for deterministic in-process faults and for tests.
-     */
-    uint64_t retry_backoff_ms = 0;
 };
 
 /**
  * Fault-tolerant sweep (docs/robustness.md, "Checkpoint & crash
  * recovery"): like the 3-argument overload, but a worker failure — an
  * exception escaping the InstanceFn — is isolated to its instance
- * instead of aborting the batch. The failed instance is retried up to
- * opts.max_attempts times with exponential backoff, resuming from its
- * last good periodic checkpoint when RunConfig::ckpt_path has one
- * (a failure that names the checkpoint itself falls back to a
- * from-scratch retry). An instance that exhausts its attempts yields a
- * structured RunStatus::kFault record carrying every attempt's error;
- * the sweep itself always completes with a schema-valid report.
+ * instead of aborting the batch. The failed instance is retried at once,
+ * up to opts.max_attempts times, resuming from its last good periodic
+ * checkpoint when RunConfig::ckpt_path has one (a failure that names
+ * the checkpoint itself falls back to a from-scratch retry). An
+ * instance that exhausts its attempts yields a structured
+ * RunStatus::kFault record carrying every attempt's error; the sweep
+ * itself always completes with a schema-valid report.
  */
 SweepReport runSweep(const std::vector<RunConfig> &configs,
                      const InstanceFn &instance,

@@ -7,10 +7,11 @@
  * simulator. This pins down the arithmetic contract (wrapping,
  * sign-extension, shift semantics, division-by-zero) across the whole
  * stack. A second suite repeats the binary operators with one operand a
- * literal, which the event tape lowers to immediate forms. A third does
- * the same for every other pure operation: the unary operators, the
- * four casts, slices at both ends of the operand, concat, select and an
- * array read past the end.
+ * literal, which the event tape lowers to immediate forms or keeps in a
+ * slot. A third does the same for every other pure operation: the unary
+ * operators, the four casts, slices at both ends of the operand, concat,
+ * select and an array read past the end. A fourth gives select, concat
+ * and the decode compare-select constant operands.
  */
 #include <gtest/gtest.h>
 
@@ -217,14 +218,14 @@ INSTANTIATE_TEST_SUITE_P(
 
 /**
  * The same operators with one operand a literal k, on the rhs or the
- * lhs. The event tape lowers these to immediate forms (and to kMask,
- * shr to kSlice, sub to an add of -k, <= and >= to < k+1 and > k-1,
- * the rest to the two-slot form), so each k checks a rewrite against
- * golden() on both engines. k runs over 0, 1, the all-ones value and
- * the signed minimum and maximum of the literal's type, plus the
- * in-range edges bits-1 and bits for a constant shift amount. The
- * variable operand sweeps the same edge values and their neighbours,
- * so every compare boundary k+-1 is crossed.
+ * lhs. The event tape lowers and to kMask, shr to kSlice, add and sub
+ * to an add of k or -k, == and != to immediate compares, and keeps the
+ * rest in the two-slot form with k in its slot, so each k checks a
+ * lowering against golden() on both engines. k runs over 0, 1, the
+ * all-ones value and the signed minimum and maximum of the literal's
+ * type, plus the in-range edges bits-1 and bits for a constant shift
+ * amount. The variable operand sweeps the same edge values and their
+ * neighbours, so every compare boundary k+-1 is crossed.
  */
 class ConstOperandSemanticsTest
     : public ::testing::TestWithParam<
@@ -236,6 +237,18 @@ edgeValues(unsigned bits)
 {
     const uint64_t m = maskBits(bits);
     return {0, 1, m, uint64_t(1) << (bits - 1), m >> 1};
+}
+
+/** Every edge value of a @p bits-wide type and its two neighbours, so
+ *  a compare against an edge constant both hits and misses. */
+std::vector<uint64_t>
+edgeNeighbours(unsigned bits)
+{
+    std::vector<uint64_t> vx;
+    for (uint64_t e : edgeValues(bits))
+        for (uint64_t d : {uint64_t(0), uint64_t(1), ~uint64_t(0)})
+            vx.push_back(truncate(e + d, bits));
+    return vx;
 }
 
 TEST_P(ConstOperandSemanticsTest, BothBackendsMatchReference)
@@ -255,10 +268,7 @@ TEST_P(ConstOperandSemanticsTest, BothBackendsMatchReference)
     }
     // The variable operand: every k, its neighbours, then random.
     Rng rng(uint64_t(op_idx) * 1000 + bits * 10 + sgn * 2 + lhs_const);
-    std::vector<uint64_t> vx;
-    for (uint64_t e : edgeValues(xty.bits()))
-        for (uint64_t d : {uint64_t(0), uint64_t(1), ~uint64_t(0)})
-            vx.push_back(truncate(e + d, xty.bits()));
+    std::vector<uint64_t> vx = edgeNeighbours(xty.bits());
     while (vx.size() < kVectors)
         vx.push_back(shift && lhs_const ? rng.below(bits + 2)
                                         : truncate(rng.next(), bits));
@@ -506,6 +516,185 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1u, 7u, 33u, 63u, 64u),
                        ::testing::Bool()),
     shapeCaseName);
+
+// ---- Constant arms and halves ---------------------------------------------
+
+/**
+ * Select, concat and the decode compare-select with constant operands.
+ * The event tape keeps each constant in its slot and runs the two-slot
+ * step (kSelect, kConcat), which fusion may then fold into a
+ * compare-select (kEqImmSel, kEqImmSel3) or a select chain; the netlist
+ * evaluates the unfused cells. Constants run over the edge values of
+ * the operand width, so at 33 and 64 bits an arm is wider than 32 bits.
+ */
+enum class ConstShape {
+    kSelConstTrue,   ///< c ? K : b
+    kSelConstFalse,  ///< c ? a : K
+    kSelConstBoth,   ///< c ? K : K2
+    kConcatConstMsb, ///< {K, b}
+    kConcatConstLsb, ///< {a, K}
+    kEqDecode,       ///< (a == K) ? K2 : b
+    kNeDecode,       ///< (a != K) ? b : K2
+    kDecodeChain,    ///< (a == K) ? K2 : (a == K3) ? K4 : b
+};
+
+const char *const kConstShapeNames[] = {
+    "sel_const_true", "sel_const_false", "sel_const_both",
+    "concat_const_msb", "concat_const_lsb", "eq_decode", "ne_decode",
+    "decode_chain",
+};
+
+class ConstArmSemanticsTest
+    : public ::testing::TestWithParam<std::tuple<int, unsigned>> {};
+
+TEST_P(ConstArmSemanticsTest, BothBackendsMatchReference)
+{
+    const auto &[shape_idx, bits] = GetParam();
+    const ConstShape sh = static_cast<ConstShape>(shape_idx);
+    const char *name = kConstShapeNames[shape_idx];
+    const DataType ty = uintType(bits);
+    const auto [mb, lb] = concatSplit(bits);
+    const bool concat = sh == ConstShape::kConcatConstMsb ||
+                        sh == ConstShape::kConcatConstLsb;
+    const unsigned out_bits = concat ? mb + lb : bits;
+    // The constant's own width: a concat half, else the operand width.
+    const unsigned kbits = sh == ConstShape::kConcatConstMsb   ? mb
+                           : sh == ConstShape::kConcatConstLsb ? lb
+                                                               : bits;
+    const std::vector<uint64_t> ks = edgeValues(kbits);
+    // The j-th case's constants: K = ks[j] and its successors.
+    auto constAt = [&](size_t j, size_t n) {
+        return ks[(j + n) % ks.size()];
+    };
+
+    Rng rng(uint64_t(shape_idx) * 1000 + bits * 10 + 3);
+    std::vector<uint64_t> va = edgeNeighbours(bits), vb(kVectors),
+                          vc(kVectors);
+    while (va.size() < kVectors)
+        va.push_back(truncate(rng.next(), bits));
+    va.resize(kVectors);
+    for (size_t i = 0; i < kVectors; ++i) {
+        vb[i] = truncate(rng.next(), bits);
+        vc[i] = i % 2;
+    }
+
+    SysBuilder sb("const_arms");
+    Arr rom_a = sb.mem("rom_a", ty, kVectors, va);
+    Arr rom_b = sb.mem("rom_b", ty, kVectors, vb);
+    Arr rom_c = sb.mem("rom_c", uintType(1), kVectors, vc);
+    std::vector<Arr> outs;
+    for (size_t j = 0; j < ks.size(); ++j)
+        outs.push_back(
+            sb.arr("out" + std::to_string(j), uintType(out_bits), kVectors));
+    Reg idx = sb.reg("idx", uintType(8));
+    Stage d = sb.driver();
+    {
+        StageScope scope(d);
+        Val i = idx.read();
+        Val sel = i.trunc(std::max(1u, log2ceil(kVectors)));
+        Val a = rom_a.read(sel);
+        Val b = rom_b.read(sel);
+        Val c = rom_c.read(sel);
+        for (size_t j = 0; j < ks.size(); ++j) {
+            auto k = [&](size_t n) {
+                return lit(constAt(j, n), uintType(kbits));
+            };
+            Val r;
+            switch (sh) {
+              case ConstShape::kSelConstTrue: r = select(c, k(0), b); break;
+              case ConstShape::kSelConstFalse: r = select(c, a, k(0)); break;
+              case ConstShape::kSelConstBoth:
+                r = select(c, k(0), k(1));
+                break;
+              case ConstShape::kConcatConstMsb:
+                r = k(0).concat(b.trunc(lb));
+                break;
+              case ConstShape::kConcatConstLsb:
+                r = a.trunc(mb).concat(k(0));
+                break;
+              case ConstShape::kEqDecode:
+                r = select(a == k(0), k(1), b);
+                break;
+              case ConstShape::kNeDecode:
+                r = select(a != k(0), b, k(1));
+                break;
+              case ConstShape::kDecodeChain:
+                r = select(a == k(0), k(1), select(a == k(2), k(3), b));
+                break;
+            }
+            outs[j].write(sel, r);
+        }
+        idx.write(i + 1);
+        when(i == kVectors - 1, [&] { finish(); });
+    }
+    compile(sb.sys());
+
+    sim::Simulator esim(sb.sys());
+    esim.run(kVectors + 2);
+    ASSERT_TRUE(esim.finished());
+
+    rtl::Netlist nl(sb.sys());
+    rtl::NetlistSim rsim(nl);
+    rsim.run(kVectors + 2);
+    ASSERT_TRUE(rsim.finished());
+
+    for (size_t j = 0; j < ks.size(); ++j) {
+        for (size_t i = 0; i < kVectors; ++i) {
+            const uint64_t a = va[i], b = vb[i];
+            uint64_t want = 0;
+            switch (sh) {
+              case ConstShape::kSelConstTrue:
+                want = vc[i] ? constAt(j, 0) : b;
+                break;
+              case ConstShape::kSelConstFalse:
+                want = vc[i] ? a : constAt(j, 0);
+                break;
+              case ConstShape::kSelConstBoth:
+                want = vc[i] ? constAt(j, 0) : constAt(j, 1);
+                break;
+              case ConstShape::kConcatConstMsb:
+                want = (constAt(j, 0) << lb) | truncate(b, lb);
+                break;
+              case ConstShape::kConcatConstLsb:
+                want = (truncate(a, mb) << lb) | constAt(j, 0);
+                break;
+              case ConstShape::kEqDecode:
+                want = a == constAt(j, 0) ? constAt(j, 1) : b;
+                break;
+              case ConstShape::kNeDecode:
+                want = a != constAt(j, 0) ? b : constAt(j, 1);
+                break;
+              case ConstShape::kDecodeChain:
+                want = a == constAt(j, 0)   ? constAt(j, 1)
+                       : a == constAt(j, 2) ? constAt(j, 3)
+                                            : b;
+                break;
+            }
+            EXPECT_EQ(esim.readArray(outs[j].array(), i), want)
+                << name << " bits=" << bits << " j=" << j << " a=" << a
+                << " b=" << b << " c=" << vc[i];
+            EXPECT_EQ(rsim.readArray(outs[j].array(), i), want)
+                << "(netlist) " << name << " bits=" << bits << " j=" << j
+                << " i=" << i;
+        }
+    }
+}
+
+std::string
+constArmCaseName(
+    const ::testing::TestParamInfo<std::tuple<int, unsigned>> &info)
+{
+    const auto &[shape_idx, bits] = info.param;
+    return std::string(kConstShapeNames[shape_idx]) + "_w" +
+           std::to_string(bits);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllShapes, ConstArmSemanticsTest,
+    ::testing::Combine(
+        ::testing::Range(0, int(std::size(kConstShapeNames))),
+        ::testing::Values(1u, 7u, 33u, 64u)),
+    constArmCaseName);
 
 } // namespace
 } // namespace assassyn

@@ -195,8 +195,8 @@ TEST(ProgramSwitchTest, CpuTapesFormNoSwitch)
     auto ooo = designs::buildOoo(image);
     auto cprog = sim::Program::compile(*cpu.sys);
     auto oprog = sim::Program::compile(*ooo.sys);
-    EXPECT_EQ(cprog->tape().size(), 252u);
-    EXPECT_EQ(oprog->tape().size(), 1071u);
+    EXPECT_EQ(cprog->tape().size(), 245u);
+    EXPECT_EQ(oprog->tape().size(), 1040u);
     for (const sim::Program *prog : {cprog.get(), oprog.get()}) {
         EXPECT_EQ(countOp(*prog, sim::DOp::kSwitch), 0u);
         EXPECT_EQ(countOp(*prog, sim::DOp::kJump), 0u);
