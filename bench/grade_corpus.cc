@@ -247,8 +247,12 @@ main(int argc, char **argv)
         if (!json_path.empty())
             report.write(json_path, corpus_name);
 
-        std::printf("%zu grades, %s\n", report.runs.size(),
-                    report.allPass() ? "all pass" : "FAILURES");
+        // The shared core builds are timed once per call, apart from
+        // the grades that reuse them.
+        std::printf("%zu grades, %s; core set-up %.3f s\n",
+                    report.runs.size(),
+                    report.allPass() ? "all pass" : "FAILURES",
+                    report.setup_seconds);
         return report.allPass() ? 0 : 1;
     } catch (const FatalError &err) {
         std::fprintf(stderr, "%s: %s\n", argv[0], err.what());

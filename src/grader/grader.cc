@@ -1,5 +1,6 @@
 #include "grader/grader.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -10,6 +11,7 @@
 #include "rtl/netlist.h"
 #include "rtl/netlist_sim.h"
 #include "sim/ckpt.h"
+#include "sim/program.h"
 #include "sim/repro.h"
 #include "sim/simulator.h"
 #include "sim/sweep.h"
@@ -117,18 +119,22 @@ struct Lockstep {
     sim::Engine *sim = nullptr;
     Handles h;
     const GoldenTrace *gold = nullptr;
+    const sim::FaultInjector *faults = nullptr; ///< attached plan, if any
     isa::Iss iss;                  ///< stepped once per DUT retirement
     std::vector<uint32_t> shadow;  ///< last-seen copy of DUT memory
     size_t store_cursor = 0;       ///< next expected visible store
     uint64_t seen_retired = 0;     ///< DUT retired counter, last cycle
     uint64_t retirement = 0;       ///< dynamic instruction index (1-based)
+    uint64_t seen_writes = 0;      ///< DUT mem write count, last scan
+    size_t seen_faults = 0;        ///< fired fault records, last scan
     size_t max_deltas = 8;
     std::optional<Divergence> div; ///< first divergence only
 
     Lockstep(sim::Engine *s, Handles handles, const GoldenTrace *g,
              std::vector<uint32_t> image, size_t cap)
         : sim(s), h(handles), gold(g), iss(std::move(image)),
-          shadow(iss.memory()), max_deltas(cap)
+          shadow(iss.memory()), seen_writes(s->arrayWrites(h.mem)),
+          max_deltas(cap)
     {
     }
 
@@ -145,6 +151,22 @@ struct Lockstep {
             deltas.resize(max_deltas);
         d.deltas = std::move(deltas);
         div = std::move(d);
+    }
+
+    /**
+     * True when DUT memory may differ from the shadow: the cycle
+     * committed a write to it, or a fault fired (a flip goes through
+     * Engine::writeArray, which the write count does not see).
+     */
+    bool
+    memoryTouched()
+    {
+        uint64_t writes = sim->arrayWrites(h.mem);
+        size_t fired = faults ? faults->records().size() : 0;
+        bool touched = writes != seen_writes || fired != seen_faults;
+        seen_writes = writes;
+        seen_faults = fired;
+        return touched;
     }
 
     /**
@@ -220,7 +242,8 @@ struct Lockstep {
     {
         if (div)
             return; // first divergence frozen; stop diffing
-        scanMemory(cycle);
+        if (memoryTouched())
+            scanMemory(cycle);
         checkRetirements(cycle);
     }
 
@@ -280,6 +303,8 @@ struct Lockstep {
             iss.stepOne();
         for (size_t w = 0; w < shadow.size(); ++w)
             shadow[w] = uint32_t(sim->readArray(h.mem, w));
+        seen_writes = sim->arrayWrites(h.mem);
+        seen_faults = faults ? faults->records().size() : 0;
         if (r.flag()) {
             Divergence d;
             d.retirement = r.u64();
@@ -363,6 +388,7 @@ runGrade(const CorpusProgram &prog, Core core, sim::Engine &sim,
     if (opts.fault) {
         inj.emplace(sys, *opts.fault);
         inj->attach(sim);
+        ls.faults = &*inj;
     }
 
     if (!opts.resume_from.empty()) {
@@ -407,26 +433,67 @@ runGrade(const CorpusProgram &prog, Core core, sim::Engine &sim,
     return v;
 }
 
-/** Build the requested core over @p image; handles are design-agnostic. */
-struct BuiltDesign {
+/**
+ * One core elaborated over a blank image, shared read-only by every job
+ * of a gradeCorpus call on that (core, mem_words): the engines read an
+ * array's init values only when they construct their run state, so a
+ * job's program image is loaded afterwards, before cycle 0.
+ */
+struct SharedCore {
+    Core core = Core::kInOrder;
+    uint32_t mem_words = 0;
     std::unique_ptr<System> sys;
     Handles h;
+    std::shared_ptr<const sim::Program> program; ///< for event jobs
+    std::optional<rtl::Netlist> netlist;         ///< for netlist jobs
+    double seconds = 0.0; ///< build + compile + netlist wall-clock
 };
 
-BuiltDesign
-buildCore(Core core, const std::vector<uint32_t> &image)
+/** Elaborate @p sc's core and build the artifacts of the given engines. */
+void
+buildCore(SharedCore &sc, bool event, bool netlist)
 {
-    BuiltDesign out;
-    if (core == Core::kInOrder) {
-        auto d = designs::buildCpu(designs::BranchPolicy::kTaken, image);
-        out.h = {d.mem, d.rf, d.retired, d.ret_pc};
-        out.sys = std::move(d.sys);
+    auto t0 = std::chrono::steady_clock::now();
+    std::vector<uint32_t> blank(sc.mem_words, 0);
+    if (sc.core == Core::kInOrder) {
+        auto d = designs::buildCpu(designs::BranchPolicy::kTaken, blank);
+        sc.h = {d.mem, d.rf, d.retired, d.ret_pc};
+        sc.sys = std::move(d.sys);
     } else {
-        auto d = designs::buildOoo(image);
-        out.h = {d.mem, d.rf, d.retired, d.ret_pc};
-        out.sys = std::move(d.sys);
+        auto d = designs::buildOoo(blank);
+        sc.h = {d.mem, d.rf, d.retired, d.ret_pc};
+        sc.sys = std::move(d.sys);
     }
-    return out;
+    if (event)
+        sc.program = sim::Program::compile(*sc.sys);
+    if (netlist)
+        sc.netlist.emplace(*sc.sys);
+    sc.seconds = std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
+}
+
+/** Grade @p prog on a fresh engine over @p sc, loaded with its image. */
+Verdict
+gradeOn(const CorpusProgram &prog, const SharedCore &sc, Engine engine,
+        const GradeOptions &opts)
+{
+    std::vector<uint32_t> image = prog.image();
+    GoldenTrace gold = goldenRun(prog, image);
+
+    sim::SimOptions so;
+    so.capture_logs = false;
+    so.shuffle = opts.shuffle;
+    so.shuffle_seed = opts.shuffle_seed;
+    so.timeline_path = opts.timeline_path;
+    std::unique_ptr<sim::Engine> sim;
+    if (engine == Engine::kEvent)
+        sim = std::make_unique<sim::Simulator>(sc.program, so);
+    else
+        sim = std::make_unique<rtl::NetlistSim>(*sc.netlist, so);
+    for (size_t w = 0; w < image.size(); ++w)
+        sim->writeArray(sc.h.mem, w, image[w]);
+    return runGrade(prog, sc.core, *sim, *sc.sys, sc.h, gold, image, opts);
 }
 
 void
@@ -487,25 +554,7 @@ Verdict
 gradeProgram(const CorpusProgram &program, Core core, Engine engine,
              const GradeOptions &opts)
 {
-    std::vector<uint32_t> image = program.image();
-    GoldenTrace gold = goldenRun(program, image);
-    BuiltDesign design = buildCore(core, image);
-
-    sim::SimOptions so;
-    so.capture_logs = false;
-    so.shuffle = opts.shuffle;
-    so.shuffle_seed = opts.shuffle_seed;
-    so.timeline_path = opts.timeline_path;
-    std::optional<rtl::Netlist> nl;
-    std::unique_ptr<sim::Engine> sim;
-    if (engine == Engine::kEvent) {
-        sim = std::make_unique<sim::Simulator>(*design.sys, so);
-    } else {
-        nl.emplace(*design.sys);
-        sim = std::make_unique<rtl::NetlistSim>(*nl, so);
-    }
-    return runGrade(program, core, *sim, *design.sys, design.h, gold,
-                    image, opts);
+    return gradeCorpus({program}, {core}, {engine}, opts).runs[0].verdict;
 }
 
 std::string
@@ -566,6 +615,8 @@ GradeReport::toJson(const std::string &corpus) const
     w.value(uint64_t(runs.size()));
     w.key("pass");
     w.value(allPass());
+    w.key("setup_seconds");
+    w.value(setup_seconds);
     w.key("runs");
     w.beginArray();
     for (const GradeRun &run : runs) {
@@ -602,18 +653,40 @@ gradeCorpus(const std::vector<CorpusProgram> &programs,
             const std::vector<Engine> &engines, const GradeOptions &opts,
             size_t workers)
 {
+    std::vector<std::unique_ptr<SharedCore>> shared;
+    auto sharedCore = [&](Core core, uint32_t mem_words) {
+        for (const auto &sc : shared)
+            if (sc->core == core && sc->mem_words == mem_words)
+                return sc.get();
+        shared.push_back(std::make_unique<SharedCore>());
+        shared.back()->core = core;
+        shared.back()->mem_words = mem_words;
+        return shared.back().get();
+    };
     struct Job {
         const CorpusProgram *program;
-        Core core;
+        const SharedCore *core;
         Engine engine;
     };
     std::vector<Job> jobs;
     for (const CorpusProgram &prog : programs)
-        for (Core core : cores)
+        for (Core core : cores) {
+            const SharedCore *sc = sharedCore(core, prog.mem_words);
             for (Engine engine : engines)
-                jobs.push_back({&prog, core, engine});
+                jobs.push_back({&prog, sc, engine});
+        }
+
+    auto wants = [&](Engine e) {
+        return std::find(engines.begin(), engines.end(), e) != engines.end();
+    };
+    bool event = wants(Engine::kEvent), netlist = wants(Engine::kNetlist);
+    sim::parallelFor(
+        shared.size(),
+        [&](size_t i) { buildCore(*shared[i], event, netlist); }, workers);
 
     GradeReport report;
+    for (const auto &sc : shared)
+        report.setup_seconds += sc->seconds;
     report.runs.resize(jobs.size());
     sim::parallelFor(
         jobs.size(),
@@ -622,13 +695,12 @@ gradeCorpus(const std::vector<CorpusProgram> &programs,
             auto t0 = std::chrono::steady_clock::now();
             GradeRun run;
             run.engine = job.engine;
-            run.verdict =
-                gradeProgram(*job.program, job.core, job.engine, opts);
+            run.verdict = gradeOn(*job.program, *job.core, job.engine, opts);
             run.seconds = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - t0)
                               .count();
             if (!run.verdict.pass())
-                run.repro = reproCommand(*job.program, job.core,
+                run.repro = reproCommand(*job.program, job.core->core,
                                          job.engine, opts, run.verdict);
             report.runs[i] = std::move(run);
         },

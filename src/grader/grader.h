@@ -136,7 +136,10 @@ struct GradeOptions {
     std::string resume_from;
 };
 
-/** Grade one program on one core under one engine. */
+/**
+ * Grade one program on one core under one engine: the one-job case of
+ * gradeCorpus().
+ */
 Verdict gradeProgram(const CorpusProgram &program, Core core,
                      Engine engine, const GradeOptions &opts = {});
 
@@ -155,7 +158,13 @@ std::string reproCommand(const CorpusProgram &program, Core core,
 /** One verdict plus the run context the verdict itself excludes. */
 struct GradeRun {
     Engine engine = Engine::kEvent;
-    double seconds = 0.0; ///< wall-clock of this grade alone
+    /**
+     * Wall-clock of this grade alone: assembling the image, the golden
+     * pre-run, engine construction and image load, and the run. The
+     * core's build and compile are shared by the call's grades and
+     * counted once, in GradeReport::setup_seconds.
+     */
+    double seconds = 0.0;
     Verdict verdict;
 
     /**
@@ -173,6 +182,14 @@ struct GradeRun {
 struct GradeReport {
     std::vector<GradeRun> runs; ///< program-major, core, then engine
 
+    /**
+     * Wall-clock of building the shared cores, summed over cores: each
+     * (core, mem_words) pair's elaboration and compiler passes, plus its
+     * sim::Program and rtl::Netlist for the engines requested. Additive
+     * in assassyn.grade.v1.
+     */
+    double setup_seconds = 0.0;
+
     /** True when every verdict passed. */
     bool allPass() const;
 
@@ -186,8 +203,11 @@ struct GradeReport {
 /**
  * Grade every program of @p programs on every requested core and
  * engine, distributing grades over @p workers threads
- * (sim::parallelFor). Results keep (program, core, engine) order
- * regardless of completion order.
+ * (sim::parallelFor). Each distinct (core, mem_words) pair is
+ * elaborated and compiled once, over a blank memory image, and shared
+ * by every grade on it; each grade then loads its program's image into
+ * a fresh engine before cycle 0. Results keep (program, core, engine)
+ * order regardless of completion order.
  */
 GradeReport gradeCorpus(const std::vector<CorpusProgram> &programs,
                         const std::vector<Core> &cores,

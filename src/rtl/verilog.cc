@@ -125,7 +125,17 @@ binExpr(const Netlist &nl, const Cell &cell)
       case BinOpcode::kGt:  sym = ">"; break;
       case BinOpcode::kGe:  sym = ">="; break;
     }
-    return a + " " + sym + " " + b;
+    std::string expr = a + " " + sym + " " + b;
+    // A zero divisor gives X in SystemVerilog; guard it to the engines'
+    // contract (support/ops.h): all-ones for `/`, the dividend for `%`.
+    // The signed all-ones is -1: an unsigned '1 arm would make the whole
+    // conditional, and with it the division, unsigned.
+    std::string zero = netRef(nl, cell.b) + " == 0 ? ";
+    if (op == BinOpcode::kDiv)
+        return zero + (cell.sgn ? "-1" : "'1") + " : " + expr;
+    if (op == BinOpcode::kMod)
+        return zero + a + " : " + expr;
+    return expr;
 }
 
 std::string

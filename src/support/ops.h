@@ -1,21 +1,24 @@
 /**
  * @file
- * The single definition of Assassyn's scalar operator semantics.
+ * Assassyn's scalar operator semantics at IR level (opcode, operand and
+ * output widths).
  *
- * Every engine that evaluates IR operators — the event-driven simulator
- * VM (sim/simulator.cc), the levelized netlist executor
- * (rtl/netlist_sim.cc), and the compiler's constant folder
- * (core/compiler/fold.cc) — calls these functions. Keeping exactly
- * one definition is what upholds the paper's cycle-alignment guarantee:
- * an edit to, say, the division-by-zero contract lands in every backend
- * at once instead of silently desynchronizing them
- * (tests/ops_cross_check_test.cc pins this with an exhaustive
- * randomized sweep over all opcodes × widths 1–64 × signedness).
+ * Its callers are the compiler's constant folder (core/compiler/fold.cc),
+ * sim::Program's constant folder (sim/program.cc), the debugger's
+ * expression evaluator (debug/eval.cc) and, inside both engines' tapes,
+ * only the rare-op handler kBinGeneric (div/mod, sim/pure_ops.inc).
+ * Every other pure op of both engines is the DStep-level copy in
+ * sim/pure_ops.inc, which agrees with this one because
+ * tests/ops_cross_check_test.cc (an exhaustive randomized sweep over
+ * all opcodes × widths 1–64 × signedness) and
+ * tests/op_semantics_test.cc each check one of them against a
+ * reference.
  *
  * The semantic contract (all operands carried in uint64_t, low
  * `opnd_bits` significant):
  *  - arithmetic wraps modulo 2^out_bits;
- *  - division by zero yields all-ones (RISC-V), x % 0 yields x;
+ *  - division by zero yields all-ones (RISC-V), x % 0 yields x (the
+ *    emitted SystemVerilog guards both cases to match, rtl/verilog.cc);
  *  - signed INT_MIN / -1 yields -INT_MIN mod 2^bits, INT_MIN % -1 is 0;
  *  - shifts by >= 64 flush to 0 (or the sign fill for arithmetic
  *    right shifts); in-range shifts use the host shifter and are then

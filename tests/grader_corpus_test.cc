@@ -133,6 +133,39 @@ TEST(GradeCorpusSuite, GradeCorpusKeepsOrderAcrossWorkers)
     }
 }
 
+TEST(GraderCorpus, CompilesEachCoreOncePerCall)
+{
+    // A gradeCorpus call elaborates and compiles each (core, mem_words)
+    // pair once and loads every program into the shared build as an
+    // image. Three programs over two memory sizes: 2 x 2 pairs.
+    CorpusProgram wide = fuzzProgram(3);
+    wide.name = "fuzz-3-wide";
+    wide.mem_words = 512;
+    std::vector<CorpusProgram> programs = {fuzzProgram(1), fuzzProgram(2),
+                                           wide};
+    std::vector<Core> cores = {Core::kInOrder, Core::kOoO};
+    std::vector<Engine> engines = {Engine::kEvent, Engine::kNetlist};
+    uint64_t before = sim::Program::compileCount();
+    GradeReport report = gradeCorpus(programs, cores, engines, {}, 2);
+    EXPECT_EQ(sim::Program::compileCount() - before, 4u);
+    EXPECT_GT(report.setup_seconds, 0.0);
+    ASSERT_EQ(report.runs.size(), 12u);
+    EXPECT_TRUE(report.allPass());
+
+    // Sharing the build changes nothing a verdict can see.
+    size_t i = 0;
+    for (const CorpusProgram &prog : programs)
+        for (Core core : cores)
+            for (Engine engine : engines) {
+                const GradeRun &run = report.runs[i++];
+                EXPECT_EQ(run.engine, engine);
+                EXPECT_EQ(run.verdict.toJson(),
+                          gradeProgram(prog, core, engine).toJson())
+                    << prog.name << " on " << coreName(core) << "/"
+                    << engineName(engine);
+            }
+}
+
 TEST(GradeCorpusSuite, GlobFilterSelectsByNamePattern)
 {
     EXPECT_TRUE(globMatch("*", "anything"));

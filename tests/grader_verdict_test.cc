@@ -116,6 +116,48 @@ TEST(GraderVerdict, CleanRunOfTheSameProgramPasses)
     }
 }
 
+TEST(GraderVerdict, MemoryFaultFlipSeenAtItsCycle)
+{
+    // A memory flip goes through Engine::writeArray, which the DUT's
+    // committed-write count does not see; the memory scan must still
+    // catch it in the cycle it fired. Cycle 3 is before the first
+    // store commits, so nothing else touches memory that cycle.
+    sim::FaultSpec spec;
+    spec.seed = 5; // flips bit 5 of mem[46] (byte 184, an unused word)
+    spec.count = 1;
+    spec.first_cycle = 3;
+    spec.last_cycle = 3;
+    spec.fifos = false;
+    spec.include_memories = true;
+    GradeOptions opts;
+    opts.fault = spec;
+    CorpusProgram prog = faultDemo();
+    auto check = [](const Verdict &v, const char *via) {
+        ASSERT_EQ(v.status, GradeStatus::kDiverged) << via;
+        ASSERT_TRUE(v.divergence.has_value()) << via;
+        EXPECT_EQ(v.divergence->kind, "mem") << via;
+        EXPECT_EQ(v.divergence->cycle, 3u) << via;
+        ASSERT_EQ(v.divergence->deltas.size(), 1u) << via;
+        EXPECT_EQ(v.divergence->deltas[0].index, 184u) << via;
+        EXPECT_EQ(v.divergence->deltas[0].actual, 32u) << via;
+    };
+    std::vector<std::string> verdicts;
+    for (Engine engine : {Engine::kEvent, Engine::kNetlist}) {
+        Verdict v = gradeProgram(prog, Core::kInOrder, engine, opts);
+        check(v, "gradeProgram");
+        verdicts.push_back(v.toJson());
+    }
+    GradeReport report = gradeCorpus({prog}, {Core::kInOrder},
+                                     {Engine::kEvent, Engine::kNetlist},
+                                     opts, 1);
+    ASSERT_EQ(report.runs.size(), 2u);
+    for (const GradeRun &run : report.runs) {
+        check(run.verdict, "gradeCorpus");
+        EXPECT_EQ(run.verdict.toJson(), verdicts[0]);
+    }
+    EXPECT_EQ(verdicts[0], verdicts[1]);
+}
+
 TEST(GraderVerdict, DeltasAreCappedByMaxDeltas)
 {
     // A heavier fault plan scribbling over several arrays must still

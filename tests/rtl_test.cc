@@ -6,6 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <regex>
+#include <sstream>
+
 #include "baseline/hls.h"
 #include "baseline/hls_workloads.h"
 #include "core/compiler/pass.h"
@@ -302,6 +305,57 @@ TEST(VerilogTest, EmitsBalancedStructure)
     EXPECT_NE(sv.find("assassyn_event_counter"), std::string::npos);
     EXPECT_NE(sv.find("$display"), std::string::npos);
     EXPECT_NE(sv.find("$finish"), std::string::npos);
+}
+
+TEST(VerilogTest, GuardsDivisionByZero)
+{
+    // SystemVerilog gives X for a zero divisor; the emitted cells must
+    // follow the engines' contract instead: x / 0 is all-ones and
+    // x % 0 is x, on unsigned and signed cells alike.
+    SysBuilder sb("divmod");
+    Stage drv = sb.driver("drv");
+    Reg ua = sb.reg("ua", uintType(32));
+    Reg ub = sb.reg("ub", uintType(32));
+    Reg sa = sb.reg("sa", intType(32));
+    Reg sb_ = sb.reg("sb", intType(32));
+    Reg uq = sb.reg("uq", uintType(32));
+    Reg ur = sb.reg("ur", uintType(32));
+    Reg sq = sb.reg("sq", intType(32));
+    Reg sr = sb.reg("sr", intType(32));
+    {
+        StageScope scope(drv);
+        ua.write(ua.read() + 7);
+        ub.write(ub.read() + 1);
+        uq.write(ua.read() / ub.read());
+        ur.write(ua.read() % ub.read());
+        sq.write(sa.read() / sb_.read());
+        sr.write(sa.read() % sb_.read());
+        finish();
+    }
+    compile(sb.sys());
+    rtl::Netlist nl(sb.sys());
+    std::string sv = rtl::emitVerilog(nl);
+    auto has = [&](const char *pattern) {
+        return std::regex_search(sv, std::regex(pattern));
+    };
+    EXPECT_TRUE(has(R"(assign n\d+ = (n\d+) == 0 \? '1 : n\d+ / \1;)"))
+        << sv;
+    EXPECT_TRUE(
+        has(R"(assign n\d+ = (n\d+) == 0 \? (n\d+) : \2 % \1;)"))
+        << sv;
+    EXPECT_TRUE(has(R"(assign n\d+ = (n\d+) == 0 \? -1 : )"
+                    R"(\$signed\(n\d+\) / \$signed\(\1\);)"))
+        << sv;
+    EXPECT_TRUE(has(R"(assign n\d+ = (n\d+) == 0 \? \$signed\((n\d+)\) : )"
+                    R"(\$signed\(\2\) % \$signed\(\1\);)"))
+        << sv;
+    // No cell is left with an unguarded quotient or remainder.
+    std::istringstream lines(sv);
+    for (std::string line; std::getline(lines, line);)
+        if (line.find("assign n") != std::string::npos &&
+            (line.find(" / ") != std::string::npos ||
+             line.find(" % ") != std::string::npos))
+            EXPECT_NE(line.find(" == 0 ? "), std::string::npos) << line;
 }
 
 TEST(VerilogTest, Deterministic)

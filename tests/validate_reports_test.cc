@@ -332,6 +332,11 @@ TEST(ValidateReports, GradeV1CarriesVerdictsAndDivergences)
     EXPECT_EQ(field(doc, "schema").string, "assassyn.grade.v1");
     EXPECT_EQ(field(doc, "corpus").string, "inline");
     EXPECT_TRUE(field(doc, "pass").isBool());
+    // Additive v1 key: the shared core builds, timed apart from the
+    // per-grade seconds.
+    const jsonv::Value &setup = field(doc, "setup_seconds");
+    ASSERT_TRUE(setup.isNumber());
+    EXPECT_GT(setup.number, 0.0);
     const jsonv::Value &runs = field(doc, "runs");
     ASSERT_TRUE(runs.isArray());
     EXPECT_EQ(field(doc, "grades").u64(), runs.array.size());
