@@ -3,10 +3,12 @@
  * Constant folding.
  *
  * Pure instructions whose operands are all literals are evaluated at
- * compile time using the exact scalar semantics both simulators execute
- * (support/ops.h), so a folded design cannot diverge from an unfolded
- * one — division by zero, shift overflow, and signed overflow all fold
- * to the same bits the backends would compute at cycle time.
+ * compile time through the semantics kernel both simulators run
+ * (sim/tape.h: encodeInstr, then evalPure over the same rows the
+ * engines' handlers are generated from), so a folded design cannot
+ * diverge from an unfolded one — division by zero, shift overflow, and
+ * signed overflow all fold to the same bits the backends would compute
+ * at cycle time.
  *
  * Folding rewrites operands in place and never deletes instructions:
  * the netlist cell count (and with it the Fig. 13 area model) is
@@ -19,7 +21,7 @@
 
 #include "core/compiler/pass.h"
 #include "core/compiler/walk.h"
-#include "support/ops.h"
+#include "sim/tape.h"
 
 namespace assassyn {
 
@@ -71,61 +73,22 @@ struct Folder {
             break;
         }
         rewriteOperands(inst);
-        switch (inst->opcode()) {
-          case Opcode::kBinOp: {
-            auto *bin = static_cast<BinOp *>(inst);
-            const ConstInt *a = literalOf(bin->lhs());
-            const ConstInt *b = literalOf(bin->rhs());
-            if (a && b)
-                fold(inst,
-                     ops::evalBin(bin->binOpcode(), a->raw(), b->raw(),
-                                  bin->lhs()->type().bits(),
-                                  bin->lhs()->type().isSigned(),
-                                  bin->type().bits()));
-            break;
-          }
-          case Opcode::kUnOp: {
-            auto *un = static_cast<UnOp *>(inst);
-            if (const ConstInt *a = literalOf(un->value()))
-                fold(inst, ops::evalUn(un->unOpcode(), a->raw(),
-                                       un->value()->type().bits(),
-                                       un->type().bits()));
-            break;
-          }
-          case Opcode::kSlice: {
-            auto *sl = static_cast<Slice *>(inst);
-            if (const ConstInt *a = literalOf(sl->value()))
-                fold(inst, ops::evalSlice(a->raw(), sl->hi(), sl->lo()));
-            break;
-          }
-          case Opcode::kConcat: {
-            auto *cc = static_cast<Concat *>(inst);
-            const ConstInt *hi = literalOf(cc->msb());
-            const ConstInt *lo = literalOf(cc->lsb());
-            if (hi && lo)
-                fold(inst, ops::evalConcat(hi->raw(), lo->raw(),
-                                           cc->lsb()->type().bits(),
-                                           cc->type().bits()));
-            break;
-          }
-          case Opcode::kCast: {
-            auto *cast = static_cast<Cast *>(inst);
-            if (const ConstInt *a = literalOf(cast->value()))
-                fold(inst, ops::evalCast(cast->mode(), a->raw(),
-                                         cast->value()->type().bits(),
-                                         cast->type().bits()));
-            break;
-          }
-          case Opcode::kSelect: {
+        sim::DStep s;
+        if (sim::encodeInstr(s, *inst)) {
+            const ConstInt *a = literalOf(inst->operand(0));
+            const ConstInt *b = inst->numOperands() > 1
+                                    ? literalOf(inst->operand(1))
+                                    : nullptr;
+            if (a && (b || inst->numOperands() == 1))
+                fold(inst, sim::evalPure(s, a->raw(), b ? b->raw() : 0));
+            return;
+        }
+        if (inst->opcode() == Opcode::kSelect) {
             // A constant condition forwards the chosen arm (which need
             // not itself be constant) to every later use.
             auto *sel = static_cast<Select *>(inst);
             if (const ConstInt *c = literalOf(sel->cond()))
                 folded[inst] = c->raw() ? sel->onTrue() : sel->onFalse();
-            break;
-          }
-          default:
-            break;
         }
     }
 };

@@ -47,9 +47,9 @@ void topoSortStages(System &sys);
 
 /**
  * Evaluate pure instructions with all-literal operands at compile time,
- * using the shared scalar semantics both simulators execute
- * (support/ops.h), and rewrite their uses to the literal. Instructions
- * are never removed, so netlist cell counts are unaffected.
+ * through the semantics kernel both simulators execute (sim/tape.h:
+ * encodeInstr, then evalPure), and rewrite their uses to the literal.
+ * Instructions are never removed, so netlist cell counts are unaffected.
  */
 void foldConstants(System &sys);
 

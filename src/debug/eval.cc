@@ -7,8 +7,8 @@
 #include "core/ir/module.h"
 #include "core/ir/value.h"
 #include "sim/engine.h"
+#include "sim/tape.h"
 #include "support/logging.h"
-#include "support/ops.h"
 
 namespace assassyn {
 namespace debug {
@@ -55,45 +55,17 @@ struct Walk {
             break;
         }
         const auto *inst = static_cast<const Instruction *>(v);
-        // The operand-width conventions below mirror the compilers
-        // (sim/program.cc emitPure, rtl/netlist.cc): BinOp operands use
-        // the lhs type, UnOp/Cast use the source type, every result is
-        // truncated to the instruction's own width by the shared ops
-        // kernel. Divergence here would break cross-backend identity.
+        sim::DStep step;
+        if (sim::encodeInstr(step, *inst))
+            return sim::evalPure(step, eval(inst->operand(0)),
+                                 inst->numOperands() > 1
+                                     ? eval(inst->operand(1))
+                                     : 0);
         switch (inst->opcode()) {
-          case Opcode::kBinOp: {
-            const auto *b = static_cast<const BinOp *>(inst);
-            return ops::evalBin(b->binOpcode(), eval(b->lhs()),
-                                eval(b->rhs()), b->lhs()->type().bits(),
-                                b->lhs()->type().isSigned(),
-                                inst->type().bits());
-          }
-          case Opcode::kUnOp: {
-            const auto *u = static_cast<const UnOp *>(inst);
-            return ops::evalUn(u->unOpcode(), eval(u->value()),
-                               u->value()->type().bits(),
-                               inst->type().bits());
-          }
-          case Opcode::kSlice: {
-            const auto *s = static_cast<const Slice *>(inst);
-            return ops::evalSlice(eval(s->value()), s->hi(), s->lo());
-          }
-          case Opcode::kConcat: {
-            const auto *c = static_cast<const Concat *>(inst);
-            return ops::evalConcat(eval(c->msb()), eval(c->lsb()),
-                                   c->lsb()->type().bits(),
-                                   inst->type().bits());
-          }
           case Opcode::kSelect: {
             const auto *s = static_cast<const Select *>(inst);
             return eval(s->cond()) ? eval(s->onTrue())
                                    : eval(s->onFalse());
-          }
-          case Opcode::kCast: {
-            const auto *c = static_cast<const Cast *>(inst);
-            return ops::evalCast(c->mode(), eval(c->value()),
-                                 c->value()->type().bits(),
-                                 inst->type().bits());
           }
           case Opcode::kFifoValid: {
             const auto *f = static_cast<const FifoValid *>(inst);

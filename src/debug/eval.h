@@ -10,10 +10,11 @@
  * debugger never asks an engine for an internal wire: it re-evaluates
  * the IR cone of the named value over *committed architectural state* —
  * register arrays, FIFO contents, FIFO occupancy — through the shared
- * sim::Engine inspection surface. Pure ops reuse the
- * shared semantics kernel (support/ops.h), the exact functions both
- * backends compile against, with the same operand-width conventions the
- * compilers use — cross-backend identity by construction.
+ * sim::Engine inspection surface. Pure ops are encoded and evaluated
+ * by the semantics kernel (sim/tape.h: encodeInstr, then evalPure over
+ * the rows both engines' handlers are generated from), so the operand
+ * widths and the formulas are the engines' own — cross-backend identity
+ * by construction.
  *
  * Semantics are those of a cycle boundary: FifoPop reads as a peek of
  * the current head (0 when empty, mirroring DOp::kFifoPeek), FifoValid

@@ -582,14 +582,10 @@ Netlist::buildTape()
                           cell.opnd_bits, cell.bits);
             break;
           case CellOp::kSlice:
-            s.op = uint8_t(DOp::kSlice);
-            s.x8 = uint8_t(cell.c_imm);
-            s.u.mask = maskBits(cell.b_imm - cell.c_imm + 1);
+            sim::encodeSlice(s, cell.b_imm, cell.c_imm);
             break;
           case CellOp::kConcat:
-            s.op = uint8_t(DOp::kConcat);
-            s.x8 = uint8_t(cell.c_imm);
-            s.u.mask = maskBits(cell.bits);
+            sim::encodeConcat(s, cell.c_imm, cell.bits);
             break;
           case CellOp::kMux:
             s.op = uint8_t(DOp::kSelect);

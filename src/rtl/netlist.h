@@ -22,10 +22,10 @@
  * levelized cells are then decoded, once, into a dense tape of 24-byte
  * sim::DStep records (tape()) — the event engine's tape format, limited
  * to its pure opcode prefix — with every mask and shift precomputed; it
- * is the simulator's only evaluator, and it runs the event engine's own
- * pure handlers (sim/pure_ops.inc). The Cell list itself stays the
- * structural view the area and timing models and the SystemVerilog
- * emitter read.
+ * is the simulator's only evaluator, and it runs handlers generated
+ * from the event engine's own rows (sim/tape.h). The Cell list itself
+ * stays the structural view the area and timing models and the
+ * SystemVerilog emitter read.
  *
  * The Netlist feeds three consumers: the netlist simulator (the repo's
  * Verilator stand-in), the synthesis area model, and the SystemVerilog
@@ -51,7 +51,7 @@
 
 #include "core/ir/system.h"
 #include "sim/hazard.h"
-#include "sim/program.h"
+#include "sim/tape.h"
 
 namespace assassyn {
 namespace rtl {

@@ -5,7 +5,6 @@
 
 #include "support/bits.h"
 #include "support/logging.h"
-#include "support/ops.h"
 
 namespace assassyn {
 namespace rtl {
@@ -76,7 +75,8 @@ struct NetlistSim::Impl {
     /**
      * One pass over the pre-decoded tape records [@p begin, @p end),
      * i.e. over the levelized cells of the same index range. The
-     * handlers are the event engine's own (sim/pure_ops.inc).
+     * handlers are generated from the event engine's own rows
+     * (ASSASSYN_PURE_HANDLERS, sim/tape.h).
      */
     void
     runTape(uint32_t begin, uint32_t end)
@@ -87,9 +87,9 @@ struct NetlistSim::Impl {
         const sim::RunState::Array *const ast = st.arrays.data();
         // Threaded dispatch (computed goto), as in sim::Simulator's
         // runTape, over the pure prefix of sim::DOp only.
-#define ASSASSYN_DOP_LABEL(name) &&op_##name,
+#define ASSASSYN_DOP_LABEL(name, ...) &&op_##name,
         static const void *const kJump[] = {
-            ASSASSYN_PURE_DOPS(ASSASSYN_DOP_LABEL)
+            ASSASSYN_PURE_DOP_NAMES(ASSASSYN_DOP_LABEL)
         };
 #undef ASSASSYN_DOP_LABEL
         static_assert(std::size(kJump) == sim::kPureDOps,
@@ -105,7 +105,7 @@ struct NetlistSim::Impl {
             return;
         goto *kJump[s->op];
 
-#include "sim/pure_ops.inc"
+        ASSASSYN_PURE_HANDLERS
 
 #undef ASSASSYN_OP
 #undef ASSASSYN_NEXT

@@ -127,7 +127,7 @@ binExpr(const Netlist &nl, const Cell &cell)
     }
     std::string expr = a + " " + sym + " " + b;
     // A zero divisor gives X in SystemVerilog; guard it to the engines'
-    // contract (support/ops.h): all-ones for `/`, the dividend for `%`.
+    // contract (sim/tape.h divMod): all-ones for `/`, the dividend for `%`.
     // The signed all-ones is -1: an unsigned '1 arm would make the whole
     // conditional, and with it the division, unsigned.
     std::string zero = netRef(nl, cell.b) + " == 0 ? ";

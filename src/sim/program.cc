@@ -7,7 +7,6 @@
 #include "core/compiler/walk.h"
 #include "support/bits.h"
 #include "support/logging.h"
-#include "support/ops.h"
 #include "support/profiler.h"
 
 namespace assassyn {
@@ -18,85 +17,7 @@ namespace {
 /** Test instrumentation: one increment per Program compilation. */
 std::atomic<uint64_t> compile_count{0};
 
-/** Shift pair turning `(x << sh) >> sh` into signExtend(x, bits). */
-uint8_t
-sextShift(unsigned bits)
-{
-    return (bits == 0 || bits >= 64) ? 0 : uint8_t(64 - bits);
-}
-
 } // namespace
-
-void
-encodeBin(DStep &s, BinOpcode op, bool sgn, unsigned opnd_bits,
-          unsigned out_bits)
-{
-    DOp d = DOp::kBinGeneric;
-    switch (op) {
-      case BinOpcode::kAdd: d = DOp::kAdd; break;
-      case BinOpcode::kSub: d = DOp::kSub; break;
-      case BinOpcode::kMul: d = DOp::kMul; break;
-      case BinOpcode::kAnd: d = DOp::kAnd; break;
-      case BinOpcode::kOr:  d = DOp::kOr; break;
-      case BinOpcode::kXor: d = DOp::kXor; break;
-      case BinOpcode::kShl: d = DOp::kShl; break;
-      case BinOpcode::kShr: d = sgn ? DOp::kShrS : DOp::kShrU; break;
-      case BinOpcode::kEq:  d = DOp::kEq; break;
-      case BinOpcode::kNe:  d = DOp::kNe; break;
-      case BinOpcode::kLt:  d = sgn ? DOp::kLtS : DOp::kLtU; break;
-      case BinOpcode::kLe:  d = sgn ? DOp::kLeS : DOp::kLeU; break;
-      case BinOpcode::kGt:  d = sgn ? DOp::kGtS : DOp::kGtU; break;
-      case BinOpcode::kGe:  d = sgn ? DOp::kGeS : DOp::kGeU; break;
-      case BinOpcode::kDiv:
-      case BinOpcode::kMod:
-        // Rare ops keep the shared ops::evalBin semantics (div-by-zero,
-        // INT_MIN edge cases) via the generic fallback instead of
-        // duplicating them here.
-        s.op = uint8_t(DOp::kBinGeneric);
-        s.x8 = uint8_t(op);
-        s.x16 = sgn ? 1 : 0;
-        s.u.ca.c = opnd_bits;
-        s.u.ca.aux = out_bits;
-        return;
-    }
-    s.op = uint8_t(d);
-    s.x8 = sextShift(opnd_bits); // read by kShrS and the signed compares
-    s.u.mask = maskBits(out_bits);
-}
-
-void
-encodeUn(DStep &s, UnOpcode op, unsigned opnd_bits, unsigned out_bits)
-{
-    switch (op) {
-      case UnOpcode::kNot:
-        s.op = uint8_t(DOp::kNot);
-        s.u.mask = maskBits(out_bits);
-        break;
-      case UnOpcode::kNeg:
-        s.op = uint8_t(DOp::kNeg);
-        s.u.mask = maskBits(out_bits);
-        break;
-      case UnOpcode::kRedOr:
-        s.op = uint8_t(DOp::kRedOr);
-        break;
-      case UnOpcode::kRedAnd:
-        s.op = uint8_t(DOp::kRedAnd);
-        s.u.mask = maskBits(opnd_bits);
-        break;
-    }
-}
-
-void
-encodeCast(DStep &s, Cast::Mode mode, unsigned src_bits, unsigned out_bits)
-{
-    if (mode == Cast::Mode::kSExt) {
-        s.op = uint8_t(DOp::kSExt);
-        s.x8 = sextShift(src_bits);
-    } else {
-        s.op = uint8_t(DOp::kMask);
-    }
-    s.u.mask = maskBits(out_bits);
-}
 
 /**
  * Compiles the shadow and active step spans of one module into the
@@ -308,6 +229,53 @@ struct ProgCompiler {
         }
     }
 
+    /**
+     * Emit @p inst, a BinOp, UnOp, Slice, Concat or Cast that
+     * encodeInstr() encoded into @p s: fold it when every operand is a
+     * compile-time constant, inline a BinOp's one constant operand
+     * where an immediate form exists, else emit the slot form.
+     */
+    void
+    emitFormula(const Instruction *inst, DStep s)
+    {
+        const Value *lhs = inst->operand(0);
+        const Value *rhs =
+            inst->numOperands() > 1 ? inst->operand(1) : nullptr;
+        s.a = prog.slotOf(lhs);
+        if (s.a == s.dest) {
+            // Identity cast dissolved into a slot alias
+            // (Program::buildAliases); costs zero steps, and the
+            // shared slot carries the operand's constness with it.
+            emitted.insert(inst);
+            return;
+        }
+        uint64_t av = 0, bv = 0;
+        const bool ac = constOf(lhs, av);
+        const bool bc = rhs && constOf(rhs, bv);
+        if (ac && (bc || !rhs)) {
+            fold(inst, evalPure(s, av, bv));
+            return;
+        }
+        if (rhs)
+            s.b = prog.slotOf(rhs);
+        if (inst->opcode() == Opcode::kBinOp && (ac || bc)) {
+            const auto *bin = static_cast<const BinOp *>(inst);
+            DStep imm;
+            imm.dest = s.dest;
+            int r = emitBinImm(imm, bin->binOpcode(),
+                               lhs->type().isSigned(), inst->type().bits(),
+                               ac ? rhs : lhs, ac ? av : bv, ac);
+            if (r == 2) {
+                fold(inst, 0); // an over-wide shift flushed the value
+                return;
+            }
+            if (r == 1)
+                s = imm;
+        }
+        push(s);
+        emitted.insert(inst);
+    }
+
     void
     emitPure(const Value *v)
     {
@@ -331,83 +299,13 @@ struct ProgCompiler {
             panic("effectful instruction used as an operand");
         for (Value *op : inst->operands())
             emitPure(op);
-        const unsigned out_bits = inst->type().bits();
         DStep s;
         s.dest = prog.slotOf(v);
+        if (encodeInstr(s, *inst)) {
+            emitFormula(inst, s);
+            return;
+        }
         switch (inst->opcode()) {
-          case Opcode::kBinOp: {
-            const auto *bin = static_cast<const BinOp *>(inst);
-            const BinOpcode bop = bin->binOpcode();
-            const bool sgn = bin->lhs()->type().isSigned();
-            const unsigned opnd_bits = bin->lhs()->type().bits();
-            uint64_t av = 0, bv = 0;
-            const bool ac = constOf(bin->lhs(), av);
-            const bool bc = constOf(bin->rhs(), bv);
-            if (ac && bc) {
-                fold(v, ops::evalBin(bop, av, bv, opnd_bits, sgn,
-                                     out_bits));
-                return;
-            }
-            if (ac || bc) {
-                int r = emitBinImm(s, bop, sgn, out_bits,
-                                   ac ? bin->rhs() : bin->lhs(),
-                                   ac ? av : bv, ac);
-                if (r == 2) {
-                    fold(v, 0); // an over-wide shift flushed the value
-                    return;
-                }
-                if (r == 1)
-                    break;
-            }
-            s.a = prog.slotOf(bin->lhs());
-            s.b = prog.slotOf(bin->rhs());
-            encodeBin(s, bop, sgn, opnd_bits, out_bits);
-            break;
-          }
-          case Opcode::kUnOp: {
-            const auto *un = static_cast<const UnOp *>(inst);
-            uint64_t uv = 0;
-            if (constOf(un->value(), uv)) {
-                fold(v, ops::evalUn(un->unOpcode(), uv,
-                                    un->value()->type().bits(),
-                                    out_bits));
-                return;
-            }
-            s.a = prog.slotOf(un->value());
-            encodeUn(s, un->unOpcode(), un->value()->type().bits(),
-                     out_bits);
-            break;
-          }
-          case Opcode::kSlice: {
-            const auto *sl = static_cast<const Slice *>(inst);
-            uint64_t sv = 0;
-            if (constOf(sl->value(), sv)) {
-                fold(v, ops::evalSlice(sv, sl->hi(), sl->lo()));
-                return;
-            }
-            s.op = uint8_t(DOp::kSlice);
-            s.a = prog.slotOf(sl->value());
-            s.x8 = uint8_t(sl->lo());
-            s.u.mask = maskBits(sl->hi() - sl->lo() + 1);
-            break;
-          }
-          case Opcode::kConcat: {
-            const auto *cc = static_cast<const Concat *>(inst);
-            const unsigned lsb_bits = cc->lsb()->type().bits();
-            uint64_t mv = 0, lv = 0;
-            const bool mc = constOf(cc->msb(), mv);
-            const bool lc = constOf(cc->lsb(), lv);
-            if (mc && lc) {
-                fold(v, ops::evalConcat(mv, lv, lsb_bits, out_bits));
-                return;
-            }
-            s.op = uint8_t(DOp::kConcat);
-            s.a = prog.slotOf(cc->msb());
-            s.b = prog.slotOf(cc->lsb());
-            s.x8 = uint8_t(lsb_bits);
-            s.u.mask = maskBits(out_bits);
-            break;
-          }
           case Opcode::kSelect: {
             const auto *sel = static_cast<const Select *>(inst);
             uint64_t cv = 0;
@@ -420,34 +318,13 @@ struct ProgCompiler {
                 }
                 s.op = uint8_t(DOp::kMask); // plain copy of the arm
                 s.a = prog.slotOf(arm);
-                s.u.mask = maskBits(out_bits);
+                s.u.mask = maskBits(inst->type().bits());
                 break;
             }
             s.op = uint8_t(DOp::kSelect);
             s.a = prog.slotOf(sel->cond());
             s.b = prog.slotOf(sel->onTrue());
             s.u.ca.c = prog.slotOf(sel->onFalse());
-            break;
-          }
-          case Opcode::kCast: {
-            const auto *cast = static_cast<const Cast *>(inst);
-            s.a = prog.slotOf(cast->value());
-            if (s.a == s.dest) {
-                // Identity cast dissolved into a slot alias
-                // (Program::buildAliases); costs zero steps, and the
-                // shared slot carries the operand's constness with it.
-                emitted.insert(v);
-                return;
-            }
-            uint64_t sv = 0;
-            if (constOf(cast->value(), sv)) {
-                fold(v, ops::evalCast(cast->mode(), sv,
-                                      cast->value()->type().bits(),
-                                      out_bits));
-                return;
-            }
-            encodeCast(s, cast->mode(), cast->value()->type().bits(),
-                       out_bits);
             break;
           }
           case Opcode::kFifoValid: {

@@ -5,7 +5,6 @@
 
 #include "support/bits.h"
 #include "support/logging.h"
-#include "support/ops.h"
 #include "support/rng.h"
 
 namespace assassyn {
@@ -198,9 +197,9 @@ struct Simulator::Impl {
         // predictor learns per-opcode successor patterns that a single
         // shared switch branch cannot express. The table is generated
         // from the opcode lists, so it follows DOp by construction.
-#define ASSASSYN_DOP_LABEL(name) &&op_##name,
+#define ASSASSYN_DOP_LABEL(name, ...) &&op_##name,
         static const void *const kJump[] = {
-            ASSASSYN_PURE_DOPS(ASSASSYN_DOP_LABEL)
+            ASSASSYN_PURE_DOP_NAMES(ASSASSYN_DOP_LABEL)
             ASSASSYN_EVENT_DOPS(ASSASSYN_DOP_LABEL)
         };
 #undef ASSASSYN_DOP_LABEL
@@ -217,7 +216,7 @@ struct Simulator::Impl {
             return true;
         goto *kJump[s->op];
 
-#include "sim/pure_ops.inc"
+        ASSASSYN_PURE_HANDLERS
 
         // Immediate forms: one slot load, the constant operand rides in
         // the step.

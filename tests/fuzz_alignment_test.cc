@@ -512,8 +512,8 @@ TEST(OpcodeCoverage, SeedsAndDesignsEmitEveryOpcode)
               .sys);
     note(*baseline::generateHls(baseline::hlsStencil(st), st.memory).sys);
 
-#define OPCODE_NAME(name) #name,
-    const char *const names[] = {ASSASSYN_PURE_DOPS(OPCODE_NAME)
+#define OPCODE_NAME(name, ...) #name,
+    const char *const names[] = {ASSASSYN_PURE_DOP_NAMES(OPCODE_NAME)
                                      ASSASSYN_EVENT_DOPS(OPCODE_NAME)};
 #undef OPCODE_NAME
     static_assert(std::size(names) == sim::kDOps);

@@ -8,8 +8,9 @@
  * division and remainder by zero, and signed INT_MIN / -1 — at odd
  * widths (7, 13, 33) that straddle machine-word boundaries. Every result
  * must agree across the event simulator, the netlist simulator, and the
- * shared semantics library (support/ops.h) the two are built on; ops.h
- * itself is independently pinned by ops_cross_check_test.cc.
+ * semantics kernel (sim/tape.h: encodeBin, then evalPure) the two are
+ * built on; the kernel itself is independently pinned by
+ * ops_cross_check_test.cc.
  */
 #include <gtest/gtest.h>
 
@@ -18,7 +19,7 @@
 #include "rtl/netlist.h"
 #include "rtl/netlist_sim.h"
 #include "sim/simulator.h"
-#include "support/ops.h"
+#include "sim/tape.h"
 
 namespace assassyn {
 namespace {
@@ -112,9 +113,10 @@ TEST_P(OpEdgeTest, BackendsAndOpsLibraryAgree)
     rsim.run(n + 2);
     ASSERT_TRUE(rsim.finished());
 
+    sim::DStep step;
+    sim::encodeBin(step, ec.op, sgn, bits, bits);
     for (size_t i = 0; i < n; ++i) {
-        uint64_t want =
-            ops::evalBin(ec.op, va[i], vb[i], bits, sgn, bits);
+        uint64_t want = sim::evalPure(step, va[i], vb[i]);
         EXPECT_EQ(esim.readArray(out.array(), i), want)
             << ec.name << " bits=" << bits << " sgn=" << sgn
             << " a=" << va[i] << " b=" << vb[i];

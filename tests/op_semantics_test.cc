@@ -11,12 +11,17 @@
  * slot. A third does the same for every other pure operation: the unary
  * operators, the four casts, slices at both ends of the operand, concat,
  * select and an array read past the end. A fourth gives select, concat
- * and the decode compare-select constant operands.
+ * and the decode compare-select constant operands. Two more take the
+ * binary operators to their edge operands (x / 0, INT_MIN / -1, shifts
+ * by the width and beyond): one with both operands literals, folded by
+ * the compiler's constant folder or by sim::Program's own, and one
+ * checking the debugger's evaluator against both engines.
  */
 #include <gtest/gtest.h>
 
 #include "core/compiler/pass.h"
 #include "core/dsl/builder.h"
+#include "debug/eval.h"
 #include "rtl/netlist.h"
 #include "rtl/netlist_sim.h"
 #include "sim/simulator.h"
@@ -338,6 +343,180 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1u, 7u, 32u, 64u),
                        ::testing::Bool(), ::testing::Bool()),
     constCaseName);
+
+// ---- Both operands literals, and the debugger's evaluator ---------------
+
+/**
+ * Every edge pair of @p op at @p bits: the edge values of the lhs type
+ * against those of the rhs type (an 8-bit shift amount for shifts, plus
+ * the in-range edges bits-1 and bits). This takes in x / 0, x % 0,
+ * INT_MIN / -1 (the signed minimum over all-ones) and shifts by the
+ * width and beyond.
+ */
+std::vector<std::pair<uint64_t, uint64_t>>
+edgePairs(BinOpcode op, unsigned bits)
+{
+    std::vector<uint64_t> ks = edgeValues(isShift(op) ? 8 : bits);
+    if (isShift(op)) {
+        ks.push_back(bits - 1);
+        ks.push_back(bits);
+    }
+    std::vector<std::pair<uint64_t, uint64_t>> pairs;
+    for (uint64_t a : edgeValues(bits))
+        for (uint64_t b : ks)
+            pairs.emplace_back(a, b);
+    return pairs;
+}
+
+/**
+ * The operators with both operands literals, one register per edge
+ * pair. Nothing is left for the engines to compute: the compiler's
+ * constant folder (core/compiler/fold.cc) folds each op by default, and
+ * with CompileOptions::run_fold off sim::Program folds it into a slot
+ * initial value while the netlist evaluates the literal cells every
+ * cycle. Both engines are checked against golden().
+ */
+class ConstFoldSemanticsTest
+    : public ::testing::TestWithParam<
+          std::tuple<int, unsigned, bool, bool>> {};
+
+TEST_P(ConstFoldSemanticsTest, BothBackendsMatchReference)
+{
+    const auto &[op_idx, bits, sgn, run_fold] = GetParam();
+    const OpCase &oc = kOps[size_t(op_idx)];
+    const DataType ty = sgn ? intType(bits) : uintType(bits);
+    const DataType bty = isShift(oc.op) ? uintType(8) : ty;
+    const unsigned out_bits = isComparison(oc.op) ? 1 : bits;
+    const auto pairs = edgePairs(oc.op, bits);
+
+    SysBuilder sb("ops_fold");
+    std::vector<Reg> outs;
+    for (size_t j = 0; j < pairs.size(); ++j)
+        outs.push_back(sb.reg("out" + std::to_string(j), uintType(out_bits)));
+    Stage d = sb.driver();
+    {
+        StageScope scope(d);
+        for (size_t j = 0; j < pairs.size(); ++j) {
+            Val r = applyOp(oc.op, lit(pairs[j].first, ty),
+                            lit(pairs[j].second, bty));
+            outs[j].write(r.as(uintType(out_bits)));
+        }
+    }
+    CompileOptions opts;
+    opts.run_fold = run_fold;
+    compile(sb.sys(), opts);
+
+    sim::Simulator esim(sb.sys());
+    esim.run(2);
+    rtl::Netlist nl(sb.sys());
+    rtl::NetlistSim rsim(nl);
+    rsim.run(2);
+
+    for (size_t j = 0; j < pairs.size(); ++j) {
+        const auto [a, b] = pairs[j];
+        const uint64_t want =
+            truncate(golden(oc.op, a, b, bits, sgn), out_bits);
+        EXPECT_EQ(esim.readArray(outs[j].array(), 0), want)
+            << oc.name << " bits=" << bits << " sgn=" << sgn
+            << " fold=" << run_fold << " a=" << a << " b=" << b;
+        EXPECT_EQ(rsim.readArray(outs[j].array(), 0), want)
+            << "(netlist) " << oc.name << " bits=" << bits
+            << " sgn=" << sgn << " fold=" << run_fold << " a=" << a
+            << " b=" << b;
+    }
+}
+
+std::string
+foldCaseName(const ::testing::TestParamInfo<
+             std::tuple<int, unsigned, bool, bool>> &info)
+{
+    const auto &[op_idx, bits, sgn, run_fold] = info.param;
+    return std::string(kOps[size_t(op_idx)].name) + "_w" +
+           std::to_string(bits) + (sgn ? "_signed" : "_unsigned") +
+           (run_fold ? "_fold" : "_nofold");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllOps, ConstFoldSemanticsTest,
+    ::testing::Combine(::testing::Range(0, int(std::size(kOps))),
+                       ::testing::Values(1u, 7u, 32u, 64u),
+                       ::testing::Bool(), ::testing::Bool()),
+    foldCaseName);
+
+/**
+ * The debugger's evaluator (debug::evalValue) at the same edge pairs:
+ * each operand is a ROM read holding an edge value, so the op stays in
+ * both engines' tapes and evalValue re-evaluates it over committed
+ * state. On each engine it must equal golden() and the value the
+ * engine itself committed.
+ */
+class DebugEvalSemanticsTest
+    : public ::testing::TestWithParam<std::tuple<int, unsigned, bool>> {};
+
+TEST_P(DebugEvalSemanticsTest, EvalValueMatchesEnginesAndReference)
+{
+    const auto &[op_idx, bits, sgn] = GetParam();
+    const OpCase &oc = kOps[size_t(op_idx)];
+    const DataType ty = sgn ? intType(bits) : uintType(bits);
+    const DataType bty = isShift(oc.op) ? uintType(8) : ty;
+    const unsigned out_bits = isComparison(oc.op) ? 1 : bits;
+    const auto pairs = edgePairs(oc.op, bits);
+    std::vector<uint64_t> va, vb;
+    for (const auto &[a, b] : pairs) {
+        va.push_back(a);
+        vb.push_back(b);
+    }
+
+    SysBuilder sb("ops_debug");
+    Arr rom_a = sb.mem("rom_a", ty, pairs.size(), va);
+    Arr rom_b = sb.mem("rom_b", bty, pairs.size(), vb);
+    std::vector<Reg> outs;
+    std::vector<const Value *> results;
+    Stage d = sb.driver();
+    {
+        StageScope scope(d);
+        for (size_t j = 0; j < pairs.size(); ++j) {
+            Val r = applyOp(oc.op, rom_a.read(j), rom_b.read(j));
+            outs.push_back(
+                sb.reg("out" + std::to_string(j), uintType(out_bits)));
+            outs[j].write(r.as(uintType(out_bits)));
+            results.push_back(r.node());
+        }
+    }
+    compile(sb.sys());
+
+    sim::Simulator esim(sb.sys());
+    esim.run(2);
+    rtl::Netlist nl(sb.sys());
+    rtl::NetlistSim rsim(nl);
+    rsim.run(2);
+
+    for (size_t j = 0; j < pairs.size(); ++j) {
+        const auto [a, b] = pairs[j];
+        const uint64_t want =
+            truncate(golden(oc.op, a, b, bits, sgn), out_bits);
+        for (const sim::Engine *engine :
+             {static_cast<const sim::Engine *>(&esim),
+              static_cast<const sim::Engine *>(&rsim)}) {
+            const bool netlist = engine == &rsim;
+            EXPECT_EQ(debug::evalValue(results[j], *engine), want)
+                << (netlist ? "(netlist) " : "") << oc.name
+                << " bits=" << bits << " sgn=" << sgn << " a=" << a
+                << " b=" << b;
+            EXPECT_EQ(engine->readArray(outs[j].array(), 0), want)
+                << (netlist ? "(netlist) " : "") << oc.name
+                << " bits=" << bits << " sgn=" << sgn << " a=" << a
+                << " b=" << b;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllOps, DebugEvalSemanticsTest,
+    ::testing::Combine(::testing::Range(0, int(std::size(kOps))),
+                       ::testing::Values(1u, 7u, 32u, 64u),
+                       ::testing::Bool()),
+    opCaseName);
 
 // ---- Unary operators, casts, slice, concat, select, array read ------------
 

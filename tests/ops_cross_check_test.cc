@@ -1,27 +1,72 @@
 /**
  * @file
- * Cross-check of the shared operator-semantics library (support/ops.h)
- * against an independently coded 128-bit reference model.
+ * Cross-check of the semantics kernel (sim/tape.h) against an
+ * independently coded 128-bit reference model.
  *
- * ops.h is the single definition every engine executes (event simulator,
- * netlist simulator, constant folder), so a bug there would stay
- * self-consistent across backends and slip past the alignment tests.
- * This suite breaks that symmetry: the reference below computes each
- * operator in __int128 arithmetic with explicit special cases, written
- * without looking at ops.h's formulas. Coverage is exhaustive over all
- * operand pairs at widths 1-4 and randomized (plus forced edge operands)
- * at every width 1-64, both signednesses, for every BinOpcode, UnOpcode,
- * and Cast mode.
+ * The kernel's rows are the single definition every engine executes
+ * (event simulator, netlist simulator, both constant folders, the
+ * debugger's evaluator), so a bug there would stay self-consistent
+ * across backends and slip past the alignment tests. This suite breaks
+ * that symmetry: each case is encoded from IR widths (encodeBin /
+ * encodeUn / encodeCast / encodeSlice / encodeConcat) and evaluated by
+ * evalPure, so encoder and row are checked together, while the
+ * reference below computes each operator in __int128 arithmetic with
+ * explicit special cases, written without looking at the rows.
+ * Coverage is exhaustive over all operand pairs at widths 1-4 and
+ * randomized (plus forced edge operands) at every width 1-64, both
+ * signednesses, for every BinOpcode, UnOpcode, and Cast mode.
  */
 #include <gtest/gtest.h>
 
-#include "support/ops.h"
+#include "sim/tape.h"
 #include "support/rng.h"
 
 namespace assassyn {
 namespace {
 
 using i128 = __int128;
+using u128 = unsigned __int128;
+
+uint64_t
+evalBin(BinOpcode op, uint64_t a, uint64_t b, unsigned bits, bool sgn,
+        unsigned out_bits)
+{
+    sim::DStep s;
+    sim::encodeBin(s, op, sgn, bits, out_bits);
+    return sim::evalPure(s, a, b);
+}
+
+uint64_t
+evalUn(UnOpcode op, uint64_t x, unsigned bits, unsigned out_bits)
+{
+    sim::DStep s;
+    sim::encodeUn(s, op, bits, out_bits);
+    return sim::evalPure(s, x, 0);
+}
+
+uint64_t
+evalCast(Cast::Mode mode, uint64_t x, unsigned src_bits, unsigned out_bits)
+{
+    sim::DStep s;
+    sim::encodeCast(s, mode, src_bits, out_bits);
+    return sim::evalPure(s, x, 0);
+}
+
+uint64_t
+evalSlice(uint64_t x, unsigned hi, unsigned lo)
+{
+    sim::DStep s;
+    sim::encodeSlice(s, hi, lo);
+    return sim::evalPure(s, x, 0);
+}
+
+uint64_t
+evalConcat(uint64_t msb, uint64_t lsb, unsigned lsb_bits, unsigned out_bits)
+{
+    sim::DStep s;
+    sim::encodeConcat(s, lsb_bits, out_bits);
+    return sim::evalPure(s, msb, lsb);
+}
 
 bool
 isCmp(BinOpcode op)
@@ -46,7 +91,9 @@ refBin(BinOpcode op, uint64_t a, uint64_t b, unsigned bits, bool sgn,
     switch (op) {
       case BinOpcode::kAdd: r = A + B; break;
       case BinOpcode::kSub: r = A - B; break;
-      case BinOpcode::kMul: r = A * B; break;
+      // Unsigned: the signed product of two 64-bit operands can
+      // overflow 128 bits; the low 64 bits are the same either way.
+      case BinOpcode::kMul: r = i128(u128(A) * u128(B)); break;
       case BinOpcode::kDiv:
         // RISC-V contract: x / 0 is all-ones. INT_MIN / -1 cannot
         // overflow in 128 bits, so no special case is needed here.
@@ -88,7 +135,7 @@ void
 checkPair(BinOpcode op, uint64_t a, uint64_t b, unsigned bits, bool sgn)
 {
     unsigned out_bits = isCmp(op) ? 1 : bits;
-    ASSERT_EQ(ops::evalBin(op, a, b, bits, sgn, out_bits),
+    ASSERT_EQ(evalBin(op, a, b, bits, sgn, out_bits),
               refBin(op, a, b, bits, sgn, out_bits))
         << "op=" << int(op) << " bits=" << bits << " sgn=" << sgn
         << " a=" << a << " b=" << b;
@@ -139,14 +186,14 @@ TEST(OpsCrossCheck, UnAllWidths)
                                     uint64_t(1) << (bits - 1),
                                     truncate(rng.next(), bits)};
         for (uint64_t x : samples) {
-            EXPECT_EQ(ops::evalUn(UnOpcode::kNot, x, bits, bits),
+            EXPECT_EQ(evalUn(UnOpcode::kNot, x, bits, bits),
                       truncate(~x, bits));
             // neg(x) == 0 - x at this width, per the reference model.
-            EXPECT_EQ(ops::evalUn(UnOpcode::kNeg, x, bits, bits),
+            EXPECT_EQ(evalUn(UnOpcode::kNeg, x, bits, bits),
                       refBin(BinOpcode::kSub, 0, x, bits, false, bits));
-            EXPECT_EQ(ops::evalUn(UnOpcode::kRedOr, x, bits, 1),
+            EXPECT_EQ(evalUn(UnOpcode::kRedOr, x, bits, 1),
                       uint64_t(x != 0));
-            EXPECT_EQ(ops::evalUn(UnOpcode::kRedAnd, x, bits, 1),
+            EXPECT_EQ(evalUn(UnOpcode::kRedAnd, x, bits, 1),
                       uint64_t(x == maskBits(bits)));
         }
     }
@@ -159,15 +206,15 @@ TEST(OpsCrossCheck, CastAllWidthPairs)
         for (unsigned dst = 1; dst <= 64; dst += 5) {
             for (int i = 0; i < 8; ++i) {
                 uint64_t x = truncate(rng.next(), src);
-                EXPECT_EQ(ops::evalCast(Cast::Mode::kZExt, x, src, dst),
+                EXPECT_EQ(evalCast(Cast::Mode::kZExt, x, src, dst),
                           truncate(x, dst));
-                EXPECT_EQ(ops::evalCast(Cast::Mode::kTrunc, x, src, dst),
+                EXPECT_EQ(evalCast(Cast::Mode::kTrunc, x, src, dst),
                           truncate(x, dst));
-                EXPECT_EQ(ops::evalCast(Cast::Mode::kBitcast, x, src, dst),
+                EXPECT_EQ(evalCast(Cast::Mode::kBitcast, x, src, dst),
                           truncate(x, dst));
                 uint64_t sext = static_cast<uint64_t>(
                     i128(signExtend(x, src)));
-                EXPECT_EQ(ops::evalCast(Cast::Mode::kSExt, x, src, dst),
+                EXPECT_EQ(evalCast(Cast::Mode::kSExt, x, src, dst),
                           truncate(sext, dst))
                     << "src=" << src << " dst=" << dst << " x=" << x;
             }
@@ -182,7 +229,7 @@ TEST(OpsCrossCheck, SliceAndConcat)
         uint64_t x = rng.next();
         unsigned lo = rng.next() % 64;
         unsigned hi = lo + rng.next() % (64 - lo);
-        EXPECT_EQ(ops::evalSlice(x, hi, lo),
+        EXPECT_EQ(evalSlice(x, hi, lo),
                   (x >> lo) & maskBits(hi - lo + 1));
 
         unsigned lsb_bits = 1 + rng.next() % 63;
@@ -190,7 +237,7 @@ TEST(OpsCrossCheck, SliceAndConcat)
         uint64_t msb = truncate(rng.next(), msb_bits);
         uint64_t lsb = truncate(rng.next(), lsb_bits);
         unsigned out = msb_bits + lsb_bits;
-        EXPECT_EQ(ops::evalConcat(msb, lsb, lsb_bits, out),
+        EXPECT_EQ(evalConcat(msb, lsb, lsb_bits, out),
                   truncate((i128(msb) << lsb_bits) | lsb, out));
     }
 }

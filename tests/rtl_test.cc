@@ -114,8 +114,8 @@ TEST(NetlistTest, CellOrderIsTopological)
 
 /**
  * The pre-decoded cell tape is index-parallel to the cell list, so cone
- * ranges address both, and only div/mod take the generic ops::evalBin
- * handler; every other cell has a specialised one.
+ * ranges address both, and only div/mod take the generic kBinGeneric
+ * handler (divMod, sim/tape.h); every other cell has a specialised one.
  */
 void
 expectTapeShape(const System &sys, const char *name)
