@@ -68,8 +68,13 @@ struct TimedRun {
     }
 };
 
-/** Which simulation backend a repetition runs. */
-enum class EngineKind { kEvent, kNetlist };
+/**
+ * Which simulation backend a repetition runs: the event engine on its
+ * default evaluator (the compiled tape of a catalog design, else the
+ * interpreter), the event engine forced onto the interpreted tape, or
+ * the netlist engine.
+ */
+enum class EngineKind { kEvent, kEventTape, kNetlist };
 
 /**
  * One repetition of one engine, folded into @p r: fresh engines are
@@ -88,8 +93,10 @@ engineRep(TimedRun &r, EngineKind kind, const System &sys,
           uint64_t max_cycles, double min_seconds,
           const std::string &timeline_path = "")
 {
-    const bool event = kind == EngineKind::kEvent;
-    const char *name = event ? "event" : "netlist";
+    const bool event = kind != EngineKind::kNetlist;
+    const char *name = kind == EngineKind::kEvent       ? "event"
+                       : kind == EngineKind::kEventTape ? "event (tape)"
+                                                        : "netlist";
     const bool first_rep = r.cps.empty();
     double build = 0, run = 0;
     uint64_t cycles = 0;
@@ -102,7 +109,11 @@ engineRep(TimedRun &r, EngineKind kind, const System &sys,
         std::optional<rtl::Netlist> nl;
         std::unique_ptr<sim::Engine> s;
         if (event) {
-            s = std::make_unique<sim::Simulator>(sys, opts);
+            s = std::make_unique<sim::Simulator>(
+                sim::Program::compile(sys, kind == EngineKind::kEvent
+                                               ? sim::Evaluator::kCompiled
+                                               : sim::Evaluator::kTape),
+                opts);
         } else {
             nl.emplace(sys);
             s = std::make_unique<rtl::NetlistSim>(*nl, opts);

@@ -6,7 +6,7 @@
  * Against HLS the ratio multiplies the measured cycle-count speedup with
  * the HLS/Assassyn area ratio (paper: up to 32x, mean 6x).
  */
-#include "bench/bench_designs.h"
+#include "baseline/catalog.h"
 #include "bench/common.h"
 #include "designs/cpu.h"
 #include "isa/workloads.h"
@@ -25,11 +25,11 @@ printTable()
     std::printf("%-8s %14s\n", "design", "perf/area gain");
 
     std::vector<double> hand;
-    auto pq = paperPq();
+    auto pq = baseline::paperPq();
     double v = kRefAreaPq / areaOf(*pq.sys).total();
     std::printf("%-8s %14.2f\n", "pq", v);
     hand.push_back(v);
-    auto sa = paperSystolic();
+    auto sa = baseline::paperSystolic();
     v = kRefAreaPe / (areaOf(*sa.sys).total() / 16.0);
     std::printf("%-8s %14.2f\n", "sys-pe", v);
     hand.push_back(v);
@@ -44,7 +44,7 @@ printTable()
     std::printf("%-8s %9s %10s %14s\n", "design", "speedup", "area ratio",
                 "perf/area gain");
     std::vector<double> hls_gain;
-    for (const AccelPair &p : paperAccels()) {
+    for (const baseline::AccelPair &p : baseline::paperAccels()) {
         auto ours = p.assassyn();
         auto hls = p.hls();
         double speedup = double(cyclesOf(*hls.sys)) / cyclesOf(*ours.sys);

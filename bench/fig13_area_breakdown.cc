@@ -6,7 +6,7 @@
  * control-heavy designs (CPU, priority queue, merge sort) and the
  * counter SM below ~5% except on tiny designs like kmp.
  */
-#include "bench/bench_designs.h"
+#include "baseline/catalog.h"
 #include "bench/common.h"
 #include "designs/cpu.h"
 #include "isa/workloads.h"
@@ -33,14 +33,14 @@ printTable()
     std::printf("%-8s %10s %8s %8s %8s\n", "design", "um^2", "func", "fifo",
                 "sm");
 
-    auto pq = paperPq();
+    auto pq = baseline::paperPq();
     printRow("pq", areaOf(*pq.sys));
-    auto sa = paperSystolic();
+    auto sa = baseline::paperSystolic();
     printRow("sys-pe", areaOf(*sa.sys));
     auto image = isa::buildMemoryImage(isa::workload("vvadd"));
     auto cpu = designs::buildCpu(designs::BranchPolicy::kTaken, image);
     printRow("cpu", areaOf(*cpu.sys));
-    for (const AccelPair &p : paperAccels()) {
+    for (const baseline::AccelPair &p : baseline::paperAccels()) {
         auto d = p.assassyn();
         printRow(p.name, areaOf(*d.sys));
     }

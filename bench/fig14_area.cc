@@ -6,7 +6,7 @@
  * accelerators the reference is our HLS baseline's own area (the paper's
  * HLS bars), where Assassyn should average roughly 70% savings.
  */
-#include "bench/bench_designs.h"
+#include "baseline/catalog.h"
 #include "bench/common.h"
 #include "designs/cpu.h"
 #include "isa/workloads.h"
@@ -31,10 +31,10 @@ printTable()
                     rep.total() / ref);
     };
 
-    auto pq = paperPq();
+    auto pq = baseline::paperPq();
     row("pq", areaOf(*pq.sys), kRefAreaPq, "handcrafted");
     // The paper reports per-PE area; our 4x4 array divides evenly.
-    auto sa = paperSystolic();
+    auto sa = baseline::paperSystolic();
     auto sa_area = areaOf(*sa.sys);
     synth::AreaReport pe_rep = sa_area;
     double scale = 1.0 / 16.0;
@@ -49,9 +49,9 @@ printTable()
     row("cpu", areaOf(*cpu.sys), kRefAreaCpu, "handcrafted");
 
     std::vector<double> savings;
-    auto accels = paperAccels();
-    accels.push_back(paperFft()); // Fig. 14 includes fft in the HLS set
-    for (const AccelPair &p : accels) {
+    auto accels = baseline::paperAccels();
+    accels.push_back(baseline::paperFft()); // Fig. 14 includes fft in the HLS set
+    for (const baseline::AccelPair &p : accels) {
         auto ours = p.assassyn();
         auto hls = p.hls();
         auto rep = areaOf(*ours.sys);

@@ -12,7 +12,7 @@
 #include <iterator>
 
 #include "baseline/gem5like.h"
-#include "bench/bench_designs.h"
+#include "baseline/catalog.h"
 #include "bench/common.h"
 #include "designs/cpu.h"
 #include "isa/workloads.h"
@@ -74,7 +74,7 @@ printTable(bool trace)
     const double paper_ref[] = {4.78, 1.08, 1.41, 2.75, 0.98};
     std::vector<double> sp;
     size_t i = 0;
-    for (const AccelPair &p : paperAccels()) {
+    for (const baseline::AccelPair &p : baseline::paperAccels()) {
         auto ours = p.assassyn();
         auto hls = p.hls();
         double speedup = double(cyclesOf(*hls.sys)) / cyclesOf(*ours.sys);

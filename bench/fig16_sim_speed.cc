@@ -3,7 +3,10 @@
  * Fig. 16 (Q5): simulator throughput in simulated k-cycles per second.
  *
  * Three engines over the same designs:
- *  - "asyn": the Assassyn-generated event-driven simulator (src/sim);
+ *  - "asyn": the Assassyn-generated event-driven simulator (src/sim),
+ *            timed twice: on the compiled tape every catalog design
+ *            gets ahead of time (docs/architecture.md "Compiled
+ *            evaluators"), and on the interpreted tape ("asyn(tape)");
  *  - "rtl":  the netlist-level simulator, this repo's Verilator stand-in
  *            (evaluates the whole design every cycle);
  *  - "gem5": the gem5-like timing model (CPU workloads only), whose
@@ -25,7 +28,7 @@
  */
 #include "baseline/gem5like.h"
 #include "isa/riscv.h"
-#include "bench/bench_designs.h"
+#include "baseline/catalog.h"
 #include "bench/common.h"
 #include "designs/cpu.h"
 #include "isa/workloads.h"
@@ -39,11 +42,11 @@ using namespace assassyn::bench;
 constexpr int kReps = 5;
 constexpr double kMinRepSeconds = 0.05;
 
-/** One design of the table and its timing on both engines. */
+/** One design of the table and its timing on every engine. */
 struct Case {
     std::string design;
     std::unique_ptr<System> sys;
-    TimedRun ev = {}, nl = {};
+    TimedRun ev = {}, tp = {}, nl = {};
 
     double speedup() const
     {
@@ -52,39 +55,46 @@ struct Case {
 };
 
 /**
- * Time both engines on every case, kReps reps each, and require their
- * metrics aligned. The reps go round the cases (rep 0 of every case,
- * then rep 1, ...), so each case's spread samples the host over the
- * whole table rather than one moment of it. Within a case the engines
- * take turns going first (event first on even reps), so a slow stretch
- * of a shared host lands on both instead of skewing their ratio.
+ * Time the three engines on every case, kReps reps each, and require
+ * their metrics aligned. The reps go round the cases (rep 0 of every
+ * case, then rep 1, ...), so each case's spread samples the host over
+ * the whole table rather than one moment of it. Within a case the
+ * engines rotate which goes first, so a slow stretch of a shared host
+ * lands on all of them instead of skewing their ratios.
  */
 void
 timeCases(std::vector<Case> &cases)
 {
     for (int rep = 0; rep < kReps; ++rep) {
         for (Case &c : cases) {
-            auto event = [&] {
-                engineRep(c.ev, EngineKind::kEvent, *c.sys, kMaxCycles,
-                          kMinRepSeconds);
-            };
-            auto netlist = [&] {
-                engineRep(c.nl, EngineKind::kNetlist, *c.sys, kMaxCycles,
-                          kMinRepSeconds);
-            };
-            if (rep % 2 == 0) {
-                event();
-                netlist();
-            } else {
-                netlist();
-                event();
+            const std::pair<EngineKind, TimedRun *> engines[] = {
+                {EngineKind::kEvent, &c.ev},
+                {EngineKind::kEventTape, &c.tp},
+                {EngineKind::kNetlist, &c.nl}};
+            for (int i = 0; i < 3; ++i) {
+                const auto &[kind, run] = engines[(rep + i) % 3];
+                engineRep(*run, kind, *c.sys, kMaxCycles, kMinRepSeconds);
             }
         }
     }
     // The paper's alignment claim, checked at full counter depth: not
-    // just equal cycle counts but an identical metrics snapshot.
-    for (const Case &c : cases)
+    // just equal cycle counts but an identical metrics snapshot, on
+    // both evaluators of the event engine.
+    for (const Case &c : cases) {
         requireAligned(c.ev, c.nl, c.design);
+        requireAligned(c.tp, c.nl, c.design + " (tape)");
+    }
+}
+
+/** The interpreted tape's asyn/rtl ratio of cases [@p begin, @p end). */
+std::vector<double>
+tapeSpeedups(const std::vector<Case> &cases, size_t begin, size_t end)
+{
+    std::vector<double> out;
+    for (size_t i = begin; i < end; ++i)
+        out.push_back(cases[i].tp.spread().median /
+                      cases[i].nl.spread().median);
+    return out;
 }
 
 /** "median [min-max]" in k-cycles/s, for the printed table. */
@@ -110,13 +120,13 @@ writeSpread(JsonWriter &w, const std::string &key, const Spread &s)
 }
 
 /**
- * BENCH_fig16.json (schema assassyn.bench.fig16.v4): cycles/s per
+ * BENCH_fig16.json (schema assassyn.bench.fig16.v5): cycles/s per
  * design per backend, at the repo root (full runs only) so successive
- * checkouts can be diffed (docs/performance.md). v4 over v3: each
- * engine's `*_cps` is the median of the reps, with `*_cps_min` /
- * `*_cps_max` beside it; each rep times at least `min_rep_seconds` of
- * runs; the sweep-scaling section is gone (perfbench's
- * sim.sweep.efficiency measures sweep scaling).
+ * checkouts can be diffed (docs/performance.md). Each engine's `*_cps`
+ * is the median of the reps, with `*_cps_min` / `*_cps_max` beside it;
+ * each rep times at least `min_rep_seconds` of runs. v5 over v4:
+ * `asyn_cps` is the event engine on its compiled tape, and
+ * `asyn_tape_cps` the same engine on the interpreted tape.
  */
 void
 writeBenchJson(const std::vector<Case> &cases, bool smoke)
@@ -124,7 +134,7 @@ writeBenchJson(const std::vector<Case> &cases, bool smoke)
     JsonWriter w;
     w.beginObject();
     w.key("schema");
-    w.value("assassyn.bench.fig16.v4");
+    w.value("assassyn.bench.fig16.v5");
     w.key("smoke");
     w.value(smoke ? 1.0 : 0.0);
     w.key("timing");
@@ -143,6 +153,7 @@ writeBenchJson(const std::vector<Case> &cases, bool smoke)
         w.key("cycles");
         w.value(double(c.ev.cycles));
         writeSpread(w, "asyn_cps", c.ev.spread());
+        writeSpread(w, "asyn_tape_cps", c.tp.spread());
         writeSpread(w, "rtl_cps", c.nl.spread());
         w.key("asyn_over_rtl");
         w.value(c.speedup());
@@ -175,7 +186,7 @@ writeBenchJson(const std::vector<Case> &cases, bool smoke)
 void
 printTable(bool smoke, bool trace)
 {
-    const std::vector<AccelPair> accels = paperAccels();
+    const std::vector<baseline::AccelPair> accels = baseline::paperAccels();
     const size_t num_cpu = smoke ? 2 : std::size(kSodorIpc);
     const size_t num_hls = smoke ? 1 : accels.size();
     std::vector<Case> cases;
@@ -212,12 +223,14 @@ printTable(bool smoke, bool trace)
                 "separately)\n",
                 kReps, kMinRepSeconds * 1e3);
     std::printf("-- CPU workloads (5-stage bp.t core) --\n");
-    std::printf("%-10s %8s %20s %20s %8s %8s %10s\n", "workload", "cycles",
-                "asyn", "rtl(sim)", "gem5", "speedup", "build(ms)");
+    std::printf("%-10s %8s %20s %20s %20s %8s %8s %10s\n", "workload",
+                "cycles", "asyn(tape)", "asyn", "rtl(sim)", "gem5",
+                "speedup", "build(ms)");
     MetricsReport report;
     for (const Case &c : cases)
         report.add(c.design, c.ev.metrics,
                    {{"asyn_kcps", c.ev.spread().median / 1e3},
+                    {"asyn_tape_kcps", c.tp.spread().median / 1e3},
                     {"rtl_kcps", c.nl.spread().median / 1e3}});
     std::vector<double> cpu_speedups;
     for (size_t i = 0; i < num_cpu; ++i) {
@@ -232,21 +245,23 @@ printTable(bool smoke, bool trace)
         double gem5_s = std::chrono::duration<double>(t1 - t0).count();
         double gem5_kcps = double(g.cycles) / gem5_s / 1e3;
 
-        std::printf("%-10s %8llu %20s %20s %8.0f %7.1fx %4.1f/%4.1f\n",
+        std::printf("%-10s %8llu %20s %20s %20s %8.0f %7.1fx %4.1f/%4.1f\n",
                     kSodorIpc[i].name, (unsigned long long)c.ev.cycles,
+                    kcpsText(c.tp.spread()).c_str(),
                     kcpsText(c.ev.spread()).c_str(),
                     kcpsText(c.nl.spread()).c_str(), gem5_kcps,
                     c.speedup(), c.ev.build_seconds * 1e3,
                     c.nl.build_seconds * 1e3);
         cpu_speedups.push_back(c.speedup());
     }
-    std::printf("asyn/rtl speedup (gmean): %.1fx  (paper: 2.2x on CPU)\n",
-                gmean(cpu_speedups));
+    std::printf("asyn/rtl speedup (gmean): %.1fx, on the interpreted tape "
+                "%.1fx  (paper: 2.2x on CPU)\n",
+                gmean(cpu_speedups), gmean(tapeSpeedups(cases, 0, num_cpu)));
     // Regression canary on the CI path (perf_smoke): the event engine
     // must beat the netlist engine outright on every CPU workload it
-    // ran, comparing each engine's best rep. Both interpret a
-    // pre-decoded tape with threaded dispatch, so the margin is event
-    // skipping alone: ~1.2-1.4x on these short CPU runs.
+    // ran, comparing each engine's best rep. The interpreted tape wins
+    // by event skipping alone (~1.2-1.4x on these short CPU runs); the
+    // compiled tape adds the dispatch it removes.
     if (smoke)
         for (size_t i = 0; i < num_cpu; ++i) {
             const Case &c = cases[i];
@@ -277,27 +292,30 @@ printTable(bool smoke, bool trace)
         auto g = gem5.run();
         auto t1 = std::chrono::steady_clock::now();
         double gem5_s = std::chrono::duration<double>(t1 - t0).count();
-        std::printf("%-10s %8llu %20.0f %20s %8.0f   (one run; gem5 "
+        std::printf("%-10s %8llu %20s %20.0f %20s %8.0f   (one run; gem5 "
                     "amortizes: paper reports ~10x)\n",
-                    "long-loop", (unsigned long long)ev.cycles, ev.kcps(),
-                    "-", double(g.cycles) / gem5_s / 1e3);
+                    "long-loop", (unsigned long long)ev.cycles, "-",
+                    ev.kcps(), "-", double(g.cycles) / gem5_s / 1e3);
     }
 
     std::printf("-- HLS accelerator workloads --\n");
-    std::printf("%-10s %8s %20s %20s %8s\n", "workload", "cycles", "asyn",
-                "rtl(sim)", "speedup");
+    std::printf("%-10s %8s %20s %20s %20s %8s\n", "workload", "cycles",
+                "asyn(tape)", "asyn", "rtl(sim)", "speedup");
     std::vector<double> hls_speedups;
     for (size_t i = num_cpu; i < cases.size(); ++i) {
         const Case &c = cases[i];
-        std::printf("%-10s %8llu %20s %20s %7.1fx\n",
+        std::printf("%-10s %8llu %20s %20s %20s %7.1fx\n",
                     c.design.substr(4).c_str(),
                     (unsigned long long)c.ev.cycles,
+                    kcpsText(c.tp.spread()).c_str(),
                     kcpsText(c.ev.spread()).c_str(),
                     kcpsText(c.nl.spread()).c_str(), c.speedup());
         hls_speedups.push_back(c.speedup());
     }
-    std::printf("asyn/rtl speedup (gmean): %.1fx  (paper: 8.1x on HLS)\n\n",
-                gmean(hls_speedups));
+    std::printf("asyn/rtl speedup (gmean): %.1fx, on the interpreted tape "
+                "%.1fx  (paper: 8.1x on HLS)\n\n",
+                gmean(hls_speedups),
+                gmean(tapeSpeedups(cases, num_cpu, cases.size())));
 
     std::string report_path = artifactsDir() + "/fig16_metrics.json";
     report.write(report_path);

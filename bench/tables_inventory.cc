@@ -6,7 +6,7 @@
  */
 #include <queue>
 
-#include "bench/bench_designs.h"
+#include "baseline/catalog.h"
 #include "bench/common.h"
 #include "designs/cpu.h"
 #include "designs/ooo.h"
@@ -32,7 +32,7 @@ printTable()
 
     // Priority queue vs a golden min-heap.
     {
-        auto pq = paperPq();
+        auto pq = baseline::paperPq();
         sim::Simulator s(*pq.sys);
         s.run(100000);
         bool ok = s.finished();
@@ -67,7 +67,7 @@ printTable()
     }
     // Systolic array vs golden matmul.
     {
-        auto sa = paperSystolic();
+        auto sa = baseline::paperSystolic();
         sim::Simulator s(*sa.sys);
         s.run(1000);
         std::printf("%-16s %-28s %10llu %8s\n", "systolic array",
@@ -81,9 +81,9 @@ printTable()
     const char *sizes[] = {"n=32000, m=4", "n=494, m=10", "n=2048",
                            "n=2048, m=16", "img=128^2, f=3^2", "n=256"};
     size_t i = 0;
-    auto accels = paperAccels();
-    accels.push_back(paperFft());
-    for (const AccelPair &p : accels) {
+    auto accels = baseline::paperAccels();
+    accels.push_back(baseline::paperFft());
+    for (const baseline::AccelPair &p : accels) {
         uint64_t ours = cyclesOf(*p.assassyn().sys);
         uint64_t hls = cyclesOf(*p.hls().sys);
         std::printf("%-10s %-24s %12llu %12llu\n", p.name.c_str(),

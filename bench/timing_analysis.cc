@@ -7,7 +7,7 @@
  * e.g. the CPU's bypass network feeding decode — show up here before
  * any synthesis tool runs).
  */
-#include "bench/bench_designs.h"
+#include "baseline/catalog.h"
 #include "bench/common.h"
 #include "designs/cpu.h"
 #include "designs/ooo.h"
@@ -58,11 +58,11 @@ printTable()
     report("cpu-bpt",
            *designs::buildCpu(designs::BranchPolicy::kTaken, image).sys);
     report("ooo", *designs::buildOoo(image).sys);
-    report("pq", *paperPq().sys);
-    report("sys-pe", *paperSystolic().sys);
-    for (const AccelPair &p : paperAccels())
+    report("pq", *baseline::paperPq().sys);
+    report("sys-pe", *baseline::paperSystolic().sys);
+    for (const baseline::AccelPair &p : baseline::paperAccels())
         report(p.name, *p.assassyn().sys);
-    report("fft", *paperFft().assassyn().sys);
+    report("fft", *baseline::paperFft().assassyn().sys);
     std::printf("\n");
 }
 

@@ -1,33 +1,15 @@
-/**
- * @file
- * Paper-sized design instantiations shared by the benchmark binaries
- * (Table 2 data sizes: ellpack n=494 m=10, stencil-2d img=128^2 f=3^2,
- * radix n=2048 m=16, kmp n=32000 m=4, merge n=2048).
- */
-#pragma once
-
-#include <functional>
-#include <string>
-#include <vector>
+#include "baseline/catalog.h"
 
 #include "baseline/hls_workloads.h"
-#include "designs/accel.h"
-#include "designs/priority_queue.h"
-#include "designs/systolic.h"
+#include "designs/cpu.h"
+#include "designs/ooo.h"
+#include "isa/workloads.h"
 #include "support/rng.h"
 
 namespace assassyn {
-namespace bench {
+namespace baseline {
 
-/** One accelerator workload: its Assassyn and HLS builders. */
-struct AccelPair {
-    std::string name;
-    std::function<designs::AccelDesign()> assassyn;
-    std::function<baseline::HlsDesign()> hls;
-};
-
-/** The five Table-2 accelerators at paper data sizes. */
-inline std::vector<AccelPair>
+std::vector<AccelPair>
 paperAccels()
 {
     using namespace designs;
@@ -36,15 +18,13 @@ paperAccels()
                    [] { return buildKmpAccel(makeKmpData(32000, 5)); },
                    [] {
                        auto d = makeKmpData(32000, 5);
-                       return baseline::generateHls(baseline::hlsKmp(d),
-                                                    d.memory);
+                       return generateHls(hlsKmp(d), d.memory);
                    }});
     out.push_back({"spmv",
                    [] { return buildSpmvAccel(makeSpmvData(494, 10, 6)); },
                    [] {
                        auto d = makeSpmvData(494, 10, 6);
-                       return baseline::generateHls(baseline::hlsSpmv(d),
-                                                    d.memory);
+                       return generateHls(hlsSpmv(d), d.memory);
                    }});
     out.push_back({"merge",
                    [] {
@@ -52,8 +32,7 @@ paperAccels()
                    },
                    [] {
                        auto d = makeMergeSortData(2048, 7);
-                       return baseline::generateHls(
-                           baseline::hlsMergeSort(d), d.memory);
+                       return generateHls(hlsMergeSort(d), d.memory);
                    }});
     out.push_back({"radix",
                    [] {
@@ -61,8 +40,7 @@ paperAccels()
                    },
                    [] {
                        auto d = makeRadixSortData(2048, 8);
-                       return baseline::generateHls(
-                           baseline::hlsRadixSort(d), d.memory);
+                       return generateHls(hlsRadixSort(d), d.memory);
                    }});
     out.push_back({"st-2d",
                    [] {
@@ -70,17 +48,12 @@ paperAccels()
                    },
                    [] {
                        auto d = makeStencilData(128, 128, 9);
-                       return baseline::generateHls(baseline::hlsStencil(d),
-                                                    d.memory);
+                       return generateHls(hlsStencil(d), d.memory);
                    }});
     return out;
 }
 
-/**
- * The fft workload appears only in the paper's Fig. 14 area comparison,
- * so it is kept out of paperAccels() (whose order mirrors Fig. 15b).
- */
-inline AccelPair
+AccelPair
 paperFft()
 {
     using namespace designs;
@@ -88,12 +61,11 @@ paperFft()
             [] { return buildFftAccel(makeFftData(256, 10)); },
             [] {
                 auto d = makeFftData(256, 10);
-                return baseline::generateHls(baseline::hlsFft(d), d.memory);
+                return generateHls(hlsFft(d), d.memory);
             }};
 }
 
-/** A representative priority-queue run (II = 1, 8 slots). */
-inline designs::PqDesign
+designs::PqDesign
 paperPq()
 {
     Rng rng(99);
@@ -115,8 +87,7 @@ paperPq()
     return designs::buildPriorityQueue(8, script);
 }
 
-/** A 4x4 systolic matmul. */
-inline designs::SystolicDesign
+designs::SystolicDesign
 paperSystolic()
 {
     Rng rng(41);
@@ -128,5 +99,34 @@ paperSystolic()
     return designs::buildSystolic(4, a, b);
 }
 
-} // namespace bench
+std::vector<CatalogDesign>
+designCatalog()
+{
+    using designs::BranchPolicy;
+    // The cores' tapes do not depend on the program image; any Sodor
+    // workload stands for all of them.
+    auto image = [] {
+        return isa::buildMemoryImage(isa::workload("median"));
+    };
+    auto cpu = [&](BranchPolicy p) {
+        return [image, p] { return designs::buildCpu(p, image()).sys; };
+    };
+    std::vector<CatalogDesign> out;
+    out.push_back({"cpu.base", cpu(BranchPolicy::kInterlock)});
+    out.push_back({"cpu.bp.f", cpu(BranchPolicy::kNotTaken)});
+    out.push_back({"cpu.bp.t", cpu(BranchPolicy::kTaken)});
+    out.push_back({"ooo", [image] { return designs::buildOoo(image()).sys; }});
+    std::vector<AccelPair> accels = paperAccels();
+    accels.push_back(paperFft());
+    for (const AccelPair &p : accels)
+        out.push_back({"accel." + p.name,
+                       [p] { return p.assassyn().sys; }});
+    for (const AccelPair &p : accels)
+        out.push_back({"hls." + p.name, [p] { return p.hls().sys; }});
+    out.push_back({"pq", [] { return paperPq().sys; }});
+    out.push_back({"systolic", [] { return paperSystolic().sys; }});
+    return out;
+}
+
+} // namespace baseline
 } // namespace assassyn

@@ -194,6 +194,15 @@ ByteReader::u64s(uint64_t *out, size_t n)
     }
 }
 
+void
+ByteReader::raw(uint8_t *out, size_t n)
+{
+    need(n);
+    if (n)
+        std::memcpy(out, data_ + off_, n);
+    off_ += n;
+}
+
 bool
 ByteReader::flag()
 {
@@ -284,8 +293,7 @@ encodeSnapshot(const Snapshot &snap)
         w.str(s.name);
         w.u64(s.bytes.size());
         w.u32(crc32(s.bytes.data(), s.bytes.size()));
-        for (uint8_t b : s.bytes)
-            w.u8(b);
+        w.raw(s.bytes.data(), s.bytes.size());
     }
     w.u32(crc32(w.bytes().data(), w.bytes().size()));
     return w.take();
@@ -321,8 +329,7 @@ decodeSnapshot(const uint8_t *data, size_t size)
                   " byte(s) at byte ", r.offset(), " but only ",
                   r.remaining(), " remain");
         s.bytes.resize(size_t(len));
-        for (uint64_t b = 0; b < len; ++b)
-            s.bytes[size_t(b)] = r.u8();
+        r.raw(s.bytes.data(), s.bytes.size());
         uint32_t computed = crc32(s.bytes.data(), s.bytes.size());
         if (computed != stored_crc)
             fatal("checkpoint: section '", s.name,

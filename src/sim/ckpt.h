@@ -70,6 +70,13 @@ class ByteWriter {
     /** @p n u64 words, each encoded exactly as u64() would. */
     void u64s(const uint64_t *words, size_t n);
 
+    /** @p n raw bytes, appended in one copy. */
+    void
+    raw(const uint8_t *bytes, size_t n)
+    {
+        buf_.insert(buf_.end(), bytes, bytes + n);
+    }
+
     /** Length-prefixed (u32) byte string. */
     void str(const std::string &s);
 
@@ -102,6 +109,9 @@ class ByteReader {
 
     /** Decode @p n u64 words into @p out after one bounds check. */
     void u64s(uint64_t *out, size_t n);
+
+    /** Copy @p n raw bytes into @p out after one bounds check. */
+    void raw(uint8_t *out, size_t n);
 
     /** One serialized bool; any byte other than 0/1 is a fatal(). */
     bool flag();

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <set>
 
 #include "core/compiler/walk.h"
+#include "sim/event_ctx.h"
 #include "support/bits.h"
 #include "support/logging.h"
 #include "support/profiler.h"
@@ -504,10 +506,71 @@ Program::Program(const System &sys) : sys_(&sys), analyzer_(sys)
 }
 
 std::shared_ptr<const Program>
-Program::compile(const System &sys)
+Program::compile(const System &sys, Evaluator ev)
 {
     HostProfiler::Scope span("Program::compile");
-    return std::shared_ptr<const Program>(new Program(sys));
+    std::shared_ptr<Program> prog(new Program(sys));
+    if (ev == Evaluator::kCompiled)
+        prog->attachCompiled();
+    return prog;
+}
+
+namespace {
+
+/** Fold @p n bytes at @p p into @p h, a word at a time. */
+uint64_t
+hashBytes(uint64_t h, const void *p, size_t n)
+{
+    const auto *b = static_cast<const uint8_t *>(p);
+    auto mix = [&h](uint64_t w) {
+        h = (h ^ w) * 0x9e3779b97f4a7c15ull;
+        h ^= h >> 29;
+    };
+    mix(n);
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        uint64_t w;
+        std::memcpy(&w, b + i, 8);
+        mix(w);
+    }
+    uint64_t tail = 0;
+    if (i < n)
+        std::memcpy(&tail, b + i, n - i);
+    mix(tail);
+    return h;
+}
+
+template <typename T>
+bool
+sameBytes(const std::vector<T> &mine, const T *theirs, size_t n)
+{
+    return mine.size() == n &&
+           (n == 0 || std::memcmp(mine.data(), theirs, n * sizeof(T)) == 0);
+}
+
+} // namespace
+
+/**
+ * Look this tape up among the generated evaluators linked into the
+ * binary: by fingerprint, then confirmed by byte equality of every
+ * input the generated code was specialized on, so a hash collision can
+ * only cost the lookup, never a wrong evaluator.
+ */
+void
+Program::attachCompiled()
+{
+    const CompiledTapes all = compiledTapes();
+    for (size_t i = 0; i < all.size; ++i) {
+        const CompiledTape &ct = *all.list[i];
+        if (ct.fingerprint == fingerprint_ &&
+            sameBytes(tape_, ct.tape, ct.tape_len) &&
+            sameBytes(switch_table_, ct.switch_table, ct.switch_len) &&
+            sameBytes(spans_, ct.spans, ct.num_spans) &&
+            sameBytes(slot_init_, ct.slot_init, ct.slot_len)) {
+            compiled_ = &ct;
+            return;
+        }
+    }
 }
 
 uint64_t
@@ -654,6 +717,13 @@ Program::build()
     }
     fuseTape();
     buildSwitches();
+    fingerprint_ = hashBytes(0, tape_.data(), tape_.size() * sizeof(DStep));
+    fingerprint_ = hashBytes(fingerprint_, switch_table_.data(),
+                             switch_table_.size() * sizeof(uint32_t));
+    fingerprint_ = hashBytes(fingerprint_, spans_.data(),
+                             spans_.size() * sizeof(StageSpan));
+    fingerprint_ = hashBytes(fingerprint_, slot_init_.data(),
+                             slot_init_.size() * sizeof(uint64_t));
 }
 
 /**

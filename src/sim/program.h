@@ -43,6 +43,13 @@
  *     tape: values the shadow pass already computes (from the same
  *     start-of-cycle state) are never recomputed by the body.
  *
+ * Compiled evaluators: compile() also looks the finished tape up among
+ * the straight-line evaluators the build generated for the design
+ * catalog (sim/event_ctx.h, docs/architecture.md "Compiled
+ * evaluators") and attaches the one whose embedded tape, switch table,
+ * spans and slot initial values equal this Program's byte for byte;
+ * the Simulator runs a span through it instead of the interpreter.
+ *
  * Sensitivity metadata: for every FIFO and register array, the list of
  * stages whose shadow cone (transitively, across cross-stage exposure
  * references) reads it. The scheduler re-evaluates a shadow tape only
@@ -81,6 +88,17 @@ struct StageSpan {
     uint32_t active_end = 0;
 };
 
+struct CompiledTape; // sim/event_ctx.h
+
+/**
+ * Which evaluator runs a Program's tape spans. kCompiled attaches the
+ * generated straight-line code of a catalog design whose tape matches
+ * byte for byte (docs/architecture.md "Compiled evaluators") and falls
+ * back to the interpreter otherwise; kTape always interprets, for the
+ * tests and benchmarks that compare the two.
+ */
+enum class Evaluator { kCompiled, kTape };
+
 /** Precompiled log effect: format plus dense arg descriptors. */
 struct LogArg {
     uint32_t slot = 0;
@@ -103,7 +121,8 @@ class Program {
      * been compiled/lowered (System::isLowered) and must outlive the
      * returned Program.
      */
-    static std::shared_ptr<const Program> compile(const System &sys);
+    static std::shared_ptr<const Program>
+    compile(const System &sys, Evaluator ev = Evaluator::kCompiled);
 
     /**
      * Process-wide count of Program compilations, for tests proving
@@ -126,6 +145,16 @@ class Program {
     {
         return switch_table_;
     }
+
+    /**
+     * The generated evaluator of this tape, or nullptr when the tape is
+     * interpreted (Evaluator::kTape, or no compiled tape matches).
+     */
+    const CompiledTape *compiled() const { return compiled_; }
+
+    /** 64-bit hash of the tape, switch table, spans and slot initial
+     *  values: the key of the compiled-tape registry. */
+    uint64_t fingerprint() const { return fingerprint_; }
 
     /** Per-stage tape spans, indexed by Module::id. */
     const std::vector<StageSpan> &spans() const { return spans_; }
@@ -192,6 +221,7 @@ class Program {
     friend struct ProgCompiler; ///< the step compiler (sim/program.cc)
 
     void build();
+    void attachCompiled();
     void buildAliases();
     void fuseTape();
     void buildSwitches();
@@ -218,6 +248,8 @@ class Program {
     std::vector<uint32_t> topo_idx_; ///< execution order (mod ids)
     std::vector<uint32_t> topo_pos_; ///< inverse of topo_idx_
     std::vector<uint32_t> shadow_mods_;
+    uint64_t fingerprint_ = 0;
+    const CompiledTape *compiled_ = nullptr;
     std::vector<std::vector<uint32_t>> fifo_wake_;  ///< by fifo index
     std::vector<std::vector<uint32_t>> array_wake_; ///< by RegArray::id
     // Dense compile-time index tables: a port's FIFO is

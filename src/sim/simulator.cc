@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 
+#include "sim/event_ctx.h"
 #include "support/bits.h"
 #include "support/logging.h"
 #include "support/rng.h"
@@ -10,37 +11,13 @@
 namespace assassyn {
 namespace sim {
 
-namespace {
-
 // The event engine's private per-cycle state. Everything that survives
 // a cycle boundary lives in the shared RunState (sim/engine.h);
 // everything compile-time — the fused step tape, dense index tables,
 // schedules, sensitivity metadata — lives in the shared immutable
-// sim::Program (sim/program.h). These structs are the buffered effects
-// and scheduler flags of the cycle in flight, indexed like RunState.
-
-struct FifoPending {
-    bool push = false;
-    bool deq = false;
-    uint64_t value = 0;
-    const Module *src = nullptr; ///< producer of the pending push
-};
-
-struct ArrayPending {
-    bool write = false;
-    uint64_t index = 0;
-    uint64_t value = 0;
-};
-
-struct ModSched {
-    const Module *mod = nullptr;
-    bool driver = false;
-    bool dec = false; ///< executed a non-driver body: consume one event
-    uint32_t topo_pos = 0;
-    uint64_t inc = 0;
-};
-
-} // namespace
+// sim::Program (sim/program.h). The buffered effects and scheduler
+// flags of the cycle in flight (sim/event_ctx.h) are indexed like
+// RunState.
 
 struct Simulator::Impl {
     Simulator &self;
@@ -69,7 +46,11 @@ struct Simulator::Impl {
     std::vector<uint64_t> touched_fifo_w;
     std::vector<uint64_t> touched_arr_w;
     std::vector<uint64_t> touched_mod_w;
-    bool finish_pending = false;
+    // What the step rows run over (refreshed every cycle by syncCtx),
+    // and the compiled span functions when the Program has them.
+    EventCtx cx;
+    const SpanFn *shadow_fn = nullptr;
+    const SpanFn *active_fn = nullptr;
 
     std::vector<uint32_t> shuffle_scratch;
     Rng rng;
@@ -100,6 +81,29 @@ struct Simulator::Impl {
         touched_fifo_w.assign((st.fifos.size() + 63) / 64, 0);
         touched_arr_w.assign((st.arrays.size() + 63) / 64, 0);
         touched_mod_w.assign((mods.size() + 63) / 64, 0);
+        cx.st = &st;
+        cx.prog = prog.get();
+        if (const CompiledTape *ct = prog->compiled()) {
+            shadow_fn = ct->shadow;
+            active_fn = ct->active;
+        }
+    }
+
+    /** Point the row context at this cycle's state. */
+    void
+    syncCtx()
+    {
+        cx.v = slots.data();
+        cx.fst = st.fifos.data();
+        cx.ast = st.arrays.data();
+        cx.fa = st.fifo_arena.data();
+        cx.fpd = fifo_pend.data();
+        cx.apd = arr_pend.data();
+        cx.mst = mods.data();
+        cx.touched_fifo = touched_fifo_w.data();
+        cx.touched_arr = touched_arr_w.data();
+        cx.touched_mod = touched_mod_w.data();
+        cx.log_on = opts.capture_logs || opts.echo_logs;
     }
 
     /**
@@ -177,21 +181,18 @@ struct Simulator::Impl {
     // Execution
     // ----------------------------------------------------------------------
 
-    /** @return false when a wait_until check failed (event retained). */
+    /**
+     * Interpret the steps [@p begin, @p end) of the tape: the fallback
+     * evaluator of a span without compiled code.
+     * @return false when a wait_until check failed (event retained).
+     */
     bool
     runTape(uint32_t begin, uint32_t end)
     {
-        const DStep *const tape = prog->tape().data();
+        ASSASSYN_EVENT_LOCALS(cx)
         const uint32_t *const sw = prog->switchTable().data();
-        uint64_t *const v = slots.data();
-        const RunState::Fifo *const fst = st.fifos.data();
-        const RunState::Array *const ast = st.arrays.data();
-        FifoPending *const fpd = fifo_pend.data();
-        ArrayPending *const apd = arr_pend.data();
-        ModSched *const mst = mods.data();
-        const uint64_t *const fa = st.fifo_arena.data();
-        const DStep *s = tape + begin;
-        const DStep *const e = tape + end;
+        const DStep *s = prog->tape().data() + begin;
+        const DStep *const e = prog->tape().data() + end;
         // Threaded dispatch (computed goto): every handler ends in its
         // own indirect jump to the next step's handler, so the branch
         // predictor learns per-opcode successor patterns that a single
@@ -212,251 +213,40 @@ struct Simulator::Impl {
             return true;                                                 \
         goto *kJump[s->op];                                              \
     } while (0)
+#define ASSASSYN_SKIP(n) s += (n)
+#define ASSASSYN_SKIP_TABLE(base, k) s += sw[(base) + (k)]
+#define ASSASSYN_FAIL() return false
         if (s == e)
             return true;
         goto *kJump[s->op];
 
         ASSASSYN_PURE_HANDLERS
-
-        // Immediate forms: one slot load, the constant operand rides in
-        // the step.
-        ASSASSYN_OP(kAddImm):
-            v[s->dest] = (v[s->a] + s->u.mask) & (~0ull >> s->x8);
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kEqImm):
-            v[s->dest] = v[s->a] == s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kNeImm):
-            v[s->dest] = v[s->a] != s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kArrayReadImm):
-            v[s->dest] = ast[s->b].data[s->a];
-            ASSASSYN_NEXT();
-
-        // Superinstructions (compare-select pairs, see fuseTape).
-        ASSASSYN_OP(kEqImmSel):
-            v[s->dest] = v[s->a] == s->u.ca.aux ? v[s->b] : v[s->x16];
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kEqImmSel3): {
-            const uint64_t scrut = v[s->a];
-            v[s->dest] = scrut == s->x8      ? v[s->b]
-                         : scrut == s->x16   ? v[s->u.ca.c]
-                                             : v[s->u.ca.aux];
-            ASSASSYN_NEXT();
-        }
-
-        // Three-operand superinstructions (predicate trees and bit
-        // reassembly, see fuseTape).
-        ASSASSYN_OP(kAndAnd):
-            v[s->dest] = (v[s->a] & v[s->b] & v[s->x16]) & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kAndOr):
-            v[s->dest] = ((v[s->a] & v[s->b]) | v[s->x16]) & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kOrAnd):
-            v[s->dest] = ((v[s->a] | v[s->b]) & v[s->x16]) & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kOrOr):
-            v[s->dest] = (v[s->a] | v[s->b] | v[s->x16]) & s->u.mask;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kEqAnd):
-            v[s->dest] = uint64_t(v[s->a] == v[s->b]) & v[s->x16];
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kNeAnd):
-            v[s->dest] = uint64_t(v[s->a] != v[s->b]) & v[s->x16];
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kNeImmAnd):
-            v[s->dest] = uint64_t(v[s->a] != s->u.ca.aux) & v[s->b];
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kValidAnd):
-            v[s->dest] = uint64_t(fst[s->a].count > 0) & v[s->b];
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kAndSel):
-            v[s->dest] = (v[s->a] & v[s->b] & s->u.ca.aux)
-                             ? v[s->x16]
-                             : v[s->u.ca.c];
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kConcat3):
-            v[s->dest] = ((v[s->a] << s->x8) |
-                          (v[s->b] << s->u.ca.aux) | v[s->x16]) &
-                         s->u.ca.c;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kSliceConcat):
-            v[s->dest] = ((((v[s->a] >> s->x8) & s->u.ca.c) << s->x16) |
-                          v[s->b]) &
-                         s->u.ca.aux;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kConcatSlice):
-            v[s->dest] = ((v[s->a] << s->x8) |
-                          ((v[s->b] >> s->x16) & s->u.ca.c)) &
-                         s->u.ca.aux;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kSelSel):
-            v[s->dest] = v[s->a] ? v[s->b]
-                         : v[s->x16] ? v[s->u.ca.c]
-                                      : v[s->u.ca.aux];
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kValid2):
-            v[s->dest] = uint64_t(fst[s->a].count > 0) &
-                         uint64_t(fst[s->x16].count > 0);
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kValid2And):
-            v[s->dest] = uint64_t(fst[s->a].count > 0) &
-                         uint64_t(fst[s->x16].count > 0) & v[s->b];
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kEqAndAnd):
-            v[s->dest] = uint64_t(v[s->a] == v[s->b]) &
-                         v[s->u.ca.c] & v[s->u.ca.aux];
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kOr5):
-            v[s->dest] = (v[s->a] | v[s->b] | v[s->x16] |
-                          v[s->u.ca.c] | v[s->u.ca.aux]) &
-                         (~0ull >> s->x8);
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kArrayReadImmAdd):
-            v[s->dest] = (ast[s->b].data[s->a] + s->u.mask) &
-                         (~0ull >> s->x8);
-            ASSASSYN_NEXT();
-
-        ASSASSYN_OP(kFifoValid):
-            v[s->dest] = fst[s->a].count > 0;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kFifoPeek): {
-            const RunState::Fifo &f = fst[s->a];
-            v[s->dest] = f.count ? fa[f.base + f.head] : 0;
-            ASSASSYN_NEXT();
-        }
-        ASSASSYN_OP(kWaitCheck):
-            if (!v[s->a])
-                return false;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kWaitCheckAnd):
-            if (!(v[s->a] & v[s->b] & s->u.mask))
-                return false;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kWaitCheckValidAnd):
-            if (!(uint64_t(fst[s->a].count > 0) & v[s->b]))
-                return false;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kSkipIfFalse):
-            if (!v[s->a])
-                s += s->b;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kSkipIfNeImm):
-            if (v[s->a] != s->u.mask)
-                s += s->b;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kSwitch): {
-            // One dispatch for a whole FSM state chain (buildSwitches):
-            // keys below the table's base wrap to huge values and take
-            // the trailing miss entry like keys above it.
-            const uint64_t key = v[s->a] - s->u.mask;
-            s += sw[s->b + (key < s->dest ? key : s->dest)];
-            ASSASSYN_NEXT();
-        }
-        ASSASSYN_OP(kJump):
-            s += s->b;
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kDequeue):
-            fpd[s->a].deq = true;
-            touchFifo(s->a);
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kPush): {
-            FifoPending &f = fpd[s->b];
-            if (f.push)
-                multiplePushes(s->b);
-            f.push = true;
-            f.value = v[s->a] & s->u.mask;
-            f.src = mst[s->x16].mod;
-            touchFifo(s->b);
-            ASSASSYN_NEXT();
-        }
-        ASSASSYN_OP(kPushCat): {
-            FifoPending &f = fpd[s->b];
-            if (f.push)
-                multiplePushes(s->b);
-            f.push = true;
-            f.value = ((v[s->a] << s->x8) | v[s->dest]) & s->u.mask;
-            f.src = mst[s->x16].mod;
-            touchFifo(s->b);
-            ASSASSYN_NEXT();
-        }
-        ASSASSYN_OP(kArrayWrite): {
-            ArrayPending &w = apd[s->x16];
-            uint64_t idx = v[s->a];
-            // The to_write bookkeeping of Fig. 9 b.2: one in-range
-            // write per register array per cycle.
-            if (idx >= ast[s->x16].size || w.write)
-                badArrayWrite(s->x16, idx);
-            w.write = true;
-            w.index = idx;
-            w.value = v[s->b] & s->u.mask;
-            touchArray(s->x16);
-            ASSASSYN_NEXT();
-        }
-        ASSASSYN_OP(kArrayRmw): {
-            ArrayPending &w = apd[s->x16];
-            uint64_t idx = v[s->a];
-            if (idx >= ast[s->x16].size || w.write)
-                badArrayWrite(s->x16, idx);
-            w.write = true;
-            w.index = idx;
-            // Reads see start-of-cycle contents (commits land in phase
-            // 2), so the fused read matches the standalone step.
-            w.value = (ast[s->b].data[s->dest] + s->u.mask) &
-                      (~0ull >> s->x8);
-            touchArray(s->x16);
-            ASSASSYN_NEXT();
-        }
-        ASSASSYN_OP(kSubscribe):
-            mst[s->a].inc += 1;
-            touchMod(s->a);
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kLog):
-            if (opts.capture_logs || opts.echo_logs)
-                emitLog(prog->logs()[s->a]);
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kAssertEff):
-            if (!v[s->a])
-                fatal("cycle ", st.cycle, ": assertion failed: ",
-                      prog->asserts()[s->b]->msg());
-            ASSASSYN_NEXT();
-        ASSASSYN_OP(kFinishEff):
-            finish_pending = true;
-            ASSASSYN_NEXT();
+        ASSASSYN_EVENT_HANDLERS
 #undef ASSASSYN_OP
 #undef ASSASSYN_NEXT
-    }
-
-    [[gnu::noinline, noreturn]] void
-    multiplePushes(uint32_t fid) const
-    {
-        fatal("cycle ", st.cycle, ": multiple pushes to FIFO '",
-              st.fifos[fid].port->fullName(), "' in one cycle");
-    }
-
-    [[gnu::noinline, noreturn]] void
-    badArrayWrite(uint32_t aid, uint64_t idx) const
-    {
-        const RegArray &arr = *st.arrays[aid].array;
-        if (idx >= st.arrays[aid].size)
-            fatal("cycle ", st.cycle, ": out-of-range write to '",
-                  arr.name(), "[", idx, "]'");
-        fatal("cycle ", st.cycle, ": register array '", arr.name(),
-              "' written twice in one cycle");
+#undef ASSASSYN_SKIP
+#undef ASSASSYN_SKIP_TABLE
+#undef ASSASSYN_FAIL
     }
 
     void
-    emitLog(const LogSpec &spec)
+    runShadow(uint32_t mid)
     {
-        st.emitLog(spec.inst->fmt(), [&](std::ostream &os, size_t i) {
-            const LogArg &la = spec.args[i];
-            uint64_t raw = slots[la.slot];
-            if (la.sgn)
-                os << signExtend(raw, la.bits);
-            else
-                os << raw;
-        });
+        if (shadow_fn) {
+            shadow_fn[mid](cx);
+            return;
+        }
+        const StageSpan &sp = prog->spans()[mid];
+        runTape(sp.shadow_begin, sp.shadow_end);
+    }
+
+    bool
+    runActive(uint32_t mid)
+    {
+        if (active_fn)
+            return active_fn[mid](cx);
+        const StageSpan &sp = prog->spans()[mid];
+        return runTape(sp.active_begin, sp.active_end);
     }
 
     void
@@ -467,6 +257,7 @@ struct Simulator::Impl {
         if (rs.recorder)
             rs.recorder->beginCycle(cycle);
         rs.pre_hooks.fire(cycle);
+        syncCtx();
 
         // Phase 0: re-evaluate stale shadow cones only, in topological
         // order. A shadow whose sensitivity inputs (FIFOs, arrays,
@@ -476,8 +267,7 @@ struct Simulator::Impl {
             if (!shadow_stale[mid])
                 continue;
             shadow_stale[mid] = 0;
-            const StageSpan &sp = prog->spans()[mid];
-            runTape(sp.shadow_begin, sp.shadow_end);
+            runShadow(mid);
         }
 
         // Phase 1: execute the ready set (drivers plus stages with a
@@ -521,8 +311,7 @@ struct Simulator::Impl {
                 ++stg.wait_spins;
                 continue;
             }
-            const StageSpan &sp = prog->spans()[mid];
-            if (runTape(sp.active_begin, sp.active_end)) {
+            if (runActive(mid)) {
                 ++stg.execs;
                 ++rs.total_execs;
                 stg.act = StageActivity::kExec;
@@ -622,10 +411,55 @@ struct Simulator::Impl {
         if (rs.recorder)
             rs.recorder->endCycle();
         ++rs.cycle;
-        if (finish_pending)
+        if (cx.finish_pending)
             rs.finished = true;
     }
 };
+
+void
+EventCtx::multiplePushes(uint32_t fid) const
+{
+    fatal("cycle ", st->cycle, ": multiple pushes to FIFO '",
+          st->fifos[fid].port->fullName(), "' in one cycle");
+}
+
+void
+EventCtx::badArrayWrite(uint32_t aid, uint64_t idx) const
+{
+    const RegArray &arr = *st->arrays[aid].array;
+    if (idx >= st->arrays[aid].size)
+        fatal("cycle ", st->cycle, ": out-of-range write to '", arr.name(),
+              "[", idx, "]'");
+    fatal("cycle ", st->cycle, ": register array '", arr.name(),
+          "' written twice in one cycle");
+}
+
+void
+EventCtx::assertFailed(uint32_t idx) const
+{
+    fatal("cycle ", st->cycle, ": assertion failed: ",
+          prog->asserts()[idx]->msg());
+}
+
+void
+EventCtx::emitLog(uint32_t idx) const
+{
+    const LogSpec &spec = prog->logs()[idx];
+    st->emitLog(spec.inst->fmt(), [&](std::ostream &os, size_t i) {
+        const LogArg &la = spec.args[i];
+        uint64_t raw = v[la.slot];
+        if (la.sgn)
+            os << signExtend(raw, la.bits);
+        else
+            os << raw;
+    });
+}
+
+bool
+spanNop(EventCtx &)
+{
+    return true;
+}
 
 Simulator::Simulator(const System &sys, SimOptions opts)
     : Simulator(Program::compile(sys), opts)
@@ -676,8 +510,9 @@ Simulator::rebuildViews()
     std::fill(im.touched_fifo_w.begin(), im.touched_fifo_w.end(), 0);
     std::fill(im.touched_arr_w.begin(), im.touched_arr_w.end(), 0);
     std::fill(im.touched_mod_w.begin(), im.touched_mod_w.end(), 0);
-    im.finish_pending = st_.finished;
-    im.slots = im.prog->slotInit();
+    im.cx.finish_pending = st_.finished;
+    std::copy(im.prog->slotInit().begin(), im.prog->slotInit().end(),
+              im.slots.begin());
 }
 
 // The shuffle RNG rides only event-engine snapshots; restoring a netlist

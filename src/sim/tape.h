@@ -8,7 +8,10 @@
  * Every consumer of operator semantics goes through these rows: the
  * event engine's runTape (sim/simulator.cc) and the netlist engine's
  * (rtl/netlist_sim.cc) expand them into their threaded handlers
- * (ASSASSYN_PURE_HANDLERS); the compiler's constant folder
+ * (ASSASSYN_PURE_HANDLERS), and the ahead-of-time emitter
+ * (sim/tape_emit.cc) stringifies them into straight-line code; the
+ * event engine's own ops are rows too (ASSASSYN_EVENT_DOPS); the
+ * compiler's constant folder
  * (core/compiler/fold.cc), sim::Program's all-constant folder and the
  * debugger's evaluator (debug/eval.cc) call encodeInstr() then
  * evalPure(). Cross-engine and folded-versus-unfolded identity
@@ -131,8 +134,24 @@ sextShift(unsigned bits)
     X(kBinGeneric, divMod(BinOpcode(X8), A, B, CA.c, X16 != 0, CA.aux))
 
 /**
- * The event engine's own opcodes, after the pure prefix. Every op
- * before kWaitCheck writes slot dest; none from kWaitCheck on does.
+ * The event engine's own opcodes, after the pure prefix, each with its
+ * handler body: the row is the op's whole meaning, written once. Every
+ * op before kWaitCheck writes slot dest; none from kWaitCheck on does.
+ * Both evaluators expand the same rows (docs/architecture.md "Compiled
+ * evaluators"): the interpreter's runTape (sim/simulator.cc) into its
+ * threaded handlers, the ahead-of-time emitter (sim/tape_emit.cc) into
+ * one straight-line block per step of a span. A body is written over
+ *   s                      the step (`const DStep *`);
+ *   v, fst, ast, fa        slots, FIFO and array run state, FIFO arena;
+ *   fpd, apd, mst          the buffered effects and scheduler records;
+ *   cx                     the EventCtx (sim/event_ctx.h): touched
+ *                          bitmaps, finish flag and the cold paths;
+ * and leaves the step only through
+ *   ASSASSYN_SKIP(s->b)          jump over s->b further steps;
+ *   ASSASSYN_SKIP_TABLE(s->b, k) jump over switchTable()[s->b + k];
+ *   ASSASSYN_FAIL()              bail out of the span (event retained).
+ * The emitter resolves the two skips at generation time, so their
+ * first argument is always s->b.
  *
  * Constant operands stay in their slots. An immediate form (constant in
  * u.mask unless noted) exists only where fusion or dispatch keys on the
@@ -152,58 +171,152 @@ sextShift(unsigned bits)
  * slot rides in x16 unless noted).
  */
 #define ASSASSYN_EVENT_DOPS(X)                                           \
-    X(kAddImm)  /* (a + u.mask) & (~0 >> x8); x8 = 64 - out_bits */      \
-    X(kEqImm)   /* a == u.mask */                                        \
-    X(kNeImm)                                                            \
-    X(kArrayReadImm) /* a = constant index (bound-checked), b = array */ \
-    X(kEqImmSel)  /* (a == u.ca.aux) ? b : x16 (slots; x16 narrow) */    \
-    X(kEqImmSel3) /* (a == x8) ? b : (a == x16) ? u.ca.c : u.ca.aux      \
-                     (two fused decode-chain entries; all arms slots) */ \
-    X(kAndAnd)    /* ((a & b) & x16) & u.mask */                         \
-    X(kAndOr)     /* ((a & b) | x16) & u.mask */                         \
-    X(kOrAnd)     /* ((a | b) & x16) & u.mask */                         \
-    X(kOrOr)      /* ((a | b) | x16) & u.mask */                         \
-    X(kEqAnd)     /* (a == b) & x16 */                                   \
-    X(kNeAnd)     /* (a != b) & x16 */                                   \
-    X(kNeImmAnd)  /* (a != u.ca.aux) & b */                              \
-    X(kValidAnd)  /* (fifo a nonempty) & b */                            \
-    X(kAndSel)    /* (a & b) ? x16 : u.ca.c (all slots) */               \
-    X(kConcat3)   /* ((a << x8) | (b << u.ca.aux) | x16) & u.ca.c */     \
-    X(kSliceConcat) /* ((((a >> x8) & u.ca.c) << x16) | b) & u.ca.aux */ \
-    X(kConcatSlice) /* ((a << x8) | ((b >> x16) & u.ca.c)) & u.ca.aux */ \
-    X(kSelSel)    /* a ? b : (x16 ? u.ca.c : u.ca.aux) (all slots;       \
-                     fused forwarding-mux chain) */                      \
-    X(kValid2)    /* (fifo a nonempty) & (fifo x16 nonempty) */          \
-    X(kValid2And) /* (fifo a nonempty) & (fifo x16 nonempty) & b */      \
-    X(kEqAndAnd)  /* (a == b) & u.ca.c & u.ca.aux (slots) */             \
-    X(kOr5)       /* (a | b | x16 | u.ca.c | u.ca.aux) & (~0 >> x8) */   \
-    X(kArrayReadImmAdd) /* (array b word [imm a] + u.mask) & (~0 >> x8) */ \
-    X(kFifoValid) /* a = fifo id */                                      \
-    X(kFifoPeek)  /* a = fifo id */                                      \
-    /* Control: */                                                       \
-    X(kWaitCheck) /* a = cond slot; bail out (retain event) when 0 */    \
-    X(kWaitCheckAnd) /* bail out (retain event) when (a & b) is 0 */     \
-    X(kWaitCheckValidAnd) /* bail out when ((fifo a nonempty) & b) is 0 */ \
-    X(kSkipIfFalse) /* a = cond slot; jump over b steps when 0 */        \
-    X(kSkipIfNeImm) /* jump over b steps when a != u.mask */             \
+    /* x8 = 64 - out_bits */                                             \
+    X(kAddImm, v[s->dest] = (v[s->a] + s->u.mask) & (~0ull >> s->x8);)  \
+    X(kEqImm, v[s->dest] = v[s->a] == s->u.mask;)                        \
+    X(kNeImm, v[s->dest] = v[s->a] != s->u.mask;)                        \
+    /* a = constant index (bound-checked at compile), b = array */       \
+    X(kArrayReadImm, v[s->dest] = ast[s->b].data[s->a];)                 \
+    /* x16 = narrow slot */                                              \
+    X(kEqImmSel,                                                         \
+      v[s->dest] = v[s->a] == s->u.ca.aux ? v[s->b] : v[s->x16];)        \
+    /* two fused decode-chain entries; all arms slots */                 \
+    X(kEqImmSel3, {                                                      \
+        const uint64_t scrut = v[s->a];                                  \
+        v[s->dest] = scrut == s->x8    ? v[s->b]                         \
+                     : scrut == s->x16 ? v[s->u.ca.c]                    \
+                                       : v[s->u.ca.aux];                 \
+    })                                                                   \
+    X(kAndAnd, v[s->dest] = (v[s->a] & v[s->b] & v[s->x16]) & s->u.mask;) \
+    X(kAndOr,                                                            \
+      v[s->dest] = ((v[s->a] & v[s->b]) | v[s->x16]) & s->u.mask;)       \
+    X(kOrAnd,                                                            \
+      v[s->dest] = ((v[s->a] | v[s->b]) & v[s->x16]) & s->u.mask;)       \
+    X(kOrOr, v[s->dest] = (v[s->a] | v[s->b] | v[s->x16]) & s->u.mask;)  \
+    X(kEqAnd, v[s->dest] = uint64_t(v[s->a] == v[s->b]) & v[s->x16];)    \
+    X(kNeAnd, v[s->dest] = uint64_t(v[s->a] != v[s->b]) & v[s->x16];)    \
+    X(kNeImmAnd,                                                         \
+      v[s->dest] = uint64_t(v[s->a] != s->u.ca.aux) & v[s->b];)          \
+    X(kValidAnd, v[s->dest] = uint64_t(fst[s->a].count > 0) & v[s->b];)  \
+    /* all slots */                                                      \
+    X(kAndSel, v[s->dest] = (v[s->a] & v[s->b] & s->u.ca.aux)            \
+                                ? v[s->x16]                              \
+                                : v[s->u.ca.c];)                         \
+    X(kConcat3, v[s->dest] = ((v[s->a] << s->x8) |                       \
+                              (v[s->b] << s->u.ca.aux) | v[s->x16]) &    \
+                             s->u.ca.c;)                                 \
+    X(kSliceConcat,                                                      \
+      v[s->dest] = ((((v[s->a] >> s->x8) & s->u.ca.c) << s->x16) |       \
+                    v[s->b]) &                                           \
+                   s->u.ca.aux;)                                         \
+    X(kConcatSlice,                                                      \
+      v[s->dest] = ((v[s->a] << s->x8) |                                 \
+                    ((v[s->b] >> s->x16) & s->u.ca.c)) &                 \
+                   s->u.ca.aux;)                                         \
+    /* all slots; fused forwarding-mux chain */                          \
+    X(kSelSel, v[s->dest] = v[s->a]     ? v[s->b]                        \
+                            : v[s->x16] ? v[s->u.ca.c]                   \
+                                        : v[s->u.ca.aux];)               \
+    X(kValid2, v[s->dest] = uint64_t(fst[s->a].count > 0) &              \
+                            uint64_t(fst[s->x16].count > 0);)            \
+    X(kValid2And, v[s->dest] = uint64_t(fst[s->a].count > 0) &           \
+                               uint64_t(fst[s->x16].count > 0) &         \
+                               v[s->b];)                                 \
+    /* u.ca.c, u.ca.aux: slots */                                        \
+    X(kEqAndAnd, v[s->dest] = uint64_t(v[s->a] == v[s->b]) &             \
+                              v[s->u.ca.c] & v[s->u.ca.aux];)            \
+    X(kOr5, v[s->dest] = (v[s->a] | v[s->b] | v[s->x16] | v[s->u.ca.c] | \
+                          v[s->u.ca.aux]) &                              \
+                         (~0ull >> s->x8);)                              \
+    /* array b word [imm a] */                                           \
+    X(kArrayReadImmAdd,                                                  \
+      v[s->dest] = (ast[s->b].data[s->a] + s->u.mask) & (~0ull >> s->x8);) \
+    /* a = fifo id */                                                    \
+    X(kFifoValid, v[s->dest] = fst[s->a].count > 0;)                     \
+    X(kFifoPeek, {                                                       \
+        const RunState::Fifo &f = fst[s->a];                             \
+        v[s->dest] = f.count ? fa[f.base + f.head] : 0;                  \
+    })                                                                   \
+    /* Control: bail out (retain the event) when the condition is 0. */  \
+    X(kWaitCheck, if (!v[s->a]) ASSASSYN_FAIL();)                        \
+    X(kWaitCheckAnd, if (!(v[s->a] & v[s->b] & s->u.mask)) ASSASSYN_FAIL();) \
+    X(kWaitCheckValidAnd,                                                \
+      if (!(uint64_t(fst[s->a].count > 0) & v[s->b])) ASSASSYN_FAIL();)  \
+    X(kSkipIfFalse, if (!v[s->a]) ASSASSYN_SKIP(s->b);)                  \
+    X(kSkipIfNeImm, if (v[s->a] != s->u.mask) ASSASSYN_SKIP(s->b);)      \
     /* FSM state dispatch, built by the post-fusion pass buildSwitches   \
-       (never emitted directly): */                                      \
-    X(kSwitch) /* jump over switchTable()[b + min(a - u.mask, dest)]     \
-                  steps (dest = dense key range; its entry is the miss) */ \
-    X(kJump)   /* jump over b steps unconditionally */                   \
+       (never emitted directly): one dispatch for a whole state chain.   \
+       dest = dense key range, whose entry is the miss; keys below the   \
+       table's base wrap to huge values and miss like keys above it. */  \
+    X(kSwitch, {                                                         \
+        const uint64_t key = v[s->a] - s->u.mask;                        \
+        ASSASSYN_SKIP_TABLE(s->b, key < s->dest ? key : s->dest);        \
+    })                                                                   \
+    X(kJump, ASSASSYN_SKIP(s->b);)                                       \
     /* Effects (buffered; committed in phase 2). Unconditional by        \
        construction: each sits inside the skip region of its predicate. */ \
-    X(kDequeue)   /* a = fifo id */                                      \
-    X(kPush)      /* a = value slot, b = fifo id, x16 = src module id */ \
-    X(kPushCat)   /* push ((a << x8) | dest) & u.mask (dest = lsb SLOT,  \
-                     not a result); b = fifo id, x16 = src mod */        \
-    X(kArrayWrite) /* a = index slot, b = value slot, x16 = array id */  \
-    X(kArrayRmw)  /* write ((array b word [imm dest] + u.mask) &         \
-                     (~0 >> x8)) to array x16 at index slot a */         \
-    X(kSubscribe) /* a = target module id */                             \
-    X(kLog)       /* a = index into Program::logs() */                   \
-    X(kAssertEff) /* a = cond slot, b = index into Program::asserts() */ \
-    X(kFinishEff)
+    /* a = fifo id */                                                    \
+    X(kDequeue, {                                                        \
+        fpd[s->a].deq = true;                                            \
+        touchBit(cx.touched_fifo, s->a);                                 \
+    })                                                                   \
+    /* a = value slot, b = fifo id, x16 = src module id */               \
+    X(kPush, {                                                           \
+        FifoPending &f = fpd[s->b];                                      \
+        if (f.push)                                                      \
+            cx.multiplePushes(s->b);                                     \
+        f.push = true;                                                   \
+        f.value = v[s->a] & s->u.mask;                                   \
+        f.src = mst[s->x16].mod;                                         \
+        touchBit(cx.touched_fifo, s->b);                                 \
+    })                                                                   \
+    /* push ((a << x8) | dest) & u.mask: dest is the lsb SLOT, not a     \
+       result */                                                         \
+    X(kPushCat, {                                                        \
+        FifoPending &f = fpd[s->b];                                      \
+        if (f.push)                                                      \
+            cx.multiplePushes(s->b);                                     \
+        f.push = true;                                                   \
+        f.value = ((v[s->a] << s->x8) | v[s->dest]) & s->u.mask;         \
+        f.src = mst[s->x16].mod;                                         \
+        touchBit(cx.touched_fifo, s->b);                                 \
+    })                                                                   \
+    /* a = index slot, b = value slot, x16 = array id; the to_write      \
+       bookkeeping of Fig. 9 b.2: one in-range write per register array  \
+       per cycle. */                                                     \
+    X(kArrayWrite, {                                                     \
+        ArrayPending &w = apd[s->x16];                                   \
+        const uint64_t idx = v[s->a];                                    \
+        if (idx >= ast[s->x16].size || w.write)                          \
+            cx.badArrayWrite(s->x16, idx);                               \
+        w.write = true;                                                  \
+        w.index = idx;                                                   \
+        w.value = v[s->b] & s->u.mask;                                   \
+        touchBit(cx.touched_arr, s->x16);                                \
+    })                                                                   \
+    /* write ((array b word [imm dest] + u.mask) & (~0 >> x8)) to array  \
+       x16 at index slot a. Reads see start-of-cycle contents (commits   \
+       land in phase 2), so the fused read matches the standalone step. */ \
+    X(kArrayRmw, {                                                       \
+        ArrayPending &w = apd[s->x16];                                   \
+        const uint64_t idx = v[s->a];                                    \
+        if (idx >= ast[s->x16].size || w.write)                          \
+            cx.badArrayWrite(s->x16, idx);                               \
+        w.write = true;                                                  \
+        w.index = idx;                                                   \
+        w.value = (ast[s->b].data[s->dest] + s->u.mask) & (~0ull >> s->x8); \
+        touchBit(cx.touched_arr, s->x16);                                \
+    })                                                                   \
+    /* a = target module id */                                           \
+    X(kSubscribe, {                                                      \
+        mst[s->a].inc += 1;                                              \
+        touchBit(cx.touched_mod, s->a);                                  \
+    })                                                                   \
+    /* a = index into Program::logs() */                                 \
+    X(kLog, if (cx.log_on) cx.emitLog(s->a);)                            \
+    /* a = cond slot, b = index into Program::asserts() */               \
+    X(kAssertEff, if (!v[s->a]) cx.assertFailed(s->b);)                  \
+    X(kFinishEff, cx.finish_pending = true;)
 
 /** The pure prefix by name only, for X(name, ...) consumers. */
 #define ASSASSYN_PURE_DOP_NAMES(X) ASSASSYN_PURE_DOPS(X, X, , , , , , , , )
@@ -243,18 +356,38 @@ struct DStep {
 static_assert(sizeof(DStep) == 24, "DStep must stay 24 bytes");
 
 /**
+ * What a pure row does as a step of a runTape: write its value to the
+ * step's dest (a slot, or a net on the netlist engine).
+ */
+#define ASSASSYN_PURE_EFFECT(expr) v[s->dest] = (expr);
+
+/**
+ * Run a pure row as a step: the rows with the expansion site's operand
+ * spellings (`s`, `v`, `ast` as for the event rows) passed to
+ * X(name, expr). The emitter stringifies through this too.
+ */
+#define ASSASSYN_PURE_STEPS(X)                                           \
+    ASSASSYN_PURE_DOPS(X, X, v[s->a], v[s->b], v[s->u.ca.c], s->u.mask,  \
+                       s->x8, s->x16, s->u.ca, ast[s->b])
+
+/**
  * The pure handlers of a threaded-dispatch runTape, generated from the
  * rows. The expansion site provides `s` (the current `const DStep *`),
  * `v` (the value array: slots or nets), `ast` (the array states),
  * ASSASSYN_OP(name) (the handler label) and ASSASSYN_NEXT().
  */
 #define ASSASSYN_PURE_HANDLER(name, expr)                                \
-    ASSASSYN_OP(name) : v[s->dest] = (expr);                             \
+    ASSASSYN_OP(name) : ASSASSYN_PURE_EFFECT(expr)                       \
     ASSASSYN_NEXT();
-#define ASSASSYN_PURE_HANDLERS                                           \
-    ASSASSYN_PURE_DOPS(ASSASSYN_PURE_HANDLER, ASSASSYN_PURE_HANDLER,     \
-                       v[s->a], v[s->b], v[s->u.ca.c], s->u.mask, s->x8, \
-                       s->x16, s->u.ca, ast[s->b])
+#define ASSASSYN_PURE_HANDLERS ASSASSYN_PURE_STEPS(ASSASSYN_PURE_HANDLER)
+
+/** The event engine's own handlers: each row body, then the next step.
+ *  The site also defines the three exits ASSASSYN_SKIP,
+ *  ASSASSYN_SKIP_TABLE and ASSASSYN_FAIL. */
+#define ASSASSYN_EVENT_HANDLER(name, ...)                                \
+    ASSASSYN_OP(name) : __VA_ARGS__                                      \
+    ASSASSYN_NEXT();
+#define ASSASSYN_EVENT_HANDLERS ASSASSYN_EVENT_DOPS(ASSASSYN_EVENT_HANDLER)
 
 /**
  * Evaluate the X-row step @p s over operand values @p a and @p b (b is

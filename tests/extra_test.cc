@@ -10,7 +10,7 @@
 
 #include "baseline/eventsim.h"
 #include "baseline/hls.h"
-#include "bench/bench_designs.h"
+#include "baseline/catalog.h"
 #include "core/compiler/pass.h"
 #include "core/dsl/builder.h"
 #include "core/ir/printer.h"

@@ -25,6 +25,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "baseline/catalog.h"
 #include "core/compiler/pass.h"
 #include "core/dsl/builder.h"
 #include "rtl/netlist.h"
@@ -123,6 +124,49 @@ TEST(ParallelDeterminismTest, SharedProgramSameSeedIsByteIdentical)
     }
     EXPECT_NE(traces[0].find("wait:"), std::string::npos)
         << "trace should contain stall lines";
+}
+
+TEST(ParallelDeterminismTest, SharedCompiledTapeIsByteIdentical)
+{
+    // A catalog design runs on its generated evaluator: the threads
+    // share its span functions and tables through the one Program, and
+    // must agree with each other and with the interpreted tape.
+    std::unique_ptr<System> sys;
+    for (const baseline::CatalogDesign &d : baseline::designCatalog())
+        if (d.name == "cpu.bp.t")
+            sys = d.build();
+    ASSERT_NE(sys, nullptr);
+    auto prog = sim::Program::compile(*sys);
+    ASSERT_NE(prog->compiled(), nullptr);
+
+    constexpr int kThreads = 4;
+    std::vector<std::string> metrics(kThreads);
+    std::vector<std::vector<std::string>> logs(kThreads);
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t) {
+        pool.emplace_back([&, t] {
+            sim::SimOptions opts;
+            opts.shuffle = true;
+            opts.shuffle_seed = 7;
+            sim::Simulator s(prog, opts);
+            s.run(1'000'000);
+            EXPECT_TRUE(s.finished());
+            metrics[t] = s.metrics().toJson("cpu");
+            logs[t] = s.logOutput();
+        });
+    }
+    for (std::thread &th : pool)
+        th.join();
+    sim::SimOptions opts;
+    opts.shuffle = true;
+    opts.shuffle_seed = 7;
+    sim::Simulator tape(
+        sim::Program::compile(*sys, sim::Evaluator::kTape), opts);
+    tape.run(1'000'000);
+    for (int t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(metrics[t], tape.metrics().toJson("cpu")) << "thread " << t;
+        EXPECT_EQ(logs[t], tape.logOutput()) << "thread " << t;
+    }
 }
 
 TEST(ParallelDeterminismTest, SharedNetlistSupportsConcurrentSims)

@@ -351,11 +351,13 @@ TEST(VerilogTest, GuardsDivisionByZero)
         << sv;
     // No cell is left with an unguarded quotient or remainder.
     std::istringstream lines(sv);
-    for (std::string line; std::getline(lines, line);)
+    for (std::string line; std::getline(lines, line);) {
         if (line.find("assign n") != std::string::npos &&
             (line.find(" / ") != std::string::npos ||
-             line.find(" % ") != std::string::npos))
+             line.find(" % ") != std::string::npos)) {
             EXPECT_NE(line.find(" == 0 ? "), std::string::npos) << line;
+        }
+    }
 }
 
 TEST(VerilogTest, Deterministic)
