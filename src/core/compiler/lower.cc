@@ -105,7 +105,7 @@ compile(System &sys, const CompileOptions &opts)
     // --trace'd run shows where compile wall-clock goes; no-ops when
     // the profiler is disabled (the default).
     resolveCrossRefs(sys);
-    if (opts.run_verify) {
+    {
         HostProfiler::Scope span("pass:verify");
         verifySystem(sys);
     }
@@ -113,19 +113,19 @@ compile(System &sys, const CompileOptions &opts)
         HostProfiler::Scope span("pass:fold");
         foldConstants(sys);
     }
-    if (opts.run_arbiter) {
+    {
         HostProfiler::Scope span("pass:arbiter");
         generateArbiters(sys);
     }
-    if (opts.run_timing) {
+    {
         HostProfiler::Scope span("pass:timing");
         injectTiming(sys);
     }
-    if (opts.run_toposort) {
+    {
         HostProfiler::Scope span("pass:toposort");
         topoSortStages(sys);
     }
-    if (opts.run_lower) {
+    {
         HostProfiler::Scope span("pass:lower");
         lowerCalls(sys);
     }

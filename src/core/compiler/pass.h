@@ -22,14 +22,9 @@
 
 namespace assassyn {
 
-/** Which passes compile() runs; all on by default. */
+/** compile()'s one switch: constant folding, on by default. */
 struct CompileOptions {
-    bool run_verify = true;
     bool run_fold = true;
-    bool run_arbiter = true;
-    bool run_timing = true;
-    bool run_toposort = true;
-    bool run_lower = true;
 };
 
 /** Resolve every CrossRef against its producer's exposure table. */

@@ -327,7 +327,7 @@ struct NetlistSim::Impl {
     void
     emitLog(const MonitorBlock &mon)
     {
-        if (!st.opts.capture_logs && !st.opts.echo_logs)
+        if (!st.opts.capture_logs)
             return;
         const auto *lg = static_cast<const Log *>(mon.inst);
         st.emitLog(lg->fmt(), [&](std::ostream &os, size_t i) {

@@ -1,7 +1,6 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "sim/vcd.h"
 #include "support/bits.h"
@@ -112,15 +111,6 @@ RunState::foldedOccupancy(const Fifo &f) const
     Histogram h = f.occupancy;
     recordN(h, f.count, done - f.sampled_until);
     return h;
-}
-
-void
-RunState::recordLog(std::string line)
-{
-    if (opts.echo_logs)
-        std::fprintf(stdout, "%s\n", line.c_str());
-    if (opts.capture_logs)
-        logs.push_back(std::move(line));
 }
 
 void

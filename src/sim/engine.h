@@ -69,9 +69,6 @@ struct SimOptions {
     /** Collect log() output; disable for pure-throughput benchmarks. */
     bool capture_logs = true;
 
-    /** Also echo log() lines to stdout. */
-    bool echo_logs = false;
-
     /**
      * When nonempty, stream a VCD waveform here: register-array elements
      * (arrays up to 64 entries), stage execution strobes, and FIFO
@@ -331,8 +328,8 @@ struct RunState {
 
     /**
      * Format one log() line — each "{}" in @p fmt replaced by the next
-     * argument, which @p arg(os, index) writes — and record it per the
-     * capture/echo options.
+     * argument, which @p arg(os, index) writes — and append it to logs.
+     * Both engines call it only when capture_logs is on.
      */
     template <typename ArgFn>
     void
@@ -348,7 +345,7 @@ struct RunState {
                 os << fmt[i];
             }
         }
-        recordLog(os.str());
+        logs.push_back(os.str());
     }
 
     /** buckets[value] += n, exactly as n calls to Histogram::record. */
@@ -366,7 +363,6 @@ struct RunState {
     }
 
   private:
-    void recordLog(std::string line);
     [[noreturn]] void overflow(const Fifo &f, const Module *src) const;
     [[noreturn]] void counterOverflow(const Stage &s, uint64_t next) const;
 };

@@ -70,7 +70,7 @@ struct EventCtx {
     uint64_t *touched_arr = nullptr;
     uint64_t *touched_mod = nullptr;
     bool finish_pending = false;
-    bool log_on = false; ///< capture_logs || echo_logs
+    bool log_on = false; ///< SimOptions::capture_logs
 
     RunState *st = nullptr;
     const Program *prog = nullptr;

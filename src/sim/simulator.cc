@@ -103,7 +103,7 @@ struct Simulator::Impl {
         cx.touched_fifo = touched_fifo_w.data();
         cx.touched_arr = touched_arr_w.data();
         cx.touched_mod = touched_mod_w.data();
-        cx.log_on = opts.capture_logs || opts.echo_logs;
+        cx.log_on = opts.capture_logs;
     }
 
     /**

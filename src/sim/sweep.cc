@@ -124,7 +124,7 @@ SweepReport::toJson(const std::string &design) const
     JsonWriter w;
     w.beginObject();
     w.key("schema");
-    w.value("assassyn.sweep.v2");
+    w.value("assassyn.sweep.v3");
     w.key("design");
     w.value(design);
     w.key("workers");
@@ -148,17 +148,6 @@ SweepReport::toJson(const std::string &design) const
         if (!run.result.error.empty()) {
             w.key("error");
             w.value(run.result.error);
-        }
-        w.key("attempts");
-        w.value(uint64_t(run.attempts));
-        w.key("resumes");
-        w.value(uint64_t(run.resumes));
-        if (!run.attempt_errors.empty()) {
-            w.key("attempt_errors");
-            w.beginArray();
-            for (const std::string &err : run.attempt_errors)
-                w.value(err);
-            w.endArray();
         }
         if (run.repro) {
             ReproSpec spec = *run.repro;
@@ -192,25 +181,38 @@ SweepReport::write(const std::string &path,
 namespace {
 
 /**
- * Run one instance under the retry policy. Never throws: an attempt
- * that fails is recorded, and when attempts remain the instance is
- * re-run — from its last good periodic checkpoint when one exists, or
- * from scratch when it doesn't (or when the failure itself names the
- * checkpoint, i.e. the checkpoint is what's broken).
+ * Run one instance, turning an exception that escapes it into the
+ * run's kFault record, so one instance's failure never aborts its
+ * siblings.
  */
+InstanceResult
+runIsolated(const RunConfig &cfg, const InstanceFn &instance)
+{
+    std::string error;
+    try {
+        return instance(cfg);
+    } catch (const std::exception &e) {
+        error = e.what();
+    } catch (...) {
+        error = "unknown exception";
+    }
+    InstanceResult out;
+    out.name = cfg.name;
+    out.result.status = RunStatus::kFault;
+    out.result.error = std::move(error);
+    return out;
+}
+
 /**
  * Attach the repro recipe when a run ended badly: a watchdog or fault
- * verdict, or at least one recorded attempt_error. The until cycle is
- * where the instance actually stopped; report rendering fills in the
- * design name (see SweepReport::toJson).
+ * verdict. The until cycle is where the instance actually stopped;
+ * report rendering fills in the design name (see SweepReport::toJson).
  */
 void
 attachRepro(InstanceResult &out, const RunConfig &cfg)
 {
-    bool bad = !out.attempt_errors.empty() ||
-               (out.result.status != RunStatus::kFinished &&
-                out.result.status != RunStatus::kMaxCycles);
-    if (!bad)
+    if (out.result.status == RunStatus::kFinished ||
+        out.result.status == RunStatus::kMaxCycles)
         return;
     ReproSpec spec;
     spec.shuffle = cfg.sim.shuffle;
@@ -222,80 +224,7 @@ attachRepro(InstanceResult &out, const RunConfig &cfg)
     out.repro = spec;
 }
 
-InstanceResult
-runInstanceWithRetry(const RunConfig &cfg, const InstanceFn &instance,
-                     const SweepOptions &opts)
-{
-    uint32_t max_attempts = opts.max_attempts ? opts.max_attempts : 1;
-    uint32_t resumes = 0;
-    std::vector<std::string> errors;
-    std::string resume = cfg.resume_from;
-    for (uint32_t attempt = 1;; ++attempt) {
-        RunConfig c = cfg;
-        c.resume_from = resume;
-        try {
-            InstanceResult out = instance(c);
-            out.attempts = attempt;
-            out.resumes = resumes;
-            out.attempt_errors = errors;
-            return out;
-        } catch (const std::exception &e) {
-            errors.push_back(e.what());
-        } catch (...) {
-            errors.push_back("unknown exception");
-        }
-        if (attempt >= max_attempts) {
-            InstanceResult out;
-            out.name = cfg.name;
-            out.result.status = RunStatus::kFault;
-            out.result.error = errors.back();
-            out.attempts = attempt;
-            out.resumes = resumes;
-            out.attempt_errors = errors;
-            return out;
-        }
-        // Pick where the retry starts. A failure whose message names
-        // the checkpoint machinery means the last checkpoint itself is
-        // unusable (every sim/ckpt.cc load diagnostic is prefixed
-        // "checkpoint:") — fall back to a from-scratch retry rather
-        // than hitting the same bad file forever.
-        if (errors.back().find("checkpoint") != std::string::npos) {
-            resume.clear();
-        } else if (!cfg.ckpt_path.empty() &&
-                   checkpointExists(cfg.ckpt_path)) {
-            resume = cfg.ckpt_path;
-            ++resumes;
-        }
-    }
-}
-
 } // namespace
-
-SweepReport
-runSweep(const std::vector<RunConfig> &configs,
-         const InstanceFn &instance, const SweepOptions &opts)
-{
-    SweepReport report;
-    report.workers = opts.workers ? opts.workers : 1;
-    report.runs.resize(configs.size());
-    auto batch_start = std::chrono::steady_clock::now();
-    parallelFor(
-        configs.size(),
-        [&](size_t i) {
-            // runInstanceWithRetry never throws, so one instance's
-            // failure can't poison parallelFor's first-error capture
-            // and abort its siblings: worker failures stay isolated.
-            auto start = std::chrono::steady_clock::now();
-            HostProfiler::Scope span("run:" + configs[i].name);
-            report.runs[i] =
-                runInstanceWithRetry(configs[i], instance, opts);
-            report.runs[i].seconds = secondsSince(start);
-            attachRepro(report.runs[i], configs[i]);
-        },
-        report.workers);
-    report.seconds = secondsSince(batch_start);
-    return report;
-}
 
 SweepReport
 runSweep(const std::vector<RunConfig> &configs,
@@ -313,7 +242,7 @@ runSweep(const std::vector<RunConfig> &configs,
             // index counter — and results keep RunConfig order.
             auto start = std::chrono::steady_clock::now();
             HostProfiler::Scope span("run:" + configs[i].name);
-            report.runs[i] = instance(configs[i]);
+            report.runs[i] = runIsolated(configs[i], instance);
             report.runs[i].seconds = secondsSince(start);
             attachRepro(report.runs[i], configs[i]);
         },
@@ -362,11 +291,8 @@ instanceOf(EngineFactory make)
             sim->restore(loadCheckpoint(cfg.resume_from));
         const bool periodic = cfg.ckpt_every > 0 && !cfg.ckpt_path.empty();
         out.result = runSliced(
-            *sim, cfg.max_cycles, periodic ? cfg.ckpt_every : 0, [&] {
-                saveCheckpoint(sim->snapshot(), cfg.ckpt_path);
-                if (cfg.on_checkpoint)
-                    cfg.on_checkpoint(cfg.name, sim->cycle());
-            });
+            *sim, cfg.max_cycles, periodic ? cfg.ckpt_every : 0,
+            [&] { saveCheckpoint(sim->snapshot(), cfg.ckpt_path); });
         out.end_cycle = sim->cycle();
         out.metrics = sim->metrics();
         out.logs = sim->logOutput();

@@ -74,15 +74,6 @@ struct RunConfig {
      * run executes max_cycles - checkpoint_cycle more cycles).
      */
     std::string resume_from;
-
-    /**
-     * Test/observability seam fired after each periodic checkpoint is
-     * durably on disk, with (config name, checkpoint cycle). A throwing
-     * hook aborts the attempt *after* the checkpoint was written — the
-     * fault-tolerant runSweep overload uses exactly this to simulate a
-     * worker dying and then resume from the last good checkpoint.
-     */
-    std::function<void(const std::string &, uint64_t)> on_checkpoint;
 };
 
 /** What one instance produced. */
@@ -94,16 +85,11 @@ struct InstanceResult {
     MetricsRegistry metrics;
     std::vector<std::string> logs; ///< captured log() lines, if enabled
 
-    uint32_t attempts = 1; ///< executions it took (1 = first try worked)
-    uint32_t resumes = 0;  ///< attempts that resumed from a checkpoint
-    /** One entry per *failed* attempt, in order; empty when clean. */
-    std::vector<std::string> attempt_errors;
-
     /**
      * Repro recipe (sim/repro.h) attached when the run ended badly — a
-     * watchdog/fault verdict or a recorded attempt_error. The design
-     * name is only known at report time, so SweepReport::toJson fills
-     * it in and renders the one-command `replay` invocation as the
+     * watchdog or fault verdict, including an instance that threw. The
+     * design name is only known at report time, so SweepReport::toJson
+     * fills it in and renders the one-command `replay` invocation as the
      * run's additive "repro" field (docs/debugging.md).
      */
     std::optional<ReproSpec> repro;
@@ -128,7 +114,7 @@ struct SweepReport {
      */
     MetricsRegistry merged() const;
 
-    /** The machine-readable report (schema assassyn.sweep.v2). */
+    /** The machine-readable report (schema assassyn.sweep.v3). */
     std::string toJson(const std::string &design) const;
 
     /** Write toJson() to @p path. */
@@ -139,37 +125,17 @@ struct SweepReport {
  * Run every config through @p instance on @p workers threads. Results
  * keep config order regardless of completion order; the InstanceFn is
  * called concurrently, so it must not touch shared mutable state.
+ *
+ * Failures stay with their instance: an exception escaping the
+ * InstanceFn becomes that run's RunStatus::kFault record, with the
+ * exception's message as its error and a repro attached, and the
+ * siblings still run. There is no in-process retry — every run is
+ * deterministic, so a retry would replay the same failure. A process
+ * that is killed resumes through RunConfig::resume_from instead
+ * (docs/robustness.md, "Sweep isolation and resume").
  */
 SweepReport runSweep(const std::vector<RunConfig> &configs,
                      const InstanceFn &instance, size_t workers);
-
-/** Fault-tolerance policy for the resilient runSweep overload. */
-struct SweepOptions {
-    size_t workers = 1;
-
-    /**
-     * Upper bound on executions of one instance (first try included).
-     * 1 reproduces the legacy behavior of a single attempt — except
-     * that the failure is recorded per-instance instead of thrown.
-     */
-    uint32_t max_attempts = 1;
-};
-
-/**
- * Fault-tolerant sweep (docs/robustness.md, "Checkpoint & crash
- * recovery"): like the 3-argument overload, but a worker failure — an
- * exception escaping the InstanceFn — is isolated to its instance
- * instead of aborting the batch. The failed instance is retried at once,
- * up to opts.max_attempts times, resuming from its last good periodic
- * checkpoint when RunConfig::ckpt_path has one (a failure that names
- * the checkpoint itself falls back to a from-scratch retry). An
- * instance that exhausts its attempts yields a structured
- * RunStatus::kFault record carrying every attempt's error; the sweep
- * itself always completes with a schema-valid report.
- */
-SweepReport runSweep(const std::vector<RunConfig> &configs,
-                     const InstanceFn &instance,
-                     const SweepOptions &opts);
 
 /**
  * Run @p engine up to the absolute cycle @p max_cycles, in slices of

@@ -5,7 +5,7 @@
  * Used by the trace-query API (sim::TraceReader) and the report
  * validators (tests/validate_reports_test.cc) to load the JSON this
  * toolchain itself emits: trace files (assassyn.trace.v1), sweep
- * reports (assassyn.sweep.v2), checkpoint manifests
+ * reports (assassyn.sweep.v3), checkpoint manifests
  * (assassyn.ckpt.v1), and bench trajectories
  * (assassyn.bench.fig16.v5). Deliberately small: a recursive-descent
  * parser into a plain DOM value, numbers as double (every quantity we

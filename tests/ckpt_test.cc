@@ -11,10 +11,8 @@
  *  - the engine-independent sections of an event-engine snapshot are
  *    byte-identical to a netlist-engine snapshot of the same design at
  *    the same cycle, and each engine restores the other's snapshots;
- *  - the fault-tolerant runSweep overload isolates worker failures,
- *    retries from the last good periodic checkpoint, records
- *    attempt/resume counts, and degrades to a structured per-instance
- *    failure record when retries are exhausted — never a lost sweep;
+ *  - a sweep instance resumed from another sweep's periodic
+ *    checkpoint finishes exactly as the uninterrupted run did;
  *  - a sliced, checkpointed, resumed differential grade reproduces the
  *    uninterrupted verdict byte for byte;
  *  - corrupted snapshots — every truncation length, every single-bit
@@ -25,14 +23,12 @@
  */
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -49,7 +45,6 @@
 #include "sim/fault.h"
 #include "sim/simulator.h"
 #include "sim/sweep.h"
-#include "support/jsonv.h"
 #include "support/logging.h"
 
 namespace assassyn {
@@ -417,9 +412,9 @@ TEST(CkptTest, RestoreIntoWrongDesignIsAStructuredFatal)
     EXPECT_THROW(other.restore(snap), FatalError);
 }
 
-// ---- Fault-tolerant sweeps --------------------------------------------------
+// ---- Sweep resume -----------------------------------------------------------
 
-TEST(SweepCkptTest, KillAndResumeCompletesWithRetry)
+TEST(SweepCkptTest, ResumedInstanceMatchesCleanRun)
 {
     auto sys = buildPipe(600);
     auto prog = sim::Program::compile(*sys);
@@ -431,91 +426,34 @@ TEST(SweepCkptTest, KillAndResumeCompletesWithRetry)
         sim::runSweep({clean_cfg}, sim::eventInstance(prog), 1);
     ASSERT_TRUE(clean.allOk());
 
+    // One sweep leaves periodic checkpoints behind, the way a process
+    // killed mid-run would; checkpointing itself perturbs nothing.
     std::string manifest = tempPath("sweep_victim.ckpt.json");
-    std::atomic<bool> killed{false};
-    sim::RunConfig victim;
-    victim.name = "victim";
-    victim.max_cycles = 10'000;
-    victim.ckpt_every = 200;
-    victim.ckpt_path = manifest;
-    victim.on_checkpoint = [&](const std::string &, uint64_t) {
-        // The worker "dies" right after its first durable checkpoint.
-        if (!killed.exchange(true))
-            throw std::runtime_error("injected worker death");
-    };
-    sim::RunConfig healthy;
-    healthy.name = "healthy";
-    healthy.max_cycles = 10'000;
+    sim::RunConfig periodic = clean_cfg;
+    periodic.ckpt_every = 200;
+    periodic.ckpt_path = manifest;
+    sim::SweepReport first =
+        sim::runSweep({periodic}, sim::eventInstance(prog), 1);
+    ASSERT_TRUE(first.allOk());
+    EXPECT_EQ(first.runs[0].end_cycle, clean.runs[0].end_cycle);
+    ASSERT_TRUE(sim::checkpointExists(manifest));
+    const uint64_t at = sim::loadCheckpoint(manifest).cycle;
+    ASSERT_GT(at, 0u);
+    ASSERT_LT(at, clean.runs[0].end_cycle);
 
-    sim::SweepOptions opts;
-    opts.workers = 2;
-    opts.max_attempts = 3;
+    // A second sweep resumes from it and finishes as the clean run did.
+    sim::RunConfig resumed = clean_cfg;
+    resumed.resume_from = manifest;
     sim::SweepReport rep =
-        sim::runSweep({victim, healthy}, sim::eventInstance(prog), opts);
-
-    ASSERT_EQ(rep.runs.size(), 2u);
-    EXPECT_TRUE(rep.allOk());
-    EXPECT_EQ(rep.runs[0].attempts, 2u);
-    EXPECT_EQ(rep.runs[0].resumes, 1u);
-    ASSERT_EQ(rep.runs[0].attempt_errors.size(), 1u);
-    EXPECT_NE(rep.runs[0].attempt_errors[0].find("injected worker death"),
-              std::string::npos);
-    EXPECT_EQ(rep.runs[1].attempts, 1u);
-    EXPECT_EQ(rep.runs[1].resumes, 0u);
-
-    // The retried instance is indistinguishable from a clean run.
+        sim::runSweep({resumed}, sim::eventInstance(prog), 1);
+    ASSERT_EQ(rep.runs.size(), 1u);
     EXPECT_EQ(rep.runs[0].result.status, sim::RunStatus::kFinished);
+    EXPECT_EQ(rep.runs[0].result.cycles, clean.runs[0].end_cycle - at);
     EXPECT_EQ(rep.runs[0].end_cycle, clean.runs[0].end_cycle);
     EXPECT_EQ(rep.runs[0].metrics.toJson("pipe"),
               clean.runs[0].metrics.toJson("pipe"));
     EXPECT_EQ(rep.runs[0].logs, clean.runs[0].logs);
-    removeCheckpoint(manifest);
-}
-
-TEST(SweepCkptTest, ExhaustedRetriesDegradeToStructuredFailure)
-{
-    auto sys = buildPipe(600);
-    auto prog = sim::Program::compile(*sys);
-
-    std::string manifest = tempPath("sweep_doomed.ckpt.json");
-    sim::RunConfig doomed;
-    doomed.name = "doomed";
-    doomed.max_cycles = 10'000;
-    doomed.ckpt_every = 200;
-    doomed.ckpt_path = manifest;
-    doomed.on_checkpoint = [](const std::string &, uint64_t) {
-        throw std::runtime_error("worker keeps dying");
-    };
-    sim::RunConfig healthy;
-    healthy.name = "healthy";
-    healthy.max_cycles = 10'000;
-
-    sim::SweepOptions opts;
-    opts.workers = 2;
-    opts.max_attempts = 3;
-    sim::SweepReport rep =
-        sim::runSweep({doomed, healthy}, sim::eventInstance(prog), opts);
-
-    ASSERT_EQ(rep.runs.size(), 2u);
-    EXPECT_FALSE(rep.allOk());
-    EXPECT_EQ(rep.runs[0].result.status, sim::RunStatus::kFault);
-    EXPECT_EQ(rep.runs[0].attempts, 3u);
-    EXPECT_EQ(rep.runs[0].resumes, 2u);
-    EXPECT_EQ(rep.runs[0].attempt_errors.size(), 3u);
-    // The failed sibling never poisons the healthy one: the sweep
-    // still completes with a full, schema-valid report.
-    EXPECT_EQ(rep.runs[1].result.status, sim::RunStatus::kFinished);
-
-    jsonv::Value doc = jsonv::parse(rep.toJson("pipe"));
-    const jsonv::Value *runs = doc.find("runs");
-    ASSERT_NE(runs, nullptr);
-    ASSERT_EQ(runs->array.size(), 2u);
-    const jsonv::Value &failed = runs->array[0];
-    EXPECT_EQ(failed.find("attempts")->u64(), 3u);
-    EXPECT_EQ(failed.find("resumes")->u64(), 2u);
-    ASSERT_NE(failed.find("attempt_errors"), nullptr);
-    EXPECT_EQ(failed.find("attempt_errors")->array.size(), 3u);
-    EXPECT_EQ(failed.find("status")->string, "fault");
+    EXPECT_FALSE(rep.runs[0].logs.empty());
     removeCheckpoint(manifest);
 }
 

@@ -27,6 +27,8 @@
 #include <fstream>
 #include <sstream>
 
+#include <unistd.h>
+
 #include "debug/replay.h"
 #include "debug/session.h"
 #include "designs/cpu.h"
@@ -45,9 +47,12 @@ namespace {
 std::string
 tempPath(const std::string &name)
 {
+    // The pid keeps names distinct across concurrently running test
+    // processes; the serial, across calls within one.
     static int serial = 0;
     return ::testing::TempDir() + "assassyn_debug_" +
-           std::to_string(++serial) + "_" + name;
+           std::to_string(::getpid()) + "_" + std::to_string(++serial) +
+           "_" + name;
 }
 
 std::string

@@ -546,29 +546,5 @@ TEST(EngineContract, NetlistIgnoresShuffle)
     EXPECT_EQ(plain->logOutput(), shuffled->logOutput());
 }
 
-TEST(EngineContract, EchoLogsOnBothEngines)
-{
-    Engines fx(buildPipe(20));
-    auto captured = fx.make(true);
-    captured->run(1'000);
-    std::string expected;
-    for (const std::string &line : captured->logOutput())
-        expected += line + "\n";
-    ASSERT_FALSE(expected.empty());
-
-    sim::SimOptions opts;
-    opts.capture_logs = false;
-    opts.echo_logs = true;
-    for (bool event : {true, false}) {
-        auto e = fx.make(event, opts);
-        ::testing::internal::CaptureStdout();
-        e->run(1'000);
-        std::fflush(stdout);
-        std::string out = ::testing::internal::GetCapturedStdout();
-        EXPECT_EQ(out, expected) << (event ? "event" : "netlist");
-        EXPECT_TRUE(e->logOutput().empty());
-    }
-}
-
 } // namespace
 } // namespace assassyn

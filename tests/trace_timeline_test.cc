@@ -15,7 +15,8 @@
  *  - the bounded event ring drops oldest-first, counts its drops into
  *    trace.dropped_events, and both backends drop identically;
  *  - two live runs handed the same output path fail fast with a
- *    structured collision diagnostic — directly and through runSweep.
+ *    structured collision diagnostic — directly, and through runSweep
+ *    as one fault record per colliding run in a complete report.
  */
 #include <gtest/gtest.h>
 
@@ -433,9 +434,20 @@ TEST(TraceTimeline, TracePathCollisionUnderRunSweepIsStructuredFatal)
         configs[1].sim.capture_logs = false;
         configs[1].sim.*field = path;
 
-        EXPECT_THROW(
-            sim::runSweep(configs, sim::eventInstance(prog), 2),
-            FatalError);
+        // Each colliding instance fails on its own: a fault record
+        // carrying the lease diagnostic, in a report that still lists
+        // every run.
+        sim::SweepReport clash =
+            sim::runSweep(configs, sim::eventInstance(prog), 2);
+        ASSERT_EQ(clash.runs.size(), 2u);
+        for (const sim::InstanceResult &run : clash.runs) {
+            EXPECT_EQ(run.result.status, sim::RunStatus::kFault) << run.name;
+            EXPECT_NE(run.result.error.find("collision"), std::string::npos)
+                << run.result.error;
+            EXPECT_NE(run.result.error.find(path), std::string::npos)
+                << run.result.error;
+            EXPECT_TRUE(run.repro.has_value()) << run.name;
+        }
 
         // Distinct paths sweep cleanly.
         std::string pa = tempPath("sweep_a.json");

@@ -7,8 +7,9 @@
  *    top-level keys, well-formed Chrome trace events, per-(pid, tid)
  *    timestamp monotonicity over non-metadata events, and balanced
  *    B/E nesting per track;
- *  - assassyn.sweep.v2 (sim/sweep.h): per-run records (including the
- *    fault-tolerance attempt/resume accounting) and the merged section;
+ *  - assassyn.sweep.v3 (sim/sweep.h): per-run records (an instance
+ *    that threw is a fault record with its error and repro) and the
+ *    merged section;
  *  - assassyn.ckpt.v1 (sim/ckpt.h): the checkpoint manifest — schema,
  *    binary reference with size + CRC, and a per-section table
  *    consistent with the decoded snapshot;
@@ -214,7 +215,7 @@ TEST(ValidateReports, SweepV2HasPerRunRecordsAndMergedSection)
 
     jsonv::Value doc = parseFile(path);
     ASSERT_TRUE(doc.isObject());
-    EXPECT_EQ(field(doc, "schema").string, "assassyn.sweep.v2");
+    EXPECT_EQ(field(doc, "schema").string, "assassyn.sweep.v3");
     EXPECT_EQ(field(doc, "design").string, "stream");
     EXPECT_EQ(field(doc, "workers").u64(), 2u);
     EXPECT_TRUE(field(doc, "seconds").isNumber());
@@ -227,11 +228,12 @@ TEST(ValidateReports, SweepV2HasPerRunRecordsAndMergedSection)
         EXPECT_TRUE(field(run, "cycles").isNumber());
         EXPECT_TRUE(field(run, "end_cycle").isNumber());
         EXPECT_TRUE(field(run, "seconds").isNumber());
-        // v2: fault-tolerance accounting on every run record. A clean
-        // legacy-overload sweep reports one attempt, zero resumes.
-        EXPECT_EQ(field(run, "attempts").u64(), 1u);
-        EXPECT_EQ(field(run, "resumes").u64(), 0u);
+        // v3: no retry accounting; a clean run has no error or repro.
+        EXPECT_EQ(run.find("attempts"), nullptr);
+        EXPECT_EQ(run.find("resumes"), nullptr);
         EXPECT_EQ(run.find("attempt_errors"), nullptr);
+        EXPECT_EQ(run.find("error"), nullptr);
+        EXPECT_EQ(run.find("repro"), nullptr);
         EXPECT_TRUE(field(run, "metrics").isObject());
     }
     EXPECT_TRUE(field(doc, "merged").isObject());
@@ -372,9 +374,9 @@ TEST(ValidateReports, GradeV1CarriesVerdictsAndDivergences)
 
 TEST(ValidateReports, SweepV2AttachesReproToFailedRuns)
 {
-    // One clean run and one that exhausts its retry budget: only the
-    // failed record may carry the additive "repro" command, rendered
-    // with the report's design name.
+    // One clean run and one whose instance throws: the throw stays
+    // with its run, a fault record, and only that record may carry the
+    // additive "repro" command, rendered with the report's design name.
     std::vector<sim::RunConfig> configs(2);
     configs[0].name = "ok";
     configs[0].sim.capture_logs = false;
@@ -388,24 +390,29 @@ TEST(ValidateReports, SweepV2AttachesReproToFailedRuns)
             throw std::runtime_error("injected instance failure");
         return good(cfg);
     };
-    sim::SweepOptions opts;
-    opts.workers = 1;
-    opts.max_attempts = 2;
-    sim::SweepReport report = sim::runSweep(configs, instance, opts);
+    sim::SweepReport report = sim::runSweep(configs, instance, 2);
     ASSERT_FALSE(report.allOk());
+    EXPECT_EQ(report.runs[0].result.status, sim::RunStatus::kFinished);
+    EXPECT_EQ(report.runs[1].result.status, sim::RunStatus::kFault);
 
     std::string path = tempPath("validate_sweep_repro.json");
     report.write(path, "stream");
     jsonv::Value doc = parseFile(path);
     const jsonv::Value &runs = field(doc, "runs");
     ASSERT_EQ(runs.array.size(), 2u);
+    EXPECT_EQ(field(doc, "schema").string, "assassyn.sweep.v3");
+    EXPECT_EQ(field(runs.array[0], "status").string, "finished");
     EXPECT_EQ(runs.array[0].find("repro"), nullptr);
+    EXPECT_EQ(field(runs.array[1], "status").string, "fault");
+    EXPECT_NE(field(runs.array[1], "error")
+                  .string.find("injected instance failure"),
+              std::string::npos);
+    EXPECT_TRUE(field(runs.array[1], "metrics").isObject());
     const jsonv::Value *repro = runs.array[1].find("repro");
     ASSERT_NE(repro, nullptr);
     ASSERT_TRUE(repro->isString());
     EXPECT_EQ(repro->string.rfind("replay --design stream", 0), 0u)
         << repro->string;
-    EXPECT_NE(runs.array[1].find("attempt_errors"), nullptr);
     std::remove(path.c_str());
 }
 
