@@ -69,12 +69,12 @@ struct TimedRun {
 };
 
 /**
- * Which simulation backend a repetition runs: the event engine on its
- * default evaluator (the compiled tape of a catalog design, else the
- * interpreter), the event engine forced onto the interpreted tape, or
- * the netlist engine.
+ * Which simulation backend a repetition runs: each engine on its
+ * default evaluator (the compiled tape or netlist of a catalog design,
+ * else the interpreter), or forced onto its interpreted tape
+ * (sim::Evaluator::kTape).
  */
-enum class EngineKind { kEvent, kEventTape, kNetlist };
+enum class EngineKind { kEvent, kEventTape, kNetlist, kNetlistTape };
 
 /**
  * One repetition of one engine, folded into @p r: fresh engines are
@@ -93,10 +93,16 @@ engineRep(TimedRun &r, EngineKind kind, const System &sys,
           uint64_t max_cycles, double min_seconds,
           const std::string &timeline_path = "")
 {
-    const bool event = kind != EngineKind::kNetlist;
+    const bool event =
+        kind == EngineKind::kEvent || kind == EngineKind::kEventTape;
+    const sim::Evaluator ev =
+        kind == EngineKind::kEvent || kind == EngineKind::kNetlist
+            ? sim::Evaluator::kCompiled
+            : sim::Evaluator::kTape;
     const char *name = kind == EngineKind::kEvent       ? "event"
                        : kind == EngineKind::kEventTape ? "event (tape)"
-                                                        : "netlist";
+                       : kind == EngineKind::kNetlist   ? "netlist"
+                                                        : "netlist (tape)";
     const bool first_rep = r.cps.empty();
     double build = 0, run = 0;
     uint64_t cycles = 0;
@@ -110,12 +116,9 @@ engineRep(TimedRun &r, EngineKind kind, const System &sys,
         std::unique_ptr<sim::Engine> s;
         if (event) {
             s = std::make_unique<sim::Simulator>(
-                sim::Program::compile(sys, kind == EngineKind::kEvent
-                                               ? sim::Evaluator::kCompiled
-                                               : sim::Evaluator::kTape),
-                opts);
+                sim::Program::compile(sys, ev), opts);
         } else {
-            nl.emplace(sys);
+            nl.emplace(sys, ev);
             s = std::make_unique<rtl::NetlistSim>(*nl, opts);
         }
         auto t1 = std::chrono::steady_clock::now();

@@ -8,13 +8,18 @@
  *            gets ahead of time (docs/architecture.md "Compiled
  *            evaluators"), and on the interpreted tape ("asyn(tape)");
  *  - "rtl":  the netlist-level simulator, this repo's Verilator stand-in
- *            (evaluates the whole design every cycle);
+ *            (evaluates the whole design every cycle), timed the same
+ *            two ways: on the compiled cones of the catalog netlist and
+ *            on the interpreted cell tape ("rtl(tape)");
  *  - "gem5": the gem5-like timing model (CPU workloads only), whose
  *            construction cost models gem5's initialization phase.
  *
  * The paper reports 2.2x over Verilator on the CPU and 8.1x on the HLS
  * accelerators (idle-stage skipping pays off most on mostly-idle FSM
- * designs), with gem5 losing on sub-10k-cycle runs to its init overhead
+ * designs), comparing generated code against Verilator's compiled
+ * model; the headline ratio here is therefore compiled asyn over
+ * compiled rtl, printed beside both-interpreted and compiled asyn over
+ * interpreted rtl (the pre-v6 headline). gem5 losing on sub-10k-cycle runs to its init overhead
  * and winning by an order of magnitude once amortized. Alignment (an
  * identical metrics snapshot on asyn and rtl) is asserted for every
  * design.
@@ -46,8 +51,9 @@ constexpr double kMinRepSeconds = 0.05;
 struct Case {
     std::string design;
     std::unique_ptr<System> sys;
-    TimedRun ev = {}, tp = {}, nl = {};
+    TimedRun ev = {}, tp = {}, nl = {}, nt = {};
 
+    /** Compiled asyn over compiled rtl: the headline ratio. */
     double speedup() const
     {
         return ev.spread().median / nl.spread().median;
@@ -55,8 +61,8 @@ struct Case {
 };
 
 /**
- * Time the three engines on every case, kReps reps each, and require
- * their metrics aligned. The reps go round the cases (rep 0 of every
+ * Time both evaluators of both engines on every case, kReps reps each,
+ * and require their metrics aligned. The reps go round the cases (rep 0 of every
  * case, then rep 1, ...), so each case's spread samples the host over
  * the whole table rather than one moment of it. Within a case the
  * engines rotate which goes first, so a slow stretch of a shared host
@@ -70,31 +76,43 @@ timeCases(std::vector<Case> &cases)
             const std::pair<EngineKind, TimedRun *> engines[] = {
                 {EngineKind::kEvent, &c.ev},
                 {EngineKind::kEventTape, &c.tp},
-                {EngineKind::kNetlist, &c.nl}};
-            for (int i = 0; i < 3; ++i) {
-                const auto &[kind, run] = engines[(rep + i) % 3];
+                {EngineKind::kNetlist, &c.nl},
+                {EngineKind::kNetlistTape, &c.nt}};
+            for (int i = 0; i < 4; ++i) {
+                const auto &[kind, run] = engines[(rep + i) % 4];
                 engineRep(*run, kind, *c.sys, kMaxCycles, kMinRepSeconds);
             }
         }
     }
     // The paper's alignment claim, checked at full counter depth: not
     // just equal cycle counts but an identical metrics snapshot, on
-    // both evaluators of the event engine.
+    // both evaluators of both engines.
     for (const Case &c : cases) {
         requireAligned(c.ev, c.nl, c.design);
-        requireAligned(c.tp, c.nl, c.design + " (tape)");
+        requireAligned(c.tp, c.nl, c.design + " (asyn tape)");
+        requireAligned(c.nt, c.nl, c.design + " (rtl tape)");
     }
 }
 
-/** The interpreted tape's asyn/rtl ratio of cases [@p begin, @p end). */
-std::vector<double>
-tapeSpeedups(const std::vector<Case> &cases, size_t begin, size_t end)
+/**
+ * The gmean asyn/rtl ratios of cases [@p begin, @p end) on the three
+ * evaluator pairings, printed next to the paper's @p paper ratio.
+ */
+void
+printSpeedups(const std::vector<Case> &cases, size_t begin, size_t end,
+              const char *paper)
 {
-    std::vector<double> out;
-    for (size_t i = begin; i < end; ++i)
-        out.push_back(cases[i].tp.spread().median /
-                      cases[i].nl.spread().median);
-    return out;
+    std::vector<double> both, interp, mixed;
+    for (size_t i = begin; i < end; ++i) {
+        const Case &c = cases[i];
+        both.push_back(c.speedup());
+        interp.push_back(c.tp.spread().median / c.nt.spread().median);
+        mixed.push_back(c.ev.spread().median / c.nt.spread().median);
+    }
+    std::printf("asyn/rtl speedup (gmean): compiled/compiled %.1fx, "
+                "interpreted/interpreted %.1fx, compiled asyn/interpreted "
+                "rtl %.1fx  (paper: %s)\n",
+                gmean(both), gmean(interp), gmean(mixed), paper);
 }
 
 /** "median [min-max]" in k-cycles/s, for the printed table. */
@@ -120,13 +138,16 @@ writeSpread(JsonWriter &w, const std::string &key, const Spread &s)
 }
 
 /**
- * BENCH_fig16.json (schema assassyn.bench.fig16.v5): cycles/s per
+ * BENCH_fig16.json (schema assassyn.bench.fig16.v6): cycles/s per
  * design per backend, at the repo root (full runs only) so successive
  * checkouts can be diffed (docs/performance.md). Each engine's `*_cps`
  * is the median of the reps, with `*_cps_min` / `*_cps_max` beside it;
  * each rep times at least `min_rep_seconds` of runs. v5 over v4:
  * `asyn_cps` is the event engine on its compiled tape, and
- * `asyn_tape_cps` the same engine on the interpreted tape.
+ * `asyn_tape_cps` the same engine on the interpreted tape. v6 over v5:
+ * `rtl_cps` is the netlist engine on its compiled cones, `rtl_tape_cps`
+ * the same engine on the interpreted cell tape, so `asyn_over_rtl` is
+ * compiled over compiled.
  */
 void
 writeBenchJson(const std::vector<Case> &cases, bool smoke)
@@ -134,7 +155,7 @@ writeBenchJson(const std::vector<Case> &cases, bool smoke)
     JsonWriter w;
     w.beginObject();
     w.key("schema");
-    w.value("assassyn.bench.fig16.v5");
+    w.value("assassyn.bench.fig16.v6");
     w.key("smoke");
     w.value(smoke ? 1.0 : 0.0);
     w.key("timing");
@@ -155,6 +176,7 @@ writeBenchJson(const std::vector<Case> &cases, bool smoke)
         writeSpread(w, "asyn_cps", c.ev.spread());
         writeSpread(w, "asyn_tape_cps", c.tp.spread());
         writeSpread(w, "rtl_cps", c.nl.spread());
+        writeSpread(w, "rtl_tape_cps", c.nt.spread());
         w.key("asyn_over_rtl");
         w.value(c.speedup());
         w.key("asyn_build_seconds");
@@ -223,16 +245,16 @@ printTable(bool smoke, bool trace)
                 "separately)\n",
                 kReps, kMinRepSeconds * 1e3);
     std::printf("-- CPU workloads (5-stage bp.t core) --\n");
-    std::printf("%-10s %8s %20s %20s %20s %8s %8s %10s\n", "workload",
-                "cycles", "asyn(tape)", "asyn", "rtl(sim)", "gem5",
-                "speedup", "build(ms)");
+    std::printf("%-10s %8s %20s %20s %20s %20s %8s %8s %10s\n", "workload",
+                "cycles", "asyn(tape)", "asyn", "rtl(tape)", "rtl(sim)",
+                "gem5", "speedup", "build(ms)");
     MetricsReport report;
     for (const Case &c : cases)
         report.add(c.design, c.ev.metrics,
                    {{"asyn_kcps", c.ev.spread().median / 1e3},
                     {"asyn_tape_kcps", c.tp.spread().median / 1e3},
-                    {"rtl_kcps", c.nl.spread().median / 1e3}});
-    std::vector<double> cpu_speedups;
+                    {"rtl_kcps", c.nl.spread().median / 1e3},
+                    {"rtl_tape_kcps", c.nt.spread().median / 1e3}});
     for (size_t i = 0; i < num_cpu; ++i) {
         const Case &c = cases[i];
         // gem5: include the initialization phase in wall time, as the
@@ -245,27 +267,26 @@ printTable(bool smoke, bool trace)
         double gem5_s = std::chrono::duration<double>(t1 - t0).count();
         double gem5_kcps = double(g.cycles) / gem5_s / 1e3;
 
-        std::printf("%-10s %8llu %20s %20s %20s %8.0f %7.1fx %4.1f/%4.1f\n",
+        std::printf("%-10s %8llu %20s %20s %20s %20s %8.0f %7.1fx "
+                    "%4.1f/%4.1f\n",
                     kSodorIpc[i].name, (unsigned long long)c.ev.cycles,
                     kcpsText(c.tp.spread()).c_str(),
                     kcpsText(c.ev.spread()).c_str(),
+                    kcpsText(c.nt.spread()).c_str(),
                     kcpsText(c.nl.spread()).c_str(), gem5_kcps,
                     c.speedup(), c.ev.build_seconds * 1e3,
                     c.nl.build_seconds * 1e3);
-        cpu_speedups.push_back(c.speedup());
     }
-    std::printf("asyn/rtl speedup (gmean): %.1fx, on the interpreted tape "
-                "%.1fx  (paper: 2.2x on CPU)\n",
-                gmean(cpu_speedups), gmean(tapeSpeedups(cases, 0, num_cpu)));
-    // Regression canary on the CI path (perf_smoke): the event engine
-    // must beat the netlist engine outright on every CPU workload it
-    // ran, comparing each engine's best rep. The interpreted tape wins
-    // by event skipping alone (~1.2-1.4x on these short CPU runs); the
-    // compiled tape adds the dispatch it removes.
+    printSpeedups(cases, 0, num_cpu, "2.2x on CPU");
+    // Regression canary on the CI path (perf_smoke): the compiled event
+    // engine must beat the interpreted netlist engine outright on every
+    // CPU workload it ran, comparing each engine's best rep. The
+    // interpreted tape wins by event skipping alone (~1.2-1.4x on these
+    // short CPU runs); the compiled tape adds the dispatch it removes.
     if (smoke)
         for (size_t i = 0; i < num_cpu; ++i) {
             const Case &c = cases[i];
-            double best = c.ev.spread().max / c.nl.spread().max;
+            double best = c.ev.spread().max / c.nt.spread().max;
             if (best <= 1.0)
                 fatal("perf smoke: ", c.design, " asyn/rtl speedup ", best,
                       " is not above 1.0 — event engine regression");
@@ -292,30 +313,28 @@ printTable(bool smoke, bool trace)
         auto g = gem5.run();
         auto t1 = std::chrono::steady_clock::now();
         double gem5_s = std::chrono::duration<double>(t1 - t0).count();
-        std::printf("%-10s %8llu %20s %20.0f %20s %8.0f   (one run; gem5 "
-                    "amortizes: paper reports ~10x)\n",
+        std::printf("%-10s %8llu %20s %20.0f %20s %20s %8.0f   (one run; "
+                    "gem5 amortizes: paper reports ~10x)\n",
                     "long-loop", (unsigned long long)ev.cycles, "-",
-                    ev.kcps(), "-", double(g.cycles) / gem5_s / 1e3);
+                    ev.kcps(), "-", "-", double(g.cycles) / gem5_s / 1e3);
     }
 
     std::printf("-- HLS accelerator workloads --\n");
-    std::printf("%-10s %8s %20s %20s %20s %8s\n", "workload", "cycles",
-                "asyn(tape)", "asyn", "rtl(sim)", "speedup");
-    std::vector<double> hls_speedups;
+    std::printf("%-10s %8s %20s %20s %20s %20s %8s\n", "workload",
+                "cycles", "asyn(tape)", "asyn", "rtl(tape)", "rtl(sim)",
+                "speedup");
     for (size_t i = num_cpu; i < cases.size(); ++i) {
         const Case &c = cases[i];
-        std::printf("%-10s %8llu %20s %20s %20s %7.1fx\n",
+        std::printf("%-10s %8llu %20s %20s %20s %20s %7.1fx\n",
                     c.design.substr(4).c_str(),
                     (unsigned long long)c.ev.cycles,
                     kcpsText(c.tp.spread()).c_str(),
                     kcpsText(c.ev.spread()).c_str(),
+                    kcpsText(c.nt.spread()).c_str(),
                     kcpsText(c.nl.spread()).c_str(), c.speedup());
-        hls_speedups.push_back(c.speedup());
     }
-    std::printf("asyn/rtl speedup (gmean): %.1fx, on the interpreted tape "
-                "%.1fx  (paper: 8.1x on HLS)\n\n",
-                gmean(hls_speedups),
-                gmean(tapeSpeedups(cases, num_cpu, cases.size())));
+    printSpeedups(cases, num_cpu, cases.size(), "8.1x on HLS");
+    std::printf("\n");
 
     std::string report_path = artifactsDir() + "/fig16_metrics.json";
     report.write(report_path);

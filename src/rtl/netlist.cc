@@ -6,7 +6,9 @@
 #include <sstream>
 
 #include "core/compiler/walk.h"
+#include "rtl/compiled_netlist.h"
 #include "support/bits.h"
+#include "support/hash.h"
 #include "support/logging.h"
 #include "support/profiler.h"
 
@@ -462,6 +464,42 @@ Netlist::finalize()
     HostProfiler::Scope prof_span("Netlist::finalize");
     levelize();
     buildTape();
+    fingerprint_ = hashBytes(0, tape_.data(),
+                             tape_.size() * sizeof(sim::DStep));
+    for (const Cone &cone : cones_) {
+        const ConeRange r{cone.begin, cone.end};
+        fingerprint_ = hashBytes(fingerprint_, &r, sizeof r);
+    }
+    compiled_ = nullptr;
+    if (evaluator_ == sim::Evaluator::kCompiled && !cones_.empty())
+        attachCompiled();
+}
+
+/**
+ * Look the tape up among the generated evaluators linked into the
+ * binary, as sim::Program does: by fingerprint, then confirmed by byte
+ * equality of the tape and every cone range the generated code was
+ * specialized on.
+ */
+void
+Netlist::attachCompiled()
+{
+    const CompiledNetlists all = compiledNetlists();
+    for (size_t i = 0; i < all.size; ++i) {
+        const CompiledNetlist &cn = *all.list[i];
+        if (cn.fingerprint != fingerprint_ ||
+            !sameBytes(tape_, cn.tape, cn.tape_len) ||
+            cn.num_cones != cones_.size())
+            continue;
+        bool same = true;
+        for (size_t c = 0; c < cones_.size() && same; ++c)
+            same = cn.cones[c].begin == cones_[c].begin &&
+                   cn.cones[c].end == cones_[c].end;
+        if (same) {
+            compiled_ = &cn;
+            return;
+        }
+    }
 }
 
 void
@@ -603,7 +641,8 @@ Netlist::buildTape()
     }
 }
 
-Netlist::Netlist(const System &sys) : sys_(&sys), analyzer_(sys)
+Netlist::Netlist(const System &sys, sim::Evaluator ev)
+    : sys_(&sys), evaluator_(ev), analyzer_(sys)
 {
     NetlistBuilder builder(sys, *this);
     builder.build();

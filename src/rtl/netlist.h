@@ -21,11 +21,13 @@
  * (levelized() / combCycleDiag()) instead of looping at runtime. The
  * levelized cells are then decoded, once, into a dense tape of 24-byte
  * sim::DStep records (tape()) — the event engine's tape format, limited
- * to its pure opcode prefix — with every mask and shift precomputed; it
- * is the simulator's only evaluator, and it runs handlers generated
- * from the event engine's own rows (sim/tape.h). The Cell list itself
- * stays the structural view the area and timing models and the
- * SystemVerilog emitter read.
+ * to its pure opcode prefix — with every mask and shift precomputed.
+ * The simulator evaluates it in one of two ways, both expanded from the
+ * event engine's own rows (sim/tape.h): a catalog design's netlist gets
+ * straight-line C++ per cone generated at build time (compiled(),
+ * rtl/compiled_netlist.h); any other netlist runs the threaded tape
+ * interpreter. The Cell list itself stays the structural view the area
+ * and timing models and the SystemVerilog emitter read.
  *
  * The Netlist feeds three consumers: the netlist simulator (the repo's
  * Verilator stand-in), the synthesis area model, and the SystemVerilog
@@ -33,9 +35,9 @@
  *
  * Thread-safety contract (the RTL half of the compile/run split,
  * docs/architecture.md): a Netlist is immutable after construction —
- * finalize() (levelization and tape decode) runs inside the
- * constructor, there are no mutable members and no lazily-initialized
- * caches — so one `const Netlist` may back
+ * finalize() (levelization, tape decode and the compiled-evaluator
+ * lookup) runs inside the constructor, there are no mutable members and
+ * no lazily-initialized caches — so one `const Netlist` may back
  * any number of concurrent rtl::NetlistSim instances, each of which
  * owns all of its run-time state (its sim::RunState plus net values
  * and cone state; see netlist_sim.cc). The referenced System must
@@ -51,10 +53,13 @@
 
 #include "core/ir/system.h"
 #include "sim/hazard.h"
+#include "sim/program.h"
 #include "sim/tape.h"
 
 namespace assassyn {
 namespace rtl {
+
+struct CompiledNetlist; // rtl/compiled_netlist.h
 
 /** Opcode of a combinational word-level cell. */
 enum class CellOp : uint8_t {
@@ -174,7 +179,14 @@ struct Cone {
  */
 class Netlist {
   public:
-    explicit Netlist(const System &sys);
+    /**
+     * Elaborate @p sys. With sim::Evaluator::kCompiled (the default) a
+     * netlist whose tape and cone ranges match a generated evaluator
+     * byte for byte gets it (compiled()); kTape always interprets, for
+     * the tests and benchmarks that compare the two.
+     */
+    explicit Netlist(const System &sys,
+                     sim::Evaluator ev = sim::Evaluator::kCompiled);
 
     const System &sys() const { return *sys_; }
 
@@ -241,11 +253,25 @@ class Netlist {
      */
     const std::vector<Cone> &cones() const { return cones_; }
 
+    /**
+     * The generated evaluator of this netlist's cones, or nullptr when
+     * the tape is interpreted (sim::Evaluator::kTape, no cones, or no
+     * compiled netlist matches).
+     */
+    const CompiledNetlist *compiled() const { return compiled_; }
+
+    /** 64-bit hash of the tape and the cone ranges: the key of the
+     *  compiled-netlist registry. */
+    uint64_t fingerprint() const { return fingerprint_; }
+
   private:
     friend class NetlistBuilder;
     friend class NetlistTestPeer; ///< cycle-injection hooks for tests
 
-    /** Levelize the cell list, then decode it into the tape. */
+    /**
+     * Levelize the cell list, decode it into the tape, fingerprint it
+     * and attach the matching compiled evaluator, if any.
+     */
     void finalize();
 
     /**
@@ -258,7 +284,11 @@ class Netlist {
     /** Lower cells_ into tape_, one record per cell. */
     void buildTape();
 
+    /** Look the tape up among the generated evaluators (compiled()). */
+    void attachCompiled();
+
     const System *sys_;
+    sim::Evaluator evaluator_;
     sim::HazardAnalyzer analyzer_;
     std::vector<unsigned> net_bits_;
     std::vector<std::string> net_names_;
@@ -271,6 +301,8 @@ class Netlist {
     std::vector<MonitorBlock> monitors_;
     std::vector<Cone> cones_;
     std::string comb_cycle_;
+    uint64_t fingerprint_ = 0;
+    const CompiledNetlist *compiled_ = nullptr;
     // Dense compile-time indices (keyed by Module::id / Port::index),
     // replacing the pointer-keyed maps that used to sit on the
     // simulator's hot path.

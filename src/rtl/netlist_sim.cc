@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 
+#include "rtl/compiled_netlist.h"
 #include "support/bits.h"
 #include "support/logging.h"
 
@@ -118,12 +119,16 @@ struct NetlistSim::Impl {
      * and whose external inputs (state nets, cross-cone wires, read
      * arrays) are unchanged is skipped outright: its cells are pure
      * functions of those inputs, so every output net already holds the
-     * value this pass would recompute.
+     * value this pass would recompute. A cone that does run calls its
+     * generated function when the netlist has a compiled evaluator
+     * (Netlist::compiled()) and interprets its tape range otherwise.
      */
     void
     evalCells()
     {
         const auto &cones = nl.cones();
+        const ConeFn *const compiled =
+            nl.compiled() ? nl.compiled()->cone_fns : nullptr;
         if (cones.empty()) {
             // Reordered (non-creation-order) netlist: no cone ranges;
             // run the whole tape.
@@ -152,7 +157,10 @@ struct NetlistSim::Impl {
                 if (same)
                     continue; // outputs already correct
             }
-            runTape(cone.begin, cone.end);
+            if (compiled)
+                compiled[c](nets.data(), st.arrays.data());
+            else
+                runTape(cone.begin, cone.end);
             rt.valid = true;
             for (size_t k = 0; k < cone.inputs.size(); ++k)
                 rt.sig[k] = nets[cone.inputs[k]];

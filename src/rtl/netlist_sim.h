@@ -11,13 +11,14 @@
  * per-stage activity gating skipping cones whose inputs are unchanged
  * (docs/performance.md). The cells are executed from the Netlist's
  * pre-decoded tape (Netlist::tape(): sim::DStep records in the pure
- * prefix of sim::DOp, threaded dispatch) by the event engine's own
- * pure-op handlers, so the two engines differ in what they evaluate
- * each cycle, not in how they interpret it. The paper's Q5 speedup (2.2-8.1x)
- * comes from the backends' remaining cost difference, and its Q5
- * alignment claim is validated by running one design through both
- * engines and comparing cycle counts, committed state, and log output
- * byte for byte. Everything past evaluation and commit — inspection,
+ * prefix of sim::DOp) through the event engine's own pure-op rows:
+ * as generated straight-line code per cone for a catalog design
+ * (Netlist::compiled()), by the threaded interpreter otherwise. So the
+ * two engines differ in what they evaluate each cycle, not in how.
+ * The paper's Q5 speedup (2.2-8.1x) comes from the backends' remaining
+ * cost difference, and its Q5 alignment claim is validated by running
+ * one design through both engines and comparing cycle counts,
+ * committed state, and log output byte for byte. Everything past evaluation and commit — inspection,
  * metrics, checkpoints, the watchdog, and every per-cycle output
  * (timeline, VCD, text trace), rendered from the stage activity each
  * cycle publishes into sim::RunState — is the shared sim::Engine.

@@ -476,15 +476,5 @@ loadCheckpoint(const std::string &manifest_path)
     return snap;
 }
 
-bool
-checkpointExists(const std::string &manifest_path)
-{
-    std::ifstream manifest(manifest_path, std::ios::binary);
-    if (!manifest.good())
-        return false;
-    std::ifstream binary(manifest_path + ".bin", std::ios::binary);
-    return binary.good();
-}
-
 } // namespace sim
 } // namespace assassyn

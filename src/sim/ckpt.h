@@ -194,8 +194,5 @@ void saveCheckpoint(const Snapshot &snap, const std::string &manifest_path);
  */
 Snapshot loadCheckpoint(const std::string &manifest_path);
 
-/** True when a manifest and its binary blob both exist on disk. */
-bool checkpointExists(const std::string &manifest_path);
-
 } // namespace sim
 } // namespace assassyn

@@ -8,6 +8,7 @@
 #include "core/compiler/walk.h"
 #include "sim/event_ctx.h"
 #include "support/bits.h"
+#include "support/hash.h"
 #include "support/logging.h"
 #include "support/profiler.h"
 
@@ -514,41 +515,6 @@ Program::compile(const System &sys, Evaluator ev)
         prog->attachCompiled();
     return prog;
 }
-
-namespace {
-
-/** Fold @p n bytes at @p p into @p h, a word at a time. */
-uint64_t
-hashBytes(uint64_t h, const void *p, size_t n)
-{
-    const auto *b = static_cast<const uint8_t *>(p);
-    auto mix = [&h](uint64_t w) {
-        h = (h ^ w) * 0x9e3779b97f4a7c15ull;
-        h ^= h >> 29;
-    };
-    mix(n);
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        uint64_t w;
-        std::memcpy(&w, b + i, 8);
-        mix(w);
-    }
-    uint64_t tail = 0;
-    if (i < n)
-        std::memcpy(&tail, b + i, n - i);
-    mix(tail);
-    return h;
-}
-
-template <typename T>
-bool
-sameBytes(const std::vector<T> &mine, const T *theirs, size_t n)
-{
-    return mine.size() == n &&
-           (n == 0 || std::memcmp(mine.data(), theirs, n * sizeof(T)) == 0);
-}
-
-} // namespace
 
 /**
  * Look this tape up among the generated evaluators linked into the

@@ -91,11 +91,12 @@ struct StageSpan {
 struct CompiledTape; // sim/event_ctx.h
 
 /**
- * Which evaluator runs a Program's tape spans. kCompiled attaches the
- * generated straight-line code of a catalog design whose tape matches
- * byte for byte (docs/architecture.md "Compiled evaluators") and falls
- * back to the interpreter otherwise; kTape always interprets, for the
- * tests and benchmarks that compare the two.
+ * Which evaluator runs a tape: a Program's spans or an rtl::Netlist's
+ * cones. kCompiled attaches the generated straight-line code of a
+ * catalog design whose tape matches byte for byte (docs/architecture.md
+ * "Compiled evaluators") and falls back to the interpreter otherwise;
+ * kTape always interprets, for the tests and benchmarks that compare
+ * the two.
  */
 enum class Evaluator { kCompiled, kTape };
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <set>
 
+#include "rtl/netlist.h"
 #include "support/logging.h"
 
 namespace assassyn {
@@ -130,6 +131,15 @@ stepBody(const Program &prog, uint32_t i, std::set<uint32_t> &targets)
     return text;
 }
 
+/** Step @p i of a generated `kTape`, its row text @p body in scope of
+ *  `s`, the step as a constant the C++ compiler folds. */
+std::string
+stepBlock(uint32_t i, const std::string &body)
+{
+    return "    { [[maybe_unused]] constexpr const DStep *s = &kTape[" +
+           std::to_string(i) + "]; " + body + " }\n";
+}
+
 /** The function of span [@p begin, @p end) named @p fn. */
 std::string
 emitSpan(const Program &prog, const std::string &fn, uint32_t begin,
@@ -148,8 +158,7 @@ emitSpan(const Program &prog, const std::string &fn, uint32_t begin,
     for (uint32_t i = begin; i < end; ++i) {
         if (targets.count(i))
             out += label(i) + ":;\n";
-        out += "    { [[maybe_unused]] constexpr const DStep *s = &kTape[" +
-               std::to_string(i) + "]; " + bodies[i - begin] + " }\n";
+        out += stepBlock(i, bodies[i - begin]);
     }
     if (targets.count(end))
         out += label(end) + ":;\n";
@@ -168,24 +177,11 @@ list(size_t n, size_t per_line, Fn item)
     return out + "\n}";
 }
 
-} // namespace
-
+/** `constexpr DStep kTape[] = {...};` over @p tape. */
 std::string
-emitCompiledTape(const Program &prog, const std::string &symbol,
-                 const std::string &designs)
+tapeArray(const std::vector<DStep> &tape)
 {
-    const std::vector<DStep> &tape = prog.tape();
-    const std::vector<uint32_t> &sw = prog.switchTable();
-    const std::vector<StageSpan> &spans = prog.spans();
-    const std::vector<uint64_t> &init = prog.slotInit();
-    std::string out;
-    out += "// Generated by assassyn_tapegen (src/sim/tapegen.cc) from the "
-           "design catalog;\n// do not edit. Designs: " +
-           designs + "\n";
-    out += "#include \"sim/event_ctx.h\"\n\nnamespace assassyn {\n"
-           "namespace sim {\nnamespace {\nnamespace " +
-           symbol + "_ {\n\n";
-    out += "constexpr DStep kTape[] = " +
+    return "constexpr DStep kTape[] = " +
            list(tape.size(), 1,
                 [&](size_t i) {
                     const DStep &s = tape[i];
@@ -196,6 +192,60 @@ emitCompiledTape(const Program &prog, const std::string &symbol,
                                   s.u.mask);
                 }) +
            ";\n\n";
+}
+
+/** The first lines of a generated evaluator shared by @p designs. */
+std::string
+heading(const std::string &designs)
+{
+    return "// Generated by assassyn_tapegen (src/sim/tapegen.cc) from the "
+           "design catalog;\n// do not edit. Designs: " +
+           designs + "\n";
+}
+
+/**
+ * The registry of @p symbols in namespace assassyn::@p ns: the
+ * definition of `<type>s <fn>()`, declared in @p header.
+ */
+std::string
+emitRegistry(const std::string &header, const std::string &ns,
+             const std::string &type, const std::string &fn,
+             const std::vector<std::string> &symbols)
+{
+    std::string out =
+        "// Generated by assassyn_tapegen (src/sim/tapegen.cc); do not "
+        "edit.\n#include \"" +
+        header + "\"\n\nnamespace assassyn {\nnamespace " + ns + " {\n\n";
+    for (const std::string &sym : symbols)
+        out += "extern const " + type + " " + sym + ";\n";
+    out += "\nnamespace {\nconst " + type + " *const kAll[] = " +
+           list(std::max<size_t>(symbols.size(), 1), 1,
+                [&](size_t i) {
+                    return i < symbols.size() ? "&" + symbols[i]
+                                              : std::string("nullptr");
+                }) +
+           ";\n} // namespace\n\n";
+    out += type + "s\n" + fn + "()\n{\n    return {kAll, " +
+           std::to_string(symbols.size()) + "};\n}\n\n";
+    out += "} // namespace " + ns + "\n} // namespace assassyn\n";
+    return out;
+}
+
+} // namespace
+
+std::string
+emitCompiledTape(const Program &prog, const std::string &symbol,
+                 const std::string &designs)
+{
+    const std::vector<DStep> &tape = prog.tape();
+    const std::vector<uint32_t> &sw = prog.switchTable();
+    const std::vector<StageSpan> &spans = prog.spans();
+    const std::vector<uint64_t> &init = prog.slotInit();
+    std::string out = heading(designs);
+    out += "#include \"sim/event_ctx.h\"\n\nnamespace assassyn {\n"
+           "namespace sim {\nnamespace {\nnamespace " +
+           symbol + "_ {\n\n";
+    out += tapeArray(tape);
     // Empty tables keep one unused element: C++ has no empty arrays.
     out += "constexpr uint32_t kSwitchTable[] = " +
            list(std::max<size_t>(sw.size(), 1), 12,
@@ -261,23 +311,64 @@ emitCompiledTape(const Program &prog, const std::string &symbol,
 std::string
 emitTapeRegistry(const std::vector<std::string> &symbols)
 {
-    std::string out =
-        "// Generated by assassyn_tapegen (src/sim/tapegen.cc); do not "
-        "edit.\n#include \"sim/event_ctx.h\"\n\nnamespace assassyn {\n"
-        "namespace sim {\n\n";
-    for (const std::string &sym : symbols)
-        out += "extern const CompiledTape " + sym + ";\n";
-    out += "\nnamespace {\nconst CompiledTape *const kAll[] = " +
-           list(std::max<size_t>(symbols.size(), 1), 1,
-                [&](size_t i) {
-                    return i < symbols.size() ? "&" + symbols[i]
-                                              : std::string("nullptr");
+    return emitRegistry("sim/event_ctx.h", "sim", "CompiledTape",
+                        "compiledTapes", symbols);
+}
+
+std::string
+emitCompiledNetlist(const rtl::Netlist &nl, const std::string &symbol,
+                    const std::string &designs)
+{
+    const std::vector<DStep> &tape = nl.tape();
+    const std::vector<rtl::Cone> &cones = nl.cones();
+    if (cones.empty())
+        panic("tape emitter: a netlist without cones has no compiled "
+              "evaluator");
+    std::string out = heading(designs);
+    out += "#include \"rtl/compiled_netlist.h\"\n\nnamespace assassyn {\n"
+           "namespace rtl {\nnamespace {\nnamespace " +
+           symbol + "_ {\n\nusing sim::DStep;\n\n";
+    out += tapeArray(tape);
+    out += "constexpr ConeRange kCones[] = " +
+           list(cones.size(), 4,
+                [&](size_t c) {
+                    return format("{%" PRIu32 ", %" PRIu32 "}",
+                                  cones[c].begin, cones[c].end);
                 }) +
-           ";\n} // namespace\n\n";
-    out += "CompiledTapes\ncompiledTapes()\n{\n    return {kAll, " +
-           std::to_string(symbols.size()) + "};\n}\n\n";
-    out += "} // namespace sim\n} // namespace assassyn\n";
+           ";\n\n";
+    // A cone is one basic block: the pure rows have no exits.
+    for (size_t c = 0; c < cones.size(); ++c) {
+        out += "void\ncone" + std::to_string(c) +
+               "([[maybe_unused]] uint64_t *v,\n    [[maybe_unused]] const "
+               "sim::RunState::Array *ast)\n{\n";
+        for (uint32_t i = cones[c].begin; i < cones[c].end; ++i) {
+            if (tape[i].op >= kPureDOps)
+                panic("tape emitter: netlist step ", i, " is not pure");
+            out += stepBlock(i, kRowText[tape[i].op]);
+        }
+        out += "}\n\n";
+    }
+    out += "constexpr ConeFn kConeFns[] = " +
+           list(cones.size(), 4,
+                [](size_t c) { return "cone" + std::to_string(c); }) +
+           ";\n\n";
+    out += "} // namespace " + symbol + "_\n} // namespace\n\n";
+    out += "extern const CompiledNetlist " + symbol + ";\n";
+    out += "const CompiledNetlist " + symbol + " = {\n";
+    out += format("    0x%" PRIx64 "ull,\n", nl.fingerprint());
+    const std::string ns = "    " + symbol + "_::";
+    out += ns + "kTape, " + std::to_string(tape.size()) + ",\n";
+    out += ns + "kCones, " + std::to_string(cones.size()) + ",\n";
+    out += ns + "kConeFns,\n};\n\n";
+    out += "} // namespace rtl\n} // namespace assassyn\n";
     return out;
+}
+
+std::string
+emitNetlistRegistry(const std::vector<std::string> &symbols)
+{
+    return emitRegistry("rtl/compiled_netlist.h", "rtl", "CompiledNetlist",
+                        "compiledNetlists", symbols);
 }
 
 } // namespace sim

@@ -10,6 +10,11 @@
  * distinct tape of the design catalog; Program::compile() attaches it
  * to any Program whose tape matches it byte for byte
  * (docs/architecture.md "Compiled evaluators").
+ *
+ * The same rows compile the netlist engine's cell tape: every cone of
+ * an rtl::Netlist becomes one straight-line function of its pure steps
+ * (rtl/compiled_netlist.h), attached by the Netlist constructor on the
+ * same byte check.
  */
 #pragma once
 
@@ -20,6 +25,10 @@
 #include "sim/program.h"
 
 namespace assassyn {
+namespace rtl {
+class Netlist;
+} // namespace rtl
+
 namespace sim {
 
 /**
@@ -33,6 +42,19 @@ std::string emitCompiledTape(const Program &prog, const std::string &symbol,
 
 /** The C++ source of the registry listing @p symbols (compiledTapes()). */
 std::string emitTapeRegistry(const std::vector<std::string> &symbols);
+
+/**
+ * The C++ source of the compiled evaluator of @p nl's cones, which must
+ * not be empty. It defines `const rtl::CompiledNetlist <symbol>` in
+ * namespace assassyn::rtl; @p designs heads it as a comment.
+ */
+std::string emitCompiledNetlist(const rtl::Netlist &nl,
+                                const std::string &symbol,
+                                const std::string &designs);
+
+/** The C++ source of the registry listing @p symbols
+ *  (rtl::compiledNetlists()). */
+std::string emitNetlistRegistry(const std::vector<std::string> &symbols);
 
 } // namespace sim
 } // namespace assassyn

@@ -1,19 +1,22 @@
 /**
  * @file
- * The tape generator: compiles every design of the catalog
- * (baseline/catalog.h), keeps one copy of each distinct tape, and
- * writes the compiled evaluator of each (sim/tape_emit.h) plus the
- * registry compiledTapes() reads:
+ * The tape generator: compiles and elaborates every design of the
+ * catalog (baseline/catalog.h), keeps one copy of each distinct event
+ * tape and of each distinct netlist, and writes the compiled evaluator
+ * of each (sim/tape_emit.h) plus the registries compiledTapes() and
+ * rtl::compiledNetlists() read:
  *
  *   assassyn_tapegen <out_dir> <shards>
  *
- * writes <out_dir>/tapes_<k>.cc for k < shards (distinct tapes dealt
- * round-robin in catalog order, so the build compiles them in
- * parallel) and <out_dir>/registry.cc. The output depends only on the
- * catalog and the compiler passes: the same sources give byte-identical
- * files (the tapegen_deterministic ctest). The generator links the
- * simulator without any generated code (tapegen_registry.cc), so every
- * Program it compiles is interpreted.
+ * writes <out_dir>/tapes_<k>.cc and <out_dir>/netlists_<k>.cc for
+ * k < shards (distinct tapes and netlists dealt round-robin in catalog
+ * order, so the build compiles them in parallel), <out_dir>/registry.cc
+ * and <out_dir>/netlist_registry.cc. The output depends only on the
+ * catalog, the compiler passes and the netlist elaboration: the same
+ * sources give byte-identical files (the tapegen_deterministic ctest).
+ * The generator links the simulator and the netlist without any
+ * generated code (tapegen_registry.cc), so every Program and Netlist it
+ * builds is interpreted.
  */
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +25,7 @@
 #include <vector>
 
 #include "baseline/catalog.h"
+#include "rtl/netlist.h"
 #include "sim/tape_emit.h"
 #include "support/logging.h"
 
@@ -29,12 +33,31 @@ using namespace assassyn;
 
 namespace {
 
-/** One distinct tape and the catalog designs that compile to it. */
+/**
+ * One distinct tape or netlist: its fingerprint, the catalog index of
+ * the first design with it and the names of all of them. Equal
+ * fingerprints are taken as equal artifacts: should two distinct ones
+ * ever collide, the byte check of Program::compile() or of the Netlist
+ * constructor rejects the one left out and CompiledTape.CoversCatalog
+ * fails.
+ */
 struct Distinct {
-    std::unique_ptr<System> sys;
-    std::shared_ptr<const sim::Program> prog;
+    uint64_t fingerprint;
+    size_t first;
     std::string designs;
 };
+
+void
+addDesign(std::vector<Distinct> &distinct, uint64_t fingerprint,
+          size_t index, const std::string &name)
+{
+    for (Distinct &d : distinct)
+        if (d.fingerprint == fingerprint) {
+            d.designs += " " + name;
+            return;
+        }
+    distinct.push_back({fingerprint, index, name});
+}
 
 void
 writeFile(const std::string &path, const std::string &text)
@@ -56,40 +79,48 @@ main(int argc, char **argv)
     }
     const std::string out_dir = argv[1];
     const size_t shards = size_t(std::atoi(argv[2]));
-    std::vector<Distinct> distinct;
     const std::vector<baseline::CatalogDesign> catalog =
         baseline::designCatalog();
-    for (const baseline::CatalogDesign &d : catalog) {
-        std::unique_ptr<System> sys = d.build();
-        auto prog = sim::Program::compile(*sys);
-        bool seen = false;
-        // Equal fingerprints are taken as equal tapes: should two
-        // distinct tapes ever collide, Program::compile()'s byte check
-        // rejects the one left out and CompiledTape.CoversCatalog
-        // fails.
-        for (Distinct &t : distinct)
-            if (t.prog->fingerprint() == prog->fingerprint()) {
-                t.designs += " " + d.name;
-                seen = true;
-                break;
-            }
-        if (!seen)
-            distinct.push_back({std::move(sys), std::move(prog), d.name});
+    std::vector<std::unique_ptr<System>> systems;
+    std::vector<std::shared_ptr<const sim::Program>> progs;
+    std::vector<std::unique_ptr<rtl::Netlist>> netlists;
+    std::vector<Distinct> tapes, nets;
+    for (size_t i = 0; i < catalog.size(); ++i) {
+        systems.push_back(catalog[i].build());
+        progs.push_back(sim::Program::compile(*systems.back()));
+        netlists.push_back(std::make_unique<rtl::Netlist>(*systems.back()));
+        addDesign(tapes, progs.back()->fingerprint(), i, catalog[i].name);
+        addDesign(nets, netlists.back()->fingerprint(), i, catalog[i].name);
     }
-    std::vector<std::string> symbols, sources(shards);
-    for (size_t i = 0; i < distinct.size(); ++i) {
-        symbols.push_back("kCompiledTape" + std::to_string(i));
-        sources[i % shards] += sim::emitCompiledTape(
-            *distinct[i].prog, symbols.back(), distinct[i].designs);
+    std::vector<std::string> tape_syms, net_syms;
+    std::vector<std::string> tape_srcs(shards), net_srcs(shards);
+    for (size_t i = 0; i < tapes.size(); ++i) {
+        tape_syms.push_back("kCompiledTape" + std::to_string(i));
+        tape_srcs[i % shards] += sim::emitCompiledTape(
+            *progs[tapes[i].first], tape_syms.back(), tapes[i].designs);
     }
-    for (size_t k = 0; k < shards; ++k)
-        writeFile(out_dir + "/tapes_" + std::to_string(k) + ".cc",
-                  sources[k].empty()
-                      ? "// Generated by assassyn_tapegen: no tape in "
-                        "this shard.\n"
-                      : sources[k]);
-    writeFile(out_dir + "/registry.cc", sim::emitTapeRegistry(symbols));
-    std::printf("tapegen: %zu catalog tapes (%zu distinct) in %zu shards\n",
-                catalog.size(), distinct.size(), shards);
+    for (size_t i = 0; i < nets.size(); ++i) {
+        net_syms.push_back("kCompiledNetlist" + std::to_string(i));
+        net_srcs[i % shards] += sim::emitCompiledNetlist(
+            *netlists[nets[i].first], net_syms.back(), nets[i].designs);
+    }
+    auto shard = [&](const std::string &stem, const std::string &src,
+                     const char *what) {
+        writeFile(out_dir + "/" + stem + ".cc",
+                  src.empty() ? std::string("// Generated by "
+                                            "assassyn_tapegen: no ") +
+                                    what + " in this shard.\n"
+                              : src);
+    };
+    for (size_t k = 0; k < shards; ++k) {
+        shard("tapes_" + std::to_string(k), tape_srcs[k], "tape");
+        shard("netlists_" + std::to_string(k), net_srcs[k], "netlist");
+    }
+    writeFile(out_dir + "/registry.cc", sim::emitTapeRegistry(tape_syms));
+    writeFile(out_dir + "/netlist_registry.cc",
+              sim::emitNetlistRegistry(net_syms));
+    std::printf("tapegen: %zu catalog designs: %zu distinct tapes, %zu "
+                "distinct netlists, in %zu shards\n",
+                catalog.size(), tapes.size(), nets.size(), shards);
     return 0;
 }

@@ -1,6 +1,8 @@
-// The registry of the tape generator itself, which links the simulator
-// before any tape is compiled: no compiled tapes, so every Program it
-// compiles is interpreted.
+// The registries of the tape generator itself, which links the
+// simulator and the netlist before any evaluator is generated: no
+// compiled tapes and no compiled netlists, so every Program and Netlist
+// it builds is interpreted.
+#include "rtl/compiled_netlist.h"
 #include "sim/event_ctx.h"
 
 namespace assassyn {
@@ -13,4 +15,14 @@ compiledTapes()
 }
 
 } // namespace sim
+
+namespace rtl {
+
+CompiledNetlists
+compiledNetlists()
+{
+    return {nullptr, 0};
+}
+
+} // namespace rtl
 } // namespace assassyn

@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -66,6 +67,14 @@ readAll(const std::string &path)
     std::ostringstream os;
     os << in.rdbuf();
     return os.str();
+}
+
+/** True when a manifest and its binary blob both exist on disk. */
+bool
+checkpointOnDisk(const std::string &manifest)
+{
+    return std::filesystem::exists(manifest) &&
+           std::filesystem::exists(manifest + ".bin");
 }
 
 void
@@ -436,7 +445,7 @@ TEST(SweepCkptTest, ResumedInstanceMatchesCleanRun)
         sim::runSweep({periodic}, sim::eventInstance(prog), 1);
     ASSERT_TRUE(first.allOk());
     EXPECT_EQ(first.runs[0].end_cycle, clean.runs[0].end_cycle);
-    ASSERT_TRUE(sim::checkpointExists(manifest));
+    ASSERT_TRUE(checkpointOnDisk(manifest));
     const uint64_t at = sim::loadCheckpoint(manifest).cycle;
     ASSERT_GT(at, 0u);
     ASSERT_LT(at, clean.runs[0].end_cycle);
@@ -480,7 +489,7 @@ TEST(GradeCkptTest, SlicedAndResumedGradeReproducesVerdict)
     // and the verdict must still come out identical (the lockstep
     // cursor — ISS position, store cursor, shadow memory — travels in
     // the "grader" section).
-    ASSERT_TRUE(sim::checkpointExists(manifest));
+    ASSERT_TRUE(checkpointOnDisk(manifest));
     grader::GradeOptions ropts;
     ropts.resume_from = manifest;
     grader::Verdict resumed = grader::gradeProgram(
@@ -642,7 +651,7 @@ TEST(CkptCorruptionTest, DamagedBinaryOnDiskIsAStructuredFatal)
     ASSERT_EQ(s.run(50).status, sim::RunStatus::kMaxCycles);
     std::string manifest = tempPath("disk.ckpt.json");
     sim::saveCheckpoint(s.snapshot(), manifest);
-    ASSERT_TRUE(sim::checkpointExists(manifest));
+    ASSERT_TRUE(checkpointOnDisk(manifest));
 
     std::string bin_path = manifest + ".bin";
     std::string blob = readAll(bin_path);
@@ -665,7 +674,7 @@ TEST(CkptCorruptionTest, DamagedBinaryOnDiskIsAStructuredFatal)
 
     // Missing blob: structurally absent, not a crash.
     std::remove(bin_path.c_str());
-    EXPECT_FALSE(sim::checkpointExists(manifest));
+    EXPECT_FALSE(checkpointOnDisk(manifest));
     EXPECT_THROW(sim::loadCheckpoint(manifest), FatalError);
     removeCheckpoint(manifest);
 }

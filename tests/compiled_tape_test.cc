@@ -1,19 +1,23 @@
 /**
  * @file
- * Compiled event tapes against the interpreter (docs/architecture.md
+ * Compiled evaluators against the interpreters (docs/architecture.md
  * "Compiled evaluators"). Every catalog design (baseline/catalog.h) and
  * both grader cores over every corpus program run twice from the same
- * System: once on the generated straight-line code Program::compile()
- * attaches, once on the interpreted tape (Evaluator::kTape). Both must
+ * System on each engine: once on the generated straight-line code
+ * (the tape Program::compile() attaches, the cones the Netlist
+ * constructor attaches), once interpreted (Evaluator::kTape). Both must
  * agree byte for byte: metrics, captured logs, the VCD, timeline and
  * text-trace files, and the encoded snapshot at three cycles, with and
- * without shuffled stage order. A checkpoint of the compiled run must
- * also resume on the interpreter and on the netlist engine to the same
- * end state. CoversCatalog pins that every shipped design is compiled
- * and that any other design falls back to the interpreter.
+ * without shuffled stage order on the event engine. A checkpoint of
+ * the compiled run must also resume on the interpreter and on the other
+ * engine to the same end state, and the netlist's evaluators must stay
+ * identical after an array poke. CoversCatalog pins that every shipped
+ * design is compiled on both engines and that any other design, or a
+ * reordered netlist, falls back to the interpreter.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <filesystem>
 #include <fstream>
@@ -32,6 +36,7 @@
 #include "sim/ckpt.h"
 #include "sim/simulator.h"
 #include "support/rng.h"
+#include "tests/netlist_test_peer.h"
 
 namespace assassyn {
 namespace {
@@ -80,6 +85,17 @@ cases()
     return all;
 }
 
+/** A fresh scratch directory for test @p tag's output files. */
+std::string
+scratchDir(const std::string &tag)
+{
+    const std::string dir = (std::filesystem::temp_directory_path() /
+                             (tag + "_" + std::to_string(::getpid())))
+                                .string();
+    std::filesystem::create_directories(dir);
+    return dir;
+}
+
 std::string
 slurp(const std::string &path)
 {
@@ -99,6 +115,30 @@ struct Files {
     {
     }
 };
+
+/**
+ * The two runs' files must be byte-identical and the VCD nonempty. A
+ * mismatch names the first differing line rather than printing a diff
+ * of two whole files.
+ */
+void
+expectSameFiles(const Files &a, const Files &b, const std::string &what)
+{
+    const std::pair<std::string, std::string> pairs[] = {
+        {a.vcd, b.vcd}, {a.timeline, b.timeline}, {a.trace, b.trace}};
+    for (const auto &[pa, pb] : pairs) {
+        const std::string x = slurp(pa), y = slurp(pb);
+        if (x == y)
+            continue;
+        const auto diff = std::mismatch(x.begin(),
+                                        x.begin() + std::min(x.size(), y.size()),
+                                        y.begin());
+        ADD_FAILURE() << what << ": " << pa << " and " << pb
+                      << " differ from line "
+                      << std::count(x.begin(), diff.first, '\n') + 1;
+    }
+    EXPECT_FALSE(slurp(a.vcd).empty()) << what;
+}
 
 sim::SimOptions
 options(bool shuffle, const Files *files = nullptr)
@@ -136,12 +176,8 @@ TEST_P(CompiledTapeTest, MatchesTape)
 
     // The first kSnapAt.back() cycles with every output file on, the
     // snapshots compared along the way.
-    const std::string dir =
-        (std::filesystem::temp_directory_path() /
-         ("compiled_tape_" + std::to_string(::getpid()) + "_" +
-          std::to_string(std::get<0>(GetParam()))))
-            .string();
-    std::filesystem::create_directories(dir);
+    const std::string dir = scratchDir(
+        "compiled_tape_" + std::to_string(std::get<0>(GetParam())));
     const Files fc(dir + "/compiled"), ft(dir + "/tape");
     {
         sim::Simulator a(compiled, options(shuffle, &fc));
@@ -157,10 +193,7 @@ TEST_P(CompiledTapeTest, MatchesTape)
                 << c.name << ": snapshots differ at cycle " << a.cycle();
         }
     }
-    EXPECT_EQ(slurp(fc.vcd), slurp(ft.vcd)) << c.name;
-    EXPECT_EQ(slurp(fc.timeline), slurp(ft.timeline)) << c.name;
-    EXPECT_EQ(slurp(fc.trace), slurp(ft.trace)) << c.name;
-    EXPECT_FALSE(slurp(fc.vcd).empty());
+    expectSameFiles(fc, ft, c.name);
     std::filesystem::remove_all(dir);
 
     // Whole runs, and the compiled run's checkpoint resumed on the
@@ -204,6 +237,109 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range(size_t(0), cases().size()),
                        ::testing::Bool()),
     caseName);
+
+/** Run @p a and @p b on to cycle @p at; their snapshots must agree. */
+void
+expectSameAt(sim::Engine &a, sim::Engine &b, uint64_t at,
+             const std::string &what)
+{
+    const sim::RunResult ra = a.run(at - a.cycle());
+    const sim::RunResult rb = b.run(at - b.cycle());
+    ASSERT_EQ(ra.status, rb.status) << what;
+    ASSERT_EQ(a.cycle(), b.cycle()) << what;
+    EXPECT_EQ(sim::encodeSnapshot(a.snapshot()),
+              sim::encodeSnapshot(b.snapshot()))
+        << what << ": snapshots differ at cycle " << a.cycle();
+}
+
+class CompiledNetlistTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(CompiledNetlistTest, MatchesTape)
+{
+    const Case &c = cases()[GetParam()];
+    std::unique_ptr<System> sys = c.build();
+    const rtl::Netlist compiled(*sys);
+    const rtl::Netlist tape(*sys, sim::Evaluator::kTape);
+    ASSERT_NE(compiled.compiled(), nullptr) << c.name;
+    ASSERT_EQ(tape.compiled(), nullptr);
+
+    // The first kSnapAt.back() cycles with every output file on.
+    const std::string dir =
+        scratchDir("compiled_netlist_" + std::to_string(GetParam()));
+    const Files fc(dir + "/compiled"), ft(dir + "/tape");
+    {
+        rtl::NetlistSim a(compiled, options(false, &fc));
+        rtl::NetlistSim b(tape, options(false, &ft));
+        for (uint64_t at : kSnapAt) {
+            if (a.finished())
+                break;
+            expectSameAt(a, b, at, c.name);
+        }
+    }
+    expectSameFiles(fc, ft, c.name);
+    std::filesystem::remove_all(dir);
+
+    // Whole runs; each evaluator's checkpoint resumed on the other, and
+    // the compiled run's on the event engine.
+    rtl::NetlistSim a(compiled, options(false));
+    rtl::NetlistSim b(tape, options(false));
+    a.run(kCkptAt);
+    b.run(kCkptAt);
+    const sim::Snapshot ckpt_a = a.snapshot(), ckpt_b = b.snapshot();
+    a.run(kMaxCycles);
+    b.run(kMaxCycles);
+    ASSERT_TRUE(a.finished()) << c.name;
+    EXPECT_EQ(metricsOf(a), metricsOf(b)) << c.name;
+    EXPECT_EQ(a.logOutput(), b.logOutput()) << c.name;
+
+    rtl::NetlistSim on_tape(tape, options(false));
+    on_tape.restore(ckpt_a);
+    on_tape.run(kMaxCycles);
+    EXPECT_EQ(metricsOf(on_tape), metricsOf(a)) << c.name;
+    EXPECT_EQ(on_tape.logOutput(), a.logOutput()) << c.name;
+    rtl::NetlistSim on_compiled(compiled, options(false));
+    on_compiled.restore(ckpt_b);
+    on_compiled.run(kMaxCycles);
+    EXPECT_EQ(metricsOf(on_compiled), metricsOf(a)) << c.name;
+    EXPECT_EQ(on_compiled.logOutput(), a.logOutput()) << c.name;
+    sim::Simulator event(sim::Program::compile(*sys), options(false));
+    event.restore(ckpt_a);
+    event.run(kMaxCycles);
+    EXPECT_EQ(metricsOf(event), metricsOf(a)) << c.name;
+    EXPECT_EQ(event.logOutput(), a.logOutput()) << c.name;
+
+    // An array poke invalidates the gated cones reading the array on
+    // both evaluators alike (Engine::writeArray -> arrayPoked), after a
+    // restore as in a plain run. The poked design need not finish, so
+    // the two run a fixed window and compare their snapshots.
+    for (const bool restored : {false, true}) {
+        rtl::NetlistSim pa(compiled, options(false));
+        rtl::NetlistSim pb(tape, options(false));
+        if (restored) {
+            pa.restore(ckpt_a);
+            pb.restore(ckpt_a);
+        } else {
+            expectSameAt(pa, pb, kCkptAt, c.name);
+        }
+        const std::string what =
+            c.name + (restored ? " (poked after restore)" : " (poked)");
+        for (const auto &arr : sys->arrays()) {
+            const uint64_t flip = pa.readArray(arr.get(), 0) ^ 1;
+            pa.writeArray(arr.get(), 0, flip);
+            pb.writeArray(arr.get(), 0, flip);
+        }
+        expectSameAt(pa, pb, pa.cycle() + 2000, what);
+        EXPECT_EQ(metricsOf(pa), metricsOf(pb)) << what;
+        EXPECT_EQ(pa.logOutput(), pb.logOutput()) << what;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllDesigns, CompiledNetlistTest,
+    ::testing::Range(size_t(0), cases().size()),
+    [](const ::testing::TestParamInfo<size_t> &info) {
+        return caseName({std::make_tuple(info.param, false), info.index});
+    });
 
 /** A small random pipeline no catalog design shares a tape with. */
 std::unique_ptr<System>
@@ -249,9 +385,12 @@ TEST(CompiledTape, CoversCatalog)
         std::unique_ptr<System> sys = d.build();
         EXPECT_NE(sim::Program::compile(*sys)->compiled(), nullptr)
             << d.name << " has no compiled tape";
+        EXPECT_NE(rtl::Netlist(*sys).compiled(), nullptr)
+            << d.name << " has no compiled netlist";
     }
     // The grader builds its cores over a blank image of the program's
-    // memory size (grader/grader.cc); the tapes do not depend on it.
+    // memory size (grader/grader.cc); the tapes and netlists do not
+    // depend on it.
     for (uint32_t words : {256u, 4096u}) {
         std::vector<uint32_t> blank(words, 0);
         auto cpu = designs::buildCpu(designs::BranchPolicy::kTaken, blank);
@@ -260,6 +399,10 @@ TEST(CompiledTape, CoversCatalog)
             << "grader in-order core, " << words << " words";
         EXPECT_NE(sim::Program::compile(*ooo.sys)->compiled(), nullptr)
             << "grader OoO core, " << words << " words";
+        EXPECT_NE(rtl::Netlist(*cpu.sys).compiled(), nullptr)
+            << "grader in-order netlist, " << words << " words";
+        EXPECT_NE(rtl::Netlist(*ooo.sys).compiled(), nullptr)
+            << "grader OoO netlist, " << words << " words";
     }
     for (uint64_t seed : {1, 2, 3}) {
         std::unique_ptr<System> sys = randomDesign(seed);
@@ -268,7 +411,23 @@ TEST(CompiledTape, CoversCatalog)
         sim::Simulator s(prog);
         s.run(1000);
         EXPECT_TRUE(s.finished());
+        const rtl::Netlist nl(*sys);
+        EXPECT_EQ(nl.compiled(), nullptr) << "seed " << seed;
+        rtl::NetlistSim n(nl);
+        n.run(1000);
+        EXPECT_TRUE(n.finished());
     }
+    // A catalog netlist reordered away from creation order loses its
+    // cones (the full-sweep path) and with them its compiled evaluator.
+    std::unique_ptr<System> sys = baseline::designCatalog().front().build();
+    rtl::Netlist nl(*sys);
+    ASSERT_NE(nl.compiled(), nullptr);
+    std::vector<rtl::Cell> &cells = rtl::NetlistTestPeer::cells(nl);
+    std::reverse(cells.begin(), cells.end());
+    rtl::NetlistTestPeer::refinalize(nl);
+    ASSERT_TRUE(nl.levelized());
+    EXPECT_TRUE(nl.cones().empty());
+    EXPECT_EQ(nl.compiled(), nullptr);
 }
 
 } // namespace

@@ -19,28 +19,9 @@
 #include "rtl/netlist.h"
 #include "rtl/netlist_sim.h"
 #include "sim/simulator.h"
+#include "tests/netlist_test_peer.h"
 
 namespace assassyn {
-namespace rtl {
-
-/** White-box mutation hooks (friend of Netlist). */
-class NetlistTestPeer {
-  public:
-    static std::vector<Cell> &cells(Netlist &nl) { return nl.cells_; }
-
-    static uint32_t
-    addNet(Netlist &nl, unsigned bits, const std::string &name)
-    {
-        nl.net_bits_.push_back(bits);
-        nl.net_names_.push_back(name);
-        return static_cast<uint32_t>(nl.net_bits_.size() - 1);
-    }
-
-    static void refinalize(Netlist &nl) { nl.finalize(); }
-};
-
-} // namespace rtl
-
 namespace {
 
 using namespace dsl;

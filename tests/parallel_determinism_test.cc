@@ -169,6 +169,44 @@ TEST(ParallelDeterminismTest, SharedCompiledTapeIsByteIdentical)
     }
 }
 
+TEST(ParallelDeterminismTest, SharedCompiledNetlistIsByteIdentical)
+{
+    // A catalog design's netlist runs its generated cone functions: the
+    // threads share them and the tables through the one const Netlist,
+    // and must agree with each other and with the interpreted tape.
+    std::unique_ptr<System> sys;
+    for (const baseline::CatalogDesign &d : baseline::designCatalog())
+        if (d.name == "ooo")
+            sys = d.build();
+    ASSERT_NE(sys, nullptr);
+    const rtl::Netlist nl(*sys);
+    ASSERT_NE(nl.compiled(), nullptr);
+
+    constexpr int kThreads = 4;
+    std::vector<std::string> metrics(kThreads);
+    std::vector<std::vector<std::string>> logs(kThreads);
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t) {
+        pool.emplace_back([&, t] {
+            rtl::NetlistSim s(nl);
+            s.run(1'000'000);
+            EXPECT_TRUE(s.finished());
+            metrics[t] = s.metrics().toJson("ooo");
+            logs[t] = s.logOutput();
+        });
+    }
+    for (std::thread &th : pool)
+        th.join();
+    const rtl::Netlist tape_nl(*sys, sim::Evaluator::kTape);
+    rtl::NetlistSim tape(tape_nl);
+    tape.run(1'000'000);
+    ASSERT_TRUE(tape.finished());
+    for (int t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(metrics[t], tape.metrics().toJson("ooo")) << "thread " << t;
+        EXPECT_EQ(logs[t], tape.logOutput()) << "thread " << t;
+    }
+}
+
 TEST(ParallelDeterminismTest, SharedNetlistSupportsConcurrentSims)
 {
     auto sys = buildPipeline("par_shared_netlist");

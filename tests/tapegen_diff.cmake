@@ -1,12 +1,19 @@
 # Determinism of the tape generator (src/sim/tapegen.cc): rerun it into
-# a fresh directory and require every file it writes to equal the
-# build's generated sources byte for byte.
+# a fresh directory and require every file it writes, compiled tapes
+# and compiled netlists alike, to equal the build's generated sources
+# byte for byte.
 #   cmake -DTAPEGEN=<generator> -DREF=<generated dir> -DOUT=<fresh dir>
 #         -P tapegen_diff.cmake
 file(GLOB shards RELATIVE ${REF} ${REF}/tapes_*.cc)
+file(GLOB netlist_shards RELATIVE ${REF} ${REF}/netlists_*.cc)
 list(LENGTH shards count)
+list(LENGTH netlist_shards netlist_count)
 if(count EQUAL 0)
     message(FATAL_ERROR "no generated tapes under ${REF}")
+endif()
+if(NOT netlist_count EQUAL count)
+    message(FATAL_ERROR
+            "${REF} has ${count} tape shards but ${netlist_count} netlist shards")
 endif()
 file(REMOVE_RECURSE ${OUT})
 file(MAKE_DIRECTORY ${OUT})

@@ -19,7 +19,7 @@
  *    one-command replay repro;
  *  - assassyn.debug.v1 (src/debug): the time-travel session summary —
  *    keyframe accounting, re-executed cycles, and break/watch hits;
- *  - assassyn.bench.fig16.v5 (bench/fig16_sim_speed.cc): the tracked
+ *  - assassyn.bench.fig16.v6 (bench/fig16_sim_speed.cc): the tracked
  *    throughput report at the repo root.
  *
  * The validators work on the raw JSON through support/jsonv.h — not
@@ -530,7 +530,7 @@ TEST(ValidateReports, BenchFig16V3TrackedReportIsWellFormed)
                        "/BENCH_fig16.json";
     jsonv::Value doc = parseFile(path);
     ASSERT_TRUE(doc.isObject()) << path;
-    EXPECT_EQ(field(doc, "schema").string, "assassyn.bench.fig16.v5");
+    EXPECT_EQ(field(doc, "schema").string, "assassyn.bench.fig16.v6");
     EXPECT_TRUE(field(doc, "smoke").isNumber());
     // Timing methodology is explicit — run-only wall-clock over `reps`
     // repetitions, build time reported per backend per run.
@@ -549,12 +549,13 @@ TEST(ValidateReports, BenchFig16V3TrackedReportIsWellFormed)
         EXPECT_GT(field(run, "asyn_build_seconds").number, 0.0);
         EXPECT_GT(field(run, "rtl_build_seconds").number, 0.0);
         // v5: the interpreted tape's throughput beside the compiled
-        // one's.
+        // one's; v6: the same for the netlist engine.
         EXPECT_GT(field(run, "asyn_tape_cps").number, 0.0);
+        EXPECT_GT(field(run, "rtl_tape_cps").number, 0.0);
         // v4: each engine's `*_cps` is the median rep, bracketed by the
         // slowest and fastest reps.
         for (const std::string key :
-             {"asyn_cps", "asyn_tape_cps", "rtl_cps"}) {
+             {"asyn_cps", "asyn_tape_cps", "rtl_cps", "rtl_tape_cps"}) {
             double median = field(run, key.c_str()).number;
             EXPECT_LE(field(run, (key + "_min").c_str()).number, median)
                 << key;
