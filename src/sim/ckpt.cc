@@ -278,8 +278,15 @@ Snapshot::reader(const std::string &name) const
                       "section '" + name + "'");
 }
 
+namespace {
+
+/**
+ * encodeSnapshot(), also returning each section's CRC (@p crcs) and the
+ * file CRC (@p file_crc, over every byte before it): the manifest reuses
+ * them instead of hashing the bytes again.
+ */
 std::vector<uint8_t>
-encodeSnapshot(const Snapshot &snap)
+encode(const Snapshot &snap, std::vector<uint32_t> &crcs, uint32_t &file_crc)
 {
     ByteWriter w;
     for (char c : kMagic)
@@ -289,18 +296,27 @@ encodeSnapshot(const Snapshot &snap)
     w.str(snap.engine);
     w.u64(snap.cycle);
     w.u32(uint32_t(snap.sections.size()));
+    crcs.clear();
     for (const SnapshotSection &s : snap.sections) {
+        crcs.push_back(crc32(s.bytes.data(), s.bytes.size()));
         w.str(s.name);
         w.u64(s.bytes.size());
-        w.u32(crc32(s.bytes.data(), s.bytes.size()));
+        w.u32(crcs.back());
         w.raw(s.bytes.data(), s.bytes.size());
     }
-    w.u32(crc32(w.bytes().data(), w.bytes().size()));
+    file_crc = crc32(w.bytes().data(), w.bytes().size());
+    w.u32(file_crc);
     return w.take();
 }
 
+/**
+ * decodeSnapshot(), also returning each section's verified CRC
+ * (@p crcs). @p file_crc, when not null, is the CRC of every byte
+ * before the trailing file CRC, already computed by the caller.
+ */
 Snapshot
-decodeSnapshot(const uint8_t *data, size_t size)
+decode(const uint8_t *data, size_t size, const uint32_t *file_crc,
+       std::vector<uint32_t> &crcs)
 {
     ByteReader r(data, size, "binary");
     for (size_t i = 0; i < sizeof(kMagic); ++i)
@@ -319,6 +335,7 @@ decodeSnapshot(const uint8_t *data, size_t size)
     if (count > kMaxSections)
         fatal("checkpoint: section count ", count, " exceeds the cap of ",
               kMaxSections);
+    crcs.clear();
     for (uint32_t i = 0; i < count; ++i) {
         SnapshotSection s;
         s.name = r.str(kMaxNameLen);
@@ -338,12 +355,14 @@ decodeSnapshot(const uint8_t *data, size_t size)
         if (snap.find(s.name))
             fatal("checkpoint: duplicate section '", s.name, "'");
         snap.sections.push_back(std::move(s));
+        crcs.push_back(computed);
     }
     if (r.remaining() != 4)
         fatal("checkpoint: expected the 4-byte file CRC at byte ",
               r.offset(), ", found ", r.remaining(), " byte(s)");
     uint32_t stored_file_crc = r.u32();
-    uint32_t computed_file_crc = crc32(data, size - 4);
+    uint32_t computed_file_crc =
+        file_crc ? *file_crc : crc32(data, size - 4);
     if (stored_file_crc != computed_file_crc)
         fatal("checkpoint: file CRC mismatch (stored 0x", std::hex,
               stored_file_crc, ", computed 0x", computed_file_crc,
@@ -351,10 +370,37 @@ decodeSnapshot(const uint8_t *data, size_t size)
     return snap;
 }
 
+/** The CRC of a whole blob from the CRC of all but its last 4 bytes:
+ *  crc32() continues from its seed. */
+uint32_t
+blobCrc(const uint8_t *data, size_t size, uint32_t head_crc)
+{
+    return crc32(data + size - 4, 4, head_crc);
+}
+
+} // namespace
+
+std::vector<uint8_t>
+encodeSnapshot(const Snapshot &snap)
+{
+    std::vector<uint32_t> crcs;
+    uint32_t file_crc;
+    return encode(snap, crcs, file_crc);
+}
+
+Snapshot
+decodeSnapshot(const uint8_t *data, size_t size)
+{
+    std::vector<uint32_t> crcs;
+    return decode(data, size, nullptr, crcs);
+}
+
 void
 saveCheckpoint(const Snapshot &snap, const std::string &manifest_path)
 {
-    std::vector<uint8_t> blob = encodeSnapshot(snap);
+    std::vector<uint32_t> crcs;
+    uint32_t file_crc;
+    std::vector<uint8_t> blob = encode(snap, crcs, file_crc);
     std::string binary_path = manifest_path + ".bin";
     std::string binary_name = binary_path;
     size_t slash = binary_name.find_last_of('/');
@@ -376,17 +422,18 @@ saveCheckpoint(const Snapshot &snap, const std::string &manifest_path)
     j.key("binary_bytes");
     j.value(uint64_t(blob.size()));
     j.key("binary_crc32");
-    j.value(uint64_t(crc32(blob.data(), blob.size())));
+    j.value(uint64_t(blobCrc(blob.data(), blob.size(), file_crc)));
     j.key("sections");
     j.beginArray();
-    for (const SnapshotSection &s : snap.sections) {
+    for (size_t i = 0; i < snap.sections.size(); ++i) {
+        const SnapshotSection &s = snap.sections[i];
         j.beginObject();
         j.key("name");
         j.value(s.name);
         j.key("bytes");
         j.value(uint64_t(s.bytes.size()));
         j.key("crc32");
-        j.value(uint64_t(crc32(s.bytes.data(), s.bytes.size())));
+        j.value(uint64_t(crcs[i]));
         j.endObject();
     }
     j.endArray();
@@ -441,14 +488,21 @@ loadCheckpoint(const std::string &manifest_path)
         fatal("checkpoint: binary '", binary_path, "' is ", blob.size(),
               " byte(s), manifest expects ", need("binary_bytes").u64());
     const uint8_t *data = reinterpret_cast<const uint8_t *>(blob.data());
-    uint32_t file_crc = crc32(data, blob.size());
-    if (file_crc != uint32_t(need("binary_crc32").u64()))
+    // The CRC of all but the last 4 bytes is the file CRC decode()
+    // checks, so it is computed once and extended to the whole blob.
+    const bool framed = blob.size() >= 4;
+    const uint32_t head_crc = framed ? crc32(data, blob.size() - 4) : 0;
+    const uint32_t blob_crc = framed ? blobCrc(data, blob.size(), head_crc)
+                                     : crc32(data, blob.size());
+    if (blob_crc != uint32_t(need("binary_crc32").u64()))
         fatal("checkpoint: binary '", binary_path,
               "' CRC mismatch (manifest 0x", std::hex,
               uint32_t(need("binary_crc32").u64()), ", computed 0x",
-              file_crc, std::dec, ")");
+              blob_crc, std::dec, ")");
 
-    Snapshot snap = decodeSnapshot(data, blob.size());
+    std::vector<uint32_t> crcs;
+    Snapshot snap =
+        decode(data, blob.size(), framed ? &head_crc : nullptr, crcs);
     if (snap.design != need("design").string ||
         snap.engine != need("engine").string ||
         snap.cycle != need("cycle").u64())
@@ -468,7 +522,7 @@ loadCheckpoint(const std::string &manifest_path)
         const SnapshotSection &s = snap.sections[i];
         if (!name || !bytes || !crc || name->string != s.name ||
             bytes->u64() != s.bytes.size() ||
-            uint32_t(crc->u64()) != crc32(s.bytes.data(), s.bytes.size()))
+            uint32_t(crc->u64()) != crcs[i])
             fatal("checkpoint: manifest '", manifest_path,
                   "' disagrees with the binary on section '", s.name,
                   "' (index ", i, ")");

@@ -261,21 +261,22 @@ struct RunState {
     Histogram foldedOccupancy(const Fifo &f) const;
 
     /**
-     * Commit one FIFO at the clock edge of the current cycle: fold the
-     * open occupancy span, dequeue (when @p deq and nonempty), then
-     * enqueue @p value (when @p push) under the port's overflow policy,
-     * and sample the end-of-cycle occupancy. A push into a full FIFO is
+     * Commit one FIFO at the clock edge of the current cycle: dequeue
+     * (when @p deq and nonempty), then enqueue @p value (when @p push)
+     * under the port's overflow policy. A push into a full FIFO is
      * dropped and counted under kDropNewest and a fatal overflow
      * otherwise (kStallProducer cannot get here: its gate keeps
-     * producers from executing while full). Returns true when the
-     * FIFO's contents changed.
+     * producers from executing while full). Only a change of occupancy
+     * touches the histogram: it folds the open span at the old count,
+     * and this cycle's end-of-cycle occupancy opens the next one.
+     * Returns true when the FIFO's contents changed.
      */
     bool
     commitFifo(uint32_t fid, bool deq, bool push, uint64_t value,
                const Module *src)
     {
         Fifo &f = fifos[fid];
-        recordN(f.occupancy, f.count, cycle - f.sampled_until);
+        const uint32_t before = f.count;
         bool changed = false;
         if (deq && f.count) {
             f.head = (f.head + 1) & f.mask;
@@ -299,8 +300,10 @@ struct RunState {
                 changed = true;
             }
         }
-        f.occupancy.record(f.count);
-        f.sampled_until = cycle + 1;
+        if (f.count != before) {
+            recordN(f.occupancy, before, cycle - f.sampled_until);
+            f.sampled_until = cycle;
+        }
         return changed;
     }
 

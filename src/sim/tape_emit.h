@@ -5,11 +5,14 @@
  * active span becomes one straight-line C++ function whose steps are
  * the rows of sim/tape.h, stringified and specialized on a `constexpr`
  * DStep each, so the C++ compiler folds operands, masks and slot
- * offsets; skips become gotos and each kSwitch a C++ switch over its
- * table. The tape generator (sim/tapegen.cc) writes one such source per
- * distinct tape of the design catalog; Program::compile() attaches it
- * to any Program whose tape matches it byte for byte
- * (docs/architecture.md "Compiled evaluators").
+ * offsets; skips become gotos, each kSwitch a C++ switch over its
+ * table, and a slot no other span reads a C++ local. Next to the spans
+ * it prints the Program's schedule as the tables of a generated cycle
+ * (sim/event_cycle.h). The tape generator (sim/tapegen.cc) writes one
+ * such source per distinct tape of the design catalog;
+ * Program::compile() attaches its spans to any Program whose tape
+ * matches it byte for byte, and its cycle when the schedule matches
+ * too (docs/architecture.md "Compiled evaluators").
  *
  * The same rows compile the netlist engine's cell tape: every cone of
  * an rtl::Netlist becomes one straight-line function of its pure steps
