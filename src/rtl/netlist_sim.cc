@@ -244,8 +244,7 @@ struct NetlistSim::Impl {
                 break;
               case MonitorBlock::Kind::kAssert:
                 if (!nets[mon.args[0]])
-                    fatal("cycle ", cycle, ": assertion failed: ",
-                          static_cast<const AssertInst *>(mon.inst)->msg());
+                    rs.assertFailed(*static_cast<const AssertInst *>(mon.inst));
                 break;
               case MonitorBlock::Kind::kFinish:
                 finish_req = true;
@@ -276,30 +275,26 @@ struct NetlistSim::Impl {
                 }
             }
             if (pushes > 1)
-                fatal("cycle ", cycle, ": multiple pushes to FIFO '",
-                      blk.port->fullName(), "' in one cycle");
+                rs.multiplePushes(block_fifo[i]);
             progress |= rs.commitFifo(block_fifo[i], deq, pushes == 1,
                                       truncate(data, blk.width), push_src);
         }
         for (size_t i = 0; i < nl.arrays().size(); ++i) {
             const ArrayBlock &blk = nl.arrays()[i];
+            sim::RunState::Array &a = rs.arrays[i];
             int writes = 0;
             uint64_t idx = 0, data = 0;
             for (const WriteSite &site : blk.writes) {
                 if (nets[site.enable]) {
-                    ++writes;
                     idx = nets[site.index];
                     data = nets[site.data];
+                    // Range before count, as the event engine's
+                    // kArrayWrite checks it.
+                    if (idx >= a.size || ++writes > 1)
+                        rs.badArrayWrite(uint32_t(i), idx);
                 }
             }
-            if (writes > 1)
-                fatal("cycle ", cycle, ": register array '",
-                      blk.array->name(), "' written twice in one cycle");
             if (writes == 1) {
-                sim::RunState::Array &a = rs.arrays[i];
-                if (idx >= a.size)
-                    fatal("cycle ", cycle, ": out-of-range write to '",
-                          blk.array->name(), "[", idx, "]'");
                 a.data[idx] =
                     truncate(data, blk.array->elemType().bits());
                 ++a.writes;

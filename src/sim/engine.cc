@@ -123,6 +123,30 @@ RunState::overflow(const Fifo &f, const Module *src) const
 }
 
 void
+RunState::multiplePushes(uint32_t fid) const
+{
+    fatal("cycle ", cycle, ": multiple pushes to FIFO '",
+          fifos[fid].port->fullName(), "' in one cycle");
+}
+
+void
+RunState::badArrayWrite(uint32_t aid, uint64_t idx) const
+{
+    const Array &a = arrays[aid];
+    if (idx >= a.size)
+        fatal("cycle ", cycle, ": out-of-range write to '", a.array->name(),
+              "[", idx, "]'");
+    fatal("cycle ", cycle, ": register array '", a.array->name(),
+          "' written twice in one cycle");
+}
+
+void
+RunState::assertFailed(const AssertInst &as) const
+{
+    fatal("cycle ", cycle, ": assertion failed: ", as.msg());
+}
+
+void
 RunState::counterOverflow(const Stage &s, uint64_t next) const
 {
     fatal("cycle ", cycle, ": event counter overflow on stage '",

@@ -365,6 +365,18 @@ struct RunState {
         h.samples += n;
     }
 
+    /**
+     * The design faults both engines raise, each message written once:
+     * a second push into FIFO @p fid this cycle; a write to array
+     * @p aid at @p idx that is out of range, or else its second write
+     * this cycle; a failed assertion @p as. Engine::run reports them as
+     * RunResult::kFault.
+     */
+    [[gnu::noinline, noreturn]] void multiplePushes(uint32_t fid) const;
+    [[gnu::noinline, noreturn]] void badArrayWrite(uint32_t aid,
+                                                   uint64_t idx) const;
+    [[gnu::noinline, noreturn]] void assertFailed(const AssertInst &as) const;
+
   private:
     [[noreturn]] void overflow(const Fifo &f, const Module *src) const;
     [[noreturn]] void counterOverflow(const Stage &s, uint64_t next) const;

@@ -8,8 +8,8 @@
  *
  * The buffered-effect records are the event engine's private per-cycle
  * state, indexed like RunState; the EventCtx points at them plus the
- * run state the rows read, and carries the cold paths (fatal errors,
- * log emission) out of line so that neither evaluator inlines them.
+ * run state the rows read, and carries log emission out of line so
+ * that neither evaluator inlines it.
  */
 #pragma once
 
@@ -75,11 +75,8 @@ struct EventCtx {
     RunState *st = nullptr;
     const Program *prog = nullptr;
 
-    // The cold paths, out of line (sim/simulator.cc).
-    [[gnu::noinline, noreturn]] void multiplePushes(uint32_t fid) const;
-    [[gnu::noinline, noreturn]] void badArrayWrite(uint32_t aid,
-                                                   uint64_t idx) const;
-    [[gnu::noinline, noreturn]] void assertFailed(uint32_t idx) const;
+    // The cold log path, out of line (sim/simulator.cc); the faults
+    // are st's (RunState::multiplePushes and the rest).
     [[gnu::noinline]] void emitLog(uint32_t idx) const;
 };
 

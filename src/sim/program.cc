@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <map>
 #include <set>
 
 #include "core/compiler/walk.h"
@@ -24,7 +25,7 @@ std::atomic<uint64_t> compile_count{0};
 
 /**
  * Compiles the shadow and active step spans of one module into the
- * fused tape. Operates on the Program under construction; never used
+ * tape. Operates on the Program under construction; never used
  * after compile() returns, so the published Program is immutable.
  *
  * The active-tape compiler is seeded with the shadow compiler's
@@ -51,6 +52,9 @@ struct ProgCompiler {
      * paper credits for the generated simulator's speed (Sec. 7 Q5).
      */
     std::set<const Value *> needed_outside;
+    /** `x == y` compares read by nothing but one region guard: the
+     *  candidates of guard formation (guardKey). */
+    std::set<const Value *> guard_only;
 
     ProgCompiler(Program &p, const Module &m, std::vector<DStep> *o)
         : prog(p), mod(m), out(o)
@@ -74,12 +78,21 @@ struct ProgCompiler {
     void
     analyzeEscapes()
     {
+        // Each `==` compare's only user, or nullptr once it has two.
+        std::map<const Value *, const Instruction *> sole_user;
         auto note_use = [&](const Instruction *user, Value *op) {
             op = chaseRef(op);
             if (op->valueKind() != Value::Kind::kInstr ||
                 op->parent() != &mod)
                 return;
             auto *def = static_cast<Instruction *>(op);
+            if (def->opcode() == Opcode::kBinOp &&
+                static_cast<const BinOp *>(def)->binOpcode() ==
+                    BinOpcode::kEq) {
+                auto [it, first] = sole_user.emplace(def, user);
+                if (!first)
+                    it->second = nullptr;
+            }
             if (!def->block())
                 return; // top-level by construction
             if (!blockWithin(user->block(), def->block()))
@@ -94,6 +107,35 @@ struct ProgCompiler {
         if (mod.waitCond())
             needed_outside.insert(
                 chaseRef(const_cast<Value *>(mod.waitCond())));
+        for (const auto &[def, user] : sole_user)
+            if (user && user->opcode() == Opcode::kCondBlock &&
+                !needed_outside.count(def))
+                guard_only.insert(def);
+    }
+
+    /**
+     * Guard formation: when @p v is `x == K` with K a compile-time
+     * constant, read by nothing but one region guard, set @p live to x
+     * and @p key to K. The compare is then never emitted: its guard
+     * tests x itself (kSkipIfNeImm), the form buildSwitches collapses an
+     * FSM's `when(state == k)` arms from. Valid once v's operands are
+     * emitted (their constness is known only then).
+     */
+    bool
+    guardKey(const Value *v, const Value *&live, uint64_t &key) const
+    {
+        if (!guard_only.count(v))
+            return false;
+        const auto *inst = static_cast<const Instruction *>(v);
+        const Value *lhs = inst->operand(0);
+        const Value *rhs = inst->operand(1);
+        uint64_t av = 0, bv = 0;
+        const bool ac = constOf(lhs, av);
+        if (ac == constOf(rhs, bv))
+            return false; // folds, or stays a two-slot compare
+        live = ac ? rhs : lhs;
+        key = ac ? av : bv;
+        return true;
     }
 
     /**
@@ -169,16 +211,17 @@ struct ProgCompiler {
 
     /**
      * Try to lower a binary op with exactly one constant operand to an
-     * immediate-fused step. @p live is the non-constant operand, @p imm
-     * the constant's value, @p imm_is_lhs its side. Fills everything
-     * but s.dest. Returns 0 when no fusion applies (caller emits the
+     * immediate step. @p live is the non-constant operand, @p imm the
+     * constant's value, @p imm_is_lhs its side. Fills everything but
+     * s.dest. Returns 0 when no immediate form applies (caller emits the
      * two-slot form), 1 when @p s was encoded, 2 when the result is a
      * compile-time zero (an over-wide shift) the caller should fold.
      *
-     * Only ops whose immediate form fusion or dispatch keys on (eq, ne,
-     * add) or that re-encode onto a pure op (and -> kMask, shr ->
-     * kSlice, sub -> kAddImm) inline the constant; every other op keeps
-     * the two-slot form, the constant staying in its slot.
+     * Only ops with a measured immediate form (eq, ne, add; see
+     * ASSASSYN_EVENT_DOPS) or that re-encode onto a pure op (and ->
+     * kMask, shr -> kSlice, sub -> kAddImm) inline the constant; every
+     * other op keeps the two-slot form, the constant staying in its
+     * slot.
      */
     int
     emitBinImm(DStep &s, BinOpcode bop, bool sgn, unsigned out_bits,
@@ -302,6 +345,10 @@ struct ProgCompiler {
             panic("effectful instruction used as an operand");
         for (Value *op : inst->operands())
             emitPure(op);
+        const Value *live = nullptr;
+        uint64_t key = 0;
+        if (guardKey(v, live, key))
+            return; // formed at its guard (emitEffects)
         DStep s;
         s.dest = prog.slotOf(v);
         if (encodeInstr(s, *inst)) {
@@ -393,7 +440,6 @@ struct ProgCompiler {
                         emitEffects(*cb->body());
                     break;
                 }
-                uint32_t cond_slot = prog.slotOf(cb->cond());
                 // Shared values compute unconditionally; the rest of
                 // the region is jumped over when the predicate is 0.
                 // A run of FSM state arms later collapses into one
@@ -402,8 +448,16 @@ struct ProgCompiler {
                 preEmitShared(*cb->body());
                 size_t skip_at = out->size();
                 DStep skip;
-                skip.op = uint8_t(DOp::kSkipIfFalse);
-                skip.a = cond_slot;
+                const Value *live = nullptr;
+                uint64_t key = 0;
+                if (guardKey(chaseRef(cb->cond()), live, key)) {
+                    skip.op = uint8_t(DOp::kSkipIfNeImm);
+                    skip.a = prog.slotOf(live);
+                    skip.u.mask = key;
+                } else {
+                    skip.op = uint8_t(DOp::kSkipIfFalse);
+                    skip.a = prog.slotOf(cb->cond());
+                }
                 push(skip);
                 emitEffects(*cb->body());
                 (*out)[skip_at].b =
@@ -580,14 +634,6 @@ Program::slotOf(const Value *v) const
     return raw < alias_.size() ? alias_[raw] : raw;
 }
 
-uint32_t
-Program::newSyntheticSlot()
-{
-    slot_init_.push_back(0);
-    slot_is_const_.push_back(0);
-    return static_cast<uint32_t>(slot_init_.size() - 1);
-}
-
 /**
  * Resolve the identity-cast alias chain of @p val to its canonical
  * slot. A cast is an identity when its result bits equal the source's
@@ -652,7 +698,7 @@ Program::build()
         stall_fifos_.push(gate);
         drivers_.push_back(mod->isDriver() ? 1 : 0);
     }
-    // Slot per IR node, plus synthetic slots appended by the compiler.
+    // Slot per IR node.
     for (const auto &mod : sys_->modules()) {
         slot_base_.push_back(static_cast<uint32_t>(slot_init_.size()));
         for (const auto &node : mod->nodes()) {
@@ -707,7 +753,6 @@ Program::build()
         fifo_wake_.push(list);
     for (const std::vector<uint32_t> &list : array_wake)
         array_wake_.push(list);
-    fuseTape();
     buildSwitches();
     auto hash = [this](const auto &vec) {
         fingerprint_ = hashBytes(fingerprint_, vec.data(),
@@ -727,560 +772,10 @@ Program::build()
 }
 
 /**
- * Post-compile peephole over the finished tape: fold single-use
- * producers into the step that consumes them. Hardware descriptions
- * lower to a handful of dominant shapes — decode tables become
- * `r = (op == K) ? v : r` chains (compare-select superinstructions),
- * handshake predicates become trees of 1-bit AND/OR over FIFO-valid
- * and compare leaves (three-operand boolean superinstructions), and
- * field extraction/reassembly becomes slice-feeding-concat chains
- * (fused shift-mask-or forms). Each fusion removes a dispatch, a slot
- * store and a slot reload from the hot path.
- *
- * Deleting the producer is safe whenever its result has exactly one
- * reader: pure steps are side-effect free, every slot has a single
- * writer, and slot values are stable for the whole cycle (commits only
- * happen in phase 2), so re-evaluating the producer at the consumer's
- * position always reproduces the value the dedicated step would have
- * left behind. FIFO-valid counts as pure here because FIFO counts only
- * move at commit. Two ordering hazards are excluded by construction: a
- * consumer that runs before its producer cannot occur (cross-module
- * reads only target shadow spans, which run first, in the same
- * topological order the tape is laid out in), and a producer inside a
- * conditional skip region is only ever read from the same region
- * (values shared with code outside a region are pre-hoisted by
- * preEmitShared). Masks are preserved exactly: fusions that would
- * change a dropped mask's observable effect are guarded out. Spans and
- * skip offsets are remapped after compaction.
- */
-void
-Program::fuseTape()
-{
-    const size_t n = tape_.size();
-    constexpr uint32_t kNoReader = 0xffffffffu;
-    std::vector<uint32_t> uses(slot_init_.size(), 0);
-    std::vector<uint32_t> reader(slot_init_.size(), kNoReader);
-    auto note = [&](uint32_t slot, size_t idx) {
-        ++uses[slot];
-        reader[slot] = static_cast<uint32_t>(idx);
-    };
-    for (size_t i = 0; i < n; ++i) {
-        const DStep &s = tape_[i];
-        switch (static_cast<DOp>(s.op)) {
-          case DOp::kAnd:
-          case DOp::kOr:
-          case DOp::kXor:
-          case DOp::kAdd:
-          case DOp::kSub:
-          case DOp::kMul:
-          case DOp::kShl:
-          case DOp::kShrU:
-          case DOp::kShrS:
-          case DOp::kEq:
-          case DOp::kNe:
-          case DOp::kLtU:
-          case DOp::kLeU:
-          case DOp::kGtU:
-          case DOp::kGeU:
-          case DOp::kLtS:
-          case DOp::kLeS:
-          case DOp::kGtS:
-          case DOp::kGeS:
-          case DOp::kConcat:
-          case DOp::kBinGeneric:
-          case DOp::kArrayWrite:
-            note(s.a, i);
-            note(s.b, i);
-            break;
-          case DOp::kNot:
-          case DOp::kNeg:
-          case DOp::kRedOr:
-          case DOp::kRedAnd:
-          case DOp::kSlice:
-          case DOp::kMask:
-          case DOp::kSExt:
-          case DOp::kAddImm:
-          case DOp::kEqImm:
-          case DOp::kNeImm:
-          case DOp::kArrayRead:
-          case DOp::kWaitCheck:
-          case DOp::kSkipIfFalse:
-          case DOp::kSkipIfNeImm:
-          case DOp::kSwitch:
-          case DOp::kPush:
-          case DOp::kArrayRmw:
-          case DOp::kAssertEff:
-            note(s.a, i);
-            break;
-          case DOp::kNeImmAnd:
-          case DOp::kSliceConcat:
-          case DOp::kConcatSlice:
-          case DOp::kWaitCheckAnd:
-            note(s.a, i);
-            note(s.b, i);
-            break;
-          case DOp::kSelect:
-            note(s.a, i);
-            note(s.b, i);
-            note(s.u.ca.c, i);
-            break;
-          case DOp::kEqImmSel:
-          case DOp::kAndAnd:
-          case DOp::kAndOr:
-          case DOp::kOrAnd:
-          case DOp::kOrOr:
-          case DOp::kEqAnd:
-          case DOp::kNeAnd:
-          case DOp::kConcat3:
-            note(s.a, i);
-            note(s.b, i);
-            note(s.x16, i);
-            break;
-          case DOp::kAndSel:
-            note(s.a, i);
-            note(s.b, i);
-            note(s.x16, i);
-            note(s.u.ca.c, i);
-            break;
-          case DOp::kSelSel:
-          case DOp::kOr5:
-            note(s.a, i);
-            note(s.b, i);
-            note(s.x16, i);
-            note(s.u.ca.c, i);
-            note(s.u.ca.aux, i);
-            break;
-          case DOp::kEqImmSel3:
-          case DOp::kEqAndAnd:
-            note(s.a, i);
-            note(s.b, i);
-            note(s.u.ca.c, i);
-            note(s.u.ca.aux, i);
-            break;
-          case DOp::kValidAnd:
-          case DOp::kValid2And:
-          case DOp::kWaitCheckValidAnd:
-            note(s.b, i);
-            break;
-          case DOp::kPushCat:
-            // dest doubles as the lsb-operand slot (kPush has no
-            // result), so it is an input here.
-            note(s.a, i);
-            note(s.dest, i);
-            break;
-          case DOp::kArrayReadImm:
-          case DOp::kArrayReadImmAdd:
-          case DOp::kValid2:
-          case DOp::kFifoValid:
-          case DOp::kFifoPeek:
-          case DOp::kDequeue:
-          case DOp::kJump:
-          case DOp::kSubscribe:
-          case DOp::kLog:
-          case DOp::kFinishEff:
-            break;
-        }
-    }
-    // Log arguments read slots outside the tape; count them so their
-    // producers are never deleted.
-    for (const LogSpec &ls : logs_)
-        for (const LogArg &la : ls.args)
-            ++uses[la.slot];
-
-    std::vector<uint8_t> dead(n, 0);
-    size_t fused = 0;
-    for (size_t i = 0; i < n; ++i) {
-        const DStep &p = tape_[i];
-        const DOp pop = static_cast<DOp>(p.op);
-        switch (pop) {
-          case DOp::kEqImm:
-          case DOp::kNeImm:
-          case DOp::kAnd:
-          case DOp::kOr:
-          case DOp::kEq:
-          case DOp::kNe:
-          case DOp::kFifoValid:
-          case DOp::kConcat:
-          case DOp::kSlice:
-          case DOp::kEqImmSel:
-          case DOp::kArrayReadImm:
-          case DOp::kSelect:
-          case DOp::kValidAnd:
-          case DOp::kOrOr:
-          case DOp::kArrayReadImmAdd:
-            break;
-          default:
-            continue;
-        }
-        if (uses[p.dest] != 1)
-            continue;
-        const uint32_t r = reader[p.dest];
-        if (r == kNoReader || r <= i || dead[r])
-            continue;
-        DStep &c = tape_[r];
-        const DOp cop = static_cast<DOp>(c.op);
-        // For commutative two-slot consumers, the operand that is not
-        // the fused producer.
-        const uint32_t other = c.a == p.dest ? c.b : c.a;
-        DStep f{};
-        f.dest = c.dest;
-        bool ok = false;
-        switch (pop) {
-          case DOp::kEqImm:
-          case DOp::kNeImm: {
-            const bool ne = pop == DOp::kNeImm;
-            const uint64_t imm = p.u.mask;
-            f.a = p.a;
-            switch (cop) {
-              case DOp::kSelect: {
-                if (c.a != p.dest)
-                    break;
-                uint32_t tslot = c.b, fslot = c.u.ca.c;
-                if (ne)
-                    std::swap(tslot, fslot);
-                if (imm > 0xffffffffull || fslot > 0xffffull)
-                    break;
-                f.op = uint8_t(DOp::kEqImmSel);
-                f.b = tslot;
-                f.x16 = uint16_t(fslot);
-                f.u.ca.aux = uint32_t(imm);
-                ok = true;
-                break;
-              }
-              case DOp::kSkipIfFalse:
-                // The compare result is i1, so the skip's truthiness
-                // test reduces to the compare itself. Only == guards
-                // fuse: no perfbench design has a != guard here.
-                if (ne)
-                    break;
-                f.op = uint8_t(DOp::kSkipIfNeImm);
-                f.b = c.b; // relative skip offset, remapped below
-                f.u.mask = imm;
-                ok = true;
-                break;
-              case DOp::kAnd:
-                if (!ne || imm > 0xffffffffull)
-                    break;
-                f.op = uint8_t(DOp::kNeImmAnd);
-                f.b = other;
-                f.u.ca.aux = uint32_t(imm);
-                ok = true;
-                break;
-              default:
-                break;
-            }
-            break;
-          }
-          case DOp::kAnd:
-          case DOp::kOr:
-            switch (cop) {
-              case DOp::kAnd:
-              case DOp::kOr:
-                // Exact iff the consumer's result mask is a subset of
-                // the producer's (the final mask then clears any bit
-                // the dropped producer mask would have cleared).
-                if (other > 0xffffull || (c.u.mask & ~p.u.mask) != 0)
-                    break;
-                f.op = uint8_t(pop == DOp::kAnd
-                                   ? (cop == DOp::kAnd ? DOp::kAndAnd
-                                                       : DOp::kAndOr)
-                                   : (cop == DOp::kAnd ? DOp::kOrAnd
-                                                       : DOp::kOrOr));
-                f.a = p.a;
-                f.b = p.b;
-                f.x16 = uint16_t(other);
-                f.u.mask = c.u.mask;
-                ok = true;
-                break;
-              case DOp::kSelect:
-                if (pop != DOp::kAnd || c.a != p.dest ||
-                    c.b > 0xffffull || p.u.mask > 0xffffffffull)
-                    break;
-                f.op = uint8_t(DOp::kAndSel);
-                f.a = p.a;
-                f.b = p.b;
-                f.x16 = uint16_t(c.b);
-                f.u.ca.c = c.u.ca.c;
-                f.u.ca.aux = uint32_t(p.u.mask);
-                ok = true;
-                break;
-              case DOp::kWaitCheck:
-                if (pop != DOp::kAnd)
-                    break;
-                f.op = uint8_t(DOp::kWaitCheckAnd);
-                f.a = p.a;
-                f.b = p.b;
-                f.u.mask = p.u.mask;
-                ok = true;
-                break;
-              case DOp::kEqAnd:
-                // The compare result is i1, so only bit 0 of the fused
-                // AND matters; every width mask keeps bit 0, making the
-                // dropped producer mask unobservable.
-                if (pop != DOp::kAnd || c.x16 != p.dest)
-                    break;
-                f.op = uint8_t(DOp::kEqAndAnd);
-                f.a = c.a;
-                f.b = c.b;
-                f.u.ca.c = p.a;
-                f.u.ca.aux = p.b;
-                ok = true;
-                break;
-              default:
-                break;
-            }
-            break;
-          case DOp::kEq:
-          case DOp::kNe:
-            if (cop != DOp::kAnd || other > 0xffffull)
-                break;
-            f.op = uint8_t(pop == DOp::kEq ? DOp::kEqAnd : DOp::kNeAnd);
-            f.a = p.a;
-            f.b = p.b;
-            f.x16 = uint16_t(other);
-            ok = true;
-            break;
-          case DOp::kFifoValid:
-            if (cop == DOp::kAnd) {
-                f.op = uint8_t(DOp::kValidAnd);
-                f.a = p.a; // FIFO id
-                f.b = other;
-                ok = true;
-            } else if (cop == DOp::kValidAnd && c.b == p.dest &&
-                       p.a <= 0xffffull) {
-                f.op = uint8_t(DOp::kValid2);
-                f.a = c.a;  // consumer's FIFO id
-                f.x16 = uint16_t(p.a);
-                ok = true;
-            }
-            break;
-          case DOp::kValidAnd:
-            if (cop == DOp::kValidAnd && c.b == p.dest &&
-                p.a <= 0xffffull) {
-                f.op = uint8_t(DOp::kValid2And);
-                f.a = c.a;
-                f.x16 = uint16_t(p.a);
-                f.b = p.b;
-                ok = true;
-            } else if (cop == DOp::kWaitCheck) {
-                f.op = uint8_t(DOp::kWaitCheckValidAnd);
-                f.a = p.a;
-                f.b = p.b;
-                ok = true;
-            }
-            break;
-          case DOp::kConcat: {
-            if (cop == DOp::kPush && c.a == p.dest) {
-                // dest carries the lsb-operand slot; both masks combine
-                // so the pushed value is bit-exact.
-                f.op = uint8_t(DOp::kPushCat);
-                f.a = p.a;
-                f.dest = p.b;
-                f.x8 = p.x8;
-                f.b = c.b;     // FIFO id
-                f.x16 = c.x16; // source module id
-                f.u.mask = p.u.mask & c.u.mask;
-                ok = true;
-                break;
-            }
-            // Concat never overflows its width (operands are stored
-            // masked), so the inner mask is redundant; only the outer
-            // mask is kept.
-            if (cop != DOp::kConcat || c.u.mask > 0xffffffffull)
-                break;
-            uint32_t fa, fb, third;
-            uint8_t sa, sb;
-            if (c.a == p.dest) { // fused value is the msb operand
-                fa = p.a;
-                sa = uint8_t(p.x8 + c.x8);
-                fb = p.b;
-                sb = c.x8;
-                third = c.b;
-                if (unsigned(p.x8) + unsigned(c.x8) > 63u)
-                    break;
-            } else { // fused value is the lsb operand
-                fa = c.a;
-                sa = c.x8;
-                fb = p.a;
-                sb = p.x8;
-                third = p.b;
-            }
-            if (third > 0xffffull)
-                break;
-            f.op = uint8_t(DOp::kConcat3);
-            f.a = fa;
-            f.b = fb;
-            f.x16 = uint16_t(third);
-            f.x8 = sa;
-            f.u.ca.aux = sb;
-            f.u.ca.c = uint32_t(c.u.mask);
-            ok = true;
-            break;
-          }
-          case DOp::kSlice: {
-            if (cop != DOp::kConcat || p.u.mask > 0xffffffffull ||
-                c.u.mask > 0xffffffffull)
-                break;
-            if (c.a == p.dest) { // slice is the msb operand
-                f.op = uint8_t(DOp::kSliceConcat);
-                f.a = p.a;
-                f.b = c.b;
-                f.x8 = p.x8;
-                f.x16 = c.x8;
-            } else { // slice is the lsb operand
-                f.op = uint8_t(DOp::kConcatSlice);
-                f.a = c.a;
-                f.b = p.a;
-                f.x8 = c.x8;
-                f.x16 = p.x8;
-            }
-            f.u.ca.c = uint32_t(p.u.mask);
-            f.u.ca.aux = uint32_t(c.u.mask);
-            ok = true;
-            break;
-          }
-          case DOp::kEqImmSel:
-            // Decode chain: this select is the false arm of a later
-            // select over the same scrutinee (produced by an earlier
-            // fixpoint round). Both immediates must fit the narrow
-            // fields; all three arms stay slots.
-            if (cop != DOp::kEqImmSel || c.x16 != p.dest ||
-                c.a != p.a || c.u.ca.aux > 0xffull ||
-                p.u.ca.aux > 0xffffull)
-                break;
-            f.op = uint8_t(DOp::kEqImmSel3);
-            f.a = c.a;
-            f.x8 = uint8_t(c.u.ca.aux);
-            f.b = c.b;
-            f.x16 = uint16_t(p.u.ca.aux);
-            f.u.ca.c = p.b;
-            f.u.ca.aux = p.x16;
-            ok = true;
-            break;
-          case DOp::kArrayReadImm:
-            if (cop != DOp::kAddImm || c.a != p.dest)
-                break;
-            f.op = uint8_t(DOp::kArrayReadImmAdd);
-            f.a = p.a;
-            f.b = p.b;
-            f.x8 = c.x8;
-            f.u.mask = c.u.mask;
-            ok = true;
-            break;
-          case DOp::kSelect:
-            // A select feeding only the false arm of a later select
-            // collapses into a three-way select.
-            if (cop != DOp::kSelect || c.u.ca.c != p.dest ||
-                p.a > 0xffffull)
-                break;
-            f.op = uint8_t(DOp::kSelSel);
-            f.a = c.a;
-            f.b = c.b;
-            f.x16 = uint16_t(p.a);
-            f.u.ca.c = p.b;
-            f.u.ca.aux = p.u.ca.c;
-            ok = true;
-            break;
-          case DOp::kOrOr:
-            // Five-way OR. Exactness needs the consumer mask to be a
-            // subset of the producer's (same argument as the two-level
-            // trees) and contiguous, so it packs into a shift count.
-            if (cop != DOp::kOrOr || c.u.mask == 0 ||
-                (c.u.mask & ~p.u.mask) != 0 ||
-                (~0ull >> __builtin_clzll(c.u.mask)) != c.u.mask)
-                break;
-            {
-                uint32_t o1, o2;
-                if (c.a == p.dest) {
-                    o1 = c.b;
-                    o2 = c.x16;
-                } else if (c.b == p.dest) {
-                    o1 = c.a;
-                    o2 = c.x16;
-                } else {
-                    o1 = c.a;
-                    o2 = c.b;
-                }
-                f.op = uint8_t(DOp::kOr5);
-                f.a = p.a;
-                f.b = p.b;
-                f.x16 = p.x16;
-                f.u.ca.c = o1;
-                f.u.ca.aux = o2;
-                f.x8 = uint8_t(__builtin_clzll(c.u.mask));
-                ok = true;
-            }
-            break;
-          case DOp::kArrayReadImmAdd:
-            // Read-modify-write counter: legal when the write mask
-            // keeps every bit the read-add's width mask can produce.
-            if (cop != DOp::kArrayWrite || c.b != p.dest ||
-                ((~0ull >> p.x8) & ~c.u.mask) != 0)
-                break;
-            f.op = uint8_t(DOp::kArrayRmw);
-            f.a = c.a;    // index slot
-            f.b = p.b;    // source array
-            f.dest = p.a; // immediate word index into the source
-            f.x16 = c.x16;
-            f.x8 = p.x8;
-            f.u.mask = p.u.mask;
-            ok = true;
-            break;
-          default:
-            break;
-        }
-        if (!ok)
-            continue;
-        c = f;
-        dead[i] = 1;
-        ++fused;
-    }
-    if (!fused)
-        return;
-
-    // Compact and remap every tape-index consumer: spans and the
-    // relative skip offsets (a skip lands on the first survivor at or
-    // past its old target).
-    std::vector<uint32_t> newidx(n + 1);
-    uint32_t live = 0;
-    for (size_t i = 0; i < n; ++i) {
-        newidx[i] = live;
-        if (!dead[i])
-            ++live;
-    }
-    newidx[n] = live;
-    for (size_t i = 0; i < n; ++i) {
-        if (dead[i])
-            continue;
-        const DOp op = static_cast<DOp>(tape_[i].op);
-        if (op == DOp::kSkipIfFalse || op == DOp::kSkipIfNeImm) {
-            uint32_t tgt = static_cast<uint32_t>(i) + 1 + tape_[i].b;
-            tape_[i].b = newidx[tgt] - newidx[i] - 1;
-        }
-    }
-    std::vector<DStep> packed;
-    packed.reserve(live);
-    for (size_t i = 0; i < n; ++i)
-        if (!dead[i])
-            packed.push_back(tape_[i]);
-    tape_.swap(packed);
-    for (StageSpan &sp : spans_) {
-        sp.shadow_begin = newidx[sp.shadow_begin];
-        sp.shadow_end = newidx[sp.shadow_end];
-        sp.active_begin = newidx[sp.active_begin];
-        sp.active_end = newidx[sp.active_end];
-    }
-    // A fused step can itself be the producer of a further fusion
-    // (decode select chains fuse pairwise per pass), so iterate to a
-    // fixpoint. Each pass recounts uses over the compacted tape;
-    // termination is guaranteed because every pass shrinks the tape.
-    fuseTape();
-}
-
-/**
- * Post-fusion pass: collapse each run of FSM state guards into one
- * table dispatch. `when(st == k)` arms fuse to kSkipIfNeImm steps, so
- * an N-state machine walks N guards every cycle. A chain is a run of
+ * Post-compile pass: collapse each run of FSM state guards into one
+ * table dispatch. `when(st == k)` arms compile to kSkipIfNeImm guards
+ * (guard formation, ProgCompiler::guardKey), so an N-state machine
+ * walks N guards every cycle. A chain is a run of
  * such guards g0 < g1 < ... < g(n-1) over one slot, with distinct
  * keys, where each guard skips exactly to the next; the last one skips
  * to the chain end. g0 becomes a kSwitch whose table sends key k(i)
@@ -1289,8 +784,9 @@ Program::fuseTape()
  * reached only from arm i-1 (its fall-through or a nested skip ending
  * on it), where the slot holds k(i-1) != k(i), so every later guard
  * would have failed too. That holds because the slot has a single
- * writer and is stable for the whole cycle (see fuseTape); the pass
- * checks the two ways it could fail instead of assuming them:
+ * writer and is stable for the whole cycle (commits land only in
+ * phase 2); the pass checks the two ways it could fail instead of
+ * assuming them:
  *   - a chain is cut before any gi that is entered from outside arm
  *     i-1 (a skip located before g(i-1), e.g. an enclosing guard that
  *     ends on gi, or the start of a span), since there the slot may
@@ -1298,8 +794,8 @@ Program::fuseTape()
  *   - a chain whose range writes the slot is left alone.
  * Sparse key sets keep their guards: a switch needs kSwitchMinArms
  * arms and a table of at most kSwitchMaxTable entries, at least one
- * arm per kSwitchEntriesPerArm entries. Runs only once, after the
- * fusion fixpoint; the tape length does not change.
+ * arm per kSwitchEntriesPerArm entries. The tape length does not
+ * change.
  */
 void
 Program::buildSwitches()

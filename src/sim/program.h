@@ -4,8 +4,8 @@
  * compile-time half of the compile/run split (docs/architecture.md).
  *
  * The paper's pitch is "compile once, get a cycle-accurate simulator".
- * A sim::Program is that compiled simulator as a value: the fused
- * dense step tape of every stage, the index tables that map IR
+ * A sim::Program is that compiled simulator as a value: the dense
+ * step tape of every stage, the index tables that map IR
  * entities to runtime storage, the topological schedule, the per-stage
  * sensitivity metadata driving the wake-list scheduler, and the shared
  * hazard analysis — everything derivable from the lowered System and
@@ -32,13 +32,16 @@
  *   - constant operands are folded: all-constant cones evaluate at
  *     compile time straight into slot initial values (zero steps); an
  *     operation with one constant operand otherwise reads the constant
- *     from its own slot, except for the few immediate forms that fusion
- *     or dispatch keys on (see ASSASSYN_EVENT_DOPS);
+ *     from its own slot, except for the four measured immediate forms
+ *     (see ASSASSYN_EVENT_DOPS);
  *   - kPredAnd predicate chains are folded into the kSkipIfFalse
  *     region guards, and per-effect predicate tests are dropped
  *     entirely: every effect step is provably dominated by the skip
  *     guard of its own predicate, so reaching it implies the predicate
  *     held;
+ *   - a guard whose condition is `x == K`, read by nothing else, tests
+ *     x itself (kSkipIfNeImm) and the compare is never emitted; runs of
+ *     such FSM state guards then collapse into one kSwitch;
  *   - the active tape is de-duplicated against the stage's shadow
  *     tape: values the shadow pass already computes (from the same
  *     start-of-cycle state) are never recomputed by the body.
@@ -83,7 +86,7 @@
 namespace assassyn {
 namespace sim {
 
-/** The [shadow | active] spans of one stage over the fused tape. */
+/** The [shadow | active] spans of one stage over the tape. */
 struct StageSpan {
     uint32_t shadow_begin = 0;
     uint32_t shadow_end = 0;
@@ -168,10 +171,10 @@ class Program {
 
     const System &sys() const { return *sys_; }
 
-    /** Initial slot values (constants materialized, synthetics zero). */
+    /** Initial slot values (constants materialized). */
     const std::vector<uint64_t> &slotInit() const { return slot_init_; }
 
-    /** The fused step tape shared by all stages. */
+    /** The step tape shared by all stages. */
     const std::vector<DStep> &tape() const { return tape_; }
 
     /** Jump tables of the kSwitch steps: relative skip counts, one
@@ -256,13 +259,11 @@ class Program {
     void build();
     void attachCompiled();
     void buildAliases();
-    void fuseTape();
     void buildSwitches();
     uint32_t aliasOf(const Value *val);
     void compileModule(const Module &mod, std::vector<uint32_t> &ext_mods,
                        std::vector<uint32_t> &fifo_deps,
                        std::vector<uint32_t> &arr_deps);
-    uint32_t newSyntheticSlot();
     uint32_t rawSlotOf(const Value *val) const;
 
     const System *sys_;
@@ -270,10 +271,11 @@ class Program {
     std::vector<uint64_t> slot_init_;
     // Build-time constant tracking: 1 when the slot's value is fully
     // known at compile time (a ConstInt, or a pure cone folded over
-    // constants). Drives immediate fusion; never consulted at run time.
+    // constants). Drives constant folding, the immediate forms and
+    // guard formation; never consulted at run time.
     std::vector<uint8_t> slot_is_const_;
     uint32_t num_fifos_ = 0;
-    std::vector<DStep> tape_;      ///< fused SoA tape (all stages)
+    std::vector<DStep> tape_;      ///< SoA tape (all stages)
     std::vector<uint32_t> switch_table_; ///< kSwitch jump tables
     std::vector<StageSpan> spans_; ///< indexed by Module::id
     std::vector<LogSpec> logs_;
@@ -288,7 +290,7 @@ class Program {
     IdLists array_wake_; ///< by RegArray::id
     // Dense compile-time index tables: a port's FIFO is
     // port_base[owner id] + port index, a value's slot is
-    // slot_base[parent id] + value id (synthetic slots appended after),
+    // slot_base[parent id] + value id,
     // resolved through the identity-cast alias table.
     std::vector<uint32_t> port_base_; ///< by Module::id
     std::vector<uint32_t> slot_base_; ///< by Module::id

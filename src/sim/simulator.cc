@@ -278,31 +278,6 @@ struct Simulator::Impl {
 };
 
 void
-EventCtx::multiplePushes(uint32_t fid) const
-{
-    fatal("cycle ", st->cycle, ": multiple pushes to FIFO '",
-          st->fifos[fid].port->fullName(), "' in one cycle");
-}
-
-void
-EventCtx::badArrayWrite(uint32_t aid, uint64_t idx) const
-{
-    const RegArray &arr = *st->arrays[aid].array;
-    if (idx >= st->arrays[aid].size)
-        fatal("cycle ", st->cycle, ": out-of-range write to '", arr.name(),
-              "[", idx, "]'");
-    fatal("cycle ", st->cycle, ": register array '", arr.name(),
-          "' written twice in one cycle");
-}
-
-void
-EventCtx::assertFailed(uint32_t idx) const
-{
-    fatal("cycle ", st->cycle, ": assertion failed: ",
-          prog->asserts()[idx]->msg());
-}
-
-void
 EventCtx::emitLog(uint32_t idx) const
 {
     const LogSpec &spec = prog->logs()[idx];

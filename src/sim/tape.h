@@ -145,7 +145,8 @@ sextShift(unsigned bits)
  *   v, fst, ast, fa        slots, FIFO and array run state, FIFO arena;
  *   fpd, apd, mst          the buffered effects and scheduler records;
  *   cx                     the EventCtx (sim/event_ctx.h): touched
- *                          bitmaps, finish flag and the cold paths;
+ *                          bitmaps, finish flag, log path, and the
+ *                          RunState whose fault paths the effects call;
  * and leaves the step only through
  *   ASSASSYN_SKIP(s->b)          jump over s->b further steps;
  *   ASSASSYN_SKIP_TABLE(s->b, k) jump over switchTable()[s->b + k];
@@ -153,22 +154,21 @@ sextShift(unsigned bits)
  * The emitter resolves the two skips at generation time, so their
  * first argument is always s->b.
  *
- * Constant operands stay in their slots. An immediate form (constant in
- * u.mask unless noted) exists only where fusion or dispatch keys on the
- * inline constant: kEqImm / kNeImm feed the compare-select fusions,
- * kSkipIfNeImm and kSwitch; kAddImm feeds kArrayReadImmAdd / kArrayRmw;
- * kArrayReadImm is the hot constant-index register read. Compile-time
- * constant folding runs first, so the remaining operand is always live.
- * Three constant forms are re-encodings onto pure ops: an and by a
- * constant is a kMask, an unsigned shr by one a kSlice, and a sub of one
- * a kAddImm of its negation (docs/architecture.md "The dense step
- * tape").
- *
- * Superinstructions are built by the post-compile peephole (fuseTape),
- * never emitted directly: a single-use immediate compare folded into
- * the select it feeds (the dominant decode-table pattern), and
- * three-operand forms for predicate trees and bit reassembly (the third
- * slot rides in x16 unless noted).
+ * Constant operands stay in their slots, except in four immediate forms
+ * (constant in u.mask unless noted): kEqImm, kNeImm, kAddImm and
+ * kArrayReadImm, the hot constant-index register read. No rewrite
+ * consumes them; they stay because they pay on their own: dropping
+ * kAddImm and kNeImm lowered perfbench `cpu` asyn_cps by 4.3% (3.19M
+ * against 3.33M cycles/s, lower in 8 of 9 alternating pairs on a
+ * shared 4-core host).
+ * Two dispatch forms key on an inline constant: kSkipIfNeImm, the
+ * `x == K` region guard (formed at emission when the compare has no
+ * other reader), and the kSwitch buildSwitches makes of a chain of them.
+ * Compile-time constant folding runs first, so the remaining operand is
+ * always live. Three constant forms are re-encodings onto pure ops: an
+ * and by a constant is a kMask, an unsigned shr by one a kSlice, and a
+ * sub of one a kAddImm of its negation (docs/architecture.md "The dense
+ * step tape").
  */
 #define ASSASSYN_EVENT_DOPS(X)                                           \
     /* x8 = 64 - out_bits */                                             \
@@ -177,60 +177,6 @@ sextShift(unsigned bits)
     X(kNeImm, v[s->dest] = v[s->a] != s->u.mask;)                        \
     /* a = constant index (bound-checked at compile), b = array */       \
     X(kArrayReadImm, v[s->dest] = ast[s->b].data[s->a];)                 \
-    /* x16 = narrow slot */                                              \
-    X(kEqImmSel,                                                         \
-      v[s->dest] = v[s->a] == s->u.ca.aux ? v[s->b] : v[s->x16];)        \
-    /* two fused decode-chain entries; all arms slots */                 \
-    X(kEqImmSel3, {                                                      \
-        const uint64_t scrut = v[s->a];                                  \
-        v[s->dest] = scrut == s->x8    ? v[s->b]                         \
-                     : scrut == s->x16 ? v[s->u.ca.c]                    \
-                                       : v[s->u.ca.aux];                 \
-    })                                                                   \
-    X(kAndAnd, v[s->dest] = (v[s->a] & v[s->b] & v[s->x16]) & s->u.mask;) \
-    X(kAndOr,                                                            \
-      v[s->dest] = ((v[s->a] & v[s->b]) | v[s->x16]) & s->u.mask;)       \
-    X(kOrAnd,                                                            \
-      v[s->dest] = ((v[s->a] | v[s->b]) & v[s->x16]) & s->u.mask;)       \
-    X(kOrOr, v[s->dest] = (v[s->a] | v[s->b] | v[s->x16]) & s->u.mask;)  \
-    X(kEqAnd, v[s->dest] = uint64_t(v[s->a] == v[s->b]) & v[s->x16];)    \
-    X(kNeAnd, v[s->dest] = uint64_t(v[s->a] != v[s->b]) & v[s->x16];)    \
-    X(kNeImmAnd,                                                         \
-      v[s->dest] = uint64_t(v[s->a] != s->u.ca.aux) & v[s->b];)          \
-    X(kValidAnd, v[s->dest] = uint64_t(fst[s->a].count > 0) & v[s->b];)  \
-    /* all slots */                                                      \
-    X(kAndSel, v[s->dest] = (v[s->a] & v[s->b] & s->u.ca.aux)            \
-                                ? v[s->x16]                              \
-                                : v[s->u.ca.c];)                         \
-    X(kConcat3, v[s->dest] = ((v[s->a] << s->x8) |                       \
-                              (v[s->b] << s->u.ca.aux) | v[s->x16]) &    \
-                             s->u.ca.c;)                                 \
-    X(kSliceConcat,                                                      \
-      v[s->dest] = ((((v[s->a] >> s->x8) & s->u.ca.c) << s->x16) |       \
-                    v[s->b]) &                                           \
-                   s->u.ca.aux;)                                         \
-    X(kConcatSlice,                                                      \
-      v[s->dest] = ((v[s->a] << s->x8) |                                 \
-                    ((v[s->b] >> s->x16) & s->u.ca.c)) &                 \
-                   s->u.ca.aux;)                                         \
-    /* all slots; fused forwarding-mux chain */                          \
-    X(kSelSel, v[s->dest] = v[s->a]     ? v[s->b]                        \
-                            : v[s->x16] ? v[s->u.ca.c]                   \
-                                        : v[s->u.ca.aux];)               \
-    X(kValid2, v[s->dest] = uint64_t(fst[s->a].count > 0) &              \
-                            uint64_t(fst[s->x16].count > 0);)            \
-    X(kValid2And, v[s->dest] = uint64_t(fst[s->a].count > 0) &           \
-                               uint64_t(fst[s->x16].count > 0) &         \
-                               v[s->b];)                                 \
-    /* u.ca.c, u.ca.aux: slots */                                        \
-    X(kEqAndAnd, v[s->dest] = uint64_t(v[s->a] == v[s->b]) &             \
-                              v[s->u.ca.c] & v[s->u.ca.aux];)            \
-    X(kOr5, v[s->dest] = (v[s->a] | v[s->b] | v[s->x16] | v[s->u.ca.c] | \
-                          v[s->u.ca.aux]) &                              \
-                         (~0ull >> s->x8);)                              \
-    /* array b word [imm a] */                                           \
-    X(kArrayReadImmAdd,                                                  \
-      v[s->dest] = (ast[s->b].data[s->a] + s->u.mask) & (~0ull >> s->x8);) \
     /* a = fifo id */                                                    \
     X(kFifoValid, v[s->dest] = fst[s->a].count > 0;)                     \
     X(kFifoPeek, {                                                       \
@@ -239,12 +185,9 @@ sextShift(unsigned bits)
     })                                                                   \
     /* Control: bail out (retain the event) when the condition is 0. */  \
     X(kWaitCheck, if (!v[s->a]) ASSASSYN_FAIL();)                        \
-    X(kWaitCheckAnd, if (!(v[s->a] & v[s->b] & s->u.mask)) ASSASSYN_FAIL();) \
-    X(kWaitCheckValidAnd,                                                \
-      if (!(uint64_t(fst[s->a].count > 0) & v[s->b])) ASSASSYN_FAIL();)  \
     X(kSkipIfFalse, if (!v[s->a]) ASSASSYN_SKIP(s->b);)                  \
     X(kSkipIfNeImm, if (v[s->a] != s->u.mask) ASSASSYN_SKIP(s->b);)      \
-    /* FSM state dispatch, built by the post-fusion pass buildSwitches   \
+    /* FSM state dispatch, built by the post-compile pass buildSwitches  \
        (never emitted directly): one dispatch for a whole state chain.   \
        dest = dense key range, whose entry is the miss; keys below the   \
        table's base wrap to huge values and miss like keys above it. */  \
@@ -254,7 +197,8 @@ sextShift(unsigned bits)
     })                                                                   \
     X(kJump, ASSASSYN_SKIP(s->b);)                                       \
     /* Effects (buffered; committed in phase 2). Unconditional by        \
-       construction: each sits inside the skip region of its predicate. */ \
+       construction: each sits inside the skip region of its predicate.  \
+       The faults are RunState's, shared with the netlist engine. */     \
     /* a = fifo id */                                                    \
     X(kDequeue, {                                                        \
         fpd[s->a].deq = true;                                            \
@@ -264,20 +208,9 @@ sextShift(unsigned bits)
     X(kPush, {                                                           \
         FifoPending &f = fpd[s->b];                                      \
         if (f.push)                                                      \
-            cx.multiplePushes(s->b);                                     \
+            cx.st->multiplePushes(s->b);                                 \
         f.push = true;                                                   \
         f.value = v[s->a] & s->u.mask;                                   \
-        f.src = mst[s->x16].mod;                                         \
-        touchBit(cx.touched_fifo, s->b);                                 \
-    })                                                                   \
-    /* push ((a << x8) | dest) & u.mask: dest is the lsb SLOT, not a     \
-       result */                                                         \
-    X(kPushCat, {                                                        \
-        FifoPending &f = fpd[s->b];                                      \
-        if (f.push)                                                      \
-            cx.multiplePushes(s->b);                                     \
-        f.push = true;                                                   \
-        f.value = ((v[s->a] << s->x8) | v[s->dest]) & s->u.mask;         \
         f.src = mst[s->x16].mod;                                         \
         touchBit(cx.touched_fifo, s->b);                                 \
     })                                                                   \
@@ -288,23 +221,10 @@ sextShift(unsigned bits)
         ArrayPending &w = apd[s->x16];                                   \
         const uint64_t idx = v[s->a];                                    \
         if (idx >= ast[s->x16].size || w.write)                          \
-            cx.badArrayWrite(s->x16, idx);                               \
+            cx.st->badArrayWrite(s->x16, idx);                           \
         w.write = true;                                                  \
         w.index = idx;                                                   \
         w.value = v[s->b] & s->u.mask;                                   \
-        touchBit(cx.touched_arr, s->x16);                                \
-    })                                                                   \
-    /* write ((array b word [imm dest] + u.mask) & (~0 >> x8)) to array  \
-       x16 at index slot a. Reads see start-of-cycle contents (commits   \
-       land in phase 2), so the fused read matches the standalone step. */ \
-    X(kArrayRmw, {                                                       \
-        ArrayPending &w = apd[s->x16];                                   \
-        const uint64_t idx = v[s->a];                                    \
-        if (idx >= ast[s->x16].size || w.write)                          \
-            cx.badArrayWrite(s->x16, idx);                               \
-        w.write = true;                                                  \
-        w.index = idx;                                                   \
-        w.value = (ast[s->b].data[s->dest] + s->u.mask) & (~0ull >> s->x8); \
         touchBit(cx.touched_arr, s->x16);                                \
     })                                                                   \
     /* a = target module id */                                           \
@@ -315,7 +235,8 @@ sextShift(unsigned bits)
     /* a = index into Program::logs() */                                 \
     X(kLog, if (cx.log_on) cx.emitLog(s->a);)                            \
     /* a = cond slot, b = index into Program::asserts() */               \
-    X(kAssertEff, if (!v[s->a]) cx.assertFailed(s->b);)                  \
+    X(kAssertEff,                                                        \
+      if (!v[s->a]) cx.st->assertFailed(*cx.prog->asserts()[s->b]);)     \
     X(kFinishEff, cx.finish_pending = true;)
 
 /** The pure prefix by name only, for X(name, ...) consumers. */
@@ -336,7 +257,8 @@ enum class DOp : uint8_t {
 inline constexpr size_t kPureDOps = size_t(DOp::kBinGeneric) + 1;
 inline constexpr size_t kDOps = size_t(DOp::kFinishEff) + 1;
 
-/** One fused 24-byte micro-op of the compiled tape. */
+/** One 24-byte step of a tape: an event-engine micro-op or a netlist
+ *  cell. */
 struct DStep {
     uint8_t op = 0;   ///< DOp
     uint8_t x8 = 0;   ///< small per-op immediate (shift / opnd bits)

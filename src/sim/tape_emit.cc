@@ -171,14 +171,10 @@ slotRefs(const DStep &s, const std::string &text)
             r.slot = s.a;
         else if (field == "b")
             r.slot = s.b;
-        else if (field == "x16")
-            r.slot = s.x16;
         else if (field == "dest")
             r.slot = s.dest;
         else if (field == "u.ca.c")
             r.slot = s.u.ca.c;
-        else if (field == "u.ca.aux")
-            r.slot = s.u.ca.aux;
         else
             panic("tape emitter: unknown slot operand v[s->", field, "]");
         size_t next = text.find_first_not_of(' ', r.end);

@@ -117,6 +117,31 @@ buildOverflow()
 }
 
 /**
+ * A driver writing a[1] and then a[idx] in cycle 2, where idx = cyc + 6
+ * is a runtime value past the end of the 4-word array: one cycle, two
+ * writes, one of them out of range.
+ */
+std::unique_ptr<System>
+buildDoubleWrite()
+{
+    SysBuilder sb("contract_double_write");
+    Stage d = sb.driver();
+    Reg cyc = sb.reg("cyc", uintType(8));
+    Arr a = sb.arr("a", uintType(8), 4);
+    {
+        StageScope scope(d);
+        Val v = cyc.read();
+        cyc.write(v + 1);
+        when(v == lit(2, 8), [&] {
+            a.write(size_t(1), v);
+            a.write(v + lit(6, 8), v);
+        });
+    }
+    compile(sb.sys());
+    return sb.take();
+}
+
+/**
  * Lossless backpressure: a driver sends 20 values through a depth-2
  * kStallProducer FIFO into a sink that consumes only on odd cycles, so
  * the producer spends cycles gated by the full FIFO.
@@ -530,6 +555,23 @@ TEST(EngineContract, FaultLineIdenticalAndVcdEndsAtLastCommit)
     ASSERT_NE(frame, std::string::npos);
     EXPECT_EQ(o.vcd.substr(frame + 1, o.vcd.find('\n', frame + 1) - frame - 1),
               "#3");
+}
+
+/**
+ * Both engines name the same fault when one cycle writes an array twice
+ * and one of the writes is out of range: the range, checked first.
+ */
+TEST(EngineContract, DoubleWriteOutOfRangeFaultIdentical)
+{
+    Engines fx(buildDoubleWrite());
+    std::vector<Observed> runs = observeAll(fx, 100, {}, "double_write");
+    for (const Observed &o : runs) {
+        ASSERT_EQ(o.result.status, sim::RunStatus::kFault);
+        EXPECT_EQ(o.result.error, runs[0].result.error);
+        EXPECT_EQ(o.cycle, 2u);
+    }
+    EXPECT_EQ(runs[0].result.error, "cycle 2: out-of-range write to 'a[8]'");
+    EXPECT_EQ(lastLine(runs[0].trace), "#2: FAULT: " + runs[0].result.error);
 }
 
 TEST(EngineContract, NetlistIgnoresShuffle)

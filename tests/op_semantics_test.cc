@@ -701,10 +701,10 @@ INSTANTIATE_TEST_SUITE_P(
 /**
  * Select, concat and the decode compare-select with constant operands.
  * The event tape keeps each constant in its slot and runs the two-slot
- * step (kSelect, kConcat), which fusion may then fold into a
- * compare-select (kEqImmSel, kEqImmSel3) or a select chain; the netlist
- * evaluates the unfused cells. Constants run over the edge values of
- * the operand width, so at 33 and 64 bits an arm is wider than 32 bits.
+ * step (kSelect, kConcat), the decode compare as an immediate compare
+ * (kEqImm, kNeImm) feeding a kSelect; the netlist evaluates two-slot
+ * cells. Constants run over the edge values of the operand width, so
+ * at 33 and 64 bits an arm is wider than 32 bits.
  */
 enum class ConstShape {
     kSelConstTrue,   ///< c ? K : b

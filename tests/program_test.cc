@@ -12,10 +12,11 @@
  *  - RunResult's legacy uint64_t conversion still reports the cycles
  *    simulated by that run() call, struct-level and end-to-end.
  *
- * They also pin the shape of the FSM switch pass (buildSwitches): every
- * HLS accelerator's state chain becomes one kSwitch plus a kJump per
- * other state, while the CPU tapes, which have no such chain, keep
- * their length and form no switch.
+ * They also pin guard formation (an `x == K` guard that is its
+ * compare's only reader tests x itself) and the shape of the FSM switch
+ * pass (buildSwitches): every HLS accelerator's state chain becomes one
+ * kSwitch plus a kJump per other state, while the CPU tapes, which have
+ * no such chain, keep their length and form no switch.
  */
 #include <gtest/gtest.h>
 
@@ -152,6 +153,63 @@ countOp(const sim::Program &prog, sim::DOp op)
     return n;
 }
 
+/**
+ * A driver counting cycles whose `when(cyc == 3)` region increments
+ * `hits`; with @p logged the compare is also a log argument.
+ */
+std::unique_ptr<System>
+buildGuard(bool logged)
+{
+    SysBuilder sb(logged ? "guard_logged" : "guard_only");
+    Stage d = sb.driver();
+    Reg cyc = sb.reg("cyc", uintType(8));
+    Reg hits = sb.reg("hits", uintType(8));
+    {
+        StageScope scope(d);
+        Val v = cyc.read();
+        cyc.write(v + 1);
+        Val hit = v == lit(3, 8);
+        if (logged)
+            log("hit {}", {hit});
+        when(hit, [&] { hits.write(hits.read() + 1); });
+    }
+    compile(sb.sys());
+    return sb.take();
+}
+
+/**
+ * Guard formation: a region guard that is its `x == K` condition's only
+ * reader tests x itself (kSkipIfNeImm) and the compare is never
+ * emitted; a condition read elsewhere too keeps its kEqImm, which the
+ * guard then tests (kSkipIfFalse). Both run the region once.
+ */
+TEST(ProgramTest, GuardFormsOnlyForASingleUseCompare)
+{
+    for (bool logged : {false, true}) {
+        SCOPED_TRACE(logged ? "logged" : "guard only");
+        auto sys = buildGuard(logged);
+        auto prog = sim::Program::compile(*sys);
+        EXPECT_EQ(countOp(*prog, sim::DOp::kSkipIfNeImm), logged ? 0u : 1u);
+        EXPECT_EQ(countOp(*prog, sim::DOp::kEqImm), logged ? 1u : 0u);
+        EXPECT_EQ(countOp(*prog, sim::DOp::kSkipIfFalse), logged ? 1u : 0u);
+        for (const sim::DStep &s : prog->tape()) {
+            if (s.op == uint8_t(sim::DOp::kSkipIfNeImm) ||
+                s.op == uint8_t(sim::DOp::kEqImm)) {
+                EXPECT_EQ(s.u.mask, 3u);
+            }
+        }
+        sim::Simulator sim(prog);
+        sim.run(10);
+        ASSERT_EQ(sys->arrays()[1]->name(), "hits");
+        EXPECT_EQ(sim.readArray(sys->arrays()[1].get(), 0), 1u);
+        ASSERT_EQ(sim.logOutput().size(), logged ? 10u : 0u);
+        if (logged) {
+            EXPECT_EQ(sim.logOutput()[2], "hit 0");
+            EXPECT_EQ(sim.logOutput()[3], "hit 1");
+        }
+    }
+}
+
 TEST(ProgramSwitchTest, HlsStateChainsCompileToOneSwitch)
 {
     designs::KmpData kmp = designs::makeKmpData(2000, 5);
@@ -195,8 +253,8 @@ TEST(ProgramSwitchTest, CpuTapesFormNoSwitch)
     auto ooo = designs::buildOoo(image);
     auto cprog = sim::Program::compile(*cpu.sys);
     auto oprog = sim::Program::compile(*ooo.sys);
-    EXPECT_EQ(cprog->tape().size(), 245u);
-    EXPECT_EQ(oprog->tape().size(), 1040u);
+    EXPECT_EQ(cprog->tape().size(), 375u);
+    EXPECT_EQ(oprog->tape().size(), 1300u);
     for (const sim::Program *prog : {cprog.get(), oprog.get()}) {
         EXPECT_EQ(countOp(*prog, sim::DOp::kSwitch), 0u);
         EXPECT_EQ(countOp(*prog, sim::DOp::kJump), 0u);
