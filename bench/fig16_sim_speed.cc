@@ -280,9 +280,10 @@ printTable(bool smoke, bool trace)
     printSpeedups(cases, 0, num_cpu, "2.2x on CPU");
     // Regression canary on the CI path (perf_smoke): the compiled event
     // engine must beat the interpreted netlist engine outright on every
-    // CPU workload it ran, comparing each engine's best rep. The
-    // interpreted tape wins by event skipping alone (~1.2-1.4x on these
-    // short CPU runs); the compiled tape adds the dispatch it removes.
+    // CPU workload it ran, comparing each engine's best rep. Event
+    // skipping alone buys little here: the interpreted tapes measure
+    // ~1.0x against each other on these short CPU runs. The compiled
+    // tape wins by the dispatch it removes (~3-4x).
     if (smoke)
         for (size_t i = 0; i < num_cpu; ++i) {
             const Case &c = cases[i];

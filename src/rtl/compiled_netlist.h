@@ -3,28 +3,24 @@
  * The generated evaluators of the netlist engine (docs/architecture.md
  * "Compiled evaluators"): for every distinct netlist of the design
  * catalog, the tape generator (sim/tapegen.cc) writes one straight-line
- * C++ function per activity-gating cone, each step a row of sim/tape.h
- * specialized on a `constexpr` DStep. rtl::Netlist attaches the entry
- * whose copy of the tape and cone ranges equals its own byte for byte
- * (Netlist::compiled()); rtl::NetlistSim then calls a cone's function
- * where it would otherwise interpret the cone's tape range.
+ * C++ function per cone (one stage's cell range), each step a row of
+ * sim/tape.h specialized on a `constexpr` DStep. rtl::Netlist attaches
+ * the entry whose copy of the tape and cone ranges equals its own byte
+ * for byte (Netlist::compiled()); rtl::NetlistSim then calls every
+ * cone's function in order, the cones tiling the tape, where it would
+ * otherwise interpret the whole tape.
  */
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
+#include "rtl/netlist.h"
 #include "sim/engine.h"
 #include "sim/tape.h"
 
 namespace assassyn {
 namespace rtl {
-
-/** The [begin, end) cell range of one cone, as Cone::begin / end. */
-struct ConeRange {
-    uint32_t begin;
-    uint32_t end;
-};
 
 /**
  * One compiled cone: evaluates the cells of its range over the net
@@ -41,7 +37,7 @@ struct CompiledNetlist {
     uint64_t fingerprint;
     const sim::DStep *tape;
     size_t tape_len;
-    const ConeRange *cones;
+    const Cone *cones;
     size_t num_cones;
     const ConeFn *cone_fns; ///< parallel to cones
 };

@@ -1,6 +1,5 @@
 #include "rtl/netlist.h"
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <sstream>
@@ -118,11 +117,9 @@ class NetlistBuilder {
         // Each stage's cells form one contiguous range — its cone.
         for (Module *mod : sys_.topoOrder()) {
             Cone cone;
-            cone.mod = mod;
             cone.begin = static_cast<uint32_t>(nl_.cells_.size());
             buildModule(*mod);
             cone.end = static_cast<uint32_t>(nl_.cells_.size());
-            cone.exec_net = nl_.exec_net_[mod->id()];
             nl_.cones_.push_back(cone);
         }
 
@@ -466,10 +463,8 @@ Netlist::finalize()
     buildTape();
     fingerprint_ = hashBytes(0, tape_.data(),
                              tape_.size() * sizeof(sim::DStep));
-    for (const Cone &cone : cones_) {
-        const ConeRange r{cone.begin, cone.end};
-        fingerprint_ = hashBytes(fingerprint_, &r, sizeof r);
-    }
+    fingerprint_ = hashBytes(fingerprint_, cones_.data(),
+                             cones_.size() * sizeof(Cone));
     compiled_ = nullptr;
     if (evaluator_ == sim::Evaluator::kCompiled && !cones_.empty())
         attachCompiled();
@@ -487,15 +482,9 @@ Netlist::attachCompiled()
     const CompiledNetlists all = compiledNetlists();
     for (size_t i = 0; i < all.size; ++i) {
         const CompiledNetlist &cn = *all.list[i];
-        if (cn.fingerprint != fingerprint_ ||
-            !sameBytes(tape_, cn.tape, cn.tape_len) ||
-            cn.num_cones != cones_.size())
-            continue;
-        bool same = true;
-        for (size_t c = 0; c < cones_.size() && same; ++c)
-            same = cn.cones[c].begin == cones_[c].begin &&
-                   cn.cones[c].end == cones_[c].end;
-        if (same) {
+        if (cn.fingerprint == fingerprint_ &&
+            sameBytes(tape_, cn.tape, cn.tape_len) &&
+            sameBytes(cones_, cn.cones, cn.num_cones)) {
             compiled_ = &cn;
             return;
         }
@@ -520,36 +509,12 @@ Netlist::levelize()
             if (p != kNoCell && p >= i)
                 ordered = false;
         });
-    if (ordered) {
-        // Activity-gating metadata: each cone's external inputs are the
-        // non-constant nets produced outside its own cell range (state
-        // nets and cross-cone wires), plus the arrays it reads.
-        std::vector<uint32_t> seen(net_bits_.size(), kNoCell);
-        for (uint32_t ci = 0; ci < cones_.size(); ++ci) {
-            Cone &cone = cones_[ci];
-            for (uint32_t i = cone.begin; i < cone.end; ++i) {
-                const Cell &cell = cells_[i];
-                forEachCellInput(cell, [&](uint32_t n) {
-                    uint32_t p = producer[n];
-                    bool internal = p != kNoCell && p >= cone.begin &&
-                                    p < cone.end;
-                    if (internal || seen[n] == ci || consts_.count(n))
-                        return;
-                    seen[n] = ci;
-                    cone.inputs.push_back(n);
-                });
-                if (cell.op == CellOp::kArrayRead &&
-                    std::find(cone.arrays.begin(), cone.arrays.end(),
-                              cell.aux) == cone.arrays.end())
-                    cone.arrays.push_back(cell.aux);
-            }
-        }
+    if (ordered)
         return;
-    }
 
     // Out-of-order cells (hand-built or mutated netlists only): fall
-    // back to a full levelization. Gating metadata is dropped — the
-    // simulator then evaluates the whole reordered list every cycle.
+    // back to a full levelization. The stage ranges no longer hold, so
+    // the cones are dropped and the netlist runs its tape.
     cones_.clear();
     std::vector<bool> ready(net_bits_.size(), false);
     for (uint32_t n = 0; n < producer.size(); ++n)

@@ -39,10 +39,9 @@
  * lookup) runs inside the constructor, there are no mutable members and
  * no lazily-initialized caches — so one `const Netlist` may back
  * any number of concurrent rtl::NetlistSim instances, each of which
- * owns all of its run-time state (its sim::RunState plus net values
- * and cone state; see netlist_sim.cc). The referenced System must
- * outlive the Netlist. tests/parallel_determinism_test.cc pins the
- * guarantee.
+ * owns all of its run-time state (its sim::RunState plus net values;
+ * see netlist_sim.cc). The referenced System must outlive the Netlist.
+ * tests/parallel_determinism_test.cc pins the guarantee.
  */
 #pragma once
 
@@ -155,21 +154,14 @@ struct MonitorBlock {
 };
 
 /**
- * One stage's contiguous cell range plus everything its evaluation
- * depends on, computed once at elaboration. The simulator skips the
- * whole range on cycles where the stage's exec_valid is low and every
- * external input net — FIFO/counter state nets and cross-cone wires —
- * plus every register array it reads are unchanged: the cells are pure
- * functions of those, so their outputs are already sitting in the net
- * store (docs/performance.md).
+ * One stage's contiguous cell range, in topological stage order. The
+ * cones tile the cell list, so evaluating them in order is one pass
+ * over every cell; each is one generated function of a compiled
+ * netlist (rtl/compiled_netlist.h).
  */
 struct Cone {
-    const Module *mod = nullptr;
-    uint32_t exec_net = kNoNet;
     uint32_t begin = 0; ///< first cell index
     uint32_t end = 0;   ///< one past the last cell index
-    std::vector<uint32_t> inputs; ///< external non-constant input nets
-    std::vector<uint32_t> arrays; ///< array ids read by kArrayRead cells
 };
 
 /**
@@ -247,9 +239,9 @@ class Netlist {
     const std::string &combCycleDiag() const { return comb_cycle_; }
 
     /**
-     * Per-stage activity-gating metadata; empty when elaboration had to
-     * reorder cells away from creation order (gating then disabled, the
-     * simulator falls back to a plain full sweep per cycle).
+     * The per-stage cell ranges, tiling the cell list in order; empty
+     * when elaboration had to reorder cells away from creation order
+     * (such a netlist is never compiled and runs its tape).
      */
     const std::vector<Cone> &cones() const { return cones_; }
 
@@ -276,8 +268,8 @@ class Netlist {
 
     /**
      * Levelization: verify the cell list is topologically ordered,
-     * reorder it if not, record a structured diagnostic on a residual
-     * cycle, and compute the cones' external inputs.
+     * reorder it if not (dropping the cones), and record a structured
+     * diagnostic on a residual cycle.
      */
     void levelize();
 

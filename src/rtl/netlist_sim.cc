@@ -1,6 +1,5 @@
 #include "rtl/netlist_sim.h"
 
-#include <algorithm>
 #include <iterator>
 
 #include "rtl/compiled_netlist.h"
@@ -20,39 +19,23 @@ struct StageView {
     std::vector<uint32_t> stall_fifos; ///< RunState FIFO ids gating it
 };
 
-/**
- * Activity-gating state of one cone: the input values and array
- * versions it was last evaluated against. While they match the current
- * state and the stage's exec_valid is low, the cone's outputs are
- * already correct in the net store and its cells are skipped.
- */
-struct ConeRt {
-    bool valid = false;         ///< evaluated at least once
-    std::vector<uint64_t> sig;  ///< input nets at last evaluation
-    std::vector<uint64_t> aver; ///< read-array versions at last evaluation
-};
-
 } // namespace
 
 struct NetlistSim::Impl {
-    NetlistSim &self;
     sim::RunState &st;
     const Netlist &nl;
 
     std::vector<uint64_t> nets;
-    std::vector<uint64_t> array_version; ///< bumped on every array mutation
-    std::vector<StageView> views;        ///< topological order
-    std::vector<uint32_t> block_fifo;    ///< FifoBlock -> RunState FIFO id
-    std::vector<uint32_t> counter_mod;   ///< CounterBlock -> Module::id
-    std::vector<ConeRt> cone_rt;         ///< parallel to nl.cones()
+    std::vector<StageView> views;      ///< topological order
+    std::vector<uint32_t> block_fifo;  ///< FifoBlock -> RunState FIFO id
+    std::vector<uint32_t> counter_mod; ///< CounterBlock -> Module::id
 
     Impl(NetlistSim &owner, const Netlist &n)
-        : self(owner), st(owner.st_), nl(n)
+        : st(owner.st_), nl(n)
     {
         nets.assign(nl.numNets(), 0);
         for (const auto &[net, value] : nl.constNets())
             nets[net] = value;
-        array_version.assign(nl.arrays().size(), 0);
         for (const FifoBlock &blk : nl.fifos())
             block_fifo.push_back(st.fifoIndex(blk.port));
         for (const CounterBlock &blk : nl.counters())
@@ -66,24 +49,18 @@ struct NetlistSim::Impl {
                 v.stall_fifos.push_back(st.fifoIndex(p));
             views.push_back(std::move(v));
         }
-        cone_rt.resize(nl.cones().size());
-        for (size_t c = 0; c < cone_rt.size(); ++c) {
-            cone_rt[c].sig.assign(nl.cones()[c].inputs.size(), 0);
-            cone_rt[c].aver.assign(nl.cones()[c].arrays.size(), 0);
-        }
     }
 
     /**
-     * One pass over the pre-decoded tape records [@p begin, @p end),
-     * i.e. over the levelized cells of the same index range. The
-     * handlers are generated from the event engine's own rows
-     * (ASSASSYN_PURE_HANDLERS, sim/tape.h).
+     * One pass over the whole pre-decoded tape, i.e. over every
+     * levelized cell in order. The handlers are generated from the
+     * event engine's own rows (ASSASSYN_PURE_HANDLERS, sim/tape.h).
      */
     void
-    runTape(uint32_t begin, uint32_t end)
+    runTape()
     {
-        const sim::DStep *s = nl.tape().data() + begin;
-        const sim::DStep *const e = nl.tape().data() + end;
+        const sim::DStep *s = nl.tape().data();
+        const sim::DStep *const e = s + nl.tape().size();
         uint64_t *const v = nets.data();
         const sim::RunState::Array *const ast = st.arrays.data();
         // Threaded dispatch (computed goto), as in sim::Simulator's
@@ -114,69 +91,31 @@ struct NetlistSim::Impl {
 
     /**
      * Evaluate the combinational logic for this cycle: exactly one pass
-     * over the levelized cell list — no settle loop. With cone metadata
-     * available, a stage whose exec_valid was low at its last evaluation
-     * and whose external inputs (state nets, cross-cone wires, read
-     * arrays) are unchanged is skipped outright: its cells are pure
-     * functions of those inputs, so every output net already holds the
-     * value this pass would recompute. A cone that does run calls its
-     * generated function when the netlist has a compiled evaluator
-     * (Netlist::compiled()) and interprets its tape range otherwise.
+     * over every levelized cell, no settle loop and nothing skipped,
+     * as an RTL simulator does. A compiled netlist (Netlist::compiled())
+     * calls each cone's generated function in order; the cones tile the
+     * tape, so that is the same pass the interpreter makes.
      */
     void
     evalCells()
     {
-        const auto &cones = nl.cones();
-        const ConeFn *const compiled =
-            nl.compiled() ? nl.compiled()->cone_fns : nullptr;
-        if (cones.empty()) {
-            // Reordered (non-creation-order) netlist: no cone ranges;
-            // run the whole tape.
-            runTape(0, static_cast<uint32_t>(nl.tape().size()));
-            return;
-        }
-        for (size_t c = 0; c < cones.size(); ++c) {
-            const Cone &cone = cones[c];
-            ConeRt &rt = cone_rt[c];
-            if (rt.valid && !nets[cone.exec_net]) {
-                bool same = true;
-                for (size_t k = 0; k < cone.inputs.size(); ++k) {
-                    if (nets[cone.inputs[k]] != rt.sig[k]) {
-                        same = false;
-                        break;
-                    }
-                }
-                if (same) {
-                    for (size_t k = 0; k < cone.arrays.size(); ++k) {
-                        if (array_version[cone.arrays[k]] != rt.aver[k]) {
-                            same = false;
-                            break;
-                        }
-                    }
-                }
-                if (same)
-                    continue; // outputs already correct
-            }
-            if (compiled)
-                compiled[c](nets.data(), st.arrays.data());
-            else
-                runTape(cone.begin, cone.end);
-            rt.valid = true;
-            for (size_t k = 0; k < cone.inputs.size(); ++k)
-                rt.sig[k] = nets[cone.inputs[k]];
-            for (size_t k = 0; k < cone.arrays.size(); ++k)
-                rt.aver[k] = array_version[cone.arrays[k]];
+        if (const CompiledNetlist *cn = nl.compiled()) {
+            for (size_t c = 0; c < cn->num_cones; ++c)
+                cn->cone_fns[c](nets.data(), st.arrays.data());
+        } else {
+            runTape();
         }
     }
 
-    void
+    /**
+     * Evaluate and commit one cycle: the netlist engine's step of the
+     * shared cycle frame (sim::Engine::runCycleFrames).
+     */
+    sim::CycleOutcome
     step()
     {
         sim::RunState &rs = st;
         const uint64_t cycle = rs.cycle;
-        if (rs.recorder)
-            rs.recorder->beginCycle(cycle);
-        rs.pre_hooks.fire(cycle);
 
         // Drive state-derived nets: FIFO pop interfaces and event-pending
         // flags, all functions of sequential state at the clock edge.
@@ -195,8 +134,8 @@ struct NetlistSim::Impl {
             nets[nl.counters()[i].nonzero] = stages[counter_mod[i]].pending > 0;
 
         // Single-pass combinational evaluation over the levelized cells
-        // (with per-stage activity gating) — the precompiled static
-        // schedule that replaces the old sweep-until-settled loop.
+        // — the precompiled static schedule that replaces the old
+        // sweep-until-settled loop.
         evalCells();
 
         // Per-stage accounting, from the settled exec_valid nets,
@@ -298,7 +237,6 @@ struct NetlistSim::Impl {
                 a.data[idx] =
                     truncate(data, blk.array->elemType().bits());
                 ++a.writes;
-                ++array_version[i];
                 progress = true;
             }
         }
@@ -314,17 +252,7 @@ struct NetlistSim::Impl {
                 progress = true;
             rs.commitEvents(stages[counter_mod[i]], inc, dec);
         }
-
-        rs.done = cycle + 1;
-        if (rs.observed)
-            self.observeCycle();
-        rs.post_hooks.fire(cycle);
-        self.checkWatchdog(progress);
-        if (rs.recorder)
-            rs.recorder->endCycle();
-        ++rs.cycle;
-        if (finish_req)
-            rs.finished = true;
+        return {progress, finish_req};
     }
 
     void
@@ -362,43 +290,7 @@ void
 NetlistSim::runCycles(uint64_t max_cycles)
 {
     Impl &im = *impl_;
-    for (const uint64_t start = st_.cycle; !st_.finished &&
-                                           !st_.hazard_flag &&
-                                           st_.cycle - start < max_cycles;)
-        im.step();
-}
-
-void
-NetlistSim::arrayPoked(uint32_t aid)
-{
-    ++impl_->array_version[aid]; // invalidate gated reader cones
-}
-
-/**
- * Nets are cycle-transient: step() re-drives every state-derived net
- * before evaluation. Zero them, re-apply elaborated constants, and
- * invalidate every activity-gating cone so the first resumed cycle
- * evaluates from the restored sequential state.
- */
-void
-NetlistSim::rebuildViews()
-{
-    Impl &im = *impl_;
-    std::fill(im.nets.begin(), im.nets.end(), 0);
-    for (const auto &[net, value] : im.nl.constNets())
-        im.nets[net] = value;
-    std::fill(im.array_version.begin(), im.array_version.end(), 0);
-    for (ConeRt &rt : im.cone_rt) {
-        rt.valid = false;
-        std::fill(rt.sig.begin(), rt.sig.end(), 0);
-        std::fill(rt.aver.begin(), rt.aver.end(), 0);
-    }
-}
-
-uint64_t
-NetlistSim::netValue(uint32_t net) const
-{
-    return impl_->nets.at(net);
+    runCycleFrames(max_cycles, [&im] { return im.step(); });
 }
 
 } // namespace rtl

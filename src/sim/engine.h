@@ -6,10 +6,10 @@
  * sim::Simulator (the event-driven tape interpreter of paper Sec. 5.1)
  * and rtl::NetlistSim (the levelized-netlist Verilator stand-in of
  * Sec. 5.2) differ only in how they evaluate and commit one cycle.
- * Everything else — the state that survives a cycle boundary, the run
- * loop's fault and verdict handling, the zero-progress watchdog,
- * inspection and pokes, metrics, checkpoints and hooks — exists once,
- * here:
+ * Everything else — the state that survives a cycle boundary, the
+ * cycle frame around evaluation, the run loop's fault and verdict
+ * handling, the zero-progress watchdog, inspection and pokes, metrics,
+ * checkpoints and hooks — exists once, here:
  *
  *  - RunState holds every piece of mutable run state that outlives a
  *    cycle: register arrays, the FIFO arena, their traffic counters, the
@@ -21,11 +21,12 @@
  *    folded counters (idle spans, occupancy histograms) are folded in
  *    one place.
  *  - Engine owns a RunState and implements the public surface over it
- *    with non-virtual methods, including the one end-of-cycle
- *    observation point that renders every per-cycle output from the
- *    published activity. Its virtual calls are all cold: one per run()
- *    into the engine's cycle loop, plus poke invalidation, engine-private
- *    snapshot sections and post-restore view rebuilding. Nothing
+ *    with non-virtual methods, including the cycle frame
+ *    (runCycleFrames) and, inside it, the one end-of-cycle observation
+ *    point that renders every per-cycle output from the published
+ *    activity. Its virtual calls are all cold: one per run() into the
+ *    engine's cycle loop, plus the event engine's poke invalidation,
+ *    snapshot section and post-restore view rebuilding. Nothing
  *    virtual runs per cycle or per tape step.
  *
  * Because metrics(), snapshot(), the hazard report and every per-cycle
@@ -382,6 +383,12 @@ struct RunState {
     [[noreturn]] void counterOverflow(const Stage &s, uint64_t next) const;
 };
 
+/** What one cycle's evaluation and commit hand back to the cycle frame. */
+struct CycleOutcome {
+    bool progress; ///< some architectural state changed (the watchdog's test)
+    bool finish;   ///< a finish() fired: the run ends with this cycle
+};
+
 /**
  * The engine base class: one RunState plus the public surface both
  * engines share. Construct a concrete engine (sim::Simulator,
@@ -503,21 +510,22 @@ class Engine {
 
     /**
      * The engine's cycle loop: step cycles until finished, a watchdog
-     * verdict, or @p max_cycles more cycles. Called once per run().
+     * verdict, or @p max_cycles more cycles. Called once per run();
+     * each engine implements it as runCycleFrames over its own step.
      */
     virtual void runCycles(uint64_t max_cycles) = 0;
 
     /** Invalidate derived views after an external array write. */
-    virtual void arrayPoked(uint32_t aid) = 0;
+    virtual void arrayPoked(uint32_t aid) { (void)aid; }
 
     /** Invalidate derived views after an external FIFO write. */
     virtual void fifoPoked(uint32_t fid) { (void)fid; }
 
     /**
-     * Rebuild every derived view (scheduler sets, nets, cones, ...)
+     * Rebuild every derived view (scheduler sets, shadow state, ...)
      * from the RunState restore() just loaded.
      */
-    virtual void rebuildViews() = 0;
+    virtual void rebuildViews() {}
 
     /** Append engine-private snapshot sections. */
     virtual void saveSections(Snapshot &snap) const { (void)snap; }
@@ -526,11 +534,53 @@ class Engine {
     virtual void loadSections(const Snapshot &snap) { (void)snap; }
 
     /**
-     * The end-of-cycle observation point. Each engine calls it once per
-     * committed cycle — after publishing every stage's activity and
-     * setting `done`, before the post-cycle hooks — behind the single
-     * branch `if (st_.observed)`. It feeds the timeline recorder, samples
-     * the VCD and writes the text-trace line.
+     * The cycle frame, written once for both engines: run cycles until
+     * finished, a watchdog verdict, or @p max_cycles more cycles. Each
+     * cycle opens the timeline cycle and fires the pre-cycle hooks,
+     * calls @p step — the engine's evaluation and commit, returning a
+     * CycleOutcome — then marks the cycle committed, observes it, fires
+     * the post-cycle hooks, runs the watchdog, closes the timeline
+     * cycle, advances the cycle count and honours a finish. A template,
+     * so each engine's runCycles inlines its step: no call per cycle is
+     * virtual.
+     */
+    template <class Step>
+    void
+    runCycleFrames(uint64_t max_cycles, Step &&step)
+    {
+        RunState &rs = st_;
+        for (const uint64_t start = rs.cycle; !rs.finished &&
+                                              !rs.hazard_flag &&
+                                              rs.cycle - start < max_cycles;) {
+            const uint64_t cycle = rs.cycle;
+            if (rs.recorder)
+                rs.recorder->beginCycle(cycle);
+            rs.pre_hooks.fire(cycle);
+            const CycleOutcome out = step();
+            rs.done = cycle + 1;
+            if (rs.observed)
+                observeCycle();
+            rs.post_hooks.fire(cycle);
+            checkWatchdog(out.progress);
+            if (rs.recorder)
+                rs.recorder->endCycle();
+            ++rs.cycle;
+            if (out.finish)
+                rs.finished = true;
+        }
+    }
+
+    RunState st_;
+    /** When nonempty, run() refuses to start and reports this fault. */
+    std::string unrunnable_;
+
+  private:
+    /**
+     * The end-of-cycle observation point, called once per committed
+     * cycle — after the engine published every stage's activity and
+     * the frame set `done`, before the post-cycle hooks — behind the
+     * single branch `if (st_.observed)`. It feeds the timeline
+     * recorder, samples the VCD and writes the text-trace line.
      */
     void observeCycle();
 
@@ -557,11 +607,6 @@ class Engine {
             raiseHazard();
     }
 
-    RunState st_;
-    /** When nonempty, run() refuses to start and reports this fault. */
-    std::string unrunnable_;
-
-  private:
     /** Some stage was backpressured or kept a pending event unserved. */
     bool anyBlocked() const;
     void raiseHazard();

@@ -19,8 +19,8 @@
  *    instantiates it once per distinct tape.
  *
  * The prologue and epilogue of a cycle (recorder, hooks, observation,
- * watchdog, finish) stay in Simulator::Impl::stepCycle, around the one
- * call of the cycle function.
+ * watchdog, finish) are the shared cycle frame, Engine::runCycleFrames,
+ * around the one call of the cycle function in Simulator::Impl::step.
  *
  * A plan provides, as static members, with `mid`, `fid` and `aid` a
  * uint32_t or (CompiledPlan) a std::integral_constant:

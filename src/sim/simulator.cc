@@ -172,7 +172,6 @@ struct TapePlan {
 // immutable sim::Program (sim/program.h).
 
 struct Simulator::Impl {
-    Simulator &self;
     RunState &st;
     std::shared_ptr<const Program> prog;
     const SimOptions &opts;
@@ -188,8 +187,7 @@ struct Simulator::Impl {
     // ----------------------------------------------------------------------
 
     Impl(Simulator &owner, std::shared_ptr<const Program> p)
-        : self(owner), st(owner.st_), prog(std::move(p)),
-          opts(st.opts)
+        : st(owner.st_), prog(std::move(p)), opts(st.opts)
     {
         const System &sys = prog->sys();
         es.slots = prog->slotInit();
@@ -237,7 +235,7 @@ struct Simulator::Impl {
      * exactly drivers plus pending stages, idle spans of the others
      * open at the current cycle (their accumulated prefix is already in
      * idle_cycles), and every shadow cone is stale — the first
-     * stepCycle re-derives all combinational state.
+     * step() re-derives all combinational state.
      */
     void
     rebuildReady()
@@ -254,26 +252,16 @@ struct Simulator::Impl {
         es.shadow_stale.assign(es.mods.size(), 1);
     }
 
-    void
-    stepCycle()
+    /**
+     * Evaluate and commit one cycle: the event engine's step of the
+     * shared cycle frame (Engine::runCycleFrames).
+     */
+    CycleOutcome
+    step()
     {
-        RunState &rs = st;
-        const uint64_t cycle = rs.cycle;
-        if (rs.recorder)
-            rs.recorder->beginCycle(cycle);
-        rs.pre_hooks.fire(cycle);
         syncCtx();
         const bool progress = cycle_fn(es);
-        rs.done = cycle + 1;
-        if (rs.observed)
-            self.observeCycle();
-        rs.post_hooks.fire(cycle);
-        self.checkWatchdog(progress);
-        if (rs.recorder)
-            rs.recorder->endCycle();
-        ++rs.cycle;
-        if (es.cx.finish_pending)
-            rs.finished = true;
+        return {progress, es.cx.finish_pending};
     }
 };
 
@@ -306,10 +294,7 @@ void
 Simulator::runCycles(uint64_t max_cycles)
 {
     Impl &im = *impl_;
-    for (const uint64_t start = st_.cycle; !st_.finished &&
-                                           !st_.hazard_flag &&
-                                           st_.cycle - start < max_cycles;)
-        im.stepCycle();
+    runCycleFrames(max_cycles, [&im] { return im.step(); });
 }
 
 void

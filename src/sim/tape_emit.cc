@@ -548,7 +548,7 @@ emitCompiledNetlist(const rtl::Netlist &nl, const std::string &symbol,
            "namespace rtl {\nnamespace {\nnamespace " +
            symbol + "_ {\n\nusing sim::DStep;\n\n";
     out += tapeArray(tape);
-    out += "constexpr ConeRange kCones[] = " +
+    out += "constexpr Cone kCones[] = " +
            list(cones.size(), 4,
                 [&](size_t c) {
                     return format("{%" PRIu32 ", %" PRIu32 "}",

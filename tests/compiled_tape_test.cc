@@ -12,8 +12,9 @@
  * the compiled run must also resume on the interpreter and on the other
  * engine to the same end state, and the netlist's evaluators must stay
  * identical after an array poke. CoversCatalog pins that every shipped
- * design is compiled on both engines and that any other design, or a
- * reordered netlist, falls back to the interpreter.
+ * design is compiled on both engines, with cones that tile its netlist
+ * tape, and that any other design, or a reordered netlist, falls back
+ * to the interpreter.
  */
 #include <gtest/gtest.h>
 
@@ -31,6 +32,7 @@
 #include "designs/cpu.h"
 #include "designs/ooo.h"
 #include "grader/corpus.h"
+#include "rtl/compiled_netlist.h"
 #include "rtl/netlist.h"
 #include "rtl/netlist_sim.h"
 #include "sim/ckpt.h"
@@ -324,10 +326,10 @@ TEST_P(CompiledNetlistTest, MatchesTape)
     EXPECT_EQ(metricsOf(event), metricsOf(a)) << c.name;
     EXPECT_EQ(event.logOutput(), a.logOutput()) << c.name;
 
-    // An array poke invalidates the gated cones reading the array on
-    // both evaluators alike (Engine::writeArray -> arrayPoked), after a
-    // restore as in a plain run. The poked design need not finish, so
-    // the two run a fixed window and compare their snapshots.
+    // An array poke is read by the next cycle's evaluation on both
+    // evaluators alike (Engine::writeArray), after a restore as in a
+    // plain run. The poked design need not finish, so the two run a
+    // fixed window and compare their snapshots.
     for (const bool restored : {false, true}) {
         rtl::NetlistSim pa(compiled, options(false));
         rtl::NetlistSim pb(tape, options(false));
@@ -395,6 +397,26 @@ randomDesign(uint64_t seed)
     return sb.take();
 }
 
+/**
+ * The netlist engine evaluates a compiled netlist by calling its cone
+ * functions in order, so @p nl must be compiled, its cones must tile
+ * the tape with no gap or overlap, and the generated entry must carry
+ * a function for every cone.
+ */
+void
+expectCompiledConesTileTape(const rtl::Netlist &nl, const std::string &what)
+{
+    ASSERT_NE(nl.compiled(), nullptr) << what << " has no compiled netlist";
+    EXPECT_EQ(nl.compiled()->num_cones, nl.cones().size()) << what;
+    uint32_t next = 0;
+    for (const rtl::Cone &cone : nl.cones()) {
+        EXPECT_EQ(cone.begin, next) << what;
+        EXPECT_LE(cone.begin, cone.end) << what;
+        next = cone.end;
+    }
+    EXPECT_EQ(next, nl.tape().size()) << what;
+}
+
 TEST(CompiledTape, CoversCatalog)
 {
     for (const baseline::CatalogDesign &d : baseline::designCatalog()) {
@@ -406,8 +428,7 @@ TEST(CompiledTape, CoversCatalog)
             << d.name << " has no compiled cycle";
         auto tape = sim::Program::compile(*sys, sim::Evaluator::kTape);
         EXPECT_EQ(tape->compiled(), nullptr) << d.name;
-        EXPECT_NE(rtl::Netlist(*sys).compiled(), nullptr)
-            << d.name << " has no compiled netlist";
+        expectCompiledConesTileTape(rtl::Netlist(*sys), d.name);
     }
     // The grader builds its cores over a blank image of the program's
     // memory size (grader/grader.cc); the tapes and netlists do not
@@ -426,10 +447,12 @@ TEST(CompiledTape, CoversCatalog)
                 << "grader " << core << " core cycle, " << words
                 << " words";
         }
-        EXPECT_NE(rtl::Netlist(*cpu.sys).compiled(), nullptr)
-            << "grader in-order netlist, " << words << " words";
-        EXPECT_NE(rtl::Netlist(*ooo.sys).compiled(), nullptr)
-            << "grader OoO netlist, " << words << " words";
+        expectCompiledConesTileTape(
+            rtl::Netlist(*cpu.sys),
+            "grader in-order netlist, " + std::to_string(words) + " words");
+        expectCompiledConesTileTape(
+            rtl::Netlist(*ooo.sys),
+            "grader OoO netlist, " + std::to_string(words) + " words");
     }
     for (uint64_t seed : {1, 2, 3}) {
         std::unique_ptr<System> sys = randomDesign(seed);
@@ -445,7 +468,7 @@ TEST(CompiledTape, CoversCatalog)
         EXPECT_TRUE(n.finished());
     }
     // A catalog netlist reordered away from creation order loses its
-    // cones (the full-sweep path) and with them its compiled evaluator.
+    // cones and with them its compiled evaluator: it runs its tape.
     std::unique_ptr<System> sys = baseline::designCatalog().front().build();
     rtl::Netlist nl(*sys);
     ASSERT_NE(nl.compiled(), nullptr);

@@ -1,10 +1,11 @@
 /**
  * @file
  * Levelization contract of the netlist (rtl/netlist.h):
- *  - elaboration always yields a topologically ordered cell list with
- *    per-stage activity-gating cones;
+ *  - elaboration always yields a topologically ordered cell list,
+ *    tiled in stage order by per-stage cones (the ranges of a compiled
+ *    netlist's functions);
  *  - a mutated out-of-order (but acyclic) cell list is re-levelized by
- *    the Kahn fallback, with gating disabled, the cell tape rebuilt in
+ *    the Kahn fallback, with the cones dropped, the cell tape rebuilt in
  *    the new order, and behavior unchanged;
  *  - a genuine combinational cycle is rejected with a structured
  *    diagnostic naming the cells, and the simulator returns a kFault
@@ -114,7 +115,7 @@ TEST(NetlistLevelizeTest, KahnFallbackReordersAndStaysAligned)
     rtl::NetlistTestPeer::refinalize(nl);
 
     // Reordering succeeds (the graph is still acyclic) but the
-    // creation-order cones are gone: full-sweep fallback.
+    // creation-order cones are gone: the tape is interpreted.
     EXPECT_TRUE(nl.levelized());
     EXPECT_TRUE(nl.cones().empty());
 
