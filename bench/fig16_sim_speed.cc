@@ -9,7 +9,7 @@
  *            evaluators"), and on the interpreted tape ("asyn(tape)");
  *  - "rtl":  the netlist-level simulator, this repo's Verilator stand-in
  *            (evaluates the whole design every cycle), timed the same
- *            two ways: on the compiled cones of the catalog netlist and
+ *            two ways: on the generated cycle of the catalog netlist and
  *            on the interpreted cell tape ("rtl(tape)");
  *  - "gem5": the gem5-like timing model (CPU workloads only), whose
  *            construction cost models gem5's initialization phase.
@@ -29,7 +29,8 @@
  * finish() until its run phases total at least kMinRepSeconds, so short
  * designs are timed over many runs; build time is timed separately. The
  * table and BENCH_fig16.json give the median cycles/s with the min and
- * max rep.
+ * max rep. The long-loop row (full runs only) times the gem5-like model
+ * the same way, each of its runs including its initialization.
  */
 #include "baseline/gem5like.h"
 #include "isa/riscv.h"
@@ -95,6 +96,27 @@ timeCases(std::vector<Case> &cases)
 }
 
 /**
+ * One rep of the gem5-like model on @p image into @p r: runs, each
+ * including the model's construction (its initialization phase, as
+ * the paper times gem5), until they total at least kMinRepSeconds.
+ */
+void
+gem5Rep(TimedRun &r, const std::vector<uint32_t> &image)
+{
+    uint64_t cycles = 0;
+    double seconds = 0;
+    do {
+        auto t0 = std::chrono::steady_clock::now();
+        baseline::Gem5LikeCpu gem5(image);
+        r.cycles = gem5.run().cycles;
+        auto t1 = std::chrono::steady_clock::now();
+        cycles += r.cycles;
+        seconds += std::chrono::duration<double>(t1 - t0).count();
+    } while (seconds < kMinRepSeconds);
+    r.cps.push_back(double(cycles) / seconds);
+}
+
+/**
  * The gmean asyn/rtl ratios of cases [@p begin, @p end) on the three
  * evaluator pairings, printed next to the paper's @p paper ratio.
  */
@@ -137,25 +159,46 @@ writeSpread(JsonWriter &w, const std::string &key, const Spread &s)
     w.value(s.max);
 }
 
+/** The members of @p c's object: its design, cycles and every
+ *  engine's spread. */
+void
+writeCase(JsonWriter &w, const Case &c)
+{
+    w.key("design");
+    w.value(c.design);
+    w.key("cycles");
+    w.value(c.ev.cycles);
+    writeSpread(w, "asyn_cps", c.ev.spread());
+    writeSpread(w, "asyn_tape_cps", c.tp.spread());
+    writeSpread(w, "rtl_cps", c.nl.spread());
+    writeSpread(w, "rtl_tape_cps", c.nt.spread());
+    w.key("asyn_over_rtl");
+    w.value(c.speedup());
+}
+
 /**
- * BENCH_fig16.json (schema assassyn.bench.fig16.v6): cycles/s per
+ * BENCH_fig16.json (schema assassyn.bench.fig16.v7): cycles/s per
  * design per backend, at the repo root (full runs only) so successive
  * checkouts can be diffed (docs/performance.md). Each engine's `*_cps`
  * is the median of the reps, with `*_cps_min` / `*_cps_max` beside it;
  * each rep times at least `min_rep_seconds` of runs. v5 over v4:
  * `asyn_cps` is the event engine on its compiled tape, and
  * `asyn_tape_cps` the same engine on the interpreted tape. v6 over v5:
- * `rtl_cps` is the netlist engine on its compiled cones, `rtl_tape_cps`
+ * `rtl_cps` is the netlist engine on its compiled cycle, `rtl_tape_cps`
  * the same engine on the interpreted cell tape, so `asyn_over_rtl` is
- * compiled over compiled.
+ * compiled over compiled. v7 over v6: `long_loop` (full runs only), the
+ * long-loop row @p loop under the same protocol, with the gem5-like
+ * model's `gem5_cps` spread @p gem5 and `gem5_over_asyn`, the median
+ * gem5-like over the compiled event engine.
  */
 void
-writeBenchJson(const std::vector<Case> &cases, bool smoke)
+writeBenchJson(const std::vector<Case> &cases, const Case *loop,
+               const TimedRun &gem5, bool smoke)
 {
     JsonWriter w;
     w.beginObject();
     w.key("schema");
-    w.value("assassyn.bench.fig16.v6");
+    w.value("assassyn.bench.fig16.v7");
     w.key("smoke");
     w.value(smoke ? 1.0 : 0.0);
     w.key("timing");
@@ -169,16 +212,7 @@ writeBenchJson(const std::vector<Case> &cases, bool smoke)
     w.beginArray();
     for (const Case &c : cases) {
         w.beginObject();
-        w.key("design");
-        w.value(c.design);
-        w.key("cycles");
-        w.value(double(c.ev.cycles));
-        writeSpread(w, "asyn_cps", c.ev.spread());
-        writeSpread(w, "asyn_tape_cps", c.tp.spread());
-        writeSpread(w, "rtl_cps", c.nl.spread());
-        writeSpread(w, "rtl_tape_cps", c.nt.spread());
-        w.key("asyn_over_rtl");
-        w.value(c.speedup());
+        writeCase(w, c);
         w.key("asyn_build_seconds");
         w.value(c.ev.build_seconds);
         w.key("rtl_build_seconds");
@@ -191,6 +225,15 @@ writeBenchJson(const std::vector<Case> &cases, bool smoke)
         w.endObject();
     }
     w.endArray();
+    if (loop) {
+        w.key("long_loop");
+        w.beginObject();
+        writeCase(w, *loop);
+        writeSpread(w, "gem5_cps", gem5.spread());
+        w.key("gem5_over_asyn");
+        w.value(gem5.spread().median / loop->ev.spread().median);
+        w.endObject();
+    }
     w.endObject();
     // Only a full run updates the tracked record; the --smoke slice
     // (the perf_smoke ctest) reports under the gitignored artifacts/.
@@ -211,7 +254,8 @@ printTable(bool smoke, bool trace)
     const std::vector<baseline::AccelPair> accels = baseline::paperAccels();
     const size_t num_cpu = smoke ? 2 : std::size(kSodorIpc);
     const size_t num_hls = smoke ? 1 : accels.size();
-    std::vector<Case> cases;
+    std::vector<Case> cases, loop;
+    TimedRun gem5; ///< the long-loop row's gem5-like model
     for (size_t i = 0; i < num_cpu; ++i) {
         auto image = isa::buildMemoryImage(isa::workload(kSodorIpc[i].name));
         cases.push_back({"cpu." + std::string(kSodorIpc[i].name),
@@ -278,25 +322,11 @@ printTable(bool smoke, bool trace)
                     c.nl.build_seconds * 1e3);
     }
     printSpeedups(cases, 0, num_cpu, "2.2x on CPU");
-    // Regression canary on the CI path (perf_smoke): the compiled event
-    // engine must beat the interpreted netlist engine outright on every
-    // CPU workload it ran, comparing each engine's best rep. Event
-    // skipping alone buys little here: the interpreted tapes measure
-    // ~1.0x against each other on these short CPU runs. The compiled
-    // tape wins by the dispatch it removes (~3-4x).
-    if (smoke)
-        for (size_t i = 0; i < num_cpu; ++i) {
-            const Case &c = cases[i];
-            double best = c.ev.spread().max / c.nt.spread().max;
-            if (best <= 1.0)
-                fatal("perf smoke: ", c.design, " asyn/rtl speedup ", best,
-                      " is not above 1.0 — event engine regression");
-        }
 
     // The paper's long-run observation: once its initialization is
     // amortized, gem5 runs an order of magnitude faster than the
     // cycle-exact simulators (it models far less). A ~1M-cycle loop
-    // shows the crossover.
+    // shows the crossover, every model timed as the rows above.
     if (!smoke) {
         std::string src = "    li a0, 400000\n"
                           "loop:\n"
@@ -307,17 +337,22 @@ printTable(bool smoke, bool trace)
         auto code = isa::assemble(src);
         std::vector<uint32_t> image(code.begin(), code.end());
         image.resize(1024, 0);
-        auto cpu = designs::buildCpu(designs::BranchPolicy::kTaken, image);
-        TimedRun ev = runEventSim(*cpu.sys);
-        auto t0 = std::chrono::steady_clock::now();
-        baseline::Gem5LikeCpu gem5(image);
-        auto g = gem5.run();
-        auto t1 = std::chrono::steady_clock::now();
-        double gem5_s = std::chrono::duration<double>(t1 - t0).count();
-        std::printf("%-10s %8llu %20s %20.0f %20s %20s %8.0f   (one run; "
-                    "gem5 amortizes: paper reports ~10x)\n",
-                    "long-loop", (unsigned long long)ev.cycles, "-",
-                    ev.kcps(), "-", "-", double(g.cycles) / gem5_s / 1e3);
+        loop.push_back(
+            {"long-loop",
+             designs::buildCpu(designs::BranchPolicy::kTaken, image).sys});
+        timeCases(loop);
+        for (int rep = 0; rep < kReps; ++rep)
+            gem5Rep(gem5, image);
+        const Case &c = loop.front();
+        std::printf("%-10s %8llu %20s %20s %20s %20s %8.0f %7.1fx   "
+                    "(gem5 %.1fx asyn; paper reports ~10x)\n",
+                    c.design.c_str(), (unsigned long long)c.ev.cycles,
+                    kcpsText(c.tp.spread()).c_str(),
+                    kcpsText(c.ev.spread()).c_str(),
+                    kcpsText(c.nt.spread()).c_str(),
+                    kcpsText(c.nl.spread()).c_str(),
+                    gem5.spread().median / 1e3, c.speedup(),
+                    gem5.spread().median / c.ev.spread().median);
     }
 
     std::printf("-- HLS accelerator workloads --\n");
@@ -337,10 +372,36 @@ printTable(bool smoke, bool trace)
     printSpeedups(cases, num_cpu, cases.size(), "8.1x on HLS");
     std::printf("\n");
 
+    // Regression canaries on the CI path (perf_smoke), each comparing
+    // best reps. The compiled event engine must beat the interpreted
+    // netlist engine outright on every CPU workload it ran: event
+    // skipping alone buys little here (the interpreted tapes measure
+    // ~1.0x against each other on these short CPU runs); the compiled
+    // tape wins by the dispatch it removes (~3-4x). And the netlist
+    // engine's generated cycle must beat its interpreter on every row,
+    // or a catalog netlist silently fell back to the interpreter.
+    if (smoke) {
+        for (size_t i = 0; i < num_cpu; ++i) {
+            const Case &c = cases[i];
+            double best = c.ev.spread().max / c.nt.spread().max;
+            if (best <= 1.0)
+                fatal("perf smoke: ", c.design, " asyn/rtl speedup ", best,
+                      " is not above 1.0 — event engine regression");
+        }
+        for (const Case &c : cases) {
+            double best = c.nl.spread().max / c.nt.spread().max;
+            if (best <= 1.0)
+                fatal("perf smoke: ", c.design, " rtl(sim)/rtl(tape) ",
+                      best, " is not above 1.0 — the compiled netlist "
+                      "cycle regressed or was not attached");
+        }
+    }
+
     std::string report_path = artifactsDir() + "/fig16_metrics.json";
     report.write(report_path);
     std::printf("metrics report: %s\n", report_path.c_str());
-    writeBenchJson(cases, smoke);
+    writeBenchJson(cases, loop.empty() ? nullptr : &loop.front(), gem5,
+                   smoke);
     if (trace) {
         std::string host_path = artifactsDir() + "/fig16_host_trace.json";
         HostProfiler::instance().writeJson(host_path);

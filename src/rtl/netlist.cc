@@ -461,30 +461,130 @@ Netlist::finalize()
     HostProfiler::Scope prof_span("Netlist::finalize");
     levelize();
     buildTape();
-    fingerprint_ = hashBytes(0, tape_.data(),
-                             tape_.size() * sizeof(sim::DStep));
-    fingerprint_ = hashBytes(fingerprint_, cones_.data(),
-                             cones_.size() * sizeof(Cone));
+    buildTables();
+    fingerprint_ = 0;
+    auto hash = [this](const auto &vec) {
+        fingerprint_ = hashBytes(fingerprint_, vec.data(),
+                                 vec.size() * sizeof(vec[0]));
+    };
+    auto hashLists = [&hash](const auto &lists) {
+        hash(lists.at);
+        hash(lists.rows);
+    };
+    const CycleTables &t = tables_;
+    hash(tape_);
+    hash(cones_);
+    hash(t.fifos);
+    hashLists(t.deqs);
+    hashLists(t.pushes);
+    hash(t.elem_bits);
+    hashLists(t.writes);
+    hash(t.counters);
+    hashLists(t.incs);
+    hash(t.stages);
+    hashLists(t.stalls);
+    hash(t.monitors);
+    hashLists(t.args);
+    hash(t.const_nets);
+    hash(t.const_values);
     compiled_ = nullptr;
     if (evaluator_ == sim::Evaluator::kCompiled && !cones_.empty())
         attachCompiled();
 }
 
+void
+Netlist::buildTables()
+{
+    CycleTables &t = tables_;
+    t = CycleTables{};
+    auto fifoId = [this](const Port *port) {
+        return port_base_[port->owner()->id()] + uint32_t(port->index());
+    };
+    for (const FifoBlock &blk : fifos_) {
+        t.fifos.push_back({fifoId(blk.port), blk.pop_data, blk.pop_valid,
+                           blk.full, blk.width});
+        t.deqs.rows.insert(t.deqs.rows.end(), blk.deq_enables.begin(),
+                           blk.deq_enables.end());
+        t.deqs.close();
+        for (const PushSite &site : blk.pushes)
+            t.pushes.rows.push_back(
+                {site.enable, site.data,
+                 site.origin ? uint32_t(site.origin->id()) : kNoNet});
+        t.pushes.close();
+    }
+    for (const ArrayBlock &blk : arrays_) {
+        t.elem_bits.push_back(blk.array->elemType().bits());
+        for (const WriteSite &site : blk.writes)
+            t.writes.rows.push_back({site.enable, site.index, site.data});
+        t.writes.close();
+    }
+    for (const CounterBlock &blk : counters_) {
+        t.counters.push_back({uint32_t(blk.mod->id()), blk.nonzero, blk.dec});
+        t.incs.rows.insert(t.incs.rows.end(), blk.incs.begin(),
+                           blk.incs.end());
+        t.incs.close();
+    }
+    for (const Module *mod : sys_->topoOrder()) {
+        t.stages.push_back({uint32_t(mod->id()), execNet(mod),
+                            counterIndex(mod) < 0 ? 1u : 0u});
+        for (const Port *p : analyzer_.stallPorts(mod))
+            t.stalls.rows.push_back(fifoId(p));
+        t.stalls.close();
+    }
+    for (const MonitorBlock &mon : monitors_) {
+        t.monitors.push_back({uint32_t(mon.kind), mon.enable});
+        t.args.rows.insert(t.args.rows.end(), mon.args.begin(),
+                           mon.args.end());
+        t.args.close();
+    }
+    for (const auto &[net, value] : consts_) {
+        t.const_nets.push_back(net);
+        t.const_values.push_back(value);
+    }
+}
+
+namespace {
+
+template <class T, class C>
+bool
+sameLists(const RowLists<T> &mine, const C &theirs)
+{
+    return sameBytes(mine.at, theirs.at, theirs.size + 1) &&
+           sameBytes(mine.rows, theirs.rows, theirs.at[theirs.size]);
+}
+
+} // namespace
+
 /**
- * Look the tape up among the generated evaluators linked into the
+ * Look the netlist up among the generated cycles linked into the
  * binary, as sim::Program does: by fingerprint, then confirmed by byte
- * equality of the tape and every cone range the generated code was
- * specialized on.
+ * equality of every input the generated code was specialized on (the
+ * tape and cone ranges its cells come from, and every cycle table it
+ * unrolls), so a hash collision can only cost the lookup, never a
+ * wrong cycle.
  */
 void
 Netlist::attachCompiled()
 {
+    const CycleTables &t = tables_;
     const CompiledNetlists all = compiledNetlists();
     for (size_t i = 0; i < all.size; ++i) {
         const CompiledNetlist &cn = *all.list[i];
         if (cn.fingerprint == fingerprint_ &&
             sameBytes(tape_, cn.tape, cn.tape_len) &&
-            sameBytes(cones_, cn.cones, cn.num_cones)) {
+            sameBytes(cones_, cn.cones, cn.num_cones) &&
+            sameBytes(t.fifos, cn.fifos, cn.num_fifos) &&
+            sameLists(t.deqs, cn.deqs) && sameLists(t.pushes, cn.pushes) &&
+            sameBytes(t.elem_bits, cn.elem_bits, cn.num_arrays) &&
+            sameLists(t.writes, cn.writes) &&
+            sameBytes(t.counters, cn.counters, cn.num_counters) &&
+            sameLists(t.incs, cn.incs) &&
+            sameBytes(t.stages, cn.stages, cn.num_stages) &&
+            sameLists(t.stalls, cn.stalls) &&
+            sameBytes(t.monitors, cn.monitors, cn.num_monitors) &&
+            sameLists(t.args, cn.args) &&
+            sameBytes(t.const_nets, cn.const_nets, cn.num_consts) &&
+            sameBytes(t.const_values, cn.const_values, cn.num_consts)) {
             compiled_ = &cn;
             return;
         }

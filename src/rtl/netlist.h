@@ -24,10 +24,11 @@
  * to its pure opcode prefix — with every mask and shift precomputed.
  * The simulator evaluates it in one of two ways, both expanded from the
  * event engine's own rows (sim/tape.h): a catalog design's netlist gets
- * straight-line C++ per cone generated at build time (compiled(),
- * rtl/compiled_netlist.h); any other netlist runs the threaded tape
- * interpreter. The Cell list itself stays the structural view the area
- * and timing models and the SystemVerilog emitter read.
+ * its whole cycle generated at build time, the cells as straight-line
+ * C++ over locals (compiled(), rtl/compiled_netlist.h); any other
+ * netlist runs the threaded tape interpreter. The Cell list itself
+ * stays the structural view the area and timing models and the
+ * SystemVerilog emitter read.
  *
  * The Netlist feeds three consumers: the netlist simulator (the repo's
  * Verilator stand-in), the synthesis area model, and the SystemVerilog
@@ -47,6 +48,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -156,12 +158,99 @@ struct MonitorBlock {
 /**
  * One stage's contiguous cell range, in topological stage order. The
  * cones tile the cell list, so evaluating them in order is one pass
- * over every cell; each is one generated function of a compiled
- * netlist (rtl/compiled_netlist.h).
+ * over every cell.
  */
 struct Cone {
     uint32_t begin = 0; ///< first cell index
     uint32_t end = 0;   ///< one past the last cell index
+};
+
+/** Lists of rows, flattened: list i is rows[at[i], at[i + 1]). */
+template <class T>
+struct RowLists {
+    std::vector<uint32_t> at{0};
+    std::vector<T> rows;
+
+    size_t size() const { return at.size() - 1; }
+
+    std::span<const T>
+    operator[](size_t i) const
+    {
+        return {rows.data() + at[i], rows.data() + at[i + 1]};
+    }
+
+    /** End the list the rows appended since the last close() form. */
+    void close() { at.push_back(uint32_t(rows.size())); }
+};
+
+// The rows of the cycle tables (CycleTables): every field a uint32_t,
+// so a table has no padding and compares byte for byte.
+
+/** A FifoBlock as the cycle reads it. */
+struct FifoRow {
+    uint32_t fid;       ///< RunState FIFO id (RunState::fifoIndex)
+    uint32_t pop_data;  ///< state-driven output nets
+    uint32_t pop_valid;
+    uint32_t full;      ///< kNoNet unless the port is kStallProducer
+    uint32_t width;     ///< pushed data bits
+};
+
+/** A PushSite: its nets and the producer's Module::id (kNoNet: none). */
+struct PushRow {
+    uint32_t enable;
+    uint32_t data;
+    uint32_t src;
+};
+
+/** A WriteSite. */
+struct WriteRow {
+    uint32_t enable;
+    uint32_t index;
+    uint32_t data;
+};
+
+/** A CounterBlock, its stage by Module::id. */
+struct CounterRow {
+    uint32_t mid;
+    uint32_t nonzero; ///< state-driven output net
+    uint32_t dec;
+};
+
+/** A stage in topological order: Module::id, exec_valid net, driver. */
+struct StageRow {
+    uint32_t mid;
+    uint32_t exec;
+    uint32_t driver;
+};
+
+/** A MonitorBlock: its MonitorBlock::Kind and enable net. */
+struct MonitorRow {
+    uint32_t kind;
+    uint32_t enable;
+};
+
+/**
+ * Everything the netlist engine's cycle (rtl/netlist_cycle.h) reads
+ * besides the cells, flattened into index tables: the state blocks,
+ * the stages with their backpressure gates, the monitors and the
+ * constant nets. The interpreter's cycle reads these vectors; a
+ * compiled netlist's cycle was generated over a copy of them, which
+ * Netlist::compiled() requires to match byte for byte.
+ */
+struct CycleTables {
+    std::vector<FifoRow> fifos;       ///< by FifoBlock
+    RowLists<uint32_t> deqs;          ///< dequeue enables, by FifoBlock
+    RowLists<PushRow> pushes;         ///< by FifoBlock
+    std::vector<uint32_t> elem_bits;  ///< by RegArray::id
+    RowLists<WriteRow> writes;        ///< by RegArray::id
+    std::vector<CounterRow> counters; ///< by CounterBlock
+    RowLists<uint32_t> incs;          ///< subscribe enables, by counter
+    std::vector<StageRow> stages;     ///< topological order
+    RowLists<uint32_t> stalls;        ///< gating RunState FIFO ids
+    std::vector<MonitorRow> monitors; ///< elaboration order
+    RowLists<uint32_t> args;          ///< argument nets, by monitor
+    std::vector<uint32_t> const_nets; ///< ascending
+    std::vector<uint64_t> const_values; ///< parallel to const_nets
 };
 
 /**
@@ -173,8 +262,9 @@ class Netlist {
   public:
     /**
      * Elaborate @p sys. With sim::Evaluator::kCompiled (the default) a
-     * netlist whose tape and cone ranges match a generated evaluator
-     * byte for byte gets it (compiled()); kTape always interprets, for
+     * netlist whose tape, cone ranges and cycle tables match a
+     * generated cycle byte for byte gets it (compiled()); kTape always
+     * interprets, for
      * the tests and benchmarks that compare the two.
      */
     explicit Netlist(const System &sys,
@@ -245,15 +335,19 @@ class Netlist {
      */
     const std::vector<Cone> &cones() const { return cones_; }
 
+    /** The blocks, stages, monitors and constants as the cycle reads
+     *  them. */
+    const CycleTables &cycleTables() const { return tables_; }
+
     /**
-     * The generated evaluator of this netlist's cones, or nullptr when
-     * the tape is interpreted (sim::Evaluator::kTape, no cones, or no
-     * compiled netlist matches).
+     * The generated cycle of this netlist, or nullptr when it runs the
+     * interpreter (sim::Evaluator::kTape, no cones, or no compiled
+     * netlist matches).
      */
     const CompiledNetlist *compiled() const { return compiled_; }
 
-    /** 64-bit hash of the tape and the cone ranges: the key of the
-     *  compiled-netlist registry. */
+    /** 64-bit hash of the tape, the cone ranges and the cycle tables:
+     *  the key of the compiled-netlist registry. */
     uint64_t fingerprint() const { return fingerprint_; }
 
   private:
@@ -261,8 +355,9 @@ class Netlist {
     friend class NetlistTestPeer; ///< cycle-injection hooks for tests
 
     /**
-     * Levelize the cell list, decode it into the tape, fingerprint it
-     * and attach the matching compiled evaluator, if any.
+     * Levelize the cell list, decode it into the tape, flatten the
+     * cycle tables, fingerprint them and attach the matching compiled
+     * cycle, if any.
      */
     void finalize();
 
@@ -276,7 +371,10 @@ class Netlist {
     /** Lower cells_ into tape_, one record per cell. */
     void buildTape();
 
-    /** Look the tape up among the generated evaluators (compiled()). */
+    /** Flatten the blocks, stages and monitors into tables_. */
+    void buildTables();
+
+    /** Look the netlist up among the generated cycles (compiled()). */
     void attachCompiled();
 
     const System *sys_;
@@ -292,6 +390,7 @@ class Netlist {
     std::vector<CounterBlock> counters_;
     std::vector<MonitorBlock> monitors_;
     std::vector<Cone> cones_;
+    CycleTables tables_;
     std::string comb_cycle_;
     uint64_t fingerprint_ = 0;
     const CompiledNetlist *compiled_ = nullptr;

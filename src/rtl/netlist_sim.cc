@@ -2,76 +2,34 @@
 
 #include <iterator>
 
-#include "rtl/compiled_netlist.h"
-#include "support/bits.h"
-#include "support/logging.h"
+#include "rtl/netlist_cycle.h"
 
 namespace assassyn {
 namespace rtl {
 
 namespace {
 
-/** Where one stage lives in the netlist, in topological order. */
-struct StageView {
-    uint32_t mid = 0;       ///< Module::id (RunState stage index)
-    uint32_t exec_net = 0;  ///< exec_valid (pending & wait_cond & ~full)
-    bool driver = false;    ///< no event counter
-    std::vector<uint32_t> stall_fifos; ///< RunState FIFO ids gating it
-};
-
-} // namespace
-
-struct NetlistSim::Impl {
-    sim::RunState &st;
-    const Netlist &nl;
-
-    std::vector<uint64_t> nets;
-    std::vector<StageView> views;      ///< topological order
-    std::vector<uint32_t> block_fifo;  ///< FifoBlock -> RunState FIFO id
-    std::vector<uint32_t> counter_mod; ///< CounterBlock -> Module::id
-
-    Impl(NetlistSim &owner, const Netlist &n)
-        : st(owner.st_), nl(n)
-    {
-        nets.assign(nl.numNets(), 0);
-        for (const auto &[net, value] : nl.constNets())
-            nets[net] = value;
-        for (const FifoBlock &blk : nl.fifos())
-            block_fifo.push_back(st.fifoIndex(blk.port));
-        for (const CounterBlock &blk : nl.counters())
-            counter_mod.push_back(blk.mod->id());
-        for (const Module *mod : nl.sys().topoOrder()) {
-            StageView v;
-            v.mid = mod->id();
-            v.exec_net = nl.execNet(mod);
-            v.driver = nl.counterIndex(mod) < 0;
-            for (const Port *p : nl.analyzer().stallPorts(mod))
-                v.stall_fifos.push_back(st.fifoIndex(p));
-            views.push_back(std::move(v));
-        }
-    }
-
-    /**
-     * One pass over the whole pre-decoded tape, i.e. over every
-     * levelized cell in order. The handlers are generated from the
-     * event engine's own rows (ASSASSYN_PURE_HANDLERS, sim/tape.h).
-     */
-    void
-    runTape()
-    {
-        const sim::DStep *s = nl.tape().data();
-        const sim::DStep *const e = s + nl.tape().size();
-        uint64_t *const v = nets.data();
-        const sim::RunState::Array *const ast = st.arrays.data();
-        // Threaded dispatch (computed goto), as in sim::Simulator's
-        // runTape, over the pure prefix of sim::DOp only.
+/**
+ * One pass over the whole pre-decoded tape @p tape, i.e. over every
+ * levelized cell in order, over the net store @p v. The handlers are
+ * generated from the event engine's own rows (ASSASSYN_PURE_HANDLERS,
+ * sim/tape.h).
+ */
+void
+runTape(const std::vector<sim::DStep> &tape, uint64_t *const v,
+        const sim::RunState::Array *const ast)
+{
+    const sim::DStep *s = tape.data();
+    const sim::DStep *const e = s + tape.size();
+    // Threaded dispatch (computed goto), as in sim::Simulator's
+    // runTape, over the pure prefix of sim::DOp only.
 #define ASSASSYN_DOP_LABEL(name, ...) &&op_##name,
-        static const void *const kJump[] = {
-            ASSASSYN_PURE_DOP_NAMES(ASSASSYN_DOP_LABEL)
-        };
+    static const void *const kJump[] = {
+        ASSASSYN_PURE_DOP_NAMES(ASSASSYN_DOP_LABEL)
+    };
 #undef ASSASSYN_DOP_LABEL
-        static_assert(std::size(kJump) == sim::kPureDOps,
-                      "jump table must cover the pure prefix of DOp");
+    static_assert(std::size(kJump) == sim::kPureDOps,
+                  "jump table must cover the pure prefix of DOp");
 #define ASSASSYN_OP(name) op_##name
 #define ASSASSYN_NEXT()                                                  \
     do {                                                                 \
@@ -79,196 +37,238 @@ struct NetlistSim::Impl {
             return;                                                      \
         goto *kJump[s->op];                                              \
     } while (0)
-        if (s == e)
-            return;
-        goto *kJump[s->op];
+    if (s == e)
+        return;
+    goto *kJump[s->op];
 
-        ASSASSYN_PURE_HANDLERS
+    ASSASSYN_PURE_HANDLERS
 
 #undef ASSASSYN_OP
 #undef ASSASSYN_NEXT
+}
+
+/**
+ * The generic cycle's plan (rtl/netlist_cycle.h): the Netlist's cycle
+ * tables, the nets in NetState::nets, the cells through the
+ * interpreter.
+ */
+struct TapePlan {
+    struct Frame {
+        explicit Frame(NetState &ns) : v(ns.nets.data()) {}
+        uint64_t *v;
+    };
+
+    static uint64_t net(const Frame &fr, uint32_t n) { return fr.v[n]; }
+
+    static void
+    set(Frame &fr, uint32_t n, uint64_t value)
+    {
+        if (n != kNoNet)
+            fr.v[n] = value;
     }
 
-    /**
-     * Evaluate the combinational logic for this cycle: exactly one pass
-     * over every levelized cell, no settle loop and nothing skipped,
-     * as an RTL simulator does. A compiled netlist (Netlist::compiled())
-     * calls each cone's generated function in order; the cones tile the
-     * tape, so that is the same pass the interpreter makes.
-     */
-    void
-    evalCells()
+    static void
+    evaluate(NetState &ns, Frame &fr)
     {
+        runTape(ns.nl->tape(), fr.v, ns.st->arrays.data());
+    }
+
+    /** f(i) for every index i of @p rows. */
+    template <class T, class F>
+    static void
+    forEach(const std::vector<T> &rows, F &&f)
+    {
+        for (uint32_t i = 0; i < rows.size(); ++i)
+            f(i);
+    }
+
+    template <class F>
+    static void
+    forFifos(NetState &ns, F &&f)
+    {
+        forEach(ns.t->fifos, f);
+    }
+
+    static const FifoRow &
+    fifo(NetState &ns, uint32_t b)
+    {
+        return ns.t->fifos[b];
+    }
+
+    static uint32_t
+    popData(NetState &ns, uint32_t b)
+    {
+        return fifo(ns, b).pop_data;
+    }
+
+    static uint32_t
+    popValid(NetState &ns, uint32_t b)
+    {
+        return fifo(ns, b).pop_valid;
+    }
+
+    static uint32_t full(NetState &ns, uint32_t b) { return fifo(ns, b).full; }
+
+    template <class F>
+    static void
+    forDeqs(NetState &ns, uint32_t b, F &&f)
+    {
+        for (uint32_t en : ns.t->deqs[b])
+            f(en);
+    }
+
+    template <class F>
+    static void
+    forPushes(NetState &ns, uint32_t b, F &&f)
+    {
+        for (const PushRow &r : ns.t->pushes[b])
+            f(r.enable, r.data, r.src);
+    }
+
+    template <class F>
+    static void
+    forArrays(NetState &ns, F &&f)
+    {
+        forEach(ns.t->elem_bits, f);
+    }
+
+    static uint32_t
+    elemBits(NetState &ns, uint32_t a)
+    {
+        return ns.t->elem_bits[a];
+    }
+
+    template <class F>
+    static void
+    forWrites(NetState &ns, uint32_t a, F &&f)
+    {
+        for (const WriteRow &r : ns.t->writes[a])
+            f(r.enable, r.index, r.data);
+    }
+
+    template <class F>
+    static void
+    forCounters(NetState &ns, F &&f)
+    {
+        forEach(ns.t->counters, f);
+    }
+
+    static const CounterRow &
+    counter(NetState &ns, uint32_t c)
+    {
+        return ns.t->counters[c];
+    }
+
+    static uint32_t
+    nonzero(NetState &ns, uint32_t c)
+    {
+        return counter(ns, c).nonzero;
+    }
+
+    static uint32_t dec(NetState &ns, uint32_t c) { return counter(ns, c).dec; }
+
+    template <class F>
+    static void
+    forIncs(NetState &ns, uint32_t c, F &&f)
+    {
+        for (uint32_t en : ns.t->incs[c])
+            f(en);
+    }
+
+    template <class F>
+    static void
+    forStages(NetState &ns, F &&f)
+    {
+        forEach(ns.t->stages, f);
+    }
+
+    static const StageRow &
+    stage(NetState &ns, uint32_t v)
+    {
+        return ns.t->stages[v];
+    }
+
+    static uint32_t exec(NetState &ns, uint32_t v) { return stage(ns, v).exec; }
+
+    template <class F>
+    static void
+    forStalls(NetState &ns, uint32_t v, F &&f)
+    {
+        for (uint32_t fid : ns.t->stalls[v])
+            f(fid);
+    }
+
+    template <class F>
+    static void
+    forMonitors(NetState &ns, F &&f)
+    {
+        forEach(ns.t->monitors, f);
+    }
+
+    static uint32_t
+    kind(NetState &ns, uint32_t m)
+    {
+        return ns.t->monitors[m].kind;
+    }
+
+    static uint32_t
+    enable(NetState &ns, uint32_t m)
+    {
+        return ns.t->monitors[m].enable;
+    }
+
+    template <class F>
+    static void
+    withArgs(NetState &ns, const Frame &fr, uint32_t m, F &&f)
+    {
+        ns.args.clear();
+        for (uint32_t n : ns.t->args[m])
+            ns.args.push_back(fr.v[n]);
+        f(ns.args.data());
+    }
+};
+
+} // namespace
+
+void
+logMonitor(const NetState &ns, uint32_t m, const uint64_t *args)
+{
+    const auto *lg =
+        static_cast<const Log *>(ns.nl->monitors()[m].inst);
+    ns.st->emitLog(lg->fmt(), [&](std::ostream &os, size_t i) {
+        const DataType &type = lg->args()[i]->type();
+        if (type.isSigned())
+            os << type.asSigned(args[i]);
+        else
+            os << args[i];
+    });
+}
+
+void
+failMonitor(const NetState &ns, uint32_t m)
+{
+    ns.st->assertFailed(
+        *static_cast<const AssertInst *>(ns.nl->monitors()[m].inst));
+}
+
+struct NetlistSim::Impl {
+    NetState ns;
+    /** The netlist's generated cycle, or the generic one. */
+    NetlistCycleFn cycle;
+
+    Impl(NetlistSim &owner, const Netlist &nl)
+    {
+        ns.st = &owner.st_;
+        ns.nl = &nl;
+        ns.t = &nl.cycleTables();
         if (const CompiledNetlist *cn = nl.compiled()) {
-            for (size_t c = 0; c < cn->num_cones; ++c)
-                cn->cone_fns[c](nets.data(), st.arrays.data());
+            cycle = cn->cycle;
         } else {
-            runTape();
+            ns.nets.assign(nl.numNets(), 0);
+            for (const auto &[net, value] : nl.constNets())
+                ns.nets[net] = value;
+            cycle = &runNetlistCycle<TapePlan>;
         }
-    }
-
-    /**
-     * Evaluate and commit one cycle: the netlist engine's step of the
-     * shared cycle frame (sim::Engine::runCycleFrames).
-     */
-    sim::CycleOutcome
-    step()
-    {
-        sim::RunState &rs = st;
-        const uint64_t cycle = rs.cycle;
-
-        // Drive state-derived nets: FIFO pop interfaces and event-pending
-        // flags, all functions of sequential state at the clock edge.
-        sim::RunState::Fifo *const fifos = rs.fifos.data();
-        sim::RunState::Stage *const stages = rs.stages.data();
-        const uint64_t *const fa = rs.fifo_arena.data();
-        for (size_t i = 0; i < block_fifo.size(); ++i) {
-            const FifoBlock &blk = nl.fifos()[i];
-            const sim::RunState::Fifo &f = fifos[block_fifo[i]];
-            nets[blk.pop_data] = f.count ? fa[f.base + f.head] : 0;
-            nets[blk.pop_valid] = f.count > 0;
-            if (blk.full != kNoNet)
-                nets[blk.full] = f.count == f.depth;
-        }
-        for (size_t i = 0; i < counter_mod.size(); ++i)
-            nets[nl.counters()[i].nonzero] = stages[counter_mod[i]].pending > 0;
-
-        // Single-pass combinational evaluation over the levelized cells
-        // — the precompiled static schedule that replaces the old
-        // sweep-until-settled loop.
-        evalCells();
-
-        // Per-stage accounting, from the settled exec_valid nets,
-        // published into RunState: the same classification the
-        // event-driven simulator makes in its phase 1 (executed /
-        // spinning on wait_until / idle). A pending stage whose
-        // exec_valid is held low by a full kStallProducer FIFO
-        // additionally counts as backpressure-stalled, charged both to
-        // the stage and to each full gating FIFO.
-        const uint64_t stamp = cycle + 1;
-        for (const StageView &v : views) {
-            sim::RunState::Stage &stg = stages[v.mid];
-            stg.stamp = stamp;
-            if (nets[v.exec_net]) {
-                ++stg.execs;
-                ++rs.total_execs;
-                stg.act = sim::StageActivity::kExec;
-            } else if (v.driver || stg.pending > 0) {
-                ++stg.wait_spins;
-                bool bp = false;
-                for (uint32_t fid : v.stall_fifos) {
-                    if (fifos[fid].count == fifos[fid].depth) {
-                        bp = true;
-                        ++fifos[fid].stall_cycles;
-                    }
-                }
-                if (bp)
-                    ++stg.bp_stalls;
-                stg.act = bp ? sim::StageActivity::kBackpressure
-                             : sim::StageActivity::kWaitSpin;
-            } else {
-                ++stg.idle_cycles;
-                stg.act = sim::StageActivity::kIdle;
-            }
-        }
-
-        // Testbench monitors, in elaboration (topological) order.
-        bool finish_req = false;
-        for (const MonitorBlock &mon : nl.monitors()) {
-            if (!nets[mon.enable])
-                continue;
-            switch (mon.kind) {
-              case MonitorBlock::Kind::kLog:
-                emitLog(mon);
-                break;
-              case MonitorBlock::Kind::kAssert:
-                if (!nets[mon.args[0]])
-                    rs.assertFailed(*static_cast<const AssertInst *>(mon.inst));
-                break;
-              case MonitorBlock::Kind::kFinish:
-                finish_req = true;
-                break;
-            }
-        }
-
-        // Sequential commit at the clock edge: FIFOs dequeue then enqueue
-        // (the penetrable stage buffer of Sec. 5.2), arrays apply their
-        // one-hot-gathered write, counters add activations and subtract
-        // the clear. `progress` records any committed architectural
-        // state change this cycle — the watchdog's definition of
-        // forward progress.
-        bool progress = false;
-        for (size_t i = 0; i < block_fifo.size(); ++i) {
-            const FifoBlock &blk = nl.fifos()[i];
-            bool deq = false;
-            for (uint32_t en : blk.deq_enables)
-                deq |= nets[en] != 0;
-            int pushes = 0;
-            uint64_t data = 0;
-            const Module *push_src = nullptr;
-            for (const PushSite &site : blk.pushes) {
-                if (nets[site.enable]) {
-                    ++pushes;
-                    data = nets[site.data];
-                    push_src = site.origin;
-                }
-            }
-            if (pushes > 1)
-                rs.multiplePushes(block_fifo[i]);
-            progress |= rs.commitFifo(block_fifo[i], deq, pushes == 1,
-                                      truncate(data, blk.width), push_src);
-        }
-        for (size_t i = 0; i < nl.arrays().size(); ++i) {
-            const ArrayBlock &blk = nl.arrays()[i];
-            sim::RunState::Array &a = rs.arrays[i];
-            int writes = 0;
-            uint64_t idx = 0, data = 0;
-            for (const WriteSite &site : blk.writes) {
-                if (nets[site.enable]) {
-                    idx = nets[site.index];
-                    data = nets[site.data];
-                    // Range before count, as the event engine's
-                    // kArrayWrite checks it.
-                    if (idx >= a.size || ++writes > 1)
-                        rs.badArrayWrite(uint32_t(i), idx);
-                }
-            }
-            if (writes == 1) {
-                a.data[idx] =
-                    truncate(data, blk.array->elemType().bits());
-                ++a.writes;
-                progress = true;
-            }
-        }
-        for (size_t i = 0; i < counter_mod.size(); ++i) {
-            const CounterBlock &blk = nl.counters()[i];
-            uint64_t inc = 0;
-            for (uint32_t en : blk.incs)
-                inc += nets[en] ? 1 : 0;
-            // A received event, or a consumed one (the stage executed),
-            // changes the counter.
-            bool dec = nets[blk.dec] != 0;
-            if (inc || dec)
-                progress = true;
-            rs.commitEvents(stages[counter_mod[i]], inc, dec);
-        }
-        return {progress, finish_req};
-    }
-
-    void
-    emitLog(const MonitorBlock &mon)
-    {
-        if (!st.opts.capture_logs)
-            return;
-        const auto *lg = static_cast<const Log *>(mon.inst);
-        st.emitLog(lg->fmt(), [&](std::ostream &os, size_t i) {
-            const DataType &type = lg->args()[i]->type();
-            uint64_t raw = nets[mon.args[i]];
-            if (type.isSigned())
-                os << type.asSigned(raw);
-            else
-                os << raw;
-        });
     }
 };
 
@@ -290,7 +290,7 @@ void
 NetlistSim::runCycles(uint64_t max_cycles)
 {
     Impl &im = *impl_;
-    runCycleFrames(max_cycles, [&im] { return im.step(); });
+    runCycleFrames(max_cycles, [&im] { return im.cycle(im.ns); });
 }
 
 } // namespace rtl

@@ -380,21 +380,28 @@ emitRegistry(const std::string &header, const std::string &ns,
     return out;
 }
 
-/** `static constexpr <type> <name>[] = {...};` over @p v, padded to
- *  one element (C++ has no empty arrays). */
-template <typename T>
+/** `static constexpr <type> <name>[] = {...};` over @p n rows, padded
+ *  to one element (C++ has no empty arrays). */
+template <typename Fn>
 std::string
-member(const char *type, const char *name, const std::vector<T> &v,
-       size_t per_line)
+rowMember(const char *type, const std::string &name, size_t n,
+          size_t per_line, Fn row)
 {
     return std::string("    static constexpr ") + type + " " + name +
            "[] = " +
-           list(std::max<size_t>(v.size(), 1), per_line,
-                [&](size_t i) {
-                    return i < v.size() ? std::to_string(v[i])
-                                        : std::string("0");
-                }) +
+           list(std::max<size_t>(n, 1), per_line,
+                [&](size_t i) { return i < n ? row(i) : std::string("{}"); }) +
            ";\n";
+}
+
+/** rowMember over the numbers @p v. */
+template <typename T>
+std::string
+member(const char *type, const std::string &name, const std::vector<T> &v,
+       size_t per_line)
+{
+    return rowMember(type, name, v.size(), per_line,
+                     [&](size_t i) { return std::to_string(v[i]); });
 }
 
 /**
@@ -421,9 +428,9 @@ emitSchedule(const Program &prog, const std::vector<std::string> &shadow_fns,
     for (const auto &[name, l] : lists) {
         out += format("    static constexpr size_t k%sLists = %zu;\n", name,
                       l->size());
-        out += member("uint32_t", ("k" + std::string(name) + "At").c_str(),
+        out += member("uint32_t", "k" + std::string(name) + "At",
                       l->at, 16);
-        out += member("uint32_t", ("k" + std::string(name)).c_str(), l->ids,
+        out += member("uint32_t", "k" + std::string(name), l->ids,
                       16);
     }
     out += "    static constexpr size_t kFifos = kFifoWakeLists;\n";
@@ -534,17 +541,117 @@ emitTapeRegistry(const std::vector<std::string> &symbols)
                         "compiledTapes", symbols);
 }
 
+namespace {
+
+std::string
+netText(uint32_t net)
+{
+    return net == rtl::kNoNet ? std::string("kNoNet") : std::to_string(net);
+}
+
+/** The `kAt` offsets and `k` rows of @p lists, named @p name. */
+template <class T, typename Fn>
+std::string
+rowListsMember(const char *type, const std::string &name,
+               const rtl::RowLists<T> &lists, size_t per_line, Fn row)
+{
+    return member("uint32_t", "k" + name + "At", lists.at, 16) +
+           rowMember(type, "k" + name, lists.rows.size(), per_line,
+                     [&](size_t i) { return row(lists.rows[i]); });
+}
+
+} // namespace
+
 std::string
 emitCompiledNetlist(const rtl::Netlist &nl, const std::string &symbol,
                     const std::string &designs)
 {
     const std::vector<DStep> &tape = nl.tape();
     const std::vector<rtl::Cone> &cones = nl.cones();
+    const rtl::CycleTables &t = nl.cycleTables();
     if (cones.empty())
         panic("tape emitter: a netlist without cones has no compiled "
-              "evaluator");
+              "cycle");
+    const std::map<uint32_t, uint64_t> &consts = nl.constNets();
+
+    // The frame: every net the cycle drives before the cells (state
+    // nets) or reads after them, constants aside (they are literals).
+    std::set<uint32_t> state, frame;
+    auto observe = [&](uint32_t net) {
+        if (net != rtl::kNoNet && !consts.count(net))
+            frame.insert(net);
+    };
+    for (const rtl::FifoRow &r : t.fifos)
+        for (uint32_t net : {r.pop_data, r.pop_valid, r.full})
+            if (net != rtl::kNoNet)
+                state.insert(net);
+    for (const rtl::CounterRow &r : t.counters) {
+        state.insert(r.nonzero);
+        observe(r.dec);
+    }
+    for (uint32_t net : state)
+        observe(net);
+    for (uint32_t net : t.deqs.rows)
+        observe(net);
+    for (const rtl::PushRow &r : t.pushes.rows) {
+        observe(r.enable);
+        observe(r.data);
+    }
+    for (const rtl::WriteRow &r : t.writes.rows) {
+        observe(r.enable);
+        observe(r.index);
+        observe(r.data);
+    }
+    for (uint32_t net : t.incs.rows)
+        observe(net);
+    for (const rtl::StageRow &r : t.stages)
+        observe(r.exec);
+    for (const rtl::MonitorRow &r : t.monitors)
+        observe(r.enable);
+    for (uint32_t net : t.args.rows)
+        observe(net);
+    std::map<uint32_t, uint32_t> slot;
+    for (uint32_t net : frame)
+        slot.emplace(net, uint32_t(slot.size()));
+
+    // The cells over locals `n<net>`, a constant operand a literal.
+    std::vector<std::string> bodies(tape.size());
+    std::set<uint32_t> defined(state.begin(), state.end()), read;
+    for (uint32_t i = 0; i < tape.size(); ++i) {
+        if (tape[i].op >= kPureDOps)
+            panic("tape emitter: netlist step ", i, " is not pure");
+        std::string body = kRowText[tape[i].op];
+        const std::vector<SlotRef> refs = slotRefs(tape[i], body);
+        for (auto r = refs.rbegin(); r != refs.rend(); ++r) {
+            std::string name;
+            if (r->write) {
+                name = "n" + std::to_string(r->slot);
+            } else if (auto c = consts.find(r->slot); c != consts.end()) {
+                name = format("0x%" PRIx64 "ull", c->second);
+            } else if (defined.count(r->slot)) {
+                name = "n" + std::to_string(r->slot);
+                read.insert(r->slot);
+            } else {
+                panic("tape emitter: netlist step ", i, " reads net ",
+                      r->slot, " before any cell drives it");
+            }
+            body.replace(r->begin, r->end - r->begin, name);
+        }
+        bodies[i] = body;
+        if (!defined.insert(tape[i].dest).second)
+            panic("tape emitter: netlist step ", i, " drives net ",
+                  tape[i].dest, " a second time");
+    }
+    for (uint32_t net : frame)
+        if (!defined.count(net))
+            panic("tape emitter: the cycle reads net ", net,
+                  ", which nothing drives");
+
     std::string out = heading(designs);
-    out += "#include \"rtl/compiled_netlist.h\"\n\nnamespace assassyn {\n"
+    // A constant operand is a literal, so a row such as `x >= 0` becomes
+    // a comparison GCC flags as always true.
+    out += "#pragma GCC diagnostic ignored \"-Wtype-limits\"\n\n";
+    out += "#include \"rtl/netlist_cycle.h\"\n\nnamespace assassyn {\n"
            "namespace rtl {\nnamespace {\nnamespace " +
            symbol + "_ {\n\nusing sim::DStep;\n\n";
     out += tapeArray(tape);
@@ -555,30 +662,130 @@ emitCompiledNetlist(const rtl::Netlist &nl, const std::string &symbol,
                                   cones[c].begin, cones[c].end);
                 }) +
            ";\n\n";
-    // A cone is one basic block: the pure rows have no exits.
-    for (size_t c = 0; c < cones.size(); ++c) {
-        out += "void\ncone" + std::to_string(c) +
-               "([[maybe_unused]] uint64_t *v,\n    [[maybe_unused]] const "
-               "sim::RunState::Array *ast)\n{\n";
-        for (uint32_t i = cones[c].begin; i < cones[c].end; ++i) {
-            if (tape[i].op >= kPureDOps)
-                panic("tape emitter: netlist step ", i, " is not pure");
-            out += stepBlock(i, kRowText[tape[i].op]);
-        }
-        out += "}\n\n";
+
+    out += "struct Tables {\n";
+    out += format("    static constexpr size_t kFifos = %zu;\n",
+                  t.fifos.size());
+    out += format("    static constexpr size_t kArrays = %zu;\n",
+                  t.elem_bits.size());
+    out += format("    static constexpr size_t kCounters = %zu;\n",
+                  t.counters.size());
+    out += format("    static constexpr size_t kStages = %zu;\n",
+                  t.stages.size());
+    out += format("    static constexpr size_t kMonitors = %zu;\n",
+                  t.monitors.size());
+    out += format("    static constexpr size_t kConsts = %zu;\n",
+                  t.const_nets.size());
+    out += format("    static constexpr size_t kFrame = %zu;\n",
+                  frame.size());
+    out += rowMember("FifoRow", "kFifo", t.fifos.size(), 2, [&](size_t i) {
+        const rtl::FifoRow &r = t.fifos[i];
+        return "{" + std::to_string(r.fid) + ", " + netText(r.pop_data) +
+               ", " + netText(r.pop_valid) + ", " + netText(r.full) + ", " +
+               std::to_string(r.width) + "}";
+    });
+    out += rowListsMember("uint32_t", "Deq", t.deqs, 16, netText);
+    out += rowListsMember("PushRow", "Push", t.pushes, 4,
+                          [](const rtl::PushRow &r) {
+                              return "{" + netText(r.enable) + ", " +
+                                     netText(r.data) + ", " +
+                                     netText(r.src) + "}";
+                          });
+    out += member("uint32_t", "kElemBits", t.elem_bits, 16);
+    out += rowListsMember("WriteRow", "Write", t.writes, 4,
+                          [](const rtl::WriteRow &r) {
+                              return "{" + netText(r.enable) + ", " +
+                                     netText(r.index) + ", " +
+                                     netText(r.data) + "}";
+                          });
+    out += rowMember("CounterRow", "kCounter", t.counters.size(), 4,
+                     [&](size_t i) {
+                         const rtl::CounterRow &r = t.counters[i];
+                         return "{" + std::to_string(r.mid) + ", " +
+                                netText(r.nonzero) + ", " + netText(r.dec) +
+                                "}";
+                     });
+    out += rowListsMember("uint32_t", "Inc", t.incs, 16, netText);
+    out += rowMember("StageRow", "kStage", t.stages.size(), 4,
+                     [&](size_t i) {
+                         const rtl::StageRow &r = t.stages[i];
+                         return "{" + std::to_string(r.mid) + ", " +
+                                netText(r.exec) + ", " +
+                                std::to_string(r.driver) + "}";
+                     });
+    out += rowListsMember("uint32_t", "Stall", t.stalls, 16,
+                          [](uint32_t fid) { return std::to_string(fid); });
+    out += rowMember("MonitorRow", "kMonitor", t.monitors.size(), 4,
+                     [&](size_t i) {
+                         const rtl::MonitorRow &r = t.monitors[i];
+                         return "{" + std::to_string(r.kind) + ", " +
+                                netText(r.enable) + "}";
+                     });
+    out += rowListsMember("uint32_t", "Arg", t.args, 16, netText);
+    out += member("uint32_t", "kConstNet", t.const_nets, 16);
+    out += rowMember("uint64_t", "kConstValue", t.const_values.size(), 4,
+                     [&](size_t i) {
+                         return format("0x%" PRIx64 "ull",
+                                       t.const_values[i]);
+                     });
+    out += member("uint32_t", "kFrameNet",
+                  std::vector<uint32_t>(frame.begin(), frame.end()), 16);
+    out += "    [[gnu::always_inline]] static inline void\n"
+           "    evaluate(uint64_t *x, const sim::RunState::Array *ast);\n";
+    out += "};\n\n";
+
+    // The cells: the state nets they read from the frame, every step a
+    // row over locals, each net the rest of the cycle reads back into
+    // the frame. No net outlives the cycle, so none is stored anywhere
+    // else.
+    out += "inline void\nTables::evaluate([[maybe_unused]] uint64_t *x,\n"
+           "    [[maybe_unused]] const sim::RunState::Array *ast)\n{\n";
+    for (uint32_t net : state)
+        if (read.count(net))
+            out += format("    const uint64_t n%" PRIu32 " = x[%" PRIu32
+                          "];\n",
+                          net, slot.at(net));
+    for (uint32_t i = 0; i < tape.size(); ++i) {
+        const uint32_t dest = tape[i].dest;
+        out += format("    [[maybe_unused]] uint64_t n%" PRIu32 ";\n", dest);
+        out += stepBlock(i, bodies[i]);
+        if (slot.count(dest))
+            out += format("    x[%" PRIu32 "] = n%" PRIu32 ";\n",
+                          slot.at(dest), dest);
     }
-    out += "constexpr ConeFn kConeFns[] = " +
-           list(cones.size(), 4,
-                [](size_t c) { return "cone" + std::to_string(c); }) +
-           ";\n\n";
+    out += "}\n\n";
+    out += "sim::CycleOutcome\ncycle(NetState &ns)\n{\n    return "
+           "runNetlistCycle<CompiledPlan<Tables>>(ns);\n}\n\n";
     out += "} // namespace " + symbol + "_\n} // namespace\n\n";
+
     out += "extern const CompiledNetlist " + symbol + ";\n";
     out += "const CompiledNetlist " + symbol + " = {\n";
     out += format("    0x%" PRIx64 "ull,\n", nl.fingerprint());
     const std::string ns = "    " + symbol + "_::";
+    const std::string tb = symbol + "_::Tables::k";
     out += ns + "kTape, " + std::to_string(tape.size()) + ",\n";
     out += ns + "kCones, " + std::to_string(cones.size()) + ",\n";
-    out += ns + "kConeFns,\n};\n\n";
+    auto table = [&](const char *name, const char *count) {
+        return "    " + tb + name + ", " + tb + count + ",\n";
+    };
+    auto lists = [&](const char *name, const char *count) {
+        return "    {" + tb + name + "At, " + tb + name + ", " + tb + count +
+               "},\n";
+    };
+    out += table("Fifo", "Fifos");
+    out += lists("Deq", "Fifos");
+    out += lists("Push", "Fifos");
+    out += table("ElemBits", "Arrays");
+    out += lists("Write", "Arrays");
+    out += table("Counter", "Counters");
+    out += lists("Inc", "Counters");
+    out += table("Stage", "Stages");
+    out += lists("Stall", "Stages");
+    out += table("Monitor", "Monitors");
+    out += lists("Arg", "Monitors");
+    out += "    " + tb + "ConstNet, " + tb + "ConstValue, " + tb +
+           "Consts,\n";
+    out += ns + "cycle,\n};\n\n";
     out += "} // namespace rtl\n} // namespace assassyn\n";
     return out;
 }

@@ -12,9 +12,12 @@
  * the compiled run must also resume on the interpreter and on the other
  * engine to the same end state, and the netlist's evaluators must stay
  * identical after an array poke. CoversCatalog pins that every shipped
- * design is compiled on both engines, with cones that tile its netlist
- * tape, and that any other design, or a reordered netlist, falls back
- * to the interpreter.
+ * design and both grader cores get their generated cycle on both
+ * engines, with cones that tile the netlist tape, and that any other
+ * design, or a reordered netlist, falls back to the interpreter.
+ * ScheduleChangeDropsCycle (event engine) and
+ * TableChangeDropsNetlistCycle (netlist engine) pin that a change the
+ * generated cycle bakes in, but the tape does not show, falls back too.
  */
 #include <gtest/gtest.h>
 
@@ -154,6 +157,24 @@ expectSameFiles(const Files &a, const Files &b, const std::string &what)
     EXPECT_FALSE(slurp(a.vcd).empty()) << what;
 }
 
+/**
+ * The two engines' encoded snapshots must be byte-identical. A mismatch
+ * names the first differing byte rather than printing both snapshots.
+ */
+void
+expectSameSnapshots(sim::Engine &a, sim::Engine &b, const std::string &what)
+{
+    const std::vector<uint8_t> x = sim::encodeSnapshot(a.snapshot());
+    const std::vector<uint8_t> y = sim::encodeSnapshot(b.snapshot());
+    if (x == y)
+        return;
+    const auto diff = std::mismatch(
+        x.begin(), x.begin() + std::min(x.size(), y.size()), y.begin());
+    ADD_FAILURE() << what << ": snapshots differ at cycle " << a.cycle()
+                  << " from byte " << diff.first - x.begin() << " (sizes "
+                  << x.size() << " and " << y.size() << ")";
+}
+
 sim::SimOptions
 options(bool shuffle, const Files *files = nullptr)
 {
@@ -202,9 +223,7 @@ TEST_P(CompiledTapeTest, MatchesTape)
             a.run(at - a.cycle());
             b.run(at - b.cycle());
             ASSERT_EQ(a.cycle(), b.cycle());
-            EXPECT_EQ(sim::encodeSnapshot(a.snapshot()),
-                      sim::encodeSnapshot(b.snapshot()))
-                << c.name << ": snapshots differ at cycle " << a.cycle();
+            expectSameSnapshots(a, b, c.name);
         }
     }
     expectSameFiles(fc, ft, c.name);
@@ -263,9 +282,7 @@ expectSameAt(sim::Engine &a, sim::Engine &b, uint64_t at,
     const sim::RunResult rb = b.run(at - b.cycle());
     ASSERT_EQ(ra.status, rb.status) << what;
     ASSERT_EQ(a.cycle(), b.cycle()) << what;
-    EXPECT_EQ(sim::encodeSnapshot(a.snapshot()),
-              sim::encodeSnapshot(b.snapshot()))
-        << what << ": snapshots differ at cycle " << a.cycle();
+    expectSameSnapshots(a, b, what);
 }
 
 class CompiledNetlistTest : public ::testing::TestWithParam<size_t> {};
@@ -398,15 +415,15 @@ randomDesign(uint64_t seed)
 }
 
 /**
- * The netlist engine evaluates a compiled netlist by calling its cone
- * functions in order, so @p nl must be compiled, its cones must tile
- * the tape with no gap or overlap, and the generated entry must carry
- * a function for every cone.
+ * @p nl must have its generated cycle, and its cones, the cell ranges
+ * that cycle was generated from, must tile the tape with no gap or
+ * overlap.
  */
 void
-expectCompiledConesTileTape(const rtl::Netlist &nl, const std::string &what)
+expectCompiledCycle(const rtl::Netlist &nl, const std::string &what)
 {
     ASSERT_NE(nl.compiled(), nullptr) << what << " has no compiled netlist";
+    EXPECT_NE(nl.compiled()->cycle, nullptr) << what << " has no cycle";
     EXPECT_EQ(nl.compiled()->num_cones, nl.cones().size()) << what;
     uint32_t next = 0;
     for (const rtl::Cone &cone : nl.cones()) {
@@ -428,7 +445,7 @@ TEST(CompiledTape, CoversCatalog)
             << d.name << " has no compiled cycle";
         auto tape = sim::Program::compile(*sys, sim::Evaluator::kTape);
         EXPECT_EQ(tape->compiled(), nullptr) << d.name;
-        expectCompiledConesTileTape(rtl::Netlist(*sys), d.name);
+        expectCompiledCycle(rtl::Netlist(*sys), d.name);
     }
     // The grader builds its cores over a blank image of the program's
     // memory size (grader/grader.cc); the tapes and netlists do not
@@ -447,10 +464,10 @@ TEST(CompiledTape, CoversCatalog)
                 << "grader " << core << " core cycle, " << words
                 << " words";
         }
-        expectCompiledConesTileTape(
+        expectCompiledCycle(
             rtl::Netlist(*cpu.sys),
             "grader in-order netlist, " + std::to_string(words) + " words");
-        expectCompiledConesTileTape(
+        expectCompiledCycle(
             rtl::Netlist(*ooo.sys),
             "grader OoO netlist, " + std::to_string(words) + " words");
     }
@@ -468,7 +485,7 @@ TEST(CompiledTape, CoversCatalog)
         EXPECT_TRUE(n.finished());
     }
     // A catalog netlist reordered away from creation order loses its
-    // cones and with them its compiled evaluator: it runs its tape.
+    // cones and with them its compiled cycle: it runs its tape.
     std::unique_ptr<System> sys = baseline::designCatalog().front().build();
     rtl::Netlist nl(*sys);
     ASSERT_NE(nl.compiled(), nullptr);
@@ -544,9 +561,7 @@ TEST(CompiledTape, ScheduleChangeDropsCycle)
                 a.run(at - a.cycle());
                 b.run(at - b.cycle());
                 ASSERT_EQ(a.cycle(), b.cycle());
-                EXPECT_EQ(sim::encodeSnapshot(a.snapshot()),
-                          sim::encodeSnapshot(b.snapshot()))
-                    << "snapshots differ at cycle " << a.cycle();
+                expectSameSnapshots(a, b, "schedule change");
             }
             EXPECT_EQ(metricsOf(a), metricsOf(b));
             EXPECT_EQ(a.logOutput(), b.logOutput());
@@ -554,6 +569,62 @@ TEST(CompiledTape, ScheduleChangeDropsCycle)
         }
         expectSameFiles(fc, ft, shuffle ? "shuffled" : "plain");
     }
+    std::filesystem::remove_all(dir);
+}
+
+/**
+ * The netlist's cycle is generated over its cycle tables as well as
+ * its tape: a push site credited to another producer changes no cell,
+ * only the FIFO's push table (and with it the timeline's flow events).
+ * Such a netlist must not get the catalog entry, whose cycle bakes in
+ * the old producer, and runs byte-identical to the interpreter.
+ */
+TEST(CompiledTape, TableChangeDropsNetlistCycle)
+{
+    std::unique_ptr<System> sys = baseline::designCatalog().front().build();
+    const rtl::Netlist ref(*sys);
+    ASSERT_NE(ref.compiled(), nullptr);
+    // Credit the first push site to the module after its producer.
+    auto retarget = [&sys](rtl::Netlist &nl) {
+        for (rtl::FifoBlock &blk : rtl::NetlistTestPeer::fifos(nl))
+            for (rtl::PushSite &site : blk.pushes) {
+                if (!site.origin)
+                    continue;
+                const auto &mods = sys->modules();
+                site.origin = mods[(site.origin->id() + 1) % mods.size()].get();
+                rtl::NetlistTestPeer::refinalize(nl);
+                return true;
+            }
+        return false;
+    };
+    rtl::Netlist compiled(*sys), tape(*sys, sim::Evaluator::kTape);
+    ASSERT_TRUE(retarget(compiled));
+    ASSERT_TRUE(retarget(tape));
+    EXPECT_NE(compiled.fingerprint(), ref.fingerprint());
+    // The entry's tape and cones still match; only a table does not.
+    const rtl::CompiledNetlist &entry = *ref.compiled();
+    EXPECT_TRUE(sameBytes(compiled.tape(), entry.tape, entry.tape_len));
+    EXPECT_TRUE(sameBytes(compiled.cones(), entry.cones, entry.num_cones));
+    EXPECT_EQ(compiled.compiled(), nullptr);
+
+    const std::string dir = scratchDir("compiled_netlist_tables");
+    const Files fc(dir + "/compiled"), ft(dir + "/tape"), fr(dir + "/ref");
+    {
+        rtl::NetlistSim a(compiled, options(false, &fc));
+        rtl::NetlistSim b(tape, options(false, &ft));
+        rtl::NetlistSim r(ref, options(false, &fr));
+        for (uint64_t at : kSnapAt) {
+            if (b.finished())
+                break;
+            expectSameAt(a, b, at, "retargeted push");
+            r.run(at - r.cycle());
+        }
+        EXPECT_EQ(metricsOf(a), metricsOf(b));
+        EXPECT_EQ(a.logOutput(), b.logOutput());
+    }
+    expectSameFiles(fc, ft, "retargeted push");
+    // The change shows: the timeline credits the push elsewhere.
+    EXPECT_NE(slurp(fc.timeline), slurp(fr.timeline));
     std::filesystem::remove_all(dir);
 }
 

@@ -1,9 +1,9 @@
 /**
  * @file
  * White-box mutation hooks of rtl::Netlist for the tests (a friend of
- * the class): edit the cell list or add nets, then re-run finalize() —
- * levelization, tape decode and the compiled-evaluator lookup — over
- * the result.
+ * the class): edit the cell list or the FIFO blocks, or add nets, then
+ * re-run finalize() — levelization, tape decode, the cycle tables and
+ * the compiled-cycle lookup — over the result.
  */
 #pragma once
 
@@ -18,6 +18,8 @@ namespace rtl {
 class NetlistTestPeer {
   public:
     static std::vector<Cell> &cells(Netlist &nl) { return nl.cells_; }
+
+    static std::vector<FifoBlock> &fifos(Netlist &nl) { return nl.fifos_; }
 
     static uint32_t
     addNet(Netlist &nl, unsigned bits, const std::string &name)

@@ -226,9 +226,9 @@ TEST(ParallelDeterminismTest, SharedCompiledCycleShuffledIsByteIdentical)
 
 TEST(ParallelDeterminismTest, SharedCompiledNetlistIsByteIdentical)
 {
-    // A catalog design's netlist runs its generated cone functions: the
-    // threads share them and the tables through the one const Netlist,
-    // and must agree with each other and with the interpreted tape.
+    // A catalog design's netlist runs its generated cycle: the threads
+    // share it and its tables through the one const Netlist, and must
+    // agree with each other and with the interpreted tape.
     std::unique_ptr<System> sys;
     for (const baseline::CatalogDesign &d : baseline::designCatalog())
         if (d.name == "ooo")

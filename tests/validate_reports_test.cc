@@ -19,7 +19,7 @@
  *    one-command replay repro;
  *  - assassyn.debug.v1 (src/debug): the time-travel session summary —
  *    keyframe accounting, re-executed cycles, and break/watch hits;
- *  - assassyn.bench.fig16.v6 (bench/fig16_sim_speed.cc): the tracked
+ *  - assassyn.bench.fig16.v7 (bench/fig16_sim_speed.cc): the tracked
  *    throughput report at the repo root.
  *
  * The validators work on the raw JSON through support/jsonv.h — not
@@ -530,7 +530,7 @@ TEST(ValidateReports, BenchFig16V3TrackedReportIsWellFormed)
                        "/BENCH_fig16.json";
     jsonv::Value doc = parseFile(path);
     ASSERT_TRUE(doc.isObject()) << path;
-    EXPECT_EQ(field(doc, "schema").string, "assassyn.bench.fig16.v6");
+    EXPECT_EQ(field(doc, "schema").string, "assassyn.bench.fig16.v7");
     EXPECT_TRUE(field(doc, "smoke").isNumber());
     // Timing methodology is explicit — run-only wall-clock over `reps`
     // repetitions, build time reported per backend per run.
@@ -573,6 +573,21 @@ TEST(ValidateReports, BenchFig16V3TrackedReportIsWellFormed)
         }
         EXPECT_TRUE(field(run, "stages_woken").isNumber());
     }
+
+    // v7: the long-loop row, every model under the table's protocol.
+    const jsonv::Value &loop = field(doc, "long_loop");
+    ASSERT_TRUE(loop.isObject());
+    EXPECT_EQ(field(loop, "design").string, "long-loop");
+    EXPECT_GT(field(loop, "cycles").number, 1e6);
+    for (const std::string key : {"asyn_cps", "asyn_tape_cps", "rtl_cps",
+                                  "rtl_tape_cps", "gem5_cps"}) {
+        double median = field(loop, key.c_str()).number;
+        EXPECT_GT(median, 0.0) << key;
+        EXPECT_LE(field(loop, (key + "_min").c_str()).number, median) << key;
+        EXPECT_LE(median, field(loop, (key + "_max").c_str()).number) << key;
+    }
+    EXPECT_GT(field(loop, "asyn_over_rtl").number, 0.0);
+    EXPECT_GT(field(loop, "gem5_over_asyn").number, 0.0);
 }
 
 } // namespace
