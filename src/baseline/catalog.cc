@@ -1,8 +1,11 @@
 #include "baseline/catalog.h"
 
+#include <algorithm>
+
 #include "baseline/hls_workloads.h"
 #include "designs/cpu.h"
 #include "designs/ooo.h"
+#include "isa/riscv.h"
 #include "isa/workloads.h"
 #include "support/rng.h"
 
@@ -103,8 +106,8 @@ std::vector<CatalogDesign>
 designCatalog()
 {
     using designs::BranchPolicy;
-    // The cores' tapes do not depend on the program image; any Sodor
-    // workload stands for all of them.
+    // The cores' generated code depends on the memory's size but not on
+    // the program image; any Sodor workload stands for all of them.
     auto image = [] {
         return isa::buildMemoryImage(isa::workload("median"));
     };
@@ -116,6 +119,25 @@ designCatalog()
     out.push_back({"cpu.bp.f", cpu(BranchPolicy::kNotTaken)});
     out.push_back({"cpu.bp.t", cpu(BranchPolicy::kTaken)});
     out.push_back({"ooo", [image] { return designs::buildOoo(image()).sys; }});
+    // The grader's cores (grader/grader.cc) over the corpus's 256-word
+    // memory (grader/corpus.h), running a short store/load loop.
+    std::vector<uint32_t> graded(256, 0);
+    const std::vector<uint32_t> code = isa::assemble("    li   t0, 1500\n"
+                                                     "    li   s0, 0x200\n"
+                                                     "loop:\n"
+                                                     "    sw   t0, 0(s0)\n"
+                                                     "    lw   t1, 0(s0)\n"
+                                                     "    addi t0, t1, -1\n"
+                                                     "    bnez t0, loop\n"
+                                                     "    ecall\n",
+                                                     0);
+    std::copy(code.begin(), code.end(), graded.begin());
+    out.push_back({"grader.cpu", [graded] {
+                       return designs::buildCpu(BranchPolicy::kTaken, graded)
+                           .sys;
+                   }});
+    out.push_back({"grader.ooo",
+                   [graded] { return designs::buildOoo(graded).sys; }});
     std::vector<AccelPair> accels = paperAccels();
     accels.push_back(paperFft());
     for (const AccelPair &p : accels)

@@ -54,7 +54,8 @@ struct CatalogDesign {
 /**
  * Every shipped design at paper size: the in-order core under each
  * BranchPolicy (cpu.base, cpu.bp.f, cpu.bp.t) and the OoO core (ooo),
- * both over a Sodor workload image; the six Assassyn-native
+ * both over a Sodor workload image; the grader's two cores (grader.cpu,
+ * grader.ooo) over the corpus's 256-word memory; the six Assassyn-native
  * accelerators (accel.*) and their HLS-generated counterparts (hls.*);
  * the priority queue (pq) and the systolic array (systolic).
  */

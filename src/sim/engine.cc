@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/program.h"
 #include "sim/vcd.h"
 #include "support/bits.h"
 #include "support/logging.h"
@@ -65,26 +66,28 @@ RunState::RunState(const System &s, const SimOptions &o)
         a.data = arr->init();
         a.size = uint32_t(a.data.size());
     }
+    // The layout a Program records and its generated cycle bakes in.
+    const std::vector<FifoShape> layout = fifoLayout(sys);
     port_base.reserve(sys.modules().size());
     stages.resize(sys.modules().size());
+    fifos.reserve(layout.size());
     for (const auto &mod : sys.modules()) {
         stages[mod->id()].mod = mod.get();
         port_base.push_back(uint32_t(fifos.size()));
         for (const auto &port : mod->ports()) {
+            const FifoShape &sh = layout[fifos.size()];
             Fifo f;
             f.port = port.get();
-            f.policy = port->policy();
-            f.depth = uint32_t(port->depth());
-            uint32_t cap = 1;
-            while (cap < f.depth)
-                cap <<= 1;
-            f.mask = cap - 1;
-            f.base = uint32_t(fifo_arena.size());
-            fifo_arena.resize(fifo_arena.size() + cap, 0);
+            f.policy = FifoPolicy(sh.policy);
+            f.base = sh.base;
+            f.mask = sh.mask;
+            f.depth = sh.depth;
             f.occupancy.buckets.assign(f.depth + 1, 0);
             fifos.push_back(std::move(f));
         }
     }
+    if (!layout.empty())
+        fifo_arena.assign(layout.back().base + layout.back().mask + 1, 0);
     // Every observer is interned from the shared System IR and fed only
     // from RunState, so each file is byte-identical across engines for
     // the same design and seed. Opening one leases its path: two

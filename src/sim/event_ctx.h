@@ -105,10 +105,11 @@ struct CompiledLists {
 
 /**
  * The generated evaluator of one distinct Program: the copy of the
- * tape, switch table, spans, slot initial values and schedule it was
- * generated from (what Program::compile() checks byte for byte before
- * attaching it), and the cycle generated over them, which calls the
- * per-module span functions directly.
+ * tape, switch table, spans, slot initial values, schedule and shape
+ * (FIFO layout, array sizes) it was generated from (what
+ * Program::compile() checks byte for byte before attaching it), and
+ * the cycle generated over them, which calls the per-module span
+ * functions directly.
  */
 struct CompiledTape {
     uint64_t fingerprint;
@@ -127,6 +128,10 @@ struct CompiledTape {
     CompiledLists stall_fifos; ///< by Module::id
     CompiledLists fifo_wake;   ///< by fifo index
     CompiledLists array_wake;  ///< by RegArray::id
+    const FifoShape *fifo_shapes; ///< by fifo index
+    size_t num_fifos;
+    const uint32_t *array_sizes; ///< by RegArray::id
+    size_t num_arrays;
     CycleFn cycle;
 };
 

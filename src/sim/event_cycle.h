@@ -27,17 +27,21 @@
  *   forShadowMods(es, f)        f(mid) per nonempty shadow, topo order;
  *   shadow(es, mid), active(es, mid) -> bool   run a span;
  *   driver(es, mid) -> bool;
+ *   topoPos(es, mid)            the stage's bit in the ready bitmap;
  *   forStallFifos(es, mid, f)   f(fid) per kStallProducer gate;
  *   forFifoWake(es, fid, f), forArrayWake(es, aid, f)   f(mid) per
  *                               shadow the FIFO / array feeds;
- *   visit(es, order)            visitStage<Plan>(es, mid) per mid;
+ *   visitInOrder(es), visitShuffled(es)   visitStage<Plan>(es, mid)
+ *                               per ready stage, in topological or
+ *                               shuffled (shuffledReady) order;
+ *   commitFifo(es, fid, pd, recording) -> bool   RunState::commitFifo
+ *                               of the FIFO's buffered effects;
  *   forTouchedFifos(es, f), forTouchedArrays(es, f),
  *   forTouchedMods(es, f)       f(index) per set bit of the touched
  *                               bitmap, lowest first, then clear it.
  */
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -64,13 +68,13 @@ struct EventState {
     std::vector<ArrayPending> arr_pend; ///< by RegArray::id
     std::vector<ModSched> mods;         ///< by Module::id
     /**
-     * The ready set (drivers plus stages with pending events), kept
-     * sorted by topological position so the unshuffled visit order —
-     * and with it log order, fatal-error order and the serialized event
-     * trace — is the topological one. A stage is in the ready set
-     * exactly when its RunState idle span is closed.
+     * The ready set (drivers plus stages with pending events) as a
+     * bitmap over topological positions, so the unshuffled visit order
+     * — and with it log order, fatal-error order and the serialized
+     * event trace — is the topological one. A stage is in the ready
+     * set exactly when its RunState idle span is closed.
      */
-    std::vector<uint32_t> ready;
+    std::vector<uint64_t> ready_w;
     /** By Module::id. Not a byte type: stores through a byte pointer
      *  may alias anything, which would make the compiler reload every
      *  pointer of the commit phase after each wake. */
@@ -81,7 +85,6 @@ struct EventState {
     std::vector<uint64_t> touched_fifo_w;
     std::vector<uint64_t> touched_arr_w;
     std::vector<uint64_t> touched_mod_w;
-    std::vector<uint32_t> shuffled; ///< this cycle's visit order
     Rng rng;                        ///< SimOptions::shuffle_seed
     bool shuffle = false;           ///< SimOptions::shuffle
 };
@@ -132,6 +135,31 @@ visitStage(EventState &es, Mid mid)
 }
 
 /**
+ * The shuffled visit order of Sec. 5.1: the ready stages in
+ * topological order (@p topo maps a position to its module), permuted
+ * by es.rng, into @p order. The draws are those of Rng::shuffle over
+ * the topologically sorted ready list, so the permutation and the RNG
+ * stream do not depend on the plan. @return the number of stages.
+ */
+inline size_t
+shuffledReady(EventState &es, const uint32_t *topo, uint32_t *order)
+{
+    size_t n = 0;
+    for (size_t k = 0; k < es.ready_w.size(); ++k)
+        for (uint64_t bits = es.ready_w[k]; bits; bits &= bits - 1)
+            order[n++] = topo[k * 64 + size_t(__builtin_ctzll(bits))];
+    es.rng.shuffle(order, n);
+    return n;
+}
+
+/**
+ * RunState::commitFifo of FIFO @p fid's buffered effects @p pd, called
+ * out of line: the generated commits' path for recorded runs and for
+ * overflows (sim/simulator.cc).
+ */
+bool commitFifoOutOfLine(RunState &rs, uint32_t fid, const FifoPending &pd);
+
+/**
  * Phases 0-2 of the cycle st.cycle. @return whether the cycle committed
  * an architectural state change (the watchdog's forward progress).
  */
@@ -159,22 +187,20 @@ runEventCycle(EventState &es)
     // nothing. Sec. 5.1 randomization shuffles the topological order:
     // the shadow pass keeps cross-stage reads well-defined, so results
     // are invariant (tests assert exactly that).
-    if (es.shuffle) {
-        es.shuffled = es.ready;
-        es.rng.shuffle(es.shuffled);
-        Plan::visit(es, es.shuffled);
-    } else {
-        Plan::visit(es, es.ready);
-    }
+    if (es.shuffle)
+        Plan::visitShuffled(es);
+    else
+        Plan::visitInOrder(es);
 
     // Phase 2: commit buffered side effects, touched state only, in
     // dense-index order (so any fatal raised from a commit matches the
     // full-scan engine's).
     bool progress = false;
     FifoPending *const fpd = es.fifo_pend.data();
+    const bool recording = rs.recorder != nullptr;
     Plan::forTouchedFifos(es, [&](auto fid) {
         FifoPending &pd = fpd[fid];
-        if (rs.commitFifo(fid, pd.deq, pd.push, pd.value, pd.src)) {
+        if (Plan::commitFifo(es, fid, pd, recording)) {
             progress = true;
             Plan::forFifoWake(es, fid, [&](auto mid) { stale[mid] = 1; });
         }
@@ -192,9 +218,9 @@ runEventCycle(EventState &es)
         progress = true;
         Plan::forArrayWake(es, aid, [&](auto mid) { stale[mid] = 1; });
     });
-    bool any_went_idle = false;
     ModSched *const mods = es.mods.data();
     RunState::Stage *const stages = rs.stages.data();
+    uint64_t *const ready = es.ready_w.data();
     Plan::forTouchedMods(es, [&](auto mid) {
         ModSched &ms = mods[mid];
         RunState::Stage &stg = stages[mid];
@@ -205,55 +231,42 @@ runEventCycle(EventState &es)
         rs.commitEvents(stg, ms.inc, ms.dec);
         ms.dec = false;
         ms.inc = 0;
+        const auto pos = Plan::topoPos(es, mid);
         if (stg.idle_open && stg.pending > 0) {
             // Wake: close the idle span (cycles idle_anchor..now, this
             // cycle included — the stage was not visited in phase 1)
-            // and enter the ready set in topological position.
+            // and enter the ready set.
             stg.idle_cycles += (cycle + 1) - stg.idle_anchor;
             stg.idle_open = false;
-            es.ready.insert(
-                std::lower_bound(es.ready.begin(), es.ready.end(),
-                                 ms.topo_pos,
-                                 [mods](uint32_t m, uint32_t pos) {
-                                     return mods[m].topo_pos < pos;
-                                 }),
-                uint32_t(mid));
+            ready[pos >> 6] |= 1ull << (pos & 63);
         } else if (!stg.idle_open && !Plan::driver(es, mid) &&
                    stg.pending == 0) {
-            any_went_idle = true;
+            // Retire a drained stage; idle accounting restarts next
+            // cycle (this cycle it executed, so it is not idle).
+            stg.idle_open = true;
+            stg.idle_anchor = cycle + 1;
+            ready[pos >> 6] &= ~(1ull << (pos & 63));
         }
     });
-    if (any_went_idle) {
-        // Retire drained stages; idle accounting restarts next cycle
-        // (this cycle they executed, so it is not idle).
-        es.ready.erase(std::remove_if(es.ready.begin(), es.ready.end(),
-                                      [&](uint32_t mid) {
-                                          RunState::Stage &stg = stages[mid];
-                                          if (!mods[mid].driver &&
-                                              stg.pending == 0) {
-                                              stg.idle_open = true;
-                                              stg.idle_anchor = cycle + 1;
-                                              return true;
-                                          }
-                                          return false;
-                                      }),
-                       es.ready.end());
-    }
     return progress;
 }
 
 /**
- * The plan of a generated cycle: the schedule of one catalog tape as
- * the `constexpr` tables of @p S (printed by sim/tape_emit.cc):
+ * The plan of a generated cycle: the schedule and shape of one catalog
+ * tape as the `constexpr` tables of @p S (printed by
+ * sim/tape_emit.cc):
  *   kMods, kFifos, kArrays, kShadowMods   counts;
+ *   kTopo[kMods]                          topological order;
  *   kDriver[kMods]                        driver flags;
  *   kShadowMod[]                          the phase-0 worklist;
  *   kStallAt / kStall, kFifoWakeAt / kFifoWake,
  *   kArrayWakeAt / kArrayWake             IdLists, flattened;
+ *   kFifoShape[kFifos]                    FIFO layout (fifoLayout);
  *   kShadow[kMods], kActive[kMods]        the span functions.
  * Every list is expanded at compile time, so each element is a
- * constant: slots, FIFO records and flags at fixed offsets, and span
- * calls that are direct.
+ * constant: slots, FIFO records and flags at fixed offsets, ring masks,
+ * depths and arena offsets as literals, and span calls that are
+ * direct.
  */
 template <class S>
 struct CompiledPlan {
@@ -318,6 +331,21 @@ struct CompiledPlan {
         return S::kDriver[M] != 0;
     }
 
+    /** The inverse of kTopo. */
+    static constexpr std::array<uint32_t, S::kMods> kTopoPos = [] {
+        std::array<uint32_t, S::kMods> pos{};
+        for (uint32_t p = 0; p < S::kMods; ++p)
+            pos[S::kTopo[p]] = p;
+        return pos;
+    }();
+
+    template <uint32_t M>
+    static constexpr Id<kTopoPos[M]>
+    topoPos(EventState &, Id<M>)
+    {
+        return {};
+    }
+
     template <uint32_t M, class F>
     static void
     forStallFifos(EventState &, Id<M>, F &&f)
@@ -346,18 +374,91 @@ struct CompiledPlan {
     {
         using VisitFn = void (*)(EventState &);
         return std::array<VisitFn, sizeof...(M)>{
-            [](EventState &es) { visitStage<CompiledPlan>(es, Id<M>{}); }...};
+            [](EventState &es) __attribute__((noinline)) {
+                visitStage<CompiledPlan>(es, Id<M>{});
+            }...};
     }
 
-    /** Each stage's visit, inlined into its own entry of a table the
-     *  (runtime) visit order indexes. */
-    static void
-    visit(EventState &es, const std::vector<uint32_t> &order)
+    /** Each stage's visit, its span inlined, as an entry of a table:
+     *  called directly in topological order, through the table in
+     *  shuffled order. Kept out of line, so that each span has this
+     *  one caller and is inlined into it. */
+    static constexpr auto kVisit =
+        visitTable(std::make_index_sequence<S::kMods>{});
+
+    /** Every stage in topological order, straight-line, each visited
+     *  when its ready bit is set. */
+    template <size_t... P>
+    [[gnu::always_inline]] static void
+    visitEach(EventState &es, std::index_sequence<P...>)
     {
-        static constexpr auto kVisit =
-            visitTable(std::make_index_sequence<S::kMods>{});
-        for (uint32_t mid : order)
-            kVisit[mid](es);
+        uint64_t bits[(S::kMods + 63) / 64];
+        for (size_t k = 0; k < (S::kMods + 63) / 64; ++k)
+            bits[k] = es.ready_w[k];
+        ((bits[P / 64] >> (P % 64) & 1 ? kVisit[S::kTopo[P]](es) : void()),
+         ...);
+    }
+
+    static void
+    visitInOrder(EventState &es)
+    {
+        visitEach(es, std::make_index_sequence<S::kMods>{});
+    }
+
+    static void
+    visitShuffled(EventState &es)
+    {
+        uint32_t order[S::kMods];
+        const size_t n = shuffledReady(es, S::kTopo, order);
+        for (size_t i = 0; i < n; ++i)
+            kVisit[order[i]](es);
+    }
+
+    /**
+     * RunState::commitFifo specialized on FIFO Fid's shape: its ring
+     * mask, depth, arena offset and policy are literals. A recorded run
+     * (the recorder sees every pop and push) and an overflow take the
+     * shared commit out of line.
+     */
+    template <uint32_t Fid>
+    static bool
+    commitFifo(EventState &es, Id<Fid>, const FifoPending &pd,
+               bool recording)
+    {
+        constexpr FifoShape sh = S::kFifoShape[Fid];
+        constexpr bool drops =
+            FifoPolicy(sh.policy) == FifoPolicy::kDropNewest;
+        RunState &rs = *es.cx.st;
+        RunState::Fifo &f = rs.fifos[Fid];
+        // Full after this cycle's pop, if any.
+        const bool full = f.count == sh.depth && !(pd.deq && f.count);
+        if (recording || (!drops && pd.push && full))
+            return commitFifoOutOfLine(rs, Fid, pd);
+        const uint32_t before = f.count;
+        bool changed = false;
+        if (pd.deq && f.count) {
+            f.head = (f.head + 1) & sh.mask;
+            --f.count;
+            ++f.pops;
+            changed = true;
+        }
+        if (pd.push) {
+            if (full) {
+                ++f.drops;
+            } else {
+                rs.fifo_arena[sh.base + ((f.head + f.count) & sh.mask)] =
+                    pd.value;
+                ++f.count;
+                ++f.pushes;
+                changed = true;
+            }
+        }
+        if (f.count != before) {
+            RunState::recordN(f.occupancy, before,
+                              rs.cycle - f.sampled_until);
+            f.sampled_until = rs.cycle;
+        }
+        return changed;
     }
 
     template <class F>

@@ -551,6 +551,27 @@ struct ProgCompiler {
     }
 };
 
+std::vector<FifoShape>
+fifoLayout(const System &sys)
+{
+    std::vector<FifoShape> out;
+    uint32_t base = 0;
+    for (const auto &mod : sys.modules())
+        for (const auto &port : mod->ports()) {
+            FifoShape sh;
+            sh.depth = uint32_t(port->depth());
+            uint32_t cap = 1;
+            while (cap < sh.depth)
+                cap <<= 1;
+            sh.mask = cap - 1;
+            sh.base = base;
+            sh.policy = uint32_t(port->policy());
+            base += cap;
+            out.push_back(sh);
+        }
+    return out;
+}
+
 Program::Program(const System &sys) : sys_(&sys), analyzer_(sys)
 {
     if (!sys.isLowered())
@@ -585,9 +606,10 @@ sameLists(const IdLists &mine, const CompiledLists &theirs)
  * Look this Program up among the generated evaluators linked into the
  * binary: by fingerprint, then confirmed by byte equality of every
  * input the generated code was specialized on (the tape, switch table,
- * spans and slot initial values its span functions run, and the
- * schedule its cycle bakes in), so a hash collision can only cost the
- * lookup, never a wrong evaluator.
+ * spans and slot initial values its span functions run, the schedule
+ * its cycle bakes in, and the FIFO shapes and array sizes it prints as
+ * literals), so a hash collision can only cost the lookup, never a
+ * wrong evaluator.
  */
 void
 Program::attachCompiled()
@@ -605,7 +627,9 @@ Program::attachCompiled()
             sameBytes(shadow_mods_, ct.shadow_mods, ct.num_shadow_mods) &&
             sameLists(stall_fifos_, ct.stall_fifos) &&
             sameLists(fifo_wake_, ct.fifo_wake) &&
-            sameLists(array_wake_, ct.array_wake)) {
+            sameLists(array_wake_, ct.array_wake) &&
+            sameBytes(fifo_shapes_, ct.fifo_shapes, ct.num_fifos) &&
+            sameBytes(array_sizes_, ct.array_sizes, ct.num_arrays)) {
             compiled_ = &ct;
             return;
         }
@@ -688,6 +712,10 @@ Program::build()
         port_base_.push_back(num_fifos_);
         num_fifos_ += static_cast<uint32_t>(mod->numPorts());
     }
+    fifo_shapes_ = fifoLayout(*sys_);
+    array_sizes_.assign(sys_->arrays().size(), 0);
+    for (const auto &arr : sys_->arrays())
+        array_sizes_[arr->id()] = static_cast<uint32_t>(arr->init().size());
     // The stall gate of each stage: the kStallProducer FIFOs it pushes
     // into. While any of them is full the stage does not execute (its
     // event is retained), in both backends.
@@ -769,6 +797,8 @@ Program::build()
         hash(lists->at);
         hash(lists->ids);
     }
+    hash(fifo_shapes_);
+    hash(array_sizes_);
 }
 
 /**

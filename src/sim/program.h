@@ -50,10 +50,11 @@
  * the straight-line evaluators the build generated for the design
  * catalog (sim/event_ctx.h, docs/architecture.md "Compiled
  * evaluators") and attaches the one whose embedded tape, switch table,
- * spans and slot initial values, and whose schedule (topological
- * order, drivers, shadow worklist, stall gates, wake lists), equal this
- * Program's byte for byte; the Simulator then runs the entry's
- * generated cycle (sim/event_cycle.h) instead of the interpreted one.
+ * spans and slot initial values, whose schedule (topological order,
+ * drivers, shadow worklist, stall gates, wake lists), and whose shape
+ * (FIFO layout, array sizes) equal this Program's byte for byte; the
+ * Simulator then runs the entry's generated cycle (sim/event_cycle.h)
+ * instead of the interpreted one.
  *
  * Sensitivity metadata: for every FIFO and register array, the list of
  * stages whose shadow cone (transitively, across cross-stage exposure
@@ -93,6 +94,28 @@ struct StageSpan {
     uint32_t active_begin = 0;
     uint32_t active_end = 0;
 };
+
+/**
+ * Where one FIFO's ring lives and how it fills: the part of its run
+ * state fixed at construction (RunState::Fifo). Every field is a
+ * uint32_t, so a shape has no padding and compares as bytes.
+ */
+struct FifoShape {
+    uint32_t base = 0;   ///< offset into the FIFO arena
+    uint32_t mask = 0;   ///< pow2 ring mask (ring size - 1)
+    uint32_t depth = 0;  ///< architectural capacity (overflow bound)
+    uint32_t policy = 0; ///< FifoPolicy
+
+    bool operator==(const FifoShape &) const = default;
+};
+
+/**
+ * The FIFO layout of @p sys, by dense fifo index (module, then port
+ * declaration order): each ring the next power of two at least its
+ * depth, packed in that order. RunState's constructor lays its FIFOs
+ * out from it, and a Program records it for the generated cycle.
+ */
+std::vector<FifoShape> fifoLayout(const System &sys);
 
 struct CompiledTape; // sim/event_ctx.h
 struct EventState;   // sim/event_cycle.h
@@ -192,9 +215,10 @@ class Program {
     const CompiledTape *compiled() const { return compiled_; }
 
     /** 64-bit hash of everything the generated code is specialized on:
-     *  the tape, switch table, spans and slot initial values, and the
-     *  schedule the cycle bakes in. The tape generator keeps one
-     *  evaluator per distinct fingerprint. */
+     *  the tape, switch table, spans and slot initial values, the
+     *  schedule the cycle bakes in, and the FIFO shapes and array sizes
+     *  it prints as literals. The tape generator keeps one evaluator per
+     *  distinct fingerprint. */
     uint64_t fingerprint() const { return fingerprint_; }
 
     /** Per-stage tape spans, indexed by Module::id. */
@@ -234,6 +258,12 @@ class Program {
 
     /** kStallProducer FIFO ids gating each stage, by Module::id. */
     const IdLists &stallFifos() const { return stall_fifos_; }
+
+    /** The FIFO shapes (fifoLayout), by dense fifo index. */
+    const std::vector<FifoShape> &fifoShapes() const { return fifo_shapes_; }
+
+    /** Each register array's element count, by RegArray::id. */
+    const std::vector<uint32_t> &arraySizes() const { return array_sizes_; }
 
     /** The shared hazard analysis (const; safe to query concurrently). */
     const HazardAnalyzer &analyzer() const { return analyzer_; }
@@ -275,6 +305,8 @@ class Program {
     // guard formation; never consulted at run time.
     std::vector<uint8_t> slot_is_const_;
     uint32_t num_fifos_ = 0;
+    std::vector<FifoShape> fifo_shapes_; ///< by fifo index
+    std::vector<uint32_t> array_sizes_;  ///< by RegArray::id
     std::vector<DStep> tape_;      ///< SoA tape (all stages)
     std::vector<uint32_t> switch_table_; ///< kSwitch jump tables
     std::vector<StageSpan> spans_; ///< indexed by Module::id

@@ -61,11 +61,20 @@ runTape(EventCtx &cx, uint32_t begin, uint32_t end)
 #undef ASSASSYN_FAIL
 }
 
-/** f(index) for every set bit of the bitmap @p w, lowest first; clears
- *  the bitmap. */
+/** f(index) for every set bit of the bitmap @p w, lowest first. */
 template <class F>
 void
-forEachSetBit(std::vector<uint64_t> &w, F &&f)
+forEachSetBit(const std::vector<uint64_t> &w, F &&f)
+{
+    for (size_t k = 0; k < w.size(); ++k)
+        for (uint64_t bits = w[k]; bits; bits &= bits - 1)
+            f(uint32_t(k * 64) + uint32_t(__builtin_ctzll(bits)));
+}
+
+/** forEachSetBit, clearing the bitmap as it goes. */
+template <class F>
+void
+drainSetBits(std::vector<uint64_t> &w, F &&f)
 {
     for (size_t k = 0; k < w.size(); ++k) {
         for (uint64_t bits = w[k]; bits; bits &= bits - 1)
@@ -109,6 +118,12 @@ struct TapePlan {
         return es.mods[mid].driver;
     }
 
+    static uint32_t
+    topoPos(EventState &es, uint32_t mid)
+    {
+        return es.mods[mid].topo_pos;
+    }
+
     template <class F>
     static void
     forStallFifos(EventState &es, uint32_t mid, F &&f)
@@ -134,31 +149,51 @@ struct TapePlan {
     }
 
     static void
-    visit(EventState &es, const std::vector<uint32_t> &order)
+    visitInOrder(EventState &es)
     {
-        for (uint32_t mid : order)
-            visitStage<TapePlan>(es, mid);
+        const uint32_t *const topo = prog(es).topoIdx().data();
+        forEachSetBit(es.ready_w, [&](uint32_t pos) {
+            visitStage<TapePlan>(es, topo[pos]);
+        });
+    }
+
+    static void
+    visitShuffled(EventState &es)
+    {
+        // Reused across cycles, so a shuffled cycle does not allocate.
+        static thread_local std::vector<uint32_t> order;
+        order.resize(es.mods.size());
+        const size_t n = shuffledReady(es, prog(es).topoIdx().data(),
+                                       order.data());
+        for (size_t i = 0; i < n; ++i)
+            visitStage<TapePlan>(es, order[i]);
+    }
+
+    static bool
+    commitFifo(EventState &es, uint32_t fid, const FifoPending &pd, bool)
+    {
+        return es.cx.st->commitFifo(fid, pd.deq, pd.push, pd.value, pd.src);
     }
 
     template <class F>
     static void
     forTouchedFifos(EventState &es, F &&f)
     {
-        forEachSetBit(es.touched_fifo_w, f);
+        drainSetBits(es.touched_fifo_w, f);
     }
 
     template <class F>
     static void
     forTouchedArrays(EventState &es, F &&f)
     {
-        forEachSetBit(es.touched_arr_w, f);
+        drainSetBits(es.touched_arr_w, f);
     }
 
     template <class F>
     static void
     forTouchedMods(EventState &es, F &&f)
     {
-        forEachSetBit(es.touched_mod_w, f);
+        drainSetBits(es.touched_mod_w, f);
     }
 };
 
@@ -210,6 +245,25 @@ struct Simulator::Impl {
         es.cx.prog = prog.get();
         cycle_fn = prog->compiled() ? prog->compiled()->cycle
                                     : &runEventCycle<TapePlan>;
+        if (prog->compiled())
+            checkShape();
+    }
+
+    /**
+     * A generated cycle indexes the FIFO arena and the arrays with the
+     * shapes the Program recorded: the System must not have changed
+     * them since Program::compile.
+     */
+    void
+    checkShape() const
+    {
+        std::vector<uint32_t> sizes;
+        for (const RunState::Array &a : st.arrays)
+            sizes.push_back(a.size);
+        if (fifoLayout(prog->sys()) != prog->fifoShapes() ||
+            sizes != prog->arraySizes())
+            fatal("simulator: system '", prog->sys().name(),
+                  "' changed a FIFO or array shape after Program::compile");
     }
 
     /** Point the row context at this cycle's state. */
@@ -240,14 +294,14 @@ struct Simulator::Impl {
     void
     rebuildReady()
     {
-        es.ready.clear();
-        for (uint32_t mid : prog->topoIdx()) {
+        es.ready_w.assign((es.mods.size() + 63) / 64, 0);
+        for (uint32_t mid = 0; mid < es.mods.size(); ++mid) {
             RunState::Stage &rs = st.stages[mid];
             rs.idle_open = !es.mods[mid].driver && rs.pending == 0;
             if (rs.idle_open)
                 rs.idle_anchor = st.cycle;
             else
-                es.ready.push_back(mid);
+                touchBit(es.ready_w.data(), es.mods[mid].topo_pos);
         }
         es.shadow_stale.assign(es.mods.size(), 1);
     }
@@ -264,6 +318,12 @@ struct Simulator::Impl {
         return {progress, es.cx.finish_pending};
     }
 };
+
+bool
+commitFifoOutOfLine(RunState &rs, uint32_t fid, const FifoPending &pd)
+{
+    return rs.commitFifo(fid, pd.deq, pd.push, pd.value, pd.src);
+}
 
 void
 EventCtx::emitLog(uint32_t idx) const

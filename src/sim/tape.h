@@ -154,9 +154,12 @@ sextShift(unsigned bits)
  * The emitter resolves the two skips at generation time, so their
  * first argument is always s->b.
  *
- * Constant operands stay in their slots, except in four immediate forms
- * (constant in u.mask unless noted): kEqImm, kNeImm, kAddImm and
- * kArrayReadImm, the hot constant-index register read. No rewrite
+ * In the interpreter, constant operands stay in their slots, except in
+ * four immediate forms (constant in u.mask unless noted): kEqImm,
+ * kNeImm, kAddImm and kArrayReadImm, the hot constant-index register
+ * read. The emitter prints every read of a slot no step writes as the
+ * constant kSlotInit[N] instead, and every array bound as a literal
+ * (docs/architecture.md "Compiled evaluators"). No rewrite
  * consumes them; they stay because they pay on their own: dropping
  * kAddImm and kNeImm lowered perfbench `cpu` asyn_cps by 4.3% (3.19M
  * against 3.33M cycles/s, lower in 8 of 9 alternating pairs on a

@@ -185,11 +185,58 @@ slotRefs(const DStep &s, const std::string &text)
     return refs;
 }
 
+/**
+ * Step @p s's row text @p text with every array bound `ast[s->F].size`
+ * the literal size of its array. @return the number of bounds printed.
+ */
+uint32_t
+foldArrayBounds(const Program &prog, const DStep &s, std::string &text)
+{
+    static const std::string kOpen = "ast[s->";
+    static const std::string kClose = "].size";
+    uint32_t n = 0;
+    for (size_t at = text.find(kOpen); at != std::string::npos;
+         at = text.find(kOpen, at + 1)) {
+        const size_t close = text.find(']', at);
+        if (text.compare(close, kClose.size(), kClose) != 0)
+            continue;
+        const std::string field =
+            text.substr(at + kOpen.size(), close - at - kOpen.size());
+        uint32_t aid = 0;
+        if (field == "b")
+            aid = s.b;
+        else if (field == "x16")
+            aid = s.x16;
+        else
+            panic("tape emitter: unknown array operand ast[s->", field, "]");
+        text.replace(at, close + kClose.size() - at,
+                     std::to_string(prog.arraySizes().at(aid)) + "u");
+        ++n;
+    }
+    return n;
+}
+
 /** One step of a span as the emitter prints it. */
 struct EmitStep {
     std::string body;             ///< the row, exits resolved
     std::set<uint32_t> targets;   ///< where its skips land
     std::vector<SlotRef> refs;    ///< its slot operands in body
+};
+
+/** How the spans use each slot. */
+struct SlotUse {
+    /** Reads outside the span that writes the slot: by other spans
+     *  and by logs. */
+    std::vector<uint32_t> outside;
+    /** 1 when no step of any span writes the slot: it holds its
+     *  initial value for good (a restore re-copies slotInit()). */
+    std::vector<uint8_t> constant;
+};
+
+/** The specializations an emitted tape prints, for its heading. */
+struct ShapeCounts {
+    uint32_t const_reads = 0;  ///< slot reads printed as kSlotInit[N]
+    uint32_t array_bounds = 0; ///< array bounds printed as literals
 };
 
 /**
@@ -237,11 +284,12 @@ spanLocals(const std::vector<EmitStep> &steps, uint32_t begin, uint32_t end,
 
 /**
  * Every step of @p prog's spans as the emitter prints it (@p steps, by
- * tape index), and for every slot the number of its reads outside the
- * span that writes it: by other spans and by logs.
+ * tape index), its array bounds literals (counted in @p counts), and
+ * how the spans use each slot.
  */
-std::vector<uint32_t>
-spanSteps(const Program &prog, std::vector<EmitStep> &steps)
+SlotUse
+spanSteps(const Program &prog, std::vector<EmitStep> &steps,
+          ShapeCounts &counts)
 {
     const std::vector<DStep> &tape = prog.tape();
     const std::vector<StageSpan> &spans = prog.spans();
@@ -259,32 +307,40 @@ spanSteps(const Program &prog, std::vector<EmitStep> &steps)
             continue;
         EmitStep &st = steps[i];
         st.body = stepBody(prog, i, st.targets);
+        counts.array_bounds += foldArrayBounds(prog, tape[i], st.body);
         st.refs = slotRefs(tape[i], st.body);
         for (const SlotRef &r : st.refs)
             if (r.write)
                 writer[r.slot] = span_of[i];
     }
-    std::vector<uint32_t> outside(writer.size(), 0);
+    SlotUse use;
+    use.outside.assign(writer.size(), 0);
+    use.constant.assign(writer.size(), 0);
+    for (size_t slot = 0; slot < writer.size(); ++slot)
+        use.constant[slot] = writer[slot] < 0;
     for (uint32_t i = 0; i < tape.size(); ++i) {
         if (span_of[i] < 0)
             continue;
         for (const SlotRef &r : steps[i].refs)
             if (!r.write && writer[r.slot] != span_of[i])
-                ++outside[r.slot];
+                ++use.outside[r.slot];
         if (tape[i].op == uint8_t(DOp::kLog))
             for (const LogArg &arg : prog.logs()[tape[i].a].args)
-                ++outside[arg.slot];
+                ++use.outside[arg.slot];
     }
-    return outside;
+    return use;
 }
 
 /**
  * The function of span [@p begin, @p end) named @p fn, its slots in
- * @p locals kept in C++ locals `l<slot>`.
+ * @p locals kept in C++ locals `l<slot>` and each read of a slot no
+ * step writes (@p use) the constant `kSlotInit[slot]` (counted in
+ * @p counts).
  */
 std::string
 emitSpan(const std::string &fn, const std::vector<EmitStep> &steps,
-         uint32_t begin, uint32_t end, const std::set<uint32_t> &locals)
+         uint32_t begin, uint32_t end, const std::set<uint32_t> &locals,
+         const SlotUse &use, ShapeCounts &counts)
 {
     std::set<uint32_t> targets;
     for (uint32_t i = begin; i < end; ++i)
@@ -303,10 +359,18 @@ emitSpan(const std::string &fn, const std::vector<EmitStep> &steps,
             out += label(i) + ":;\n";
         std::string body = steps[i].body;
         const std::vector<SlotRef> &refs = steps[i].refs;
-        for (auto r = refs.rbegin(); r != refs.rend(); ++r)
-            if (locals.count(r->slot))
-                body.replace(r->begin, r->end - r->begin,
-                             "l" + std::to_string(r->slot));
+        for (auto r = refs.rbegin(); r != refs.rend(); ++r) {
+            std::string name;
+            if (locals.count(r->slot)) {
+                name = "l" + std::to_string(r->slot);
+            } else if (!r->write && use.constant[r->slot]) {
+                name = "kSlotInit[" + std::to_string(r->slot) + "]";
+                ++counts.const_reads;
+            } else {
+                continue;
+            }
+            body.replace(r->begin, r->end - r->begin, name);
+        }
         out += stepBlock(i, body);
     }
     if (targets.count(end))
@@ -350,6 +414,15 @@ heading(const std::string &designs)
     return "// Generated by assassyn_tapegen (src/sim/tapegen.cc) from the "
            "design catalog;\n// do not edit. Designs: " +
            designs + "\n";
+}
+
+/** The pragma a generated evaluator opens with, below its heading. */
+std::string
+literalPragma()
+{
+    // A constant operand is a literal, so a row such as `x >= 0` becomes
+    // a comparison GCC flags as always true.
+    return "#pragma GCC diagnostic ignored \"-Wtype-limits\"\n\n";
 }
 
 /**
@@ -435,6 +508,19 @@ emitSchedule(const Program &prog, const std::vector<std::string> &shadow_fns,
     }
     out += "    static constexpr size_t kFifos = kFifoWakeLists;\n";
     out += "    static constexpr size_t kArrays = kArrayWakeLists;\n";
+    const std::vector<FifoShape> &shapes = prog.fifoShapes();
+    if (shapes.size() != prog.fifoWake().size() ||
+        prog.arraySizes().size() != prog.arrayWake().size())
+        panic("tape emitter: the shape tables do not match the wake lists");
+    out += rowMember("FifoShape", "kFifoShape", shapes.size(), 2,
+                     [&](size_t i) {
+                         const FifoShape &sh = shapes[i];
+                         return format("{%" PRIu32 ", %" PRIu32 ", %" PRIu32
+                                       ", %" PRIu32 "}",
+                                       sh.base, sh.mask, sh.depth,
+                                       sh.policy);
+                     });
+    out += member("uint32_t", "kArraySize", prog.arraySizes(), 8);
     auto fns = [&](const char *name, const std::vector<std::string> &v) {
         return std::string("    static constexpr SpanFn ") + name + "[] = " +
                list(std::max<size_t>(v.size(), 1), 4,
@@ -458,10 +544,10 @@ emitCompiledTape(const Program &prog, const std::string &symbol,
     const std::vector<uint32_t> &sw = prog.switchTable();
     const std::vector<StageSpan> &spans = prog.spans();
     const std::vector<uint64_t> &init = prog.slotInit();
-    std::string out = heading(designs);
-    out += "#include \"sim/event_cycle.h\"\n\nnamespace assassyn {\n"
-           "namespace sim {\nnamespace {\nnamespace " +
-           symbol + "_ {\n\n";
+    std::string out =
+        "#include \"sim/event_cycle.h\"\n\nnamespace assassyn {\n"
+        "namespace sim {\nnamespace {\nnamespace " +
+        symbol + "_ {\n\n";
     out += tapeArray(tape);
     // Empty tables keep one unused element: C++ has no empty arrays.
     out += "constexpr uint32_t kSwitchTable[] = " +
@@ -490,7 +576,8 @@ emitCompiledTape(const Program &prog, const std::string &symbol,
                 }) +
            ";\n\n";
     std::vector<EmitStep> steps;
-    const std::vector<uint32_t> outside = spanSteps(prog, steps);
+    ShapeCounts counts;
+    const SlotUse use = spanSteps(prog, steps, counts);
     std::vector<std::string> shadow_fns, active_fns;
     for (size_t m = 0; m < spans.size(); ++m) {
         const StageSpan &sp = spans[m];
@@ -499,13 +586,15 @@ emitCompiledTape(const Program &prog, const std::string &symbol,
             sh = "shadow" + std::to_string(m);
             out += emitSpan(sh, steps, sp.shadow_begin, sp.shadow_end,
                             spanLocals(steps, sp.shadow_begin,
-                                       sp.shadow_end, outside));
+                                       sp.shadow_end, use.outside),
+                            use, counts);
         }
         if (sp.active_end > sp.active_begin) {
             ac = "active" + std::to_string(m);
             out += emitSpan(ac, steps, sp.active_begin, sp.active_end,
                             spanLocals(steps, sp.active_begin,
-                                       sp.active_end, outside));
+                                       sp.active_end, use.outside),
+                            use, counts);
         }
         shadow_fns.push_back(sh);
         active_fns.push_back(ac);
@@ -529,9 +618,16 @@ emitCompiledTape(const Program &prog, const std::string &symbol,
     for (const char *name : {"Stall", "FifoWake", "ArrayWake"})
         out += "    {" + sc + name + "At, " + sc + name + ", " + sc + name +
                "Lists},\n";
+    out += "    " + sc + "FifoShape, " + sc + "Fifos,\n";
+    out += "    " + sc + "ArraySize, " + sc + "Arrays,\n";
     out += ns + "cycle,\n};\n\n";
     out += "} // namespace sim\n} // namespace assassyn\n";
-    return out;
+    return heading(designs) +
+           format("// Shape literals: %" PRIu32 " constant-slot reads, %" PRIu32
+                  " array bounds, %zu FIFO commits.\n",
+                  counts.const_reads, counts.array_bounds,
+                  prog.fifoShapes().size()) +
+           literalPragma() + out;
 }
 
 std::string
@@ -647,10 +743,7 @@ emitCompiledNetlist(const rtl::Netlist &nl, const std::string &symbol,
             panic("tape emitter: the cycle reads net ", net,
                   ", which nothing drives");
 
-    std::string out = heading(designs);
-    // A constant operand is a literal, so a row such as `x >= 0` becomes
-    // a comparison GCC flags as always true.
-    out += "#pragma GCC diagnostic ignored \"-Wtype-limits\"\n\n";
+    std::string out = heading(designs) + literalPragma();
     out += "#include \"rtl/netlist_cycle.h\"\n\nnamespace assassyn {\n"
            "namespace rtl {\nnamespace {\nnamespace " +
            symbol + "_ {\n\nusing sim::DStep;\n\n";

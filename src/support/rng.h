@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -69,7 +70,16 @@ class Rng {
     void
     shuffle(std::vector<T> &items)
     {
-        for (size_t i = items.size(); i > 1; --i)
+        shuffle(items.data(), items.size());
+    }
+
+    /** Fisher-Yates shuffle of the @p n items at @p items: the same
+     *  draws as the vector overload. */
+    template <typename T>
+    void
+    shuffle(T *items, size_t n)
+    {
+        for (size_t i = n; i > 1; --i)
             std::swap(items[i - 1], items[below(i)]);
     }
 

@@ -15,14 +15,17 @@
  * design and both grader cores get their generated cycle on both
  * engines, with cones that tile the netlist tape, and that any other
  * design, or a reordered netlist, falls back to the interpreter.
- * ScheduleChangeDropsCycle (event engine) and
- * TableChangeDropsNetlistCycle (netlist engine) pin that a change the
- * generated cycle bakes in, but the tape does not show, falls back too.
+ * ScheduleChangeDropsCycle and ShapeChangeDropsEventCycle (event
+ * engine) and TableChangeDropsNetlistCycle (netlist engine) pin that a
+ * change the generated cycle bakes in, but the tape does not show,
+ * falls back too. GeneratedCycleFoldsShape pins what the emitter prints
+ * as literals.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -41,6 +44,7 @@
 #include "sim/ckpt.h"
 #include "sim/event_ctx.h"
 #include "sim/simulator.h"
+#include "sim/tape_emit.h"
 #include "support/hash.h"
 #include "support/rng.h"
 #include "tests/netlist_test_peer.h"
@@ -76,14 +80,17 @@ corpusDir()
     return std::string(ASSASSYN_SOURCE_DIR) + "/tests/corpus";
 }
 
-/** The catalog, then the two grader cores over each corpus program. */
+/** The catalog, then the two grader cores over each corpus program. The
+ *  catalog's own grader entries (grader.*) are those cores over a
+ *  corpus-sized memory, which the corpus cases run. */
 const std::vector<Case> &
 cases()
 {
     static const std::vector<Case> all = [] {
         std::vector<Case> out;
         for (baseline::CatalogDesign &d : baseline::designCatalog())
-            out.push_back({d.name, d.build});
+            if (d.name.rfind("grader.", 0) != 0)
+                out.push_back({d.name, d.build});
         for (const grader::CorpusProgram &p :
              grader::loadCorpusDir(corpusDir())) {
             std::vector<uint32_t> image = p.image();
@@ -448,8 +455,9 @@ TEST(CompiledTape, CoversCatalog)
         expectCompiledCycle(rtl::Netlist(*sys), d.name);
     }
     // The grader builds its cores over a blank image of the program's
-    // memory size (grader/grader.cc); the tapes and netlists do not
-    // depend on it.
+    // memory size (grader/grader.cc). The netlists do not depend on it;
+    // the generated event cycles bake the memory's size in, so the
+    // catalog carries the grader's cores at both sizes.
     for (uint32_t words : {256u, 4096u}) {
         std::vector<uint32_t> blank(words, 0);
         auto cpu = designs::buildCpu(designs::BranchPolicy::kTaken, blank);
@@ -570,6 +578,213 @@ TEST(CompiledTape, ScheduleChangeDropsCycle)
         expectSameFiles(fc, ft, shuffle ? "shuffled" : "plain");
     }
     std::filesystem::remove_all(dir);
+}
+
+/** The catalog design @p name, built. */
+std::unique_ptr<System>
+buildCatalog(const std::string &name)
+{
+    for (const baseline::CatalogDesign &d : baseline::designCatalog())
+        if (d.name == name)
+            return d.build();
+    ADD_FAILURE() << "no catalog design " << name;
+    return nullptr;
+}
+
+/** Double the depth of @p sys's first port that does not stall its
+ *  producers, so that no stall gate moves. */
+void
+deepenPort(System &sys)
+{
+    for (const auto &mod : sys.modules())
+        for (const auto &port : mod->ports())
+            if (port->policy() != FifoPolicy::kStallProducer) {
+                port->setDepth(port->depth() * 2);
+                return;
+            }
+    ADD_FAILURE() << "no port to deepen";
+}
+
+/**
+ * The generated event cycle bakes in the design's shape, which neither
+ * the tape nor the schedule shows: each port's depth (its ring mask and
+ * overflow bound) and each array's size (its bound checks). A catalog
+ * core with one port deeper (its policy unchanged, so no stall gate
+ * moves) and the grader's core over a 512-word memory (one array
+ * resized) must each get no catalog entry, and run byte-identical to
+ * the interpreter, plain and shuffled. A port deepened after
+ * Program::compile attached the entry is refused by the Simulator.
+ */
+TEST(CompiledTape, ShapeChangeDropsEventCycle)
+{
+    std::vector<uint32_t> image =
+        grader::loadCorpusDir(corpusDir()).front().image();
+    image.resize(512, 0);
+    struct Change {
+        std::string what, entry;
+        std::function<std::unique_ptr<System>()> build;
+    };
+    const Change changes[] = {
+        {"deeper port", "cpu.bp.t",
+         [] {
+             std::unique_ptr<System> sys = buildCatalog("cpu.bp.t");
+             deepenPort(*sys);
+             return sys;
+         }},
+        {"resized array", "grader.cpu",
+         [image] {
+             return designs::buildCpu(designs::BranchPolicy::kTaken, image)
+                 .sys;
+         }},
+    };
+    const std::string dir = scratchDir("compiled_cycle_shape");
+    for (const Change &ch : changes) {
+        std::unique_ptr<System> ref_sys = buildCatalog(ch.entry);
+        auto ref = sim::Program::compile(*ref_sys);
+        ASSERT_NE(ref->compiled(), nullptr) << ch.entry;
+        const sim::CompiledTape &entry = *ref->compiled();
+        std::unique_ptr<System> sys = ch.build();
+        auto compiled = sim::Program::compile(*sys);
+        auto tape = sim::Program::compile(*sys, sim::Evaluator::kTape);
+        EXPECT_NE(compiled->fingerprint(), ref->fingerprint()) << ch.what;
+        // The entry's tape and schedule still match; only its shape
+        // does not.
+        EXPECT_TRUE(sameBytes(compiled->tape(), entry.tape, entry.tape_len))
+            << ch.what;
+        EXPECT_TRUE(sameBytes(compiled->topoIdx(), entry.topo,
+                              entry.num_spans))
+            << ch.what;
+        EXPECT_TRUE(sameBytes(compiled->stallFifos().ids,
+                              entry.stall_fifos.ids,
+                              entry.stall_fifos.at[entry.stall_fifos.size]))
+            << ch.what;
+        EXPECT_EQ(compiled->compiled(), nullptr) << ch.what;
+
+        for (const bool shuffle : {false, true}) {
+            const std::string what =
+                ch.what + (shuffle ? " (shuffled)" : "");
+            const Files fc(dir + "/compiled"), ft(dir + "/tape");
+            {
+                sim::Simulator a(compiled, options(shuffle, &fc));
+                sim::Simulator b(tape, options(shuffle, &ft));
+                for (uint64_t at : kSnapAt) {
+                    if (a.finished())
+                        break;
+                    a.run(at - a.cycle());
+                    b.run(at - b.cycle());
+                    ASSERT_EQ(a.cycle(), b.cycle()) << what;
+                    expectSameSnapshots(a, b, what);
+                }
+                EXPECT_EQ(metricsOf(a), metricsOf(b)) << what;
+                EXPECT_EQ(a.logOutput(), b.logOutput()) << what;
+            }
+            expectSameFiles(fc, ft, what);
+        }
+    }
+    std::filesystem::remove_all(dir);
+
+    // A System reshaped after Program::compile cannot run the cycle
+    // generated for its old shape.
+    std::unique_ptr<System> sys = buildCatalog("cpu.bp.t");
+    auto prog = sim::Program::compile(*sys);
+    ASSERT_NE(prog->compiled(), nullptr);
+    deepenPort(*sys);
+    EXPECT_THROW(sim::Simulator(prog, sim::SimOptions{}), FatalError);
+}
+
+/**
+ * What the generated event cycle of the two CPU cores prints as
+ * literals, read off the emitted source: no read of a slot that no step
+ * writes goes through the slot store (it is kSlotInit[N]), no array
+ * bound is read from the array state, and every FIFO's shape is a row
+ * of the constant table its generated commit reads. The heading counts
+ * each.
+ */
+TEST(CompiledTape, GeneratedCycleFoldsShape)
+{
+    for (const char *name : {"cpu.bp.t", "ooo"}) {
+        std::unique_ptr<System> sys = buildCatalog(name);
+        auto prog = sim::Program::compile(*sys);
+        const std::vector<sim::DStep> &tape = prog->tape();
+        const std::string text = sim::emitCompiledTape(*prog, "kProbe", name);
+
+        // Every op before kWaitCheck writes slot dest, and no other op
+        // writes a slot (sim/tape.h).
+        std::vector<bool> written(prog->slotInit().size(), false);
+        for (const sim::DStep &s : tape)
+            if (s.op < uint8_t(sim::DOp::kWaitCheck))
+                written[s.dest] = true;
+        uint32_t steps = 0, store_reads = 0, const_reads = 0;
+        std::istringstream lines(text);
+        const std::string kStep = "constexpr const DStep *s = &kTape[";
+        for (std::string line; std::getline(lines, line);) {
+            const size_t at = line.find(kStep);
+            if (at == std::string::npos)
+                continue;
+            ++steps;
+            const sim::DStep &s =
+                tape.at(std::stoul(line.substr(at + kStep.size())));
+            for (size_t k = line.find("kSlotInit["); k != std::string::npos;
+                 k = line.find("kSlotInit[", k + 1))
+                ++const_reads;
+            for (size_t v = line.find("v[s->"); v != std::string::npos;
+                 v = line.find("v[s->", v + 1)) {
+                const size_t close = line.find(']', v);
+                const std::string field = line.substr(v + 5, close - v - 5);
+                const size_t next = line.find_first_not_of(' ', close + 1);
+                if (line[next] == '=' && line[next + 1] != '=')
+                    continue; // a write
+                const uint32_t slot = field == "a"   ? s.a
+                                      : field == "b" ? s.b
+                                      : field == "dest"
+                                          ? s.dest
+                                          : s.u.ca.c;
+                ++store_reads;
+                EXPECT_TRUE(written[slot])
+                    << name << ": slot " << slot
+                    << ", which no step writes, is read from the store";
+            }
+        }
+        EXPECT_GT(steps, 0u) << name;
+        EXPECT_GT(store_reads, 0u) << name;
+        EXPECT_EQ(text.find("ast[s->b].size"), std::string::npos) << name;
+        EXPECT_EQ(text.find("ast[s->x16].size"), std::string::npos) << name;
+        // The generated commit of each FIFO reads its shape from the
+        // table; the shared RunState::commitFifo is reached only
+        // through commitFifoOutOfLine (sim/event_cycle.h), never from
+        // the generated source.
+        EXPECT_EQ(text.find("commitFifo"), std::string::npos) << name;
+        const size_t table = text.find("kFifoShape[] = {");
+        ASSERT_NE(table, std::string::npos) << name;
+        size_t after = table;
+        for (const sim::FifoShape &sh : prog->fifoShapes()) {
+            const std::string row =
+                "{" + std::to_string(sh.base) + ", " +
+                std::to_string(sh.mask) + ", " + std::to_string(sh.depth) +
+                ", " + std::to_string(sh.policy) + "}";
+            after = text.find(row, after);
+            ASSERT_NE(after, std::string::npos) << name << ": " << row;
+        }
+
+        // The heading counts what the spans print.
+        uint32_t array_steps = 0;
+        for (const sim::DStep &s : tape)
+            array_steps += s.op == uint8_t(sim::DOp::kArrayRead) ||
+                           s.op == uint8_t(sim::DOp::kArrayWrite);
+        const size_t head = text.find("// Shape literals: ");
+        ASSERT_NE(head, std::string::npos) << name;
+        unsigned reads = 0, bounds = 0, fifos = 0;
+        ASSERT_EQ(std::sscanf(text.c_str() + head,
+                              "// Shape literals: %u constant-slot reads, "
+                              "%u array bounds, %u FIFO commits.",
+                              &reads, &bounds, &fifos),
+                  3)
+            << name;
+        EXPECT_EQ(reads, const_reads) << name;
+        EXPECT_GT(reads, 0u) << name;
+        EXPECT_EQ(bounds, array_steps) << name;
+        EXPECT_EQ(fifos, prog->fifoShapes().size()) << name;
+    }
 }
 
 /**
