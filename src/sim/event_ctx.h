@@ -106,10 +106,10 @@ struct CompiledLists {
 /**
  * The generated evaluator of one distinct Program: the copy of the
  * tape, switch table, spans, slot initial values, schedule and shape
- * (FIFO layout, array sizes) it was generated from (what
- * Program::compile() checks byte for byte before attaching it), and
- * the cycle generated over them, which calls the per-module span
- * functions directly.
+ * (FIFO layout, and array sizes unless it is an any-size entry) it was
+ * generated from (what Program::compile() checks byte for byte before
+ * attaching it), and the cycle generated over them, which calls the
+ * per-module span functions directly.
  */
 struct CompiledTape {
     uint64_t fingerprint;
@@ -130,7 +130,9 @@ struct CompiledTape {
     CompiledLists array_wake;  ///< by RegArray::id
     const FifoShape *fifo_shapes; ///< by fifo index
     size_t num_fifos;
-    const uint32_t *array_sizes; ///< by RegArray::id
+    /** By RegArray::id; nullptr in an any-size entry, whose cycle
+     *  reads each array bound from the array state. */
+    const uint32_t *array_sizes;
     size_t num_arrays;
     CycleFn cycle;
 };

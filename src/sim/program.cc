@@ -609,15 +609,20 @@ sameLists(const IdLists &mine, const CompiledLists &theirs)
  * spans and slot initial values its span functions run, the schedule
  * its cycle bakes in, and the FIFO shapes and array sizes it prints as
  * literals), so a hash collision can only cost the lookup, never a
- * wrong evaluator.
+ * wrong evaluator. An entry with the array sizes printed wins over an
+ * any-size one, which reads the bounds from the array state and is
+ * looked up by anySizeFingerprint().
  */
 void
 Program::attachCompiled()
 {
     const CompiledTapes all = compiledTapes();
+    const CompiledTape *any_size = nullptr;
     for (size_t i = 0; i < all.size; ++i) {
         const CompiledTape &ct = *all.list[i];
-        if (ct.fingerprint == fingerprint_ &&
+        const bool sized = ct.array_sizes != nullptr;
+        if (ct.fingerprint ==
+                (sized ? fingerprint_ : any_size_fingerprint_) &&
             sameBytes(tape_, ct.tape, ct.tape_len) &&
             sameBytes(switch_table_, ct.switch_table, ct.switch_len) &&
             sameBytes(spans_, ct.spans, ct.num_spans) &&
@@ -628,12 +633,17 @@ Program::attachCompiled()
             sameLists(stall_fifos_, ct.stall_fifos) &&
             sameLists(fifo_wake_, ct.fifo_wake) &&
             sameLists(array_wake_, ct.array_wake) &&
-            sameBytes(fifo_shapes_, ct.fifo_shapes, ct.num_fifos) &&
-            sameBytes(array_sizes_, ct.array_sizes, ct.num_arrays)) {
-            compiled_ = &ct;
-            return;
+            sameBytes(fifo_shapes_, ct.fifo_shapes, ct.num_fifos)) {
+            if (!sized) {
+                any_size = &ct;
+            } else if (sameBytes(array_sizes_, ct.array_sizes,
+                                 ct.num_arrays)) {
+                compiled_ = &ct;
+                return;
+            }
         }
     }
+    compiled_ = any_size;
 }
 
 uint64_t
@@ -798,6 +808,7 @@ Program::build()
         hash(lists->ids);
     }
     hash(fifo_shapes_);
+    any_size_fingerprint_ = fingerprint_;
     hash(array_sizes_);
 }
 

@@ -221,6 +221,11 @@ class Program {
      *  distinct fingerprint. */
     uint64_t fingerprint() const { return fingerprint_; }
 
+    /** The fingerprint() of everything but the array sizes: the key of
+     *  an any-size catalog entry, whose cycle reads each array bound
+     *  from the array state (CompiledTape::array_sizes). */
+    uint64_t anySizeFingerprint() const { return any_size_fingerprint_; }
+
     /** Per-stage tape spans, indexed by Module::id. */
     const std::vector<StageSpan> &spans() const { return spans_; }
 
@@ -317,6 +322,7 @@ class Program {
     std::vector<uint32_t> shadow_mods_;
     std::vector<uint8_t> drivers_; ///< by Module::id
     uint64_t fingerprint_ = 0;
+    uint64_t any_size_fingerprint_ = 0;
     const CompiledTape *compiled_ = nullptr;
     IdLists fifo_wake_;  ///< by fifo index
     IdLists array_wake_; ///< by RegArray::id

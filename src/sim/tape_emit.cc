@@ -284,11 +284,11 @@ spanLocals(const std::vector<EmitStep> &steps, uint32_t begin, uint32_t end,
 
 /**
  * Every step of @p prog's spans as the emitter prints it (@p steps, by
- * tape index), its array bounds literals (counted in @p counts), and
- * how the spans use each slot.
+ * tape index), its array bounds literals unless @p any_size (counted in
+ * @p counts), and how the spans use each slot.
  */
 SlotUse
-spanSteps(const Program &prog, std::vector<EmitStep> &steps,
+spanSteps(const Program &prog, bool any_size, std::vector<EmitStep> &steps,
           ShapeCounts &counts)
 {
     const std::vector<DStep> &tape = prog.tape();
@@ -307,7 +307,8 @@ spanSteps(const Program &prog, std::vector<EmitStep> &steps,
             continue;
         EmitStep &st = steps[i];
         st.body = stepBody(prog, i, st.targets);
-        counts.array_bounds += foldArrayBounds(prog, tape[i], st.body);
+        if (!any_size)
+            counts.array_bounds += foldArrayBounds(prog, tape[i], st.body);
         st.refs = slotRefs(tape[i], st.body);
         for (const SlotRef &r : st.refs)
             if (r.write)
@@ -538,7 +539,7 @@ emitSchedule(const Program &prog, const std::vector<std::string> &shadow_fns,
 
 std::string
 emitCompiledTape(const Program &prog, const std::string &symbol,
-                 const std::string &designs)
+                 const std::string &designs, bool any_size)
 {
     const std::vector<DStep> &tape = prog.tape();
     const std::vector<uint32_t> &sw = prog.switchTable();
@@ -577,7 +578,7 @@ emitCompiledTape(const Program &prog, const std::string &symbol,
            ";\n\n";
     std::vector<EmitStep> steps;
     ShapeCounts counts;
-    const SlotUse use = spanSteps(prog, steps, counts);
+    const SlotUse use = spanSteps(prog, any_size, steps, counts);
     std::vector<std::string> shadow_fns, active_fns;
     for (size_t m = 0; m < spans.size(); ++m) {
         const StageSpan &sp = spans[m];
@@ -605,7 +606,8 @@ emitCompiledTape(const Program &prog, const std::string &symbol,
     out += "} // namespace " + symbol + "_\n} // namespace\n\n";
     out += "extern const CompiledTape " + symbol + ";\n";
     out += "const CompiledTape " + symbol + " = {\n";
-    out += format("    0x%" PRIx64 "ull,\n", prog.fingerprint());
+    out += format("    0x%" PRIx64 "ull,\n",
+                  any_size ? prog.anySizeFingerprint() : prog.fingerprint());
     const std::string ns = "    " + symbol + "_::";
     out += ns + "kTape, " + std::to_string(tape.size()) + ",\n";
     out += ns + "kSwitchTable, " + std::to_string(sw.size()) + ",\n";
@@ -619,13 +621,15 @@ emitCompiledTape(const Program &prog, const std::string &symbol,
         out += "    {" + sc + name + "At, " + sc + name + ", " + sc + name +
                "Lists},\n";
     out += "    " + sc + "FifoShape, " + sc + "Fifos,\n";
-    out += "    " + sc + "ArraySize, " + sc + "Arrays,\n";
+    out += any_size ? "    nullptr, 0,\n"
+                    : "    " + sc + "ArraySize, " + sc + "Arrays,\n";
     out += ns + "cycle,\n};\n\n";
     out += "} // namespace sim\n} // namespace assassyn\n";
     return heading(designs) +
            format("// Shape literals: %" PRIu32 " constant-slot reads, %" PRIu32
-                  " array bounds, %zu FIFO commits.\n",
+                  " array bounds%s, %zu FIFO commits.\n",
                   counts.const_reads, counts.array_bounds,
+                  any_size ? " (any array sizes)" : "",
                   prog.fifoShapes().size()) +
            literalPragma() + out;
 }

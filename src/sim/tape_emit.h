@@ -38,10 +38,14 @@ namespace sim {
  * The C++ source of the compiled evaluator of @p prog's tape. It
  * defines `const CompiledTape <symbol>` in namespace assassyn::sim;
  * @p designs, the catalog designs sharing the tape, heads it as a
- * comment.
+ * comment. Each array bound is printed as its array's size, unless
+ * @p any_size: then the bounds are read from the array state and the
+ * entry carries no array sizes, so it serves the design at any array
+ * sizes (CompiledTape::array_sizes).
  */
 std::string emitCompiledTape(const Program &prog, const std::string &symbol,
-                             const std::string &designs);
+                             const std::string &designs,
+                             bool any_size = false);
 
 /** The C++ source of the registry listing @p symbols (compiledTapes()). */
 std::string emitTapeRegistry(const std::vector<std::string> &symbols);

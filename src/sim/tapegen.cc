@@ -3,8 +3,11 @@
  * The tape generator: compiles and elaborates every design of the
  * catalog (baseline/catalog.h), keeps one copy of each distinct event
  * tape and of each distinct netlist, and writes the compiled evaluator
- * of each (sim/tape_emit.h) plus the registries compiledTapes() and
- * rtl::compiledNetlists() read:
+ * of each (sim/tape_emit.h), and the registries compiledTapes() and
+ * rtl::compiledNetlists() read. A tape the catalog carries over more
+ * than one set of array sizes (a core over the Sodor workloads' and
+ * the grader's memory) has sizes users vary, so it also gets an
+ * any-size evaluator, which reads its array bounds at run time:
  *
  *   assassyn_tapegen <out_dir> <shards>
  *
@@ -18,6 +21,7 @@
  * generated code (tapegen_registry.cc), so every Program and Netlist it
  * builds is interpreted.
  */
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -84,20 +88,32 @@ main(int argc, char **argv)
     std::vector<std::unique_ptr<System>> systems;
     std::vector<std::shared_ptr<const sim::Program>> progs;
     std::vector<std::unique_ptr<rtl::Netlist>> netlists;
-    std::vector<Distinct> tapes, nets;
+    std::vector<Distinct> tapes, any_size, nets;
     for (size_t i = 0; i < catalog.size(); ++i) {
         systems.push_back(catalog[i].build());
         progs.push_back(sim::Program::compile(*systems.back()));
         netlists.push_back(std::make_unique<rtl::Netlist>(*systems.back()));
         addDesign(tapes, progs.back()->fingerprint(), i, catalog[i].name);
+        addDesign(any_size, progs.back()->anySizeFingerprint(), i,
+                  catalog[i].name);
         addDesign(nets, netlists.back()->fingerprint(), i, catalog[i].name);
     }
+    auto one_size = [&](const Distinct &a) {
+        size_t sizes = 0;
+        for (const Distinct &t : tapes)
+            sizes += progs[t.first]->anySizeFingerprint() == a.fingerprint;
+        return sizes < 2;
+    };
+    any_size.erase(std::remove_if(any_size.begin(), any_size.end(), one_size),
+                   any_size.end());
     std::vector<std::string> tape_syms, net_syms;
     std::vector<std::string> tape_srcs(shards), net_srcs(shards);
-    for (size_t i = 0; i < tapes.size(); ++i) {
+    for (size_t i = 0; i < tapes.size() + any_size.size(); ++i) {
+        const bool any = i >= tapes.size();
+        const Distinct &d = any ? any_size[i - tapes.size()] : tapes[i];
         tape_syms.push_back("kCompiledTape" + std::to_string(i));
         tape_srcs[i % shards] += sim::emitCompiledTape(
-            *progs[tapes[i].first], tape_syms.back(), tapes[i].designs);
+            *progs[d.first], tape_syms.back(), d.designs, any);
     }
     for (size_t i = 0; i < nets.size(); ++i) {
         net_syms.push_back("kCompiledNetlist" + std::to_string(i));
@@ -119,8 +135,9 @@ main(int argc, char **argv)
     writeFile(out_dir + "/registry.cc", sim::emitTapeRegistry(tape_syms));
     writeFile(out_dir + "/netlist_registry.cc",
               sim::emitNetlistRegistry(net_syms));
-    std::printf("tapegen: %zu catalog designs: %zu distinct tapes, %zu "
-                "distinct netlists, in %zu shards\n",
-                catalog.size(), tapes.size(), nets.size(), shards);
+    std::printf("tapegen: %zu catalog designs: %zu distinct tapes (and %zu "
+                "any-size), %zu distinct netlists, in %zu shards\n",
+                catalog.size(), tapes.size(), any_size.size(), nets.size(),
+                shards);
     return 0;
 }

@@ -18,8 +18,9 @@
  * ScheduleChangeDropsCycle and ShapeChangeDropsEventCycle (event
  * engine) and TableChangeDropsNetlistCycle (netlist engine) pin that a
  * change the generated cycle bakes in, but the tape does not show,
- * falls back too. GeneratedCycleFoldsShape pins what the emitter prints
- * as literals.
+ * falls back too; AnySizeCycleServesOtherMemories, that a core over a
+ * memory of another size still runs generated code. GeneratedCycleFoldsShape
+ * pins what the emitter prints as literals.
  */
 #include <gtest/gtest.h>
 
@@ -610,9 +611,11 @@ deepenPort(System &sys)
  * the tape nor the schedule shows: each port's depth (its ring mask and
  * overflow bound) and each array's size (its bound checks). A catalog
  * core with one port deeper (its policy unchanged, so no stall gate
- * moves) and the grader's core over a 512-word memory (one array
- * resized) must each get no catalog entry, and run byte-identical to
- * the interpreter, plain and shuffled. A port deepened after
+ * moves) and cpu.base over a 512-word memory (one array resized) must
+ * each get no catalog entry. The grader's core over 512 words must not
+ * get its sized entry either, only the any-size one, which reads the
+ * bounds from the array state. Each runs byte-identical to the
+ * interpreter, plain and shuffled. A port deepened after
  * Program::compile attached the entry is refused by the Simulator.
  */
 TEST(CompiledTape, ShapeChangeDropsEventCycle)
@@ -623,6 +626,7 @@ TEST(CompiledTape, ShapeChangeDropsEventCycle)
     struct Change {
         std::string what, entry;
         std::function<std::unique_ptr<System>()> build;
+        bool any_size; ///< the any-size entry attaches
     };
     const Change changes[] = {
         {"deeper port", "cpu.bp.t",
@@ -630,12 +634,21 @@ TEST(CompiledTape, ShapeChangeDropsEventCycle)
              std::unique_ptr<System> sys = buildCatalog("cpu.bp.t");
              deepenPort(*sys);
              return sys;
-         }},
-        {"resized array", "grader.cpu",
+         },
+         false},
+        {"resized array", "cpu.base",
+         [image] {
+             return designs::buildCpu(designs::BranchPolicy::kInterlock,
+                                      image)
+                 .sys;
+         },
+         false},
+        {"resized array, any-size entry", "grader.cpu",
          [image] {
              return designs::buildCpu(designs::BranchPolicy::kTaken, image)
                  .sys;
-         }},
+         },
+         true},
     };
     const std::string dir = scratchDir("compiled_cycle_shape");
     for (const Change &ch : changes) {
@@ -658,7 +671,14 @@ TEST(CompiledTape, ShapeChangeDropsEventCycle)
                               entry.stall_fifos.ids,
                               entry.stall_fifos.at[entry.stall_fifos.size]))
             << ch.what;
-        EXPECT_EQ(compiled->compiled(), nullptr) << ch.what;
+        if (ch.any_size) {
+            EXPECT_EQ(compiled->anySizeFingerprint(),
+                      ref->anySizeFingerprint());
+            ASSERT_NE(compiled->compiled(), nullptr) << ch.what;
+            EXPECT_EQ(compiled->compiled()->array_sizes, nullptr) << ch.what;
+        } else {
+            EXPECT_EQ(compiled->compiled(), nullptr) << ch.what;
+        }
 
         for (const bool shuffle : {false, true}) {
             const std::string what =
@@ -690,6 +710,34 @@ TEST(CompiledTape, ShapeChangeDropsEventCycle)
     ASSERT_NE(prog->compiled(), nullptr);
     deepenPort(*sys);
     EXPECT_THROW(sim::Simulator(prog, sim::SimOptions{}), FatalError);
+}
+
+/**
+ * The catalog carries the grader's two cores at two memory sizes (the
+ * Sodor workloads' 4096 words and the corpus's 256), so the tapegen
+ * also generates an any-size cycle for each, with the array bounds read
+ * from the array state. A core over any other memory size runs it; at
+ * a catalog size the entry with the bounds printed wins.
+ */
+TEST(CompiledTape, AnySizeCycleServesOtherMemories)
+{
+    for (uint32_t words : {256u, 512u, 1024u, 4096u}) {
+        std::vector<uint32_t> blank(words, 0);
+        auto cpu = designs::buildCpu(designs::BranchPolicy::kTaken, blank);
+        auto ooo = designs::buildOoo(blank);
+        for (const auto &[sys, core] :
+             {std::pair{cpu.sys.get(), "in-order"},
+              std::pair{ooo.sys.get(), "OoO"}}) {
+            const std::string what = std::string(core) + " core, " +
+                                     std::to_string(words) + " words";
+            auto prog = sim::Program::compile(*sys);
+            ASSERT_NE(prog->compiled(), nullptr) << what;
+            EXPECT_NE(prog->compiled()->cycle, nullptr) << what;
+            EXPECT_EQ(prog->compiled()->array_sizes == nullptr,
+                      words != 256 && words != 4096)
+                << what;
+        }
+    }
 }
 
 /**
@@ -784,6 +832,16 @@ TEST(CompiledTape, GeneratedCycleFoldsShape)
         EXPECT_GT(reads, 0u) << name;
         EXPECT_EQ(bounds, array_steps) << name;
         EXPECT_EQ(fifos, prog->fifoShapes().size()) << name;
+
+        // The any-size cycle reads every bound from the array state and
+        // carries no array sizes.
+        const std::string any =
+            sim::emitCompiledTape(*prog, "kProbe", name, true);
+        EXPECT_NE(any.find("ast[s->b].size"), std::string::npos) << name;
+        EXPECT_NE(any.find("0 array bounds (any array sizes),"),
+                  std::string::npos)
+            << name;
+        EXPECT_NE(any.find("    nullptr, 0,\n"), std::string::npos) << name;
     }
 }
 
