@@ -39,6 +39,9 @@
  *   forTouchedFifos(es, f), forTouchedArrays(es, f),
  *   forTouchedMods(es, f)       f(index) per set bit of the touched
  *                               bitmap, lowest first, then clear it.
+ * CompiledPlan commits FIFOs by call group (Program::callGroups): its
+ * `fid` is a group's first FIFO, which alone carries the group's flags
+ * and touched bit, and commitFifo and forFifoWake cover the group.
  */
 #pragma once
 
@@ -153,11 +156,14 @@ shuffledReady(EventState &es, const uint32_t *topo, uint32_t *order)
 }
 
 /**
- * RunState::commitFifo of FIFO @p fid's buffered effects @p pd, called
- * out of line: the generated commits' path for recorded runs and for
- * overflows (sim/simulator.cc).
+ * RunState::commitFifo of each FIFO of the call group [@p first, @p end)
+ * in turn, called out of line: the generated commits' path for recorded
+ * runs and for overflows (sim/simulator.cc). The group's pop and push
+ * flags and producer sit on @p fpd[first], each member's value on its
+ * own record. @return whether any FIFO changed.
  */
-bool commitFifoOutOfLine(RunState &rs, uint32_t fid, const FifoPending &pd);
+bool commitGroupOutOfLine(RunState &rs, uint32_t first, uint32_t end,
+                          const FifoPending *fpd);
 
 /**
  * Phases 0-2 of the cycle st.cycle. @return whether the cycle committed
@@ -262,6 +268,9 @@ runEventCycle(EventState &es)
  *   kStallAt / kStall, kFifoWakeAt / kFifoWake,
  *   kArrayWakeAt / kArrayWake             IdLists, flattened;
  *   kFifoShape[kFifos]                    FIFO layout (fifoLayout);
+ *   kGroups, kGroupAt[kGroups + 1]        the call groups;
+ *   kGroupWakeAt / kGroupWake             each group's wake list, the
+ *                                         union of its members';
  *   kShadow[kMods], kActive[kMods]        the span functions.
  * Every list is expanded at compile time, so each element is a
  * constant: slots, FIFO records and flags at fixed offsets, ring masks,
@@ -353,11 +362,13 @@ struct CompiledPlan {
         each<S::kStall, S::kStallAt[M], S::kStallAt[M + 1]>(f);
     }
 
-    template <uint32_t Fid, class F>
+    /** The union of the wake lists of the call group led by Lead. */
+    template <uint32_t Lead, class F>
     static void
-    forFifoWake(EventState &, Id<Fid>, F &&f)
+    forFifoWake(EventState &, Id<Lead>, F &&f)
     {
-        each<S::kFifoWake, S::kFifoWakeAt[Fid], S::kFifoWakeAt[Fid + 1]>(f);
+        constexpr uint32_t g = kGroupOf[Lead];
+        each<S::kGroupWake, S::kGroupWakeAt[g], S::kGroupWakeAt[g + 1]>(f);
     }
 
     template <uint32_t Aid, class F>
@@ -414,59 +425,114 @@ struct CompiledPlan {
             kVisit[order[i]](es);
     }
 
+    /** The call group of each FIFO, by fifo index. */
+    static constexpr std::array<uint32_t, S::kFifos> kGroupOf = [] {
+        std::array<uint32_t, S::kFifos> g{};
+        for (uint32_t k = 0; k < S::kGroups; ++k)
+            for (uint32_t f = S::kGroupAt[k]; f < S::kGroupAt[k + 1]; ++f)
+                g[f] = k;
+        return g;
+    }();
+
+    /** The decision of one call group's commit in cycle `cycle`. */
+    struct GroupCommit {
+        bool pop, store, drop;
+        uint32_t before, after; ///< the group's occupancy
+        uint64_t cycle;
+    };
+
     /**
-     * RunState::commitFifo specialized on FIFO Fid's shape: its ring
-     * mask, depth, arena offset and policy are literals. A recorded run
-     * (the recorder sees every pop and push) and an overflow take the
-     * shared commit out of line.
+     * One member Fid of a call group, committed on the group's decision
+     * @p c: pop, store the member's own buffered value, or drop.
      */
     template <uint32_t Fid>
-    static bool
-    commitFifo(EventState &es, Id<Fid>, const FifoPending &pd,
-               bool recording)
+    [[gnu::always_inline]] static void
+    commitMember(RunState &rs, const FifoPending *fpd, const GroupCommit &c)
     {
         constexpr FifoShape sh = S::kFifoShape[Fid];
+        RunState::Fifo &f = rs.fifos[Fid];
+        f.head = (f.head + c.pop) & sh.mask;
+        f.pops += c.pop;
+        if (c.store)
+            rs.fifo_arena[sh.base +
+                          ((f.head + c.before - c.pop) & sh.mask)] =
+                fpd[Fid].value;
+        f.pushes += c.store;
+        f.drops += c.drop;
+        f.count = c.after;
+        if (c.after != c.before) {
+            RunState::recordN(f.occupancy, c.before,
+                              c.cycle - f.sampled_until);
+            f.sampled_until = c.cycle;
+        }
+    }
+
+    template <uint32_t Lead, size_t... M>
+    [[gnu::always_inline]] static void
+    commitMembers(RunState &rs, const FifoPending *fpd, const GroupCommit &c,
+                  std::index_sequence<M...>)
+    {
+        (commitMember<Lead + M>(rs, fpd, c), ...);
+    }
+
+    /**
+     * RunState::commitFifo of the call group led by FIFO Lead
+     * (Program::callGroups), specialized on its shape: ring masks,
+     * depth, arena offsets and policy are literals. The members hold
+     * equal occupancy and share the lead's pop and push flags (@p pd),
+     * so one decision, made on the lead's count, commits them all. A
+     * recorded run (the recorder sees every pop and push) and an
+     * overflow take the shared commit out of line, member by member.
+     */
+    template <uint32_t Lead>
+    static bool
+    commitFifo(EventState &es, Id<Lead>, const FifoPending &pd,
+               bool recording)
+    {
+        constexpr uint32_t kEnd = S::kGroupAt[kGroupOf[Lead] + 1];
+        constexpr FifoShape sh = S::kFifoShape[Lead];
         constexpr bool drops =
             FifoPolicy(sh.policy) == FifoPolicy::kDropNewest;
         RunState &rs = *es.cx.st;
-        RunState::Fifo &f = rs.fifos[Fid];
+        const FifoPending *const fpd = es.fifo_pend.data();
+        const uint32_t before = rs.fifos[Lead].count;
+        const bool pop = pd.deq && before;
         // Full after this cycle's pop, if any.
-        const bool full = f.count == sh.depth && !(pd.deq && f.count);
+        const bool full = before == sh.depth && !pop;
         if (recording || (!drops && pd.push && full))
-            return commitFifoOutOfLine(rs, Fid, pd);
-        const uint32_t before = f.count;
-        bool changed = false;
-        if (pd.deq && f.count) {
-            f.head = (f.head + 1) & sh.mask;
-            --f.count;
-            ++f.pops;
-            changed = true;
+            return commitGroupOutOfLine(rs, Lead, kEnd, fpd);
+        const bool store = pd.push && !full;
+        const GroupCommit c{pop, store, pd.push && full, before,
+                            before - pop + store, rs.cycle};
+        commitMembers<Lead>(rs, fpd, c,
+                            std::make_index_sequence<kEnd - Lead>{});
+        return pop || store;
+    }
+
+    /** f(Id<lead>) for each call group whose lead's touched bit is
+     *  set, lowest first; clears the bitmap. Only a group's lead is
+     *  ever touched. */
+    template <class F, size_t... G>
+    [[gnu::always_inline]] static void
+    eachTouchedGroup(uint64_t *w, F &f, std::index_sequence<G...>)
+    {
+        [[maybe_unused]] uint64_t bits[(S::kFifos + 63) / 64 + 1];
+        for (size_t k = 0; k < (S::kFifos + 63) / 64; ++k) {
+            bits[k] = w[k];
+            w[k] = 0;
         }
-        if (pd.push) {
-            if (full) {
-                ++f.drops;
-            } else {
-                rs.fifo_arena[sh.base + ((f.head + f.count) & sh.mask)] =
-                    pd.value;
-                ++f.count;
-                ++f.pushes;
-                changed = true;
-            }
-        }
-        if (f.count != before) {
-            RunState::recordN(f.occupancy, before,
-                              rs.cycle - f.sampled_until);
-            f.sampled_until = rs.cycle;
-        }
-        return changed;
+        ((bits[S::kGroupAt[G] / 64] >> (S::kGroupAt[G] % 64) & 1
+              ? f(Id<S::kGroupAt[G]>{})
+              : void()),
+         ...);
     }
 
     template <class F>
     static void
     forTouchedFifos(EventState &es, F &&f)
     {
-        eachSetBit<S::kFifos>(es.touched_fifo_w.data(), f,
-                              std::make_index_sequence<S::kFifos>{});
+        eachTouchedGroup(es.touched_fifo_w.data(), f,
+                         std::make_index_sequence<S::kGroups>{});
     }
 
     template <class F>

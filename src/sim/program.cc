@@ -5,6 +5,7 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <sstream>
 
 #include "core/compiler/walk.h"
 #include "sim/event_ctx.h"
@@ -587,7 +588,7 @@ Program::compile(const System &sys, Evaluator ev)
     HostProfiler::Scope span("Program::compile");
     std::shared_ptr<Program> prog(new Program(sys));
     if (ev == Evaluator::kCompiled)
-        prog->attachCompiled();
+        prog->attachCompiled(compiledTapes());
     return prog;
 }
 
@@ -614,9 +615,8 @@ sameLists(const IdLists &mine, const CompiledLists &theirs)
  * looked up by anySizeFingerprint().
  */
 void
-Program::attachCompiled()
+Program::attachCompiled(const CompiledTapes &all)
 {
-    const CompiledTapes all = compiledTapes();
     const CompiledTape *any_size = nullptr;
     for (size_t i = 0; i < all.size; ++i) {
         const CompiledTape &ct = *all.list[i];
@@ -792,6 +792,7 @@ Program::build()
     for (const std::vector<uint32_t> &list : array_wake)
         array_wake_.push(list);
     buildSwitches();
+    buildCallGroups();
     auto hash = [this](const auto &vec) {
         fingerprint_ = hashBytes(fingerprint_, vec.data(),
                                  vec.size() * sizeof(vec[0]));
@@ -905,6 +906,166 @@ Program::buildSwitches()
         sw.u.mask = lo;
         entered[end] = std::min<int64_t>(entered[end], g0);
     }
+}
+
+/**
+ * Prove the call groups (callGroups()) from the finished tape, in time
+ * linear in the tape. A straight-line run starts at a span boundary, at
+ * a jump target and after each step that can leave the straight line
+ * (a wait check, a skip, a switch, a jump); every step of a run
+ * executes when its first step does. Each FIFO's push and pop steps are
+ * listed by run, and a FIFO joins the group of the one before it when
+ * its shape's depth and policy and both run lists equal that one's, and
+ * no run appears twice in either list: then every run that pushes (or
+ * pops) one member pushes (or pops) each member exactly once, and no
+ * other step changes an occupancy. Its pops must all sit in one span
+ * (one consumer). The inputs are the tape, the switch table, the spans
+ * and the FIFO shapes, so the groups need no hash of their own.
+ */
+void
+Program::buildCallGroups()
+{
+    const uint32_t n = static_cast<uint32_t>(tape_.size());
+    std::vector<uint8_t> starts(n + 1, 0);
+    std::vector<uint32_t> span_of(n, UINT32_MAX);
+    for (uint32_t m = 0; m < spans_.size(); ++m) {
+        const StageSpan &sp = spans_[m];
+        for (uint32_t at : {sp.shadow_begin, sp.shadow_end, sp.active_begin,
+                            sp.active_end})
+            starts[at] = 1;
+        std::fill(span_of.begin() + sp.shadow_begin,
+                  span_of.begin() + sp.shadow_end, 2 * m);
+        std::fill(span_of.begin() + sp.active_begin,
+                  span_of.begin() + sp.active_end, 2 * m + 1);
+    }
+    for (uint32_t i = 0; i < n; ++i) {
+        const DStep &s = tape_[i];
+        switch (static_cast<DOp>(s.op)) {
+          case DOp::kSkipIfFalse:
+          case DOp::kSkipIfNeImm:
+          case DOp::kJump:
+            starts[i + 1 + s.b] = 1;
+            starts[i + 1] = 1;
+            break;
+          case DOp::kSwitch:
+            for (uint32_t k = 0; k <= s.dest; ++k)
+                starts[i + 1 + switch_table_[s.b + k]] = 1;
+            starts[i + 1] = 1;
+            break;
+          case DOp::kWaitCheck:
+            starts[i + 1] = 1;
+            break;
+          default:
+            break;
+        }
+    }
+    // Each step's run, numbered in tape order, and its pushed or popped
+    // FIFO: every FIFO's run lists then come out sorted.
+    std::vector<uint32_t> run(n);
+    for (uint32_t i = 0, r = 0; i < n; ++i)
+        run[i] = r += starts[i];
+    auto fifo_of = [&](uint32_t i, DOp op) {
+        return static_cast<DOp>(tape_[i].op) != op ? UINT32_MAX
+               : op == DOp::kPush                  ? tape_[i].b
+                                                   : tape_[i].a;
+    };
+    // The runs of each FIFO's steps of opcode op, as flat lists.
+    auto runLists = [&](DOp op) {
+        IdLists lists;
+        lists.at.assign(num_fifos_ + 1, 0);
+        for (uint32_t i = 0; i < n; ++i)
+            if (uint32_t f = fifo_of(i, op); f != UINT32_MAX)
+                ++lists.at[f + 1];
+        for (uint32_t f = 0; f < num_fifos_; ++f)
+            lists.at[f + 1] += lists.at[f];
+        lists.ids.resize(lists.at[num_fifos_]);
+        std::vector<uint32_t> fill(lists.at.begin(), lists.at.end() - 1);
+        for (uint32_t i = 0; i < n; ++i)
+            if (uint32_t f = fifo_of(i, op); f != UINT32_MAX)
+                lists.ids[fill[f]++] = i;
+        return lists;
+    };
+    const IdLists pushes = runLists(DOp::kPush);
+    const IdLists pops = runLists(DOp::kDequeue);
+    // Whether FIFO f's steps each sit in a run of their own, and its
+    // pops in one span.
+    auto proper = [&](uint32_t f) {
+        for (const IdLists *l : {&pushes, &pops}) {
+            const auto steps = (*l)[f];
+            for (size_t k = 1; k < steps.size(); ++k)
+                if (run[steps[k]] == run[steps[k - 1]])
+                    return false;
+        }
+        const auto popped = pops[f];
+        return !popped.empty() &&
+               span_of[popped.front()] == span_of[popped.back()];
+    };
+    auto sameRuns = [&](const IdLists &l, uint32_t f) {
+        const auto a = l[f - 1], b = l[f];
+        if (a.size() != b.size())
+            return false;
+        for (size_t k = 0; k < a.size(); ++k)
+            if (run[a[k]] != run[b[k]])
+                return false;
+        return true;
+    };
+    call_groups_.assign(1, 0);
+    bool prev_proper = num_fifos_ > 0 && proper(0);
+    for (uint32_t f = 1; f < num_fifos_; ++f) {
+        const bool ok = proper(f);
+        const FifoShape &a = fifo_shapes_[f - 1], &b = fifo_shapes_[f];
+        if (!(ok && prev_proper && a.depth == b.depth &&
+              a.policy == b.policy && sameRuns(pushes, f) &&
+              sameRuns(pops, f)))
+            call_groups_.push_back(f);
+        prev_proper = ok;
+    }
+    if (num_fifos_ > 0)
+        call_groups_.push_back(num_fifos_);
+}
+
+std::string
+Program::describe() const
+{
+    std::ostringstream os;
+    os << "program '" << sys_->name() << "': " << tape_.size()
+       << " steps, " << slot_init_.size() << " slots\n";
+    auto count = [&](uint32_t begin, uint32_t end, auto pred) {
+        uint32_t c = 0;
+        for (uint32_t i = begin; i < end; ++i)
+            c += pred(static_cast<DOp>(tape_[i].op));
+        return c;
+    };
+    // A formed guard stays a kSkipIfNeImm or, collapsed into a switch,
+    // became its kSwitch or one of its kJumps (buildSwitches).
+    auto guard = [](DOp op) {
+        return op == DOp::kSkipIfNeImm || op == DOp::kSwitch ||
+               op == DOp::kJump;
+    };
+    auto sw = [](DOp op) { return op == DOp::kSwitch; };
+    for (uint32_t mid : topo_idx_) {
+        const StageSpan &sp = spans_[mid];
+        os << "  stage " << sys_->modules()[mid]->name() << ": shadow "
+           << sp.shadow_end - sp.shadow_begin << ", active "
+           << sp.active_end - sp.active_begin << ", guards "
+           << count(sp.shadow_begin, sp.shadow_end, guard) +
+                  count(sp.active_begin, sp.active_end, guard)
+           << ", switches "
+           << count(sp.shadow_begin, sp.shadow_end, sw) +
+                  count(sp.active_begin, sp.active_end, sw)
+           << "\n";
+    }
+    const size_t groups = call_groups_.empty() ? 0 : call_groups_.size() - 1;
+    os << "call groups: " << groups << " over " << num_fifos_ << " FIFOs\n";
+    for (size_t g = 0; g < groups; ++g) {
+        const uint32_t a = call_groups_[g], b = call_groups_[g + 1] - 1;
+        uint32_t owner = 0;
+        while (owner + 1 < port_base_.size() && port_base_[owner + 1] <= a)
+            ++owner;
+        os << "  " << sys_->modules()[owner]->name() << ": fifos [" << a
+           << ".." << b << "]\n";
+    }
+    return os.str();
 }
 
 void

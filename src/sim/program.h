@@ -56,6 +56,17 @@
  * Simulator then runs the entry's generated cycle (sim/event_cycle.h)
  * instead of the interpreted one.
  *
+ * Call groups: the argument ports of one `async_call` are pushed by one
+ * run of steps and popped by another, so their occupancies move
+ * together. compile() proves that from the tape (buildCallGroups) and
+ * the generated cycle commits each group as one unit. The groups are a
+ * pure function of the tape, switch table, spans and FIFO shapes, all of
+ * which the fingerprint hashes and attachCompiled() byte-checks, so an
+ * attached entry's groups are this Program's. The proof covers every
+ * reachable state; a restored snapshot that breaks it (members of one
+ * group at different occupancies) runs the generic cycle instead
+ * (sim::Simulator).
+ *
  * Sensitivity metadata: for every FIFO and register array, the list of
  * stages whose shadow cone (transitively, across cross-stage exposure
  * references) reads it. The scheduler re-evaluates a shadow tape only
@@ -78,6 +89,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/ir/system.h"
@@ -117,7 +129,8 @@ struct FifoShape {
  */
 std::vector<FifoShape> fifoLayout(const System &sys);
 
-struct CompiledTape; // sim/event_ctx.h
+struct CompiledTape;  // sim/event_ctx.h
+struct CompiledTapes; // sim/event_ctx.h
 struct EventState;   // sim/event_cycle.h
 
 /**
@@ -270,6 +283,26 @@ class Program {
     /** Each register array's element count, by RegArray::id. */
     const std::vector<uint32_t> &arraySizes() const { return array_sizes_; }
 
+    /**
+     * The call groups, as the first fifo index of each followed by the
+     * FIFO count: group g is the fifos [at[g], at[g + 1]). Every FIFO is
+     * in exactly one group, most of them alone. Ports with contiguous
+     * fifo ids, one consumer and the same depth and policy share a group
+     * when every step that pushes any of them sits in a straight-line
+     * run (no jump target inside, no exit before its end) that pushes
+     * each of them exactly once, and every step that pops any of them
+     * likewise: then, from reset, their occupancies stay equal.
+     */
+    const std::vector<uint32_t> &callGroups() const { return call_groups_; }
+
+    /**
+     * A human-readable summary of the compiled artifact: each stage's
+     * shadow and active tape lengths and its formed guards (x == K
+     * guards, including those folded into switches) and switches, and
+     * the call groups as `consumer: fifos [a..b]`.
+     */
+    std::string describe() const;
+
     /** The shared hazard analysis (const; safe to query concurrently). */
     const HazardAnalyzer &analyzer() const { return analyzer_; }
 
@@ -290,11 +323,13 @@ class Program {
   private:
     explicit Program(const System &sys);
     friend struct ProgCompiler; ///< the step compiler (sim/program.cc)
+    friend struct ProgramTestPeer; ///< tests: attach a test-built entry
 
     void build();
-    void attachCompiled();
+    void attachCompiled(const CompiledTapes &all);
     void buildAliases();
     void buildSwitches();
+    void buildCallGroups();
     uint32_t aliasOf(const Value *val);
     void compileModule(const Module &mod, std::vector<uint32_t> &ext_mods,
                        std::vector<uint32_t> &fifo_deps,
@@ -324,6 +359,7 @@ class Program {
     uint64_t fingerprint_ = 0;
     uint64_t any_size_fingerprint_ = 0;
     const CompiledTape *compiled_ = nullptr;
+    std::vector<uint32_t> call_groups_; ///< callGroups()
     IdLists fifo_wake_;  ///< by fifo index
     IdLists array_wake_; ///< by RegArray::id
     // Dense compile-time index tables: a port's FIFO is

@@ -211,8 +211,8 @@ struct Simulator::Impl {
     std::shared_ptr<const Program> prog;
     const SimOptions &opts;
     EventState es;
-    /** The Program's generated cycle, or the generic one. */
-    CycleFn cycle_fn;
+    /** The Program's generated cycle, or the generic one (chooseCycle). */
+    CycleFn cycle_fn = &runEventCycle<TapePlan>;
 
     // ----------------------------------------------------------------------
     // Construction: allocate per-run state. The compiled artifact (the
@@ -243,10 +243,30 @@ struct Simulator::Impl {
         es.shuffle = opts.shuffle;
         es.cx.st = &st;
         es.cx.prog = prog.get();
-        cycle_fn = prog->compiled() ? prog->compiled()->cycle
-                                    : &runEventCycle<TapePlan>;
         if (prog->compiled())
             checkShape();
+        chooseCycle();
+    }
+
+    /**
+     * The generated cycle commits each call group as one unit, which is
+     * exact in every state a run reaches from reset: the members of a
+     * group hold equal occupancy (Program::callGroups). A restored
+     * snapshot need not be such a state; one that breaks it runs the
+     * generic cycle, which commits each port on its own.
+     */
+    void
+    chooseCycle()
+    {
+        cycle_fn = &runEventCycle<TapePlan>;
+        if (!prog->compiled())
+            return;
+        const std::vector<uint32_t> &at = prog->callGroups();
+        for (size_t g = 0; g + 1 < at.size(); ++g)
+            for (uint32_t f = at[g] + 1; f < at[g + 1]; ++f)
+                if (st.fifos[f].count != st.fifos[at[g]].count)
+                    return;
+        cycle_fn = prog->compiled()->cycle;
     }
 
     /**
@@ -320,9 +340,14 @@ struct Simulator::Impl {
 };
 
 bool
-commitFifoOutOfLine(RunState &rs, uint32_t fid, const FifoPending &pd)
+commitGroupOutOfLine(RunState &rs, uint32_t first, uint32_t end,
+                     const FifoPending *fpd)
 {
-    return rs.commitFifo(fid, pd.deq, pd.push, pd.value, pd.src);
+    const FifoPending &g = fpd[first];
+    bool changed = false;
+    for (uint32_t fid = first; fid < end; ++fid)
+        changed |= rs.commitFifo(fid, g.deq, g.push, fpd[fid].value, g.src);
+    return changed;
 }
 
 void
@@ -389,6 +414,7 @@ Simulator::rebuildViews()
         ms.dec = false;
     }
     im.rebuildReady();
+    im.chooseCycle();
     std::fill(es.touched_fifo_w.begin(), es.touched_fifo_w.end(), 0);
     std::fill(es.touched_arr_w.begin(), es.touched_arr_w.end(), 0);
     std::fill(es.touched_mod_w.begin(), es.touched_mod_w.end(), 0);

@@ -1,5 +1,6 @@
 #include "sim/tape_emit.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cinttypes>
 #include <cstdarg>
@@ -216,6 +217,73 @@ foldArrayBounds(const Program &prog, const DStep &s, std::string &text)
     return n;
 }
 
+/**
+ * The call group of each FIFO as the emitter prints its steps: the
+ * group's first FIFO, which carries the group's flags and touched bit,
+ * and its size.
+ */
+struct GroupOf {
+    std::vector<uint32_t> lead, size;
+    /** Steps seen so far that push / pop each group, by lead. */
+    std::vector<uint32_t> pushes, pops;
+
+    const std::vector<FifoShape> &shapes;
+
+    explicit GroupOf(const Program &prog) : shapes(prog.fifoShapes())
+    {
+        const std::vector<uint32_t> &at = prog.callGroups();
+        for (size_t g = 0; g + 1 < at.size(); ++g)
+            for (uint32_t f = at[g]; f < at[g + 1]; ++f) {
+                lead.push_back(at[g]);
+                size.push_back(at[g + 1] - at[g]);
+            }
+        pushes.assign(lead.size(), 0);
+        pops.assign(lead.size(), 0);
+    }
+
+    /**
+     * Step @p s's row when it pushes, pops, tests or peeks at a FIFO of
+     * a group of two or more, else the empty string. Steps come in tape
+     * order. Each run of a group's pushes (or pops) pushes each member
+     * once (Program::callGroups), so every size-th such step opens a
+     * run: it alone checks and sets the group's one push (or dequeue)
+     * flag and touched bit, on the lead; each push still buffers its
+     * own value. Members hold equal occupancy, and equal ring heads
+     * (they pop together, and a restore rewinds every head to 0), so a
+     * valid test or a peek reads the lead's, and a peek the member's
+     * ring at its literal arena offset.
+     */
+    std::string
+    row(const DStep &s)
+    {
+        const DOp op = static_cast<DOp>(s.op);
+        const uint32_t f = op == DOp::kPush ? s.b : s.a;
+        if ((op != DOp::kPush && op != DOp::kDequeue &&
+             op != DOp::kFifoValid && op != DOp::kFifoPeek) ||
+            size.at(f) < 2)
+            return "";
+        const std::string l = std::to_string(lead[f]);
+        if (op == DOp::kFifoValid)
+            return "v[s->dest] = fst[" + l + "].count > 0;";
+        if (op == DOp::kFifoPeek)
+            return "v[s->dest] = fst[" + l + "].count ? fa[" +
+                   std::to_string(shapes[f].base) + "u + fst[" + l +
+                   "].head] : 0;";
+        const std::string value = "fpd[s->b].value = v[s->a] & s->u.mask;";
+        if (op == DOp::kPush)
+            return pushes[lead[f]]++ % size[f]
+                       ? value
+                       : "FifoPending &g = fpd[" + l +
+                             "]; if (g.push) cx.st->multiplePushes(s->b); "
+                             "g.push = true; g.src = mst[s->x16].mod; " +
+                             value + " touchBit(cx.touched_fifo, " + l + ");";
+        return pops[lead[f]]++ % size[f]
+                   ? "/* popped with its group */"
+                   : "fpd[" + l + "].deq = true; touchBit(cx.touched_fifo, " +
+                         l + ");";
+    }
+};
+
 /** One step of a span as the emitter prints it. */
 struct EmitStep {
     std::string body;             ///< the row, exits resolved
@@ -302,11 +370,15 @@ spanSteps(const Program &prog, bool any_size, std::vector<EmitStep> &steps,
             span_of[i] = int(2 * m + 1);
     }
     std::vector<int> writer(prog.slotInit().size(), -1);
+    GroupOf groups(prog);
     for (uint32_t i = 0; i < tape.size(); ++i) {
+        std::string group_row = groups.row(tape[i]);
         if (span_of[i] < 0)
             continue;
         EmitStep &st = steps[i];
         st.body = stepBody(prog, i, st.targets);
+        if (!group_row.empty())
+            st.body = std::move(group_row);
         if (!any_size)
             counts.array_bounds += foldArrayBounds(prog, tape[i], st.body);
         st.refs = slotRefs(tape[i], st.body);
@@ -522,6 +594,23 @@ emitSchedule(const Program &prog, const std::vector<std::string> &shadow_fns,
                                        sh.policy);
                      });
     out += member("uint32_t", "kArraySize", prog.arraySizes(), 8);
+    // The call groups, each committed as one unit, and the union of
+    // their members' wake lists.
+    const std::vector<uint32_t> &groups = prog.callGroups();
+    IdLists group_wake;
+    for (size_t g = 0; g + 1 < groups.size(); ++g) {
+        std::set<uint32_t> wake;
+        for (uint32_t f = groups[g]; f < groups[g + 1]; ++f)
+            for (uint32_t mid : prog.fifoWake()[f])
+                wake.insert(mid);
+        group_wake.push(wake);
+    }
+    out += format("    static constexpr size_t kGroups = %zu;\n",
+                  group_wake.size());
+    out += member("uint32_t", "kGroupAt",
+                  groups.empty() ? std::vector<uint32_t>{0} : groups, 16);
+    out += member("uint32_t", "kGroupWakeAt", group_wake.at, 16);
+    out += member("uint32_t", "kGroupWake", group_wake.ids, 16);
     auto fns = [&](const char *name, const std::vector<std::string> &v) {
         return std::string("    static constexpr SpanFn ") + name + "[] = " +
                list(std::max<size_t>(v.size(), 1), 4,
@@ -627,9 +716,11 @@ emitCompiledTape(const Program &prog, const std::string &symbol,
     out += "} // namespace sim\n} // namespace assassyn\n";
     return heading(designs) +
            format("// Shape literals: %" PRIu32 " constant-slot reads, %" PRIu32
-                  " array bounds%s, %zu FIFO commits.\n",
+                  " array bounds%s, %zu call-group commits over %zu "
+                  "FIFOs.\n",
                   counts.const_reads, counts.array_bounds,
                   any_size ? " (any array sizes)" : "",
+                  std::max<size_t>(prog.callGroups().size(), 1) - 1,
                   prog.fifoShapes().size()) +
            literalPragma() + out;
 }

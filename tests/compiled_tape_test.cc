@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include <unistd.h>
@@ -36,6 +37,7 @@
 #include "baseline/catalog.h"
 #include "core/compiler/pass.h"
 #include "core/dsl/builder.h"
+#include "core/ir/instruction.h"
 #include "designs/cpu.h"
 #include "designs/ooo.h"
 #include "grader/corpus.h"
@@ -744,9 +746,9 @@ TEST(CompiledTape, AnySizeCycleServesOtherMemories)
  * What the generated event cycle of the two CPU cores prints as
  * literals, read off the emitted source: no read of a slot that no step
  * writes goes through the slot store (it is kSlotInit[N]), no array
- * bound is read from the array state, and every FIFO's shape is a row
- * of the constant table its generated commit reads. The heading counts
- * each.
+ * bound is read from the array state, every FIFO's shape is a row of
+ * the constant table its generated commit reads, and each call group
+ * is committed once. The heading counts each.
  */
 TEST(CompiledTape, GeneratedCycleFoldsShape)
 {
@@ -797,9 +799,9 @@ TEST(CompiledTape, GeneratedCycleFoldsShape)
         EXPECT_GT(store_reads, 0u) << name;
         EXPECT_EQ(text.find("ast[s->b].size"), std::string::npos) << name;
         EXPECT_EQ(text.find("ast[s->x16].size"), std::string::npos) << name;
-        // The generated commit of each FIFO reads its shape from the
+        // The generated commit of each call group reads its shape from the
         // table; the shared RunState::commitFifo is reached only
-        // through commitFifoOutOfLine (sim/event_cycle.h), never from
+        // through commitGroupOutOfLine (sim/event_cycle.h), never from
         // the generated source.
         EXPECT_EQ(text.find("commitFifo"), std::string::npos) << name;
         const size_t table = text.find("kFifoShape[] = {");
@@ -821,17 +823,42 @@ TEST(CompiledTape, GeneratedCycleFoldsShape)
                            s.op == uint8_t(sim::DOp::kArrayWrite);
         const size_t head = text.find("// Shape literals: ");
         ASSERT_NE(head, std::string::npos) << name;
-        unsigned reads = 0, bounds = 0, fifos = 0;
+        unsigned reads = 0, bounds = 0, commits = 0, fifos = 0;
         ASSERT_EQ(std::sscanf(text.c_str() + head,
                               "// Shape literals: %u constant-slot reads, "
-                              "%u array bounds, %u FIFO commits.",
-                              &reads, &bounds, &fifos),
-                  3)
+                              "%u array bounds, %u call-group commits over "
+                              "%u FIFOs.",
+                              &reads, &bounds, &commits, &fifos),
+                  4)
             << name;
         EXPECT_EQ(reads, const_reads) << name;
         EXPECT_GT(reads, 0u) << name;
         EXPECT_EQ(bounds, array_steps) << name;
         EXPECT_EQ(fifos, prog->fifoShapes().size()) << name;
+
+        // One commit decision per call group: the cycle commits over
+        // the group table, and the steps touch only each group's lead
+        // (Program::callGroups). The in-order core commits 4 groups
+        // where it committed each of its 16 FIFOs, the OoO core 2 where
+        // it committed 7.
+        const std::vector<uint32_t> &groups = prog->callGroups();
+        ASSERT_GE(groups.size(), 2u) << name;
+        EXPECT_EQ(commits, groups.size() - 1) << name;
+        const size_t table_at = text.find("static constexpr size_t kGroups = ");
+        ASSERT_NE(table_at, std::string::npos) << name;
+        EXPECT_EQ(std::stoul(text.substr(table_at + 34)), commits) << name;
+        EXPECT_LE(commits, std::string(name) == "ooo" ? 2u : 4u) << name;
+        std::set<uint32_t> touched;
+        const std::string kTouch = "touchBit(cx.touched_fifo, ";
+        for (size_t k = text.find(kTouch); k != std::string::npos;
+             k = text.find(kTouch, k + 1)) {
+            ASSERT_TRUE(std::isdigit(
+                static_cast<unsigned char>(text[k + kTouch.size()])))
+                << name << ": a FIFO of a group of one is touched";
+            touched.insert(uint32_t(std::stoul(text.substr(k + kTouch.size()))));
+        }
+        EXPECT_EQ(touched, std::set<uint32_t>(groups.begin(), groups.end() - 1))
+            << name;
 
         // The any-size cycle reads every bound from the array state and
         // carries no array sizes.
@@ -842,6 +869,173 @@ TEST(CompiledTape, GeneratedCycleFoldsShape)
                   std::string::npos)
             << name;
         EXPECT_NE(any.find("    nullptr, 0,\n"), std::string::npos) << name;
+    }
+}
+
+/** The sizes of @p prog's call groups, in fifo order. */
+std::vector<uint32_t>
+groupSizes(const sim::Program &prog)
+{
+    std::vector<uint32_t> out;
+    const std::vector<uint32_t> &at = prog.callGroups();
+    for (size_t g = 0; g + 1 < at.size(); ++g)
+        out.push_back(at[g + 1] - at[g]);
+    return out;
+}
+
+/**
+ * Call groups follow the tape. In a cpu.bp.t whose exec stage pops its
+ * `pred` port on its own, inside a `when` at the end of the body (a
+ * partial pop, Fig. 8c; it pops whenever the port holds an entry, so
+ * the core still runs its program), that port's dequeue leaves the run
+ * of exec's implicit head pops: it gets no group, and the call's other
+ * six ports split around it. The tape differs from the catalog's, so no
+ * generated entry attaches, and the design runs byte-identical to the
+ * interpreter, plain and shuffled.
+ */
+TEST(CompiledTape, CallGroupsFollowTheTape)
+{
+    std::unique_ptr<System> ref_sys = buildCatalog("cpu.bp.t");
+    auto ref = sim::Program::compile(*ref_sys);
+    EXPECT_EQ(groupSizes(*ref), (std::vector<uint32_t>{2, 7, 4, 3}));
+
+    std::unique_ptr<System> sys = buildCatalog("cpu.bp.t");
+    Module *exec = sys->module("exec");
+    Port *pred = exec->port("pred");
+    FifoPop *pop = exec->popOfOrNull(pred);
+    ASSERT_NE(pop, nullptr);
+    std::vector<Instruction *> body;
+    for (Instruction *inst : exec->body().insts())
+        if (inst != pop)
+            body.push_back(inst);
+    auto *when = exec->create<CondBlock>(exec->create<FifoValid>(pred));
+    when->body()->append(pop);
+    body.push_back(when);
+    exec->body().assign(body);
+
+    auto compiled = sim::Program::compile(*sys);
+    auto tape = sim::Program::compile(*sys, sim::Evaluator::kTape);
+    const uint32_t fid = compiled->fifoIndex(pred);
+    EXPECT_EQ(fid, 6u);
+    EXPECT_EQ(groupSizes(*compiled),
+              (std::vector<uint32_t>{2, 4, 1, 2, 4, 3}));
+    EXPECT_NE(compiled->describe().find("  exec: fifos [6..6]\n"),
+              std::string::npos)
+        << compiled->describe();
+    EXPECT_EQ(compiled->compiled(), nullptr);
+
+    const std::string dir = scratchDir("compiled_cycle_groups");
+    for (const bool shuffle : {false, true}) {
+        const std::string what =
+            std::string("partial pop") + (shuffle ? " (shuffled)" : "");
+        const Files fc(dir + "/compiled"), ft(dir + "/tape");
+        {
+            sim::Simulator a(compiled, options(shuffle, &fc));
+            sim::Simulator b(tape, options(shuffle, &ft));
+            for (uint64_t at : kSnapAt) {
+                a.run(at - a.cycle());
+                b.run(at - b.cycle());
+                ASSERT_EQ(a.cycle(), b.cycle()) << what;
+                expectSameSnapshots(a, b, what);
+            }
+            EXPECT_EQ(metricsOf(a), metricsOf(b)) << what;
+            EXPECT_EQ(a.logOutput(), b.logOutput()) << what;
+            EXPECT_GT(a.fifoTraffic(pred).pops, 0u) << what;
+        }
+        expectSameFiles(fc, ft, what);
+    }
+    std::filesystem::remove_all(dir);
+}
+
+/**
+ * @p snap with the head entry of FIFO @p fid dropped (its occupancy one
+ * lower), re-encoded through the snapshot format.
+ */
+sim::Snapshot
+dropHead(const sim::Snapshot &snap, uint32_t fid)
+{
+    sim::ByteReader r = snap.reader("fifos");
+    sim::ByteWriter w;
+    const uint32_t count = r.u32();
+    w.u32(count);
+    for (uint32_t f = 0; f < count; ++f) {
+        w.u32(r.u32()); // depth
+        const uint32_t occ = r.u32();
+        std::vector<uint64_t> entries(occ);
+        r.u64s(entries.data(), occ);
+        if (f == fid)
+            entries.erase(entries.begin());
+        w.u32(uint32_t(entries.size()));
+        w.u64s(entries.data(), entries.size());
+        for (int k = 0; k < 6; ++k) // traffic and occupancy counters
+            w.u64(r.u64());
+        w.vec64(r.vec64());
+    }
+    r.expectEnd();
+    sim::Snapshot out = snap;
+    for (sim::SnapshotSection &sec : out.sections)
+        if (sec.name == "fifos")
+            sec.bytes = w.take();
+    const std::vector<uint8_t> bytes = sim::encodeSnapshot(out);
+    return sim::decodeSnapshot(bytes.data(), bytes.size());
+}
+
+/**
+ * The reachability assumption of the call-group commit: in every state
+ * a run reaches, the members of a group hold equal occupancy. A
+ * restored snapshot need not be such a state. A mid-run cpu.bp.t
+ * snapshot with the head entry of one member of a group dropped,
+ * restored into the compiled and the interpreted simulator, runs the
+ * generic cycle on both: 64 cycles later their snapshots, logs and any
+ * fault text agree byte for byte, plain and shuffled. A consistent
+ * snapshot restored afterwards runs generated code again.
+ */
+TEST(CompiledTape, UnequalCallGroupRestoresExactly)
+{
+    std::unique_ptr<System> sys = buildCatalog("cpu.bp.t");
+    auto compiled = sim::Program::compile(*sys);
+    auto tape = sim::Program::compile(*sys, sim::Evaluator::kTape);
+    ASSERT_NE(compiled->compiled(), nullptr);
+    std::vector<const Port *> ports;
+    for (const auto &mod : sys->modules())
+        for (const auto &port : mod->ports())
+            ports.push_back(port.get());
+    // Run to a boundary where the 7-port decode-to-exec group holds an
+    // entry, and drop its last member's.
+    const std::vector<uint32_t> &at = compiled->callGroups();
+    ASSERT_EQ(at.size(), 5u);
+    const uint32_t member = at[2] - 1;
+    sim::Simulator src(compiled, options(false));
+    src.run(500);
+    while (src.fifoOccupancy(ports[member]) == 0 && src.cycle() < 2000)
+        src.run(1);
+    ASSERT_GT(src.fifoOccupancy(ports[member]), 0u);
+    const sim::Snapshot good = src.snapshot();
+    const sim::Snapshot bad = dropHead(good, member);
+
+    for (const bool shuffle : {false, true}) {
+        const std::string what =
+            std::string("unequal group") + (shuffle ? " (shuffled)" : "");
+        sim::Simulator a(compiled, options(shuffle));
+        sim::Simulator b(tape, options(shuffle));
+        a.restore(bad);
+        b.restore(bad);
+        ASSERT_EQ(a.fifoOccupancy(ports[member]) + 1,
+                  a.fifoOccupancy(ports[at[1]]))
+            << what;
+        const sim::RunResult ra = a.run(64);
+        const sim::RunResult rb = b.run(64);
+        EXPECT_EQ(ra.status, rb.status) << what;
+        EXPECT_EQ(ra.error, rb.error) << what;
+        EXPECT_EQ(a.cycle(), b.cycle()) << what;
+        expectSameSnapshots(a, b, what);
+        EXPECT_EQ(a.logOutput(), b.logOutput()) << what;
+
+        // Back to a reachable state: generated code again, in step.
+        a.restore(good);
+        b.restore(good);
+        expectSameAt(a, b, a.cycle() + 64, what + ", restored again");
+        EXPECT_EQ(a.logOutput(), b.logOutput()) << what;
     }
 }
 

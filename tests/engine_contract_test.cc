@@ -29,6 +29,8 @@
 #include "sim/engine.h"
 #include "sim/simulator.h"
 #include "support/logging.h"
+#include "tests/group_designs.h"
+#include "tests/program_test_peer.h"
 
 namespace assassyn {
 namespace {
@@ -572,6 +574,88 @@ TEST(EngineContract, DoubleWriteOutOfRangeFaultIdentical)
     }
     EXPECT_EQ(runs[0].result.error, "cycle 2: out-of-range write to 'a[8]'");
     EXPECT_EQ(lastLine(runs[0].trace), "#2: FAULT: " + runs[0].result.error);
+}
+
+/**
+ * Fault parity for call groups (sim::Program::callGroups), which the
+ * generated event cycle pushes, pops and commits as one unit: a push
+ * into a full abort-policy group, and two call sites pushing one group
+ * in the same cycle, end each run with the same RunResult::error and
+ * FAULT trace line on the generated and the interpreted event cycle,
+ * shuffled and not, and on the netlist. The four event runs also leave
+ * the same inspectable state. When the second call site pushes the
+ * group's ports in the other order, the event engine names the port
+ * its step pushed twice first and the netlist the lowest-numbered one;
+ * there only the four event runs are compared.
+ */
+TEST(EngineContract, CallGroupFaultsIdentical)
+{
+    struct Case {
+        std::unique_ptr<System> sys;
+        std::string error;
+        bool netlist; ///< the netlist names the same fault
+    };
+    Case cases[] = {
+        {test::buildGroupOverflow(),
+         "cycle 7: FIFO overflow on 'sink.a' (occupancy 2/2; push from "
+         "stage 'driver'); tune fifo_depth or set a backpressure policy",
+         true},
+        {test::buildGroupDoublePush(false),
+         "cycle 6: multiple pushes to FIFO 'sink.a' in one cycle", true},
+        {test::buildGroupDoublePush(true),
+         "cycle 6: multiple pushes to FIFO 'sink.b' in one cycle", false},
+    };
+    for (auto &[sys, error, with_netlist] : cases) {
+        SCOPED_TRACE(sys->name());
+        auto compiled = sim::ProgramTestPeer::compile(*sys, test::groupTapes());
+        ASSERT_NE(compiled->compiled(), nullptr);
+        ASSERT_EQ(compiled->callGroups(),
+                  (std::vector<uint32_t>{0, 2}));
+        auto tape = sim::Program::compile(*sys, sim::Evaluator::kTape);
+        ASSERT_EQ(tape->compiled(), nullptr);
+        const rtl::Netlist nl(*sys);
+        std::vector<std::pair<std::string, std::function<std::unique_ptr<
+                                               sim::Engine>(sim::SimOptions)>>>
+            engines;
+        for (const bool shuffle : {false, true})
+            for (const auto &prog : {compiled, tape})
+                engines.emplace_back(
+                    std::string(prog->compiled() ? "generated" : "tape") +
+                        (shuffle ? " shuffled" : ""),
+                    [prog, shuffle](sim::SimOptions o) {
+                        o.shuffle = shuffle;
+                        o.shuffle_seed = 7;
+                        return std::make_unique<sim::Simulator>(prog, o);
+                    });
+        if (with_netlist)
+            engines.emplace_back("netlist", [&nl](sim::SimOptions o) {
+                return std::make_unique<rtl::NetlistSim>(nl, o);
+            });
+        // The state each event cycle leaves at the fault: the generated
+        // and the interpreted one fault at the same step.
+        std::vector<std::string> states;
+        for (const auto &[what, make] : engines) {
+            SCOPED_TRACE(what);
+            sim::SimOptions opts;
+            opts.capture_logs = true;
+            opts.trace_path = ::testing::TempDir() + "assassyn_group_fault";
+            std::string trace;
+            {
+                std::unique_ptr<sim::Engine> e = make(opts);
+                const sim::RunResult r = e->run(100);
+                EXPECT_EQ(r.status, sim::RunStatus::kFault);
+                EXPECT_EQ(r.error, error);
+                if (what != "netlist")
+                    states.push_back(inspect(*e));
+            }
+            trace = slurp(opts.trace_path);
+            std::remove(opts.trace_path.c_str());
+            EXPECT_EQ(lastLine(trace),
+                      "#" + error.substr(6, error.find(':') - 6) +
+                          ": FAULT: " + error);
+            EXPECT_EQ(states.back(), states.front());
+        }
+    }
 }
 
 TEST(EngineContract, NetlistIgnoresShuffle)

@@ -20,6 +20,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "baseline/catalog.h"
 #include "baseline/hls.h"
 #include "baseline/hls_workloads.h"
 #include "core/compiler/pass.h"
@@ -260,6 +261,54 @@ TEST(ProgramSwitchTest, CpuTapesFormNoSwitch)
         EXPECT_EQ(countOp(*prog, sim::DOp::kJump), 0u);
         EXPECT_TRUE(prog->switchTable().empty());
     }
+}
+
+/**
+ * Call groups (Program::callGroups): the argument ports of one
+ * async_call commit as one unit. The in-order core's 16 FIFOs come from
+ * four calls (fetch to decode 2 ports, decode to exec 7, exec to mem 4,
+ * mem to wb 3), the OoO core's 7 from two (decode 3, backend 4, popped
+ * by its explicit `when(drop | can_dispatch)`), and each HLS design has
+ * at most one FIFO. describe() lists the groups with their consumers.
+ */
+TEST(ProgramTest, CallGroupsOfTheCatalog)
+{
+    auto sizes = [](const sim::Program &prog) {
+        std::vector<uint32_t> out;
+        const std::vector<uint32_t> &at = prog.callGroups();
+        for (size_t g = 0; g + 1 < at.size(); ++g)
+            out.push_back(at[g + 1] - at[g]);
+        return out;
+    };
+    size_t hls = 0;
+    for (const baseline::CatalogDesign &d : baseline::designCatalog()) {
+        std::unique_ptr<System> sys = d.build();
+        auto prog = sim::Program::compile(*sys);
+        const std::string text = prog->describe();
+        if (d.name == "cpu.bp.t") {
+            EXPECT_EQ(sizes(*prog), (std::vector<uint32_t>{2, 7, 4, 3}));
+            EXPECT_NE(text.find("call groups: 4 over 16 FIFOs\n"),
+                      std::string::npos)
+                << text;
+            EXPECT_NE(text.find("  exec: fifos [2..8]\n"), std::string::npos)
+                << text;
+        } else if (d.name == "ooo") {
+            EXPECT_EQ(sizes(*prog), (std::vector<uint32_t>{3, 4}));
+            EXPECT_NE(text.find("call groups: 2 over 7 FIFOs\n"),
+                      std::string::npos)
+                << text;
+            EXPECT_NE(text.find("  backend: fifos [3..6]\n"),
+                      std::string::npos)
+                << text;
+        } else if (d.name.rfind("hls.", 0) == 0) {
+            ++hls;
+            for (uint32_t n : sizes(*prog))
+                EXPECT_EQ(n, 1u) << d.name;
+            EXPECT_NE(text.find(", switches 1\n"), std::string::npos)
+                << d.name << ":\n" << text;
+        }
+    }
+    EXPECT_EQ(hls, 6u);
 }
 
 } // namespace
