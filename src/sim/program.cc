@@ -1055,7 +1055,7 @@ Program::describe() const
                   count(sp.active_begin, sp.active_end, sw)
            << "\n";
     }
-    const size_t groups = call_groups_.empty() ? 0 : call_groups_.size() - 1;
+    const size_t groups = call_groups_.size() - 1;
     os << "call groups: " << groups << " over " << num_fifos_ << " FIFOs\n";
     for (size_t g = 0; g < groups; ++g) {
         const uint32_t a = call_groups_[g], b = call_groups_[g + 1] - 1;

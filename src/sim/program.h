@@ -285,7 +285,8 @@ class Program {
 
     /**
      * The call groups, as the first fifo index of each followed by the
-     * FIFO count: group g is the fifos [at[g], at[g + 1]). Every FIFO is
+     * FIFO count (just {0} without FIFOs): group g is the fifos
+     * [at[g], at[g + 1]). Every FIFO is
      * in exactly one group, most of them alone. Ports with contiguous
      * fifo ids, one consumer and the same depth and policy share a group
      * when every step that pushes any of them sits in a straight-line

@@ -1,6 +1,5 @@
 #include "sim/tape_emit.h"
 
-#include <algorithm>
 #include <cctype>
 #include <cinttypes>
 #include <cstdarg>
@@ -607,8 +606,7 @@ emitSchedule(const Program &prog, const std::vector<std::string> &shadow_fns,
     }
     out += format("    static constexpr size_t kGroups = %zu;\n",
                   group_wake.size());
-    out += member("uint32_t", "kGroupAt",
-                  groups.empty() ? std::vector<uint32_t>{0} : groups, 16);
+    out += member("uint32_t", "kGroupAt", groups, 16);
     out += member("uint32_t", "kGroupWakeAt", group_wake.at, 16);
     out += member("uint32_t", "kGroupWake", group_wake.ids, 16);
     auto fns = [&](const char *name, const std::vector<std::string> &v) {
@@ -720,7 +718,7 @@ emitCompiledTape(const Program &prog, const std::string &symbol,
                   "FIFOs.\n",
                   counts.const_reads, counts.array_bounds,
                   any_size ? " (any array sizes)" : "",
-                  std::max<size_t>(prog.callGroups().size(), 1) - 1,
+                  prog.callGroups().size() - 1,
                   prog.fifoShapes().size()) +
            literalPragma() + out;
 }
